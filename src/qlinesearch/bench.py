@@ -9,6 +9,7 @@ a given master seed regardless of execution order).
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import zlib
 from dataclasses import dataclass, field
@@ -164,11 +165,19 @@ def run_suite_benchmark(suite=None, solvers=SOLVERS, master_seed=0,
     on a known minimizer, one RNG substream per (master_seed, problem,
     solver, attempt), until ``runs_required`` successes or ``attempt_cap``
     attempts.  Every attempt is recorded as a row.
+
+    Each problem's runs get the objective floor ``known_min_value -
+    SUCCESS_VALUE_GAP`` (overriding ``config.f_floor``): a run that descends
+    below it can no longer succeed on value, so it stops as diverged instead
+    of using up its iteration budget.  Start points, success flags and the
+    iterations of successful runs are the same as without the floor.
     """
     suite = standard_suite() if suite is None else list(suite)
     config = config if config is not None else SolverConfig(max_iterations=SUITE_MAX_ITERATIONS)
     table = BenchmarkTable()
     for problem in suite:
+        floored = dataclasses.replace(
+            config, f_floor=problem.known_min_value - SUCCESS_VALUE_GAP)
         for solver in solvers:
             successes = 0
             for attempt in range(attempt_cap):
@@ -180,7 +189,7 @@ def run_suite_benchmark(suite=None, solvers=SOLVERS, master_seed=0,
                                             zlib.crc32(problem.name.encode()),
                                             zlib.crc32(solver.encode()), attempt]))
                 x0 = _draw_start(problem, rng)
-                result = _solver_run(solver, problem, x0, config, q0)
+                result = _solver_run(solver, problem, x0, floored, q0)
                 if result_hook is not None:
                     result_hook(problem, solver, result)
                 ok = is_success(problem, result)

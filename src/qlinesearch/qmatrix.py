@@ -28,8 +28,14 @@ class QHessian:
     fallback_count: int
 
 
-def _eval_gradient(gradient, x, n):
-    g = np.asarray(gradient(x), dtype=float)
+def checked_gradient(g, x):
+    """``g``, a gradient value at ``x``, as a float array of x's length.
+
+    Raises ``ValueError`` on a wrong shape and ``NumericError`` on a
+    non-finite entry, so every solver rejects a bad gradient the same way.
+    """
+    g = np.asarray(g, dtype=float)
+    n = np.shape(x)[0]
     if g.shape != (n,):
         raise ValueError(f"gradient returned shape {g.shape}, expected ({n},)")
     if not np.all(np.isfinite(g)):
@@ -37,17 +43,18 @@ def _eval_gradient(gradient, x, n):
     return g
 
 
-def q_hessian(gradient, x, q, fd_step=None):
+def q_hessian(gradient, x, q, fd_step=None, g0=None):
     """Assemble the symmetrized q-Hessian of the function whose gradient is given.
 
     ``gradient`` must return the full analytic gradient; it is evaluated once
-    at ``x`` and once per q-shifted point.
+    per q-shifted point, and once at ``x`` unless the caller already holds
+    that value and passes it as ``g0``.
     """
     q = _check_q(q)
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
     scale = max(1.0, float(np.max(np.abs(x))) if n else 1.0)
-    g0 = _eval_gradient(gradient, x, n)
+    g0 = checked_gradient(gradient(x) if g0 is None else g0, x)
     rows = np.empty((n, n))
     fallback = 0
     for i in range(n):
@@ -58,10 +65,11 @@ def q_hessian(gradient, x, q, fd_step=None):
             xp[i] += h
             xm = x.copy()
             xm[i] -= h
-            rows[i] = (_eval_gradient(gradient, xp, n) - _eval_gradient(gradient, xm, n)) / (2.0 * h)
+            rows[i] = (checked_gradient(gradient(xp), xp) - checked_gradient(gradient(xm), xm)) / (2.0 * h)
             fallback += n
         else:
-            gi = _eval_gradient(gradient, q_shift(x, i, q), n)
+            xs = q_shift(x, i, q)
+            gi = checked_gradient(gradient(xs), xs)
             rows[i] = (g0 - gi) / ((1.0 - q) * xi)
     matrix = 0.5 * (rows + rows.T)
     if not np.all(np.isfinite(matrix)):
@@ -69,12 +77,14 @@ def q_hessian(gradient, x, q, fd_step=None):
     return QHessian(matrix=matrix, q_used=q, fallback_count=fallback)
 
 
-def q_hessian_lagrangian(grad_f, x, q, jac_h=None, u=None, jac_g=None, v=None, fd_step=None):
+def q_hessian_lagrangian(grad_f, x, q, jac_h=None, u=None, jac_g=None, v=None, fd_step=None,
+                         g0=None):
     """q-Hessian of the Lagrangian f + u.h + v.g with multipliers held fixed.
 
     ``jac_h``/``jac_g`` return the (m, n) / (p, n) constraint Jacobians.  With
     zero (or absent) multipliers the result is identical to ``q_hessian`` of
-    the objective at the same point and q.
+    the objective at the same point and q.  ``g0``, the Lagrangian gradient
+    at ``x`` when the caller holds it, is passed through to ``q_hessian``.
     """
     u = None if u is None else np.asarray(u, dtype=float)
     v = None if v is None else np.asarray(v, dtype=float)
@@ -89,4 +99,4 @@ def q_hessian_lagrangian(grad_f, x, q, jac_h=None, u=None, jac_g=None, v=None, f
             g = g + np.asarray(jac_g(pt), dtype=float).T @ v
         return g
 
-    return q_hessian(grad_lagrangian, x, q, fd_step=fd_step)
+    return q_hessian(grad_lagrangian, x, q, fd_step=fd_step, g0=g0)

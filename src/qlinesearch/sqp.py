@@ -248,7 +248,8 @@ def qp_active_set(B, grad, eq=None, ineq=None, warm_start=None):
 def _sqp_delta(A):
     # The Lagrangian surrogate vanishes at cold multiplier starts; a unit
     # eigenvalue floor keeps the first QP steps (and the multiplier jump
-    # toward the QP estimate) at sane scale.
+    # toward the QP estimate) at sane scale.  Only constrained problems use
+    # it: without constraints the floor would only slow the q-Newton step.
     return max(1.0, default_delta(A))
 
 
@@ -273,7 +274,10 @@ def solve_qsqp(problem, config=None, schedule=None, callback=None):
     """q-line-search SQP on a ConstrainedProblem.
 
     With no constraints at all the iterate sequence coincides exactly with
-    ``solve_qls`` on the same objective, config and schedule.
+    ``solve_qls`` on the same objective, config and schedule (the q-Hessian
+    is then modified under the same default eigenvalue floor).  The
+    objective and constraint values at a new iterate are carried over from
+    the accepted merit trial; ``config.f_floor`` is not used.
     """
     config = config if config is not None else SolverConfig()
     schedule = schedule if schedule is not None else QSchedule(0.9, 1)
@@ -286,7 +290,9 @@ def solve_qsqp(problem, config=None, schedule=None, callback=None):
     v = problem.v0.astype(float).copy()
     n = x.shape[0]
     ls = config.line_search
-    policy = config.delta_policy if config.delta_policy is not None else _sqp_delta
+    policy = config.delta_policy
+    if policy is None:
+        policy = _sqp_delta if (m or p) else default_delta
 
     mu_pen = 1.0
     warm = None
@@ -301,12 +307,13 @@ def solve_qsqp(problem, config=None, schedule=None, callback=None):
     def eval_g(pt):
         return (np.atleast_1d(np.asarray(problem.g(pt), float)) if p else np.zeros(0))
 
+    held = None  # (f, h, g) at x, once known
     while True:
         try:
-            fval = float(f(x))
+            if held is None:
+                held = (float(f(x)), eval_h(x), eval_g(x))
+            fval, hx, gx = held
             g_obj = np.asarray(grad(x), dtype=float)
-            hx = eval_h(x)
-            gx = eval_g(x)
             Jh = np.atleast_2d(np.asarray(problem.jac_h(x), float)) if m else np.zeros((0, n))
             Jg = np.atleast_2d(np.asarray(problem.jac_g(x), float)) if p else np.zeros((0, n))
             if not (np.isfinite(fval) and np.all(np.isfinite(g_obj))
@@ -316,10 +323,12 @@ def solve_qsqp(problem, config=None, schedule=None, callback=None):
         except (ArithmeticError, FloatingPointError):
             status = STATUS_NUMERIC_FAILURE
             break
+        # zero multipliers add nothing, as in q_hessian_lagrangian, so this is
+        # bitwise the gradient the q-Hessian would evaluate at x
         grad_lag = g_obj
-        if m:
+        if m and np.any(u != 0.0):
             grad_lag = grad_lag + Jh.T @ u
-        if p:
+        if p and np.any(v != 0.0):
             grad_lag = grad_lag + Jg.T @ v
         residual = float(np.linalg.norm(grad_lag))
         residual += float(np.linalg.norm(hx))
@@ -338,7 +347,8 @@ def solve_qsqp(problem, config=None, schedule=None, callback=None):
         try:
             qh = q_hessian_lagrangian(grad, x, schedule.q_current,
                                       jac_h=problem.jac_h if m else None, u=u if m else None,
-                                      jac_g=problem.jac_g if p else None, v=v if p else None)
+                                      jac_g=problem.jac_g if p else None, v=v if p else None,
+                                      g0=grad_lag)
             mod = psd_modify(qh.matrix, policy(qh.matrix))
             if m == 0 and p == 0:
                 d = mod.solve(-g_obj)
@@ -363,15 +373,18 @@ def solve_qsqp(problem, config=None, schedule=None, callback=None):
         slope = float(g_obj @ d) - mu_pen * viol0
 
         if float(np.max(np.abs(d), initial=0.0)) <= 1e-14 * max(1.0, float(np.max(np.abs(x)))):
-            alpha = 1.0  # multiplier-only update; x unchanged
+            alpha = 1.0  # multiplier-only update; x barely moves, so re-evaluate
+            accepted = None
         else:
             alpha = None
             trial = ls.alpha0
             for _ in range(ls.max_halvings + 1):
                 xt = x + trial * d
-                phi_t = float(f(xt)) + mu_pen * _violation(eval_h(xt), eval_g(xt))
+                f_t, h_t, g_t = float(f(xt)), eval_h(xt), eval_g(xt)
+                phi_t = f_t + mu_pen * _violation(h_t, g_t)
                 if phi_t <= phi0 + ls.c1 * trial * slope:
                     alpha = trial
+                    accepted = (f_t, h_t, g_t)  # at x + alpha d, the next iterate
                     break
                 trial *= ls.backtrack_factor
             if alpha is None:
@@ -384,6 +397,7 @@ def solve_qsqp(problem, config=None, schedule=None, callback=None):
                                     beta1_observed=beta1, beta2_observed=beta2,
                                     beta3_observed=beta3, merit_penalty=mu_pen))
         x = x + alpha * d
+        held = accepted
         if m:
             u = u + alpha * (lam_new - u)
         if p:
@@ -394,7 +408,7 @@ def solve_qsqp(problem, config=None, schedule=None, callback=None):
             callback(x.copy())
 
     try:
-        f_final = float(f(x))
+        f_final = held[0] if held is not None else float(f(x))
     except Exception:
         f_final = float("nan")
     return SolveResult(status=status, x_final=x, f_final=f_final, iterations=k,

@@ -18,7 +18,7 @@ from .errors import DescentDirectionError, LineSearchError, NumericError
 from .linesearch import LineSearchParams, backtracking_step
 from .psdfactor import default_delta, psd_modify
 from .qcalc import QSchedule, next_q
-from .qmatrix import q_hessian
+from .qmatrix import checked_gradient, q_hessian
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERATIONS = "max_iterations"
@@ -26,6 +26,7 @@ STATUS_TIME_CAP = "time_cap"
 STATUS_LINE_SEARCH_FAILURE = "line_search_failure"
 STATUS_NUMERIC_FAILURE = "numeric_failure"
 STATUS_QP_FAILURE = "qp_failure"
+STATUS_DIVERGED = "diverged"
 
 
 @dataclass
@@ -35,12 +36,18 @@ class SolverConfig:
     time_cap_seconds: float = 100.0
     line_search: LineSearchParams = field(default_factory=LineSearchParams)
     delta_policy: Optional[callable] = None  # matrix -> delta; None = default rule
+    #: unconstrained solvers stop with STATUS_DIVERGED once an accepted step
+    #: lands below this objective value (Armijo steps never raise f again);
+    #: the SQP solver, whose steps decrease a merit function instead, ignores it
+    f_floor: float = float("-inf")
 
     def __post_init__(self):
         if self.grad_tolerance <= 0.0:
             raise ValueError("gradient tolerance must be positive")
         if self.time_cap_seconds <= 0.0:
             raise ValueError("time cap must be positive")
+        if np.isnan(self.f_floor):
+            raise ValueError("objective floor must not be NaN")
 
 
 @dataclass
@@ -53,6 +60,7 @@ class IterationRecord:
     cos_theta: float
     condition_number: float
     fallback_count: int
+    trials: int  # line-search trials, one objective evaluation each
 
 
 @dataclass
@@ -63,15 +71,6 @@ class SolveResult:
     iterations: int
     elapsed_seconds: float
     trace: list
-
-
-def _finite_gradient(gradient, x, n):
-    g = np.asarray(gradient(x), dtype=float)
-    if g.shape != (n,):
-        raise ValueError(f"gradient returned shape {g.shape}, expected ({n},)")
-    if not np.all(np.isfinite(g)):
-        raise NumericError("non-finite gradient evaluation", point=np.asarray(x).copy())
-    return g
 
 
 def _spd_condition(M):
@@ -95,17 +94,23 @@ def bfgs_update(B, s, y):
 
 
 def _solve_loop(problem, x0, config, direction_fn, callback):
-    """Shared iteration: direction_fn(x, g, k) -> (p, q_k, cond, fallbacks, advance)."""
+    """Shared iteration: direction_fn(x, g, k) -> (p, q_k, cond, fallbacks, advance).
+
+    The objective at the current iterate is carried over from the accepted
+    line-search trial (the same expression f(x + alpha p)), so each
+    iteration pays one objective evaluation per trial and one gradient
+    evaluation at the accepted step.
+    """
     f = problem.objective
     grad = problem.gradient
     x = np.asarray(x0, dtype=float).copy()
-    n = x.shape[0]
     t0 = time.perf_counter()
     trace = []
     k = 0
     status = None
+    f_x = None  # f(x), once known
     try:
-        g = _finite_gradient(grad, x, n)
+        g = checked_gradient(grad(x), x)
     except NumericError:
         return SolveResult(STATUS_NUMERIC_FAILURE, x, float("nan"), 0,
                            time.perf_counter() - t0, trace)
@@ -113,6 +118,9 @@ def _solve_loop(problem, x0, config, direction_fn, callback):
         gnorm = float(np.linalg.norm(g))
         if gnorm < config.grad_tolerance:
             status = STATUS_CONVERGED
+            break
+        if f_x is not None and f_x < config.f_floor:
+            status = STATUS_DIVERGED
             break
         if k >= config.max_iterations:
             status = STATUS_MAX_ITERATIONS
@@ -122,21 +130,24 @@ def _solve_loop(problem, x0, config, direction_fn, callback):
             break
         try:
             p, q_k, cond, fallbacks, advance = direction_fn(x, g, k)
-            f0 = float(f(x))
+            if f_x is None:
+                f_x = float(f(x))
+            f0 = f_x
             cache = {}
 
             def phi(a):
                 if a == 0.0:
                     return f0
-                return float(f(x + a * p))
+                fa = float(f(x + a * p))
+                cache["f"] = (a, fa)
+                return fa
 
             def dphi(a):
                 if a == 0.0:
                     return float(g @ p)
                 xt = x + a * p
-                gt = _finite_gradient(grad, xt, n)
-                cache["alpha"] = a
-                cache["grad"] = gt
+                gt = checked_gradient(grad(xt), xt)
+                cache["grad"] = (a, gt)
                 return float(gt @ p)
 
             step = backtracking_step(phi, dphi, config.line_search)
@@ -148,11 +159,15 @@ def _solve_loop(problem, x0, config, direction_fn, callback):
             break
         alpha = step.alpha
         x_new = x + alpha * p
+        # the accepted trial is the last phi call, and the curvature test
+        # evaluates the gradient there
+        f_alpha, f_x = cache["f"]
+        g_alpha, g_new = cache.get("grad", (None, None))
+        if f_alpha != alpha:
+            f_x = None
         try:
-            if cache.get("alpha") == alpha:
-                g_new = cache["grad"]
-            else:
-                g_new = _finite_gradient(grad, x_new, n)
+            if g_alpha != alpha:
+                g_new = checked_gradient(grad(x_new), x_new)
         except NumericError:
             status = STATUS_NUMERIC_FAILURE
             x = x_new
@@ -162,18 +177,19 @@ def _solve_loop(problem, x0, config, direction_fn, callback):
         trace.append(IterationRecord(k=k, f_value=f0, grad_norm=gnorm, alpha=alpha,
                                      q_k=q_k, cos_theta=cos_theta,
                                      condition_number=cond,
-                                     fallback_count=fallbacks))
+                                     fallback_count=fallbacks, trials=step.trials))
         x = x_new
         g = g_new
         advance()
         k += 1
         if callback is not None:
             callback(x.copy())
-    try:
-        f_final = float(f(x))
-    except Exception:
-        f_final = float("nan")
-    return SolveResult(status, x, f_final, k, time.perf_counter() - t0, trace)
+    if f_x is None:
+        try:
+            f_x = float(f(x))
+        except Exception:
+            f_x = float("nan")
+    return SolveResult(status, x, f_x, k, time.perf_counter() - t0, trace)
 
 
 def solve_qls(problem, x0, config=None, schedule=None, callback=None):
@@ -190,7 +206,7 @@ def solve_qls(problem, x0, config=None, schedule=None, callback=None):
 
     def direction(x, g, k):
         sched = state["schedule"]
-        qh = q_hessian(grad, x, sched.q_current)
+        qh = q_hessian(grad, x, sched.q_current, g0=g)
         mod = psd_modify(qh.matrix, policy(qh.matrix))
         p = mod.solve(-g)
         cond = _spd_condition(mod.modified_matrix)

@@ -316,19 +316,27 @@ def test_criterion_09_sqp():
     merits = [t.merit_value for t in r.trace]
     assert all(b < a for a, b in zip(merits, merits[1:]))
 
-    # zero-constraint runs coincide with the unconstrained solver bitwise
-    prob = q.Problem(name="quartic", dimension=4,
-                     objective=lambda x: float(np.sum(x ** 4 + x ** 2)),
-                     gradient=lambda x: 4.0 * x ** 3 + 2.0 * x,
-                     known_minimizers=[np.zeros(4)], known_min_value=0.0)
-    x0 = np.array([1.0, -0.7, 0.4, 1.3])
-    xs_a, xs_b = [], []
-    solve_qls(prob, x0, schedule=QSchedule(0.9, 2), callback=lambda x: xs_a.append(x))
-    solve_qsqp(ConstrainedProblem(objective=prob.objective, gradient=prob.gradient,
-                                  x0=x0),
-               schedule=QSchedule(0.9, 2), callback=lambda x: xs_b.append(x))
-    assert len(xs_a) >= 3 and len(xs_b) >= 3
-    assert all(np.array_equal(a, b) for a, b in zip(xs_a[:3], xs_b[:3]))
+    # zero-constraint runs coincide with the unconstrained solver bitwise,
+    # iterate for iterate; the 0.1|x|^2 bowl has curvature below 1, where an
+    # eigenvalue floor meant for constrained runs would change the steps
+    bowls = [("quartic", lambda x: float(np.sum(x ** 4 + x ** 2)),
+              lambda x: 4.0 * x ** 3 + 2.0 * x, np.array([1.0, -0.7, 0.4, 1.3])),
+             ("shallow", lambda x: float(0.1 * (x @ x)), lambda x: 0.2 * x,
+              np.array([1.0, -0.7, 0.4]))]
+    parity = []
+    for name, objective, gradient, x0 in bowls:
+        prob = q.Problem(name=name, dimension=x0.shape[0], objective=objective,
+                         gradient=gradient, known_minimizers=[np.zeros(x0.shape[0])],
+                         known_min_value=0.0)
+        xs_a, xs_b = [], []
+        ra = solve_qls(prob, x0, schedule=QSchedule(0.9, 2),
+                       callback=lambda x: xs_a.append(x))
+        rb = solve_qsqp(ConstrainedProblem(objective=objective, gradient=gradient, x0=x0),
+                        schedule=QSchedule(0.9, 2), callback=lambda x: xs_b.append(x))
+        assert ra.status == rb.status == "converged"
+        assert ra.iterations == rb.iterations and len(xs_a) == len(xs_b) >= 1
+        assert all(np.array_equal(a, b) for a, b in zip(xs_a, xs_b))
+        parity.append(f"{name} {ra.iterations}")
 
     # active-set hand examples
     s1 = qp_active_set(np.eye(2), np.array([1.0, 0.0]),
@@ -340,7 +348,7 @@ def test_criterion_09_sqp():
     np.testing.assert_allclose(s2.d_x, [1.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(s2.d_v, [0.0], atol=1e-12)
     _report(9, f"SQP battery: circle in {r.iterations} iterations, merit monotone, "
-               "bitwise parity, QP hand examples", True)
+               f"bitwise parity ({', '.join(parity)} iterations), QP hand examples", True)
 
 
 def test_criterion_10_profile_correctness(suite_csvs):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from qlinesearch.bench import (BenchmarkRow, BenchmarkTable, ProfileCurve,
                                fc_summary, is_success, performance_profile,
                                run_fc_benchmark, run_suite_benchmark)
 from qlinesearch.problems import standard_suite
-from qlinesearch.usolve import SolverConfig
+from qlinesearch.usolve import STATUS_DIVERGED, SolverConfig
 
 
 def row(problem, solver, iterations, success=True, run_index=0, secs=0.0):
@@ -211,3 +213,57 @@ class TestIsSuccess:
         failed = SolveResult(status="max_iterations", x_final=np.zeros(8),
                              f_final=0.0, iterations=5, elapsed_seconds=0.0, trace=[])
         assert not is_success(prob, failed)
+
+
+class TestDivergenceGuard:
+    """The suite sweep stops runs once f drops below known_min_value -
+    SUCCESS_VALUE_GAP; such runs could not have succeeded anyway."""
+
+    SWEEP = dict(solvers=bench.SOLVERS, master_seed=42, runs_required=3, attempt_cap=8)
+
+    def test_floor_lies_below_every_known_minimizer(self):
+        # the value branch of is_success fails below the floor by definition;
+        # the distance branch needs a minimizer there, and none is
+        for problem in standard_suite():
+            floor = problem.known_min_value - bench.SUCCESS_VALUE_GAP
+            for m in problem.known_minimizers:
+                assert problem.objective(np.asarray(m, dtype=float)) >= floor, problem.name
+
+    @pytest.fixture(scope="class")
+    def sweeps(self):
+        suite = [p for p in standard_suite() if p.name in ("schwefel", "branin")]
+        statuses = []
+        guarded = run_suite_benchmark(
+            suite=suite, result_hook=lambda p, s, r: statuses.append((p.name, s, r.status)),
+            **self.SWEEP)
+        original = bench._solver_run
+
+        def unguarded_run(solver, problem, x0, config, q0):
+            config = dataclasses.replace(config, f_floor=float("-inf"))
+            return original(solver, problem, x0, config, q0)
+
+        bench._solver_run = unguarded_run
+        try:
+            free = run_suite_benchmark(suite=suite, **self.SWEEP)
+        finally:
+            bench._solver_run = original
+        return guarded, free, statuses
+
+    def test_guard_fires_on_schwefel(self, sweeps):
+        _, _, statuses = sweeps
+        diverged = [(p, s) for p, s, status in statuses if status == STATUS_DIVERGED]
+        assert any(p == "schwefel" and s.startswith("q") for p, s in diverged)
+
+    def test_guard_changes_only_failed_iterations(self, sweeps):
+        guarded, free, _ = sweeps
+        a, b = guarded.sorted_rows(), free.sorted_rows()
+        assert len(a) == len(b)
+        for ra, rb in zip(a, b):
+            assert (ra.problem, ra.solver, ra.run_index, ra.seed, ra.success) == \
+                   (rb.problem, rb.solver, rb.run_index, rb.seed, rb.success)
+            assert np.array_equal(ra.start_point, rb.start_point)
+            if ra.success:
+                assert ra.iterations == rb.iterations
+            else:
+                assert ra.iterations <= rb.iterations
+        assert sum(r.iterations for r in a) < sum(r.iterations for r in b)

@@ -1,9 +1,11 @@
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import qlinesearch
 from qlinesearch import bench
 from qlinesearch.cli import main
 
@@ -87,9 +89,14 @@ def test_bench_suite_and_profile(tmp_path, capsys):
 
 
 def test_module_entry_point():
+    # the child process imports the same package this process tests, whether
+    # it came from an install or from pytest's pythonpath setting
+    root = os.path.dirname(os.path.dirname(os.path.abspath(qlinesearch.__file__)))
+    path = os.pathsep.join(p for p in (root, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "qlinesearch", "solve",
                            "--problem", "sphere", "--method", "bfgs",
                            "--x0", "1,0,0,0,0,0,0,0"],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert "status=converged" in proc.stdout

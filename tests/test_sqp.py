@@ -200,23 +200,64 @@ class TestSolveQsqp:
         assert r.status == STATUS_CONVERGED
         np.testing.assert_allclose(r.x_final, [-1.0, -1.0], atol=1e-5)
 
-    def test_zero_constraints_bitwise_matches_qls(self):
-        prob_u = Problem(name="quartic", dimension=4,
-                         objective=lambda x: float(np.sum(x ** 4 + x ** 2)),
-                         gradient=lambda x: 4.0 * x ** 3 + 2.0 * x,
-                         known_minimizers=[np.zeros(4)], known_min_value=0.0)
-        x0 = np.array([1.0, -0.7, 0.4, 1.3])
+    @staticmethod
+    def assert_parity_with_qls(objective, gradient, x0):
+        n = x0.shape[0]
+        prob_u = Problem(name="bowl", dimension=n, objective=objective,
+                         gradient=gradient, known_minimizers=[np.zeros(n)],
+                         known_min_value=0.0)
         xs_a, xs_b = [], []
         ra = solve_qls(prob_u, x0, schedule=QSchedule(0.9, 2),
                        callback=lambda x: xs_a.append(x))
-        rb = solve_qsqp(ConstrainedProblem(objective=prob_u.objective,
-                                           gradient=prob_u.gradient, x0=x0),
+        rb = solve_qsqp(ConstrainedProblem(objective=objective, gradient=gradient, x0=x0),
                         schedule=QSchedule(0.9, 2),
                         callback=lambda x: xs_b.append(x))
         assert ra.status == rb.status == STATUS_CONVERGED
-        assert len(xs_a) >= 3 and len(xs_b) >= 3
-        for a, b in zip(xs_a[:3], xs_b[:3]):
-            assert np.array_equal(a, b)
+        assert ra.iterations == rb.iterations == len(xs_a) == len(xs_b)
+        assert all(np.array_equal(a, b) for a, b in zip(xs_a, xs_b))
+        assert ra.f_final == rb.f_final
+        return ra.iterations
+
+    def test_zero_constraints_bitwise_matches_qls(self):
+        # quartic bowl: curvature above 1 everywhere
+        iterations = self.assert_parity_with_qls(
+            lambda x: float(np.sum(x ** 4 + x ** 2)), lambda x: 4.0 * x ** 3 + 2.0 * x,
+            np.array([1.0, -0.7, 0.4, 1.3]))
+        assert iterations >= 3
+
+    def test_zero_constraints_no_unit_eigenvalue_floor(self):
+        # curvature 0.2: the unit floor meant for constrained runs would
+        # shorten every step; the q-Newton step solves it at once
+        iterations = self.assert_parity_with_qls(
+            lambda x: float(0.1 * (x @ x)), lambda x: 0.2 * x, np.array([1.0, -0.7, 0.4]))
+        assert iterations == 1
+
+    def test_n_plus_one_gradients_per_iteration(self):
+        counts = {"f": 0, "g": 0}
+
+        def objective(x):
+            counts["f"] += 1
+            return float(x[0] + x[1])
+
+        def gradient(x):
+            counts["g"] += 1
+            return np.array([1.0, 1.0])
+
+        xs = []
+        prob = ConstrainedProblem(
+            objective=objective, gradient=gradient, x0=np.array([-0.5, -1.5]),
+            h=lambda x: np.array([x[0] ** 2 + x[1] ** 2 - 2.0]),
+            jac_h=lambda x: np.array([[2.0 * x[0], 2.0 * x[1]]]), n_eq=1)
+        r = solve_qsqp(prob, callback=lambda x: xs.append(x))
+        assert r.status == STATUS_CONVERGED
+        # no iterate has a coordinate in the q-Hessian's zero band
+        assert all(np.min(np.abs(x)) > 0.1 for x in [prob.x0] + xs[:-1])
+        # the gradient at each iterate (the last one included) plus n q-shifts
+        assert counts["g"] == 1 + (2 + 1) * r.iterations
+        # f at the start, then once per merit trial (halving from alpha = 1)
+        trials = [1 + round(-np.log2(t.alpha)) for t in r.trace]
+        assert counts["f"] == 1 + sum(trials)
+        assert r.f_final == float(r.x_final[0] + r.x_final[1])
 
     def test_superlinear_tail_on_circle(self):
         xs = []

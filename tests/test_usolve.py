@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from qlinesearch.problems import Problem, make_fc
+from qlinesearch.problems import Problem, get_problem, make_fc
 from qlinesearch.qcalc import QSchedule
-from qlinesearch.usolve import (STATUS_CONVERGED, STATUS_LINE_SEARCH_FAILURE,
+from qlinesearch.usolve import (STATUS_CONVERGED, STATUS_DIVERGED,
+                                STATUS_LINE_SEARCH_FAILURE,
                                 STATUS_MAX_ITERATIONS, STATUS_NUMERIC_FAILURE,
                                 SolverConfig, bfgs_update, solve_bfgs, solve_qls)
 
@@ -171,3 +174,115 @@ class TestSolveBfgs:
         r = solve_bfgs(slow, np.array([50.0, -30.0]),
                        config=SolverConfig(time_cap_seconds=1e-9))
         assert r.status == "time_cap"
+
+
+def counted(problem):
+    """The problem with counting callbacks, and the counter they share."""
+    counts = {"f": 0, "g": 0}
+
+    def objective(x):
+        counts["f"] += 1
+        return problem.objective(x)
+
+    def gradient(x):
+        counts["g"] += 1
+        return problem.gradient(x)
+
+    return dataclasses.replace(problem, objective=objective, gradient=gradient), counts
+
+
+class TestEvaluationAccounting:
+    """Each evaluation a solve pays is one the iterates need: f once at the
+    start and once per line-search trial, the gradient once at the start,
+    once per accepted step and (QLS) n times for the q-Hessian."""
+
+    X0 = np.array([3.0, 2.5])
+
+    def test_qls_pays_n_plus_one_gradients_per_iteration(self):
+        branin = get_problem("branin")
+        prob, counts = counted(branin)
+        r = solve_qls(prob, self.X0)
+        assert r.status == STATUS_CONVERGED
+        assert r.iterations == 4
+        assert all(t.fallback_count == 0 for t in r.trace)  # no zero-band coordinate
+        n = branin.dimension
+        assert counts["g"] == 1 + (n + 1) * r.iterations == 13
+        assert counts["f"] == 1 + sum(t.trials for t in r.trace)
+        assert r.f_final == branin.objective(r.x_final)
+
+    def test_bfgs_pays_one_gradient_per_iteration(self):
+        branin = get_problem("branin")
+        prob, counts = counted(branin)
+        r = solve_bfgs(prob, self.X0)
+        assert r.status == STATUS_CONVERGED
+        assert counts["g"] == 1 + r.iterations
+        assert counts["f"] == 1 + sum(t.trials for t in r.trace)
+        assert r.f_final == branin.objective(r.x_final)
+
+    def test_trials_recorded_per_iteration(self):
+        r = solve_bfgs(make_fc(0.5), np.array([0.5, 1.9]))
+        assert all(t.trials >= 1 for t in r.trace)
+        assert any(t.trials > 1 for t in r.trace)
+        assert all(t.alpha == 0.5 ** (t.trials - 1) for t in r.trace)
+
+    def test_converged_at_start_pays_one_of_each(self):
+        prob, counts = counted(quadratic_problem())
+        r = solve_qls(prob, np.zeros(2))
+        assert r.iterations == 0 and r.f_final == 0.0
+        assert counts == {"f": 1, "g": 1}
+
+    def test_line_search_failure_reuses_f(self):
+        # the objective is finite only at its first call, so every trial
+        # fails Armijo and the search gives up; f_final is that first value
+        calls = []
+
+        def objective(x):
+            calls.append(x.copy())
+            return 1.0 if len(calls) == 1 else float("nan")
+
+        prob = Problem(name="cliff", dimension=1, objective=objective,
+                       gradient=lambda x: np.array([2.0 * x[0]]),
+                       known_minimizers=[np.zeros(1)], known_min_value=0.0)
+        r = solve_bfgs(prob, np.array([1.0]))
+        assert r.status == STATUS_LINE_SEARCH_FAILURE
+        assert r.f_final == 1.0
+        halvings = SolverConfig().line_search.max_halvings
+        assert len(calls) == 1 + halvings + 1  # f(x0), then every trial
+
+
+class TestDivergenceGuard:
+    START = np.array([0.5, 1.9])
+
+    def test_floor_off_by_default(self):
+        assert SolverConfig().f_floor == float("-inf")
+
+    def test_nan_floor_rejected(self):
+        with pytest.raises(ValueError):
+            SolverConfig(f_floor=float("nan"))
+
+    @pytest.mark.parametrize("solve", [solve_bfgs, solve_qls])
+    def test_stops_after_first_step_below_floor(self, solve):
+        fc = make_fc(0.5)
+        xs_free = []
+        free = solve(fc, self.START, callback=lambda x: xs_free.append(x))
+        assert free.status == STATUS_CONVERGED and free.iterations >= 3
+        fs = [t.f_value for t in free.trace] + [free.f_final]
+        floor = 0.5 * (fs[1] + fs[2])  # f falls below it with the second step
+        prob, counts = counted(fc)
+        xs = []
+        r = solve(prob, self.START, config=SolverConfig(f_floor=floor),
+                  callback=lambda x: xs.append(x))
+        assert r.status == STATUS_DIVERGED
+        assert r.iterations == 2
+        assert all(np.array_equal(a, b) for a, b in zip(xs, xs_free[:2]))
+        assert np.array_equal(r.x_final, xs_free[1])
+        assert r.f_final == fs[2] < floor
+        # the guard reads f from the accepted trial: no evaluation beyond them
+        assert counts["f"] == 1 + sum(t.trials for t in r.trace)
+
+    def test_converged_run_is_not_diverged(self):
+        # a floor above the minimum value does not turn convergence into
+        # divergence when the step lands on a stationary point
+        r = solve_qls(quadratic_problem(), np.array([1.0, 1.0]),
+                      config=SolverConfig(f_floor=0.5))
+        assert r.status == STATUS_CONVERGED and r.iterations == 1
