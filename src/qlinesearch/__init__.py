@@ -6,8 +6,7 @@ The package provides:
 * ``qmatrix`` -- symmetrized q-Hessian surrogates (objective and Lagrangian),
 * ``psdfactor`` -- Bunch-Kaufman factorization and eigenvalue-shift PSD
   modification,
-* ``linesearch`` -- backtracking step selection targeting the Wolfe
-  conditions,
+* ``linesearch`` -- Armijo backtracking,
 * ``usolve`` -- the q-line-search solver and a BFGS baseline,
 * ``sqp`` -- the SQP extension for equality/inequality constraints,
 * ``problems`` -- the fc family and the 15-problem test suite,

@@ -1,33 +1,33 @@
-"""Backtracking step selection targeting the Wolfe conditions.
+"""Armijo backtracking (Nocedal & Wright 2006, Alg. 3.1).
 
-Backtracking from alpha0 guarantees the Armijo (sufficient decrease)
-condition only; the curvature condition is evaluated at the accepted step
-and reported, not enforced.  Callers that need curvature (the BFGS update)
-must handle steps where it fails.
+``backtracking_step`` tries alpha0, alpha0 * tau, alpha0 * tau^2, ... and
+accepts the first trial with phi(alpha) <= phi0 + c1 * alpha * slope.  It
+checks nothing about its inputs: each caller decides whether phi0 must be
+finite and the slope negative.  The unconstrained solvers demand both; the
+SQP merit search does not, because the slope of its l1 merit can round to a
+tiny positive number on a step that still decreases the merit.  Non-finite
+trial values fail the test and backtracking continues.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import DescentDirectionError, LineSearchError, NumericError
+from .errors import LineSearchError
 
 
 @dataclass(frozen=True)
 class LineSearchParams:
-    """Armijo/curvature constants and the backtracking geometry."""
+    """The Armijo constant and the backtracking geometry."""
 
     c1: float = 1e-4
-    c2: float = 0.9
     alpha0: float = 1.0
     backtrack_factor: float = 0.5
     max_halvings: int = 60
 
     def __post_init__(self):
-        if not 0.0 < self.c1 < self.c2 < 1.0:
-            raise ValueError(f"need 0 < c1 < c2 < 1, got c1={self.c1}, c2={self.c2}")
+        if not 0.0 < self.c1 < 1.0:
+            raise ValueError(f"need 0 < c1 < 1, got c1={self.c1}")
         if not 0.0 < self.backtrack_factor < 1.0:
             raise ValueError(f"backtrack factor must be in (0, 1), got {self.backtrack_factor}")
         if self.alpha0 <= 0.0:
@@ -39,37 +39,24 @@ class LineSearchParams:
 @dataclass
 class StepResult:
     alpha: float
-    armijo_holds: bool
-    curvature_holds: bool
     trials: int
+    value: float  # phi(alpha), the last trial's value
 
 
-def backtracking_step(phi, dphi, params=None):
-    """Largest alpha in {alpha0 * tau^j} satisfying Armijo, with curvature reported.
+def backtracking_step(phi, phi0, slope, params=None):
+    """Largest alpha in {alpha0 * tau^j} with phi(alpha) <= phi0 + c1 alpha slope.
 
-    ``phi(a)`` is the objective along the ray and ``dphi(a)`` its derivative.
-    Raises ``DescentDirectionError`` when dphi(0) >= 0 and ``LineSearchError``
-    when no trial within ``max_halvings`` halvings passes the Armijo test.
-    Non-finite trial values simply fail the test and backtracking continues.
+    ``phi(a)`` is the function along the ray, ``phi0`` its value at 0 and
+    ``slope`` its derivative there.  Raises ``LineSearchError`` when no trial
+    within ``max_halvings`` halvings passes.
     """
     if params is None:
         params = LineSearchParams()
-    d0 = float(dphi(0.0))
-    if not np.isfinite(d0):
-        raise NumericError("non-finite directional derivative at alpha = 0")
-    if d0 >= 0.0:
-        raise DescentDirectionError(f"not a descent direction (slope {d0:.6g} >= 0)")
-    phi0 = float(phi(0.0))
-    if not np.isfinite(phi0):
-        raise NumericError("non-finite objective at alpha = 0")
-
     alpha = params.alpha0
     for trial in range(1, params.max_halvings + 2):
-        phi_a = float(phi(alpha))
-        if phi_a <= phi0 + params.c1 * alpha * d0:
-            curvature = float(dphi(alpha)) >= params.c2 * d0
-            return StepResult(alpha=alpha, armijo_holds=True,
-                              curvature_holds=bool(curvature), trials=trial)
+        value = phi(alpha)
+        if value <= phi0 + params.c1 * alpha * slope:
+            return StepResult(alpha=alpha, trials=trial, value=value)
         alpha *= params.backtrack_factor
     raise LineSearchError(
         f"Armijo condition not satisfied within {params.max_halvings} halvings")

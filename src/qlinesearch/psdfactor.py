@@ -14,6 +14,7 @@ clarity over blocking.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -55,12 +56,14 @@ def _swap(W, perm, r1, r2):
 class FactorizationBundle:
     """P A P^T = L B L^T with B's blockwise spectral decomposition attached.
 
-    ``permutation`` holds P as an index vector: (P x)[i] = x[permutation[i]].
-    ``blocks`` lists B's diagonal blocks in order; ``block_eigenvectors`` is
-    the block-diagonal orthogonal Q and ``block_eigenvalues`` the eigenvalues
-    of B in block order.
+    ``matrix`` is the symmetrized A that was factored.  ``permutation``
+    holds P as an index vector: (P x)[i] = x[permutation[i]].  ``blocks``
+    lists B's diagonal blocks in order; ``block_eigenvectors`` is the
+    block-diagonal orthogonal Q and ``block_eigenvalues`` the eigenvalues of
+    B in block order.
     """
 
+    matrix: np.ndarray
     permutation: np.ndarray
     lower_unit_triangular: np.ndarray
     blocks: list = field(default_factory=list)
@@ -125,7 +128,8 @@ def ldl_factor(A):
     The input is symmetrized first; asymmetry beyond 1e-10 * ||A||_inf is an
     error, as are non-finite entries.
     """
-    W = _check_symmetric(A)
+    A_sym = _check_symmetric(A)
+    W = A_sym.copy()
     n = W.shape[0]
     perm = np.arange(n)
     pivots = []
@@ -199,7 +203,8 @@ def ldl_factor(A):
             blocks.append(np.array([[W[j, j], W[j + 1, j]],
                                     [W[j + 1, j], W[j + 1, j + 1]]]))
     Q, lam = block_spectral(blocks)
-    return FactorizationBundle(permutation=perm,
+    return FactorizationBundle(matrix=A_sym,
+                               permutation=perm,
                                lower_unit_triangular=L,
                                blocks=blocks,
                                block_eigenvectors=Q,
@@ -251,25 +256,44 @@ def block_spectral(blocks):
     return Q, lam
 
 
+def _shifts(lam, delta):
+    """tau: how far each block eigenvalue is lifted to reach delta."""
+    return np.where(lam < delta, delta - lam, 0.0)
+
+
+def _unpermute(M, perm):
+    out = np.empty_like(M)
+    out[np.ix_(perm, perm)] = M
+    return out
+
+
 @dataclass
 class PsdModification:
     """Positive definite A + E together with the pieces needed to solve with it.
 
-    ``shift_blocks`` lists the diagonal blocks of F = Q diag(tau) Q^T;
-    ``modification_frobenius`` is ||E||_F and is exactly zero iff every block
-    eigenvalue was already >= delta.
+    ``modification_frobenius`` is ||E||_F, built on first read, and is
+    exactly zero iff every block eigenvalue was already >= delta.
     """
 
     modified_matrix: np.ndarray
-    shift_blocks: list
     delta: float
-    modification_frobenius: float
-    bundle: FactorizationBundle = None
-    shifted_eigenvalues: np.ndarray = None
+    bundle: FactorizationBundle
+    shifted_eigenvalues: np.ndarray
 
     def solve(self, rhs):
         """Solve (A + E) x = rhs reusing the factorization (never forms an inverse)."""
         return _factored_solve(self.bundle, self.shifted_eigenvalues, rhs)
+
+    @functools.cached_property
+    def modification_frobenius(self):
+        # E = P^T L F L^T P with F = Q diag(tau) Q^T, tau the block shifts
+        tau = _shifts(self.bundle.block_eigenvalues, self.delta)
+        if not np.any(tau > 0.0):
+            return 0.0
+        Q = self.bundle.block_eigenvectors
+        L = self.bundle.lower_unit_triangular
+        E = _unpermute(L @ (Q @ np.diag(tau) @ Q.T) @ L.T, self.bundle.permutation)
+        return float(np.linalg.norm(E, "fro"))
 
 
 def psd_modify(A, delta=None):
@@ -279,51 +303,21 @@ def psd_modify(A, delta=None):
     eigenvalue is already >= delta, the (symmetrized) input comes back bitwise
     unchanged with a zero modification.
     """
-    A_sym = _check_symmetric(A)
+    bundle = ldl_factor(A)
+    A_sym = bundle.matrix
     if delta is None:
         delta = default_delta(A_sym)
     delta = float(delta)
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta!r}")
-    bundle = ldl_factor(A_sym)
     lam = bundle.block_eigenvalues
-    tau = np.where(lam < delta, delta - lam, 0.0)
+    tau = _shifts(lam, delta)
     shifted = lam + tau
-
-    n = A_sym.shape[0]
-    Q = bundle.block_eigenvectors
-    offsets = []
-    j = 0
-    for blk in bundle.blocks:
-        offsets.append((j, blk.shape[0]))
-        j += blk.shape[0]
-
-    if not np.any(tau > 0.0):
-        shift_blocks = [np.zeros((s, s)) for (_, s) in offsets]
-        return PsdModification(modified_matrix=A_sym,
-                               shift_blocks=shift_blocks,
-                               delta=delta,
-                               modification_frobenius=0.0,
-                               bundle=bundle,
-                               shifted_eigenvalues=shifted)
-
-    F = Q @ np.diag(tau) @ Q.T
-    shift_blocks = [F[j:j + s, j:j + s].copy() for (j, s) in offsets]
-    L = bundle.lower_unit_triangular
-    perm = bundle.permutation
-
-    def unpermute(M):
-        out = np.empty_like(M)
-        out[np.ix_(perm, perm)] = M
-        return out
-
-    BF = Q @ np.diag(shifted) @ Q.T
-    modified = unpermute(L @ BF @ L.T)
-    modified = 0.5 * (modified + modified.T)
-    E = unpermute(L @ F @ L.T)
-    return PsdModification(modified_matrix=modified,
-                           shift_blocks=shift_blocks,
-                           delta=delta,
-                           modification_frobenius=float(np.linalg.norm(E, "fro")),
-                           bundle=bundle,
+    modified = A_sym
+    if np.any(tau > 0.0):
+        Q = bundle.block_eigenvectors
+        L = bundle.lower_unit_triangular
+        modified = _unpermute(L @ (Q @ np.diag(shifted) @ Q.T) @ L.T, bundle.permutation)
+        modified = 0.5 * (modified + modified.T)
+    return PsdModification(modified_matrix=modified, delta=delta, bundle=bundle,
                            shifted_eigenvalues=shifted)

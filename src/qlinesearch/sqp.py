@@ -10,21 +10,17 @@ advances the q schedule.  Convergence is declared on the KKT residual
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import (DegenerateConstraintError, LineSearchError, NumericError,
-                     QPError)
+from .errors import DegenerateConstraintError, QPError
+from .linesearch import backtracking_step
 from .psdfactor import default_delta, ldl_factor, psd_modify
 from .qcalc import QSchedule, next_q
 from .qmatrix import q_hessian_lagrangian
-from .usolve import (STATUS_CONVERGED, STATUS_LINE_SEARCH_FAILURE,
-                     STATUS_MAX_ITERATIONS, STATUS_NUMERIC_FAILURE,
-                     STATUS_QP_FAILURE, STATUS_TIME_CAP, SolveResult,
-                     SolverConfig)
+from .usolve import (STATUS_CONVERGED, STATUS_NUMERIC_FAILURE, SolverConfig,
+                     drive)
 
 
 @dataclass
@@ -270,59 +266,50 @@ def _beta_monitors(M, jac_eq):
     return beta1, beta2, beta3
 
 
-def solve_qsqp(problem, config=None, schedule=None, callback=None):
-    """q-line-search SQP on a ConstrainedProblem.
+class _SqpRun:
+    """One SQP run in the shared driver: the primal-dual iterate, the l1
+    penalty and the QP's active set, with (f, h, g) at x held once known."""
 
-    With no constraints at all the iterate sequence coincides exactly with
-    ``solve_qls`` on the same objective, config and schedule (the q-Hessian
-    is then modified under the same default eigenvalue floor).  The
-    objective and constraint values at a new iterate are carried over from
-    the accepted merit trial; ``config.f_floor`` is not used.
-    """
-    config = config if config is not None else SolverConfig()
-    schedule = schedule if schedule is not None else QSchedule(0.9, 1)
-    f = problem.objective
-    grad = problem.gradient
-    m = problem.n_eq
-    p = problem.n_ineq
-    x = problem.x0.astype(float).copy()
-    u = problem.u0.astype(float).copy()
-    v = problem.v0.astype(float).copy()
-    n = x.shape[0]
-    ls = config.line_search
-    policy = config.delta_policy
-    if policy is None:
-        policy = _sqp_delta if (m or p) else default_delta
+    def __init__(self, problem, config, schedule):
+        self.problem = problem
+        self.objective = problem.objective
+        self.config = config
+        self.schedule = schedule
+        self.x = problem.x0.astype(float).copy()
+        self.u = problem.u0.astype(float).copy()
+        self.v = problem.v0.astype(float).copy()
+        m, p = problem.n_eq, problem.n_ineq
+        self.policy = config.delta_policy
+        if self.policy is None:
+            self.policy = _sqp_delta if (m or p) else default_delta
+        self.mu_pen = 1.0
+        self.warm = None
+        self.held = None  # (f, h, g) at x, once known
+        self.at_x = None  # derivatives and KKT residual at x, from stop()
 
-    mu_pen = 1.0
-    warm = None
-    trace = []
-    k = 0
-    status = None
-    t0 = time.perf_counter()
+    @property
+    def f_x(self):
+        return self.held[0] if self.held is not None else None
 
-    def eval_h(pt):
-        return (np.atleast_1d(np.asarray(problem.h(pt), float)) if m else np.zeros(0))
+    def _values(self, pt):
+        prob = self.problem
+        f = float(self.objective(pt))
+        h = np.atleast_1d(np.asarray(prob.h(pt), float)) if prob.n_eq else np.zeros(0)
+        g = np.atleast_1d(np.asarray(prob.g(pt), float)) if prob.n_ineq else np.zeros(0)
+        return f, h, g
 
-    def eval_g(pt):
-        return (np.atleast_1d(np.asarray(problem.g(pt), float)) if p else np.zeros(0))
-
-    held = None  # (f, h, g) at x, once known
-    while True:
-        try:
-            if held is None:
-                held = (float(f(x)), eval_h(x), eval_g(x))
-            fval, hx, gx = held
-            g_obj = np.asarray(grad(x), dtype=float)
-            Jh = np.atleast_2d(np.asarray(problem.jac_h(x), float)) if m else np.zeros((0, n))
-            Jg = np.atleast_2d(np.asarray(problem.jac_g(x), float)) if p else np.zeros((0, n))
-            if not (np.isfinite(fval) and np.all(np.isfinite(g_obj))
-                    and np.all(np.isfinite(hx)) and np.all(np.isfinite(gx))):
-                status = STATUS_NUMERIC_FAILURE
-                break
-        except (ArithmeticError, FloatingPointError):
-            status = STATUS_NUMERIC_FAILURE
-            break
+    def stop(self):
+        prob, x, u, v = self.problem, self.x, self.u, self.v
+        m, p, n = prob.n_eq, prob.n_ineq, x.shape[0]
+        if self.held is None:
+            self.held = self._values(x)
+        fval, hx, gx = self.held
+        g_obj = np.asarray(prob.gradient(x), dtype=float)
+        Jh = np.atleast_2d(np.asarray(prob.jac_h(x), float)) if m else np.zeros((0, n))
+        Jg = np.atleast_2d(np.asarray(prob.jac_g(x), float)) if p else np.zeros((0, n))
+        if not (np.isfinite(fval) and np.all(np.isfinite(g_obj))
+                and np.all(np.isfinite(hx)) and np.all(np.isfinite(gx))):
+            return STATUS_NUMERIC_FAILURE
         # zero multipliers add nothing, as in q_hessian_lagrangian, so this is
         # bitwise the gradient the q-Hessian would evaluate at x
         grad_lag = g_obj
@@ -334,82 +321,74 @@ def solve_qsqp(problem, config=None, schedule=None, callback=None):
         residual += float(np.linalg.norm(hx))
         if p:
             residual += float(np.linalg.norm(np.minimum(v, -gx)))
-        if residual < config.grad_tolerance:
-            status = STATUS_CONVERGED
-            break
-        if k >= config.max_iterations:
-            status = STATUS_MAX_ITERATIONS
-            break
-        if time.perf_counter() - t0 > config.time_cap_seconds:
-            status = STATUS_TIME_CAP
-            break
+        if residual < self.config.grad_tolerance:
+            return STATUS_CONVERGED
+        self.at_x = (g_obj, Jh, Jg, grad_lag, residual)
+        return None
 
-        try:
-            qh = q_hessian_lagrangian(grad, x, schedule.q_current,
-                                      jac_h=problem.jac_h if m else None, u=u if m else None,
-                                      jac_g=problem.jac_g if p else None, v=v if p else None,
-                                      g0=grad_lag)
-            mod = psd_modify(qh.matrix, policy(qh.matrix))
-            if m == 0 and p == 0:
-                d = mod.solve(-g_obj)
-                lam_new = np.zeros(0)
-                mu_new = np.zeros(0)
-            else:
-                qp = qp_active_set(mod.modified_matrix, g_obj,
-                                   eq=(Jh, -hx), ineq=(Jg, -gx), warm_start=warm)
-                d, lam_new, mu_new = qp.d_x, qp.d_u, qp.d_v
-                warm = qp.active_set
-        except QPError:
-            status = STATUS_QP_FAILURE
-            break
-        except (NumericError, np.linalg.LinAlgError, DegenerateConstraintError):
-            status = STATUS_NUMERIC_FAILURE
-            break
+    def step(self, k):
+        prob, x, u, v = self.problem, self.x, self.u, self.v
+        m, p = prob.n_eq, prob.n_ineq
+        fval, hx, gx = self.held
+        g_obj, Jh, Jg, grad_lag, residual = self.at_x
+        q_k = self.schedule.q_current
+        qh = q_hessian_lagrangian(prob.gradient, x, q_k,
+                                  jac_h=prob.jac_h if m else None, u=u if m else None,
+                                  jac_g=prob.jac_g if p else None, v=v if p else None,
+                                  g0=grad_lag)
+        mod = psd_modify(qh.matrix, self.policy(qh.matrix))
+        if m == 0 and p == 0:
+            d = mod.solve(-g_obj)
+            lam_new = mu_new = np.zeros(0)
+        else:
+            qp = qp_active_set(mod.modified_matrix, g_obj,
+                               eq=(Jh, -hx), ineq=(Jg, -gx), warm_start=self.warm)
+            d, lam_new, mu_new = qp.d_x, qp.d_u, qp.d_v
+            self.warm = qp.active_set
 
         mult_norm = float(np.max(np.abs(np.concatenate([lam_new, mu_new])), initial=0.0))
-        mu_pen = max(mu_pen, mult_norm + 1.0)
+        mu_pen = self.mu_pen = max(self.mu_pen, mult_norm + 1.0)
         viol0 = _violation(hx, gx)
         phi0 = fval + mu_pen * viol0
         slope = float(g_obj @ d) - mu_pen * viol0
 
+        accepted = None  # (f, h, g) at the last merit trial
         if float(np.max(np.abs(d), initial=0.0)) <= 1e-14 * max(1.0, float(np.max(np.abs(x)))):
             alpha = 1.0  # multiplier-only update; x barely moves, so re-evaluate
-            accepted = None
         else:
-            alpha = None
-            trial = ls.alpha0
-            for _ in range(ls.max_halvings + 1):
-                xt = x + trial * d
-                f_t, h_t, g_t = float(f(xt)), eval_h(xt), eval_g(xt)
-                phi_t = f_t + mu_pen * _violation(h_t, g_t)
-                if phi_t <= phi0 + ls.c1 * trial * slope:
-                    alpha = trial
-                    accepted = (f_t, h_t, g_t)  # at x + alpha d, the next iterate
-                    break
-                trial *= ls.backtrack_factor
-            if alpha is None:
-                status = STATUS_LINE_SEARCH_FAILURE
-                break
+            def merit(a):
+                nonlocal accepted
+                accepted = self._values(x + a * d)
+                return accepted[0] + mu_pen * _violation(accepted[1], accepted[2])
+
+            # no descent check: the slope can round to a tiny positive
+            # number on a step that still decreases the merit
+            alpha = backtracking_step(merit, phi0, slope, self.config.line_search).alpha
 
         beta1, beta2, beta3 = _beta_monitors(mod.modified_matrix, Jh if m else None)
-        trace.append(SqpTraceRecord(k=k, merit_value=phi0, kkt_residual=residual,
-                                    alpha=alpha, q_k=schedule.q_current,
-                                    beta1_observed=beta1, beta2_observed=beta2,
-                                    beta3_observed=beta3, merit_penalty=mu_pen))
-        x = x + alpha * d
-        held = accepted
+        record = SqpTraceRecord(k=k, merit_value=phi0, kkt_residual=residual,
+                                alpha=alpha, q_k=q_k,
+                                beta1_observed=beta1, beta2_observed=beta2,
+                                beta3_observed=beta3, merit_penalty=mu_pen)
+        self.x = x + alpha * d
+        self.held = accepted
         if m:
-            u = u + alpha * (lam_new - u)
+            self.u = u + alpha * (lam_new - u)
         if p:
-            v = v + alpha * (mu_new - v)
-        schedule = next_q(schedule)
-        k += 1
-        if callback is not None:
-            callback(x.copy())
+            self.v = v + alpha * (mu_new - v)
+        self.schedule = next_q(self.schedule)
+        return record
 
-    try:
-        f_final = held[0] if held is not None else float(f(x))
-    except Exception:
-        f_final = float("nan")
-    return SolveResult(status=status, x_final=x, f_final=f_final, iterations=k,
-                       elapsed_seconds=time.perf_counter() - t0, trace=trace)
+
+def solve_qsqp(problem, config=None, schedule=None, callback=None):
+    """q-line-search SQP on a ConstrainedProblem.
+
+    With no constraints at all the iterate sequence coincides exactly with
+    ``solve_qls`` on the same objective, config and schedule (the q-Hessian
+    is then modified under the same default eigenvalue floor).  The
+    objective and constraint values at a new iterate are carried over from
+    the accepted merit trial; ``config.f_floor`` is not used.
+    """
+    config = config if config is not None else SolverConfig()
+    schedule = schedule if schedule is not None else QSchedule(0.9, 1)
+    return drive(_SqpRun(problem, config, schedule), config, callback)

@@ -1,9 +1,13 @@
 """Unconstrained solvers: q-line-search and the BFGS baseline.
 
-Both solvers share the termination rules (gradient norm, iteration cap, time
-cap) and emit the same per-iteration trace.  The q solver rebuilds its
-positive definite matrix from scratch every iteration out of the q-Hessian
-surrogate; BFGS carries the classical rank-two update forward.
+Both solvers, and the SQP solver in ``sqp``, run in one iteration driver,
+``drive``, which owns the iteration and time caps, the mapping of errors to
+statuses, the trace, the callback and ``f_final``; each solver supplies only
+a stop test and a step.  Both unconstrained solvers stop on the gradient
+norm and the objective floor and emit the same per-iteration trace.  The q
+solver rebuilds its positive definite matrix from scratch every iteration
+out of the q-Hessian surrogate; BFGS carries the classical rank-two update
+forward.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DescentDirectionError, LineSearchError, NumericError
+from .errors import (DegenerateConstraintError, DescentDirectionError,
+                     LineSearchError, NumericError, QPError)
 from .linesearch import LineSearchParams, backtracking_step
 from .psdfactor import default_delta, psd_modify
 from .qcalc import QSchedule, next_q
@@ -93,153 +98,144 @@ def bfgs_update(B, s, y):
     return B - np.outer(v, v) / sBs + np.outer(y, y) / sy
 
 
-def _solve_loop(problem, x0, config, direction_fn, callback):
-    """Shared iteration: direction_fn(x, g, k) -> (p, q_k, cond, fallbacks, advance).
+def drive(run, config, callback):
+    """The iteration loop every solver shares.
 
-    The objective at the current iterate is carried over from the accepted
-    line-search trial (the same expression f(x + alpha p)), so each
-    iteration pays one objective evaluation per trial and one gradient
-    evaluation at the accepted step.
+    ``run`` holds the iterate ``x``, the objective there as ``f_x`` (None
+    until known) and the callable ``objective``.  Each pass asks
+    ``run.stop()`` for a status, then checks ``max_iterations`` and the time
+    cap, then calls ``run.step(k)``, which moves ``run.x`` and returns the
+    iteration's trace record.  An exception from either ends the run with a
+    status.  ``f_final`` is the carried f, or one fresh evaluation (NaN if it
+    raises).
     """
-    f = problem.objective
-    grad = problem.gradient
-    x = np.asarray(x0, dtype=float).copy()
     t0 = time.perf_counter()
     trace = []
     k = 0
-    status = None
-    f_x = None  # f(x), once known
-    try:
-        g = checked_gradient(grad(x), x)
-    except NumericError:
-        return SolveResult(STATUS_NUMERIC_FAILURE, x, float("nan"), 0,
-                           time.perf_counter() - t0, trace)
     while True:
-        gnorm = float(np.linalg.norm(g))
-        if gnorm < config.grad_tolerance:
-            status = STATUS_CONVERGED
-            break
-        if f_x is not None and f_x < config.f_floor:
-            status = STATUS_DIVERGED
-            break
-        if k >= config.max_iterations:
-            status = STATUS_MAX_ITERATIONS
-            break
-        if time.perf_counter() - t0 > config.time_cap_seconds:
-            status = STATUS_TIME_CAP
-            break
         try:
-            p, q_k, cond, fallbacks, advance = direction_fn(x, g, k)
-            if f_x is None:
-                f_x = float(f(x))
-            f0 = f_x
-            cache = {}
-
-            def phi(a):
-                if a == 0.0:
-                    return f0
-                fa = float(f(x + a * p))
-                cache["f"] = (a, fa)
-                return fa
-
-            def dphi(a):
-                if a == 0.0:
-                    return float(g @ p)
-                xt = x + a * p
-                gt = checked_gradient(grad(xt), xt)
-                cache["grad"] = (a, gt)
-                return float(gt @ p)
-
-            step = backtracking_step(phi, dphi, config.line_search)
+            status = run.stop()
+            if status is None:
+                if k >= config.max_iterations:
+                    status = STATUS_MAX_ITERATIONS
+                elif time.perf_counter() - t0 > config.time_cap_seconds:
+                    status = STATUS_TIME_CAP
+                else:
+                    trace.append(run.step(k))
         except (LineSearchError, DescentDirectionError):
             status = STATUS_LINE_SEARCH_FAILURE
-            break
-        except (NumericError, np.linalg.LinAlgError):
+        except QPError:
+            status = STATUS_QP_FAILURE
+        except (ArithmeticError, np.linalg.LinAlgError, DegenerateConstraintError):
             status = STATUS_NUMERIC_FAILURE
+        if status is not None:
             break
-        alpha = step.alpha
-        x_new = x + alpha * p
-        # the accepted trial is the last phi call, and the curvature test
-        # evaluates the gradient there
-        f_alpha, f_x = cache["f"]
-        g_alpha, g_new = cache.get("grad", (None, None))
-        if f_alpha != alpha:
-            f_x = None
-        try:
-            if g_alpha != alpha:
-                g_new = checked_gradient(grad(x_new), x_new)
-        except NumericError:
-            status = STATUS_NUMERIC_FAILURE
-            x = x_new
-            break
-        pnorm = float(np.linalg.norm(p))
-        cos_theta = float(-(g @ p) / (gnorm * pnorm))
-        trace.append(IterationRecord(k=k, f_value=f0, grad_norm=gnorm, alpha=alpha,
-                                     q_k=q_k, cos_theta=cos_theta,
-                                     condition_number=cond,
-                                     fallback_count=fallbacks, trials=step.trials))
-        x = x_new
-        g = g_new
-        advance()
         k += 1
         if callback is not None:
-            callback(x.copy())
-    if f_x is None:
+            callback(run.x.copy())
+    f_final = run.f_x
+    if f_final is None:
         try:
-            f_x = float(f(x))
+            f_final = float(run.objective(run.x))
         except Exception:
-            f_x = float("nan")
-    return SolveResult(status, x, f_x, k, time.perf_counter() - t0, trace)
+            f_final = float("nan")
+    return SolveResult(status, run.x, f_final, k, time.perf_counter() - t0, trace)
+
+
+class _DescentRun:
+    """One unconstrained run: x, f and grad f at x, and the direction rule
+    direction(x, g) -> (p, q_k, condition number, fallback count).
+
+    Each step pays one objective evaluation per line-search trial and one
+    gradient evaluation at the accepted point; f at the new iterate is the
+    accepted trial's value (the same expression f(x + alpha p)).
+    """
+
+    def __init__(self, problem, x0, config, direction):
+        self.objective = problem.objective
+        self.gradient = problem.gradient
+        self.config = config
+        self.direction = direction
+        self.x = np.asarray(x0, dtype=float).copy()
+        self.f_x = None
+        self.g = None
+
+    def stop(self):
+        if self.g is None:
+            try:
+                self.g = checked_gradient(self.gradient(self.x), self.x)
+            except NumericError:
+                self.f_x = float("nan")  # no f is evaluated at an unusable start
+                raise
+        if float(np.linalg.norm(self.g)) < self.config.grad_tolerance:
+            return STATUS_CONVERGED
+        if self.f_x is not None and self.f_x < self.config.f_floor:
+            return STATUS_DIVERGED
+        return None
+
+    def step(self, k):
+        x, g = self.x, self.g
+        p, q_k, cond, fallbacks = self.direction(x, g)
+        if self.f_x is None:
+            self.f_x = float(self.objective(x))
+        f0 = self.f_x
+        slope = float(g @ p)
+        if not np.isfinite(slope):
+            raise NumericError("non-finite directional derivative at alpha = 0")
+        if slope >= 0.0:
+            raise DescentDirectionError(f"not a descent direction (slope {slope:.6g} >= 0)")
+        if not np.isfinite(f0):
+            raise NumericError("non-finite objective at alpha = 0")
+        step = backtracking_step(lambda a: float(self.objective(x + a * p)), f0, slope,
+                                 self.config.line_search)
+        x_new = x + step.alpha * p
+        if np.array_equal(x_new, x):
+            raise LineSearchError(f"accepted step alpha = {step.alpha:.3g} leaves x unchanged")
+        g_new = checked_gradient(self.gradient(x_new), x_new)
+        gnorm = float(np.linalg.norm(g))
+        record = IterationRecord(k=k, f_value=f0, grad_norm=gnorm, alpha=step.alpha,
+                                 q_k=q_k, cos_theta=-slope / (gnorm * float(np.linalg.norm(p))),
+                                 condition_number=cond, fallback_count=fallbacks,
+                                 trials=step.trials)
+        self.x, self.f_x, self.g = x_new, step.value, g_new
+        return record
 
 
 def solve_qls(problem, x0, config=None, schedule=None, callback=None):
-    """q-line-search: modified q-Hessian direction plus backtracking Wolfe steps.
+    """q-line-search: modified q-Hessian direction plus Armijo backtracking.
 
     The direction solves B_q p = -grad(f) through the factorization computed by
-    the modification (no explicit inverse).  The schedule starts at q_0 and is
-    advanced once per accepted step.
+    the modification (no explicit inverse).  The schedule starts at q_0 and
+    advances once per iteration.
     """
     config = config if config is not None else SolverConfig()
     state = {"schedule": schedule if schedule is not None else QSchedule(0.9, 1)}
     grad = problem.gradient
     policy = config.delta_policy if config.delta_policy is not None else default_delta
 
-    def direction(x, g, k):
+    def direction(x, g):
         sched = state["schedule"]
+        state["schedule"] = next_q(sched)
         qh = q_hessian(grad, x, sched.q_current, g0=g)
         mod = psd_modify(qh.matrix, policy(qh.matrix))
         p = mod.solve(-g)
-        cond = _spd_condition(mod.modified_matrix)
+        return p, sched.q_current, _spd_condition(mod.modified_matrix), qh.fallback_count
 
-        def advance():
-            state["schedule"] = next_q(state["schedule"])
-
-        return p, sched.q_current, cond, qh.fallback_count, advance
-
-    return _solve_loop(problem, x0, config, direction, callback)
+    return drive(_DescentRun(problem, x0, config, direction), config, callback)
 
 
 def solve_bfgs(problem, x0, config=None, callback=None):
-    """BFGS baseline under the same line search, termination and tracing."""
+    """BFGS baseline under the same step, stop test and tracing as ``solve_qls``."""
     config = config if config is not None else SolverConfig()
     n = np.asarray(x0).shape[0]
     state = {"B": np.eye(n), "x": None, "g": None}
-    grad = problem.gradient
 
-    def direction(x, g, k):
+    def direction(x, g):
         if state["x"] is not None:
-            s = x - state["x"]
-            y = g - state["g"]
-            state["B"] = bfgs_update(state["B"], s, y)
+            state["B"] = bfgs_update(state["B"], x - state["x"], g - state["g"])
         state["x"] = x.copy()
         state["g"] = g.copy()
         B = state["B"]
-        p = np.linalg.solve(B, -g)
-        cond = _spd_condition(B)
+        return np.linalg.solve(B, -g), None, _spd_condition(B), 0
 
-        def advance():
-            pass
-
-        return p, None, cond, 0, advance
-
-    return _solve_loop(problem, x0, config, direction, callback)
+    return drive(_DescentRun(problem, x0, config, direction), config, callback)

@@ -4,8 +4,8 @@ Run with ``pytest tests/test_acceptance.py -v -s``.  The published
 iteration-count table for the fc family is reproduced cell by cell; the
 q-solver variants and the BFGS baseline run under the exact experiment
 protocol (q0 = 0.9, eps = 1e-5, Armijo constant 1e-4, backtracking factor
-0.5 from unit steps).  The curvature constant 0.9 is evaluated at the
-accepted step and reported, not enforced (see ``qlinesearch.linesearch``).
+0.5 from unit steps).  The line search is Armijo only: no curvature
+condition is evaluated (see ``qlinesearch.linesearch``).
 """
 
 import time

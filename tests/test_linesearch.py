@@ -1,48 +1,46 @@
 import numpy as np
 import pytest
 
-from qlinesearch.errors import DescentDirectionError, LineSearchError
+from qlinesearch.errors import LineSearchError
 from qlinesearch.linesearch import LineSearchParams, backtracking_step
 
 
 def test_full_step_accepted_on_linear_decrease():
-    res = backtracking_step(lambda a: 1.0 - a, lambda a: -1.0)
+    res = backtracking_step(lambda a: 1.0 - a, 1.0, -1.0)
     assert res.alpha == 1.0
-    assert res.armijo_holds
-    # the slope of a linear phi never rises, so -1 >= c2 * (-1) cannot hold
-    assert not res.curvature_holds
     assert res.trials == 1
+    assert res.value == 0.0
 
 
 def test_one_halving_on_shifted_parabola():
     # phi(a) = (1 - 2a)^2: alpha = 1 fails Armijo, alpha = 0.5 is the minimum
     phi = lambda a: (1.0 - 2.0 * a) ** 2
-    dphi = lambda a: -4.0 * (1.0 - 2.0 * a)
-    res = backtracking_step(phi, dphi)
+    res = backtracking_step(phi, 1.0, -4.0)
     assert res.alpha == 0.5
-    assert res.armijo_holds
-    assert res.curvature_holds  # dphi(0.5) = 0 >= 0.9 * (-4)
     assert res.trials == 2
+    assert res.value == 0.0
 
 
-def test_ascent_direction_rejected():
-    with pytest.raises(DescentDirectionError):
-        backtracking_step(lambda a: 1.0 + a, lambda a: 1.0)
+def test_positive_slope_accepted_when_phi_decreases():
+    # the search checks no precondition: an l1 merit slope that rounds to
+    # +1e-17 still takes the unit step when the merit drops
+    res = backtracking_step(lambda a: 1.0 - 1e-3 * a, 1.0, 1e-17)
+    assert res.alpha == 1.0
+    assert res.trials == 1
 
 
 def test_failure_after_max_halvings():
     params = LineSearchParams(max_halvings=10)
     # never satisfies sufficient decrease
     with pytest.raises(LineSearchError):
-        backtracking_step(lambda a: 1.0 if a == 0 else 2.0, lambda a: -1.0, params)
+        backtracking_step(lambda a: 2.0, 1.0, -1.0, params)
 
 
 def test_accepted_alpha_is_largest_in_sequence():
     # re-check: every larger candidate in the backtracking sequence violates
     phi = lambda a: 1.0 - a * (1.0 - 0.9 * a) ** 31
-    dphi = lambda a: -1.0 if a == 0 else (phi(a + 1e-7) - phi(a - 1e-7)) / 2e-7
     params = LineSearchParams()
-    res = backtracking_step(phi, dphi, params)
+    res = backtracking_step(phi, phi(0.0), -1.0, params)
     c1, d0, phi0 = params.c1, -1.0, phi(0.0)
     alpha = params.alpha0
     while alpha > res.alpha * (1 + 1e-12):
@@ -63,8 +61,7 @@ def test_newton_step_on_convex_quadratic_takes_unit_alpha():
             continue
         p = -np.linalg.solve(Q, g)
         phi = lambda a: float(0.5 * (x + a * p) @ Q @ (x + a * p))
-        dphi = lambda a: float((Q @ (x + a * p)) @ p)
-        res = backtracking_step(phi, dphi)
+        res = backtracking_step(phi, phi(0.0), float(g @ p))
         assert res.alpha == 1.0
         assert res.trials == 1
 
@@ -72,14 +69,18 @@ def test_newton_step_on_convex_quadratic_takes_unit_alpha():
 def test_nan_trials_are_skipped():
     # non-finite objective values fail the test and backtracking continues
     phi = lambda a: float("nan") if a > 0.3 else 1.0 - a
-    dphi = lambda a: -1.0
-    res = backtracking_step(phi, dphi)
+    res = backtracking_step(phi, 1.0, -1.0)
     assert res.alpha == 0.25
+    assert res.trials == 3
 
 
 def test_param_validation():
     with pytest.raises(ValueError):
-        LineSearchParams(c1=0.95, c2=0.9)
+        LineSearchParams(c1=1.0)
+    with pytest.raises(ValueError):
+        LineSearchParams(c1=0.0)
+    with pytest.raises(TypeError):
+        LineSearchParams(c2=0.9)  # no curvature constant: the search is Armijo only
     with pytest.raises(ValueError):
         LineSearchParams(backtrack_factor=1.0)
     with pytest.raises(ValueError):

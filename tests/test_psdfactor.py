@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qlinesearch import psdfactor
 from qlinesearch.psdfactor import (block_spectral, default_delta, ldl_factor,
                                    psd_modify)
 
@@ -183,3 +184,25 @@ class TestPsdModify:
             x = mod.solve(b)
             resid = np.max(np.abs(mod.modified_matrix @ x - b))
             assert resid <= 1e-8 * max(1.0, np.max(np.abs(x)))
+
+    def test_frobenius_is_the_size_of_the_modification(self):
+        # ||E||_F is built on first read from the factors; it must agree with
+        # the dense difference (A + E) - A
+        rng = np.random.default_rng(53)
+        for _ in range(100):
+            n = int(rng.integers(1, 11))
+            A = random_symmetric(rng, n)
+            mod = psd_modify(A, 0.05)
+            dense = float(np.linalg.norm(mod.modified_matrix - A, "fro"))
+            assert mod.modification_frobenius == pytest.approx(
+                dense, rel=1e-8, abs=1e-10 * max(1.0, float(np.max(np.abs(A)))))
+
+    def test_symmetry_checked_once(self, monkeypatch):
+        calls = []
+        check = psdfactor._check_symmetric
+        monkeypatch.setattr(psdfactor, "_check_symmetric",
+                            lambda A: calls.append(1) or check(A))
+        A = np.array([[1.0, 2.0 + 1e-13], [2.0, -1.0]])
+        mod = psd_modify(A)
+        assert len(calls) == 1
+        assert np.array_equal(mod.bundle.matrix, 0.5 * (A + A.T))

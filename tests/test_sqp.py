@@ -6,7 +6,8 @@ from qlinesearch.problems import Problem
 from qlinesearch.qcalc import QSchedule
 from qlinesearch.sqp import (ConstrainedProblem, kkt_solve, merit_l1,
                              qp_active_set, solve_qsqp)
-from qlinesearch.usolve import STATUS_CONVERGED, SolverConfig, solve_qls
+from qlinesearch.usolve import (STATUS_CONVERGED, STATUS_MAX_ITERATIONS,
+                                STATUS_NUMERIC_FAILURE, SolverConfig, solve_qls)
 
 
 def circle_problem(x0=(-0.5, -1.5), u0=0.0):
@@ -182,6 +183,40 @@ class TestSolveQsqp:
         assert r.status == STATUS_CONVERGED
         assert r.iterations == 1
         np.testing.assert_allclose(r.x_final, [1.0, 0.0, 0.0], atol=1e-8)
+
+    @staticmethod
+    def plane_problem(objective):
+        # f = |x|^2 on x_0 = 1: the full first step lands on (1, 0, 0)
+        return ConstrainedProblem(
+            objective=objective,
+            gradient=lambda x: 2.0 * x,
+            x0=np.array([3.0, -2.0, 0.7]),
+            h=lambda x: np.array([x[0] - 1.0]),
+            jac_h=lambda x: np.array([[1.0, 0.0, 0.0]]),
+            n_eq=1)
+
+    def test_nan_objective_on_first_merit_trial_is_skipped(self):
+        solution = np.array([1.0, 0.0, 0.0])
+        prob = self.plane_problem(
+            lambda x: float("nan") if np.allclose(x, solution) else float(x @ x))
+        r = solve_qsqp(prob, config=SolverConfig(max_iterations=1))
+        assert r.status == STATUS_MAX_ITERATIONS
+        assert r.trace[0].alpha == 0.5
+        x_half = prob.x0 + 0.5 * (solution - prob.x0)
+        np.testing.assert_allclose(r.x_final, x_half, rtol=0, atol=1e-12)
+        assert r.f_final == float(r.x_final @ r.x_final)  # carried from the trial
+
+    def test_arithmetic_error_in_merit_trial_is_numeric_failure(self):
+        x0 = self.plane_problem(None).x0
+
+        def objective(x):
+            if not np.array_equal(x, x0):
+                raise ZeroDivisionError("objective blew up")
+            return float(x @ x)
+
+        r = solve_qsqp(self.plane_problem(objective))
+        assert r.status == STATUS_NUMERIC_FAILURE
+        assert np.array_equal(r.x_final, x0) and r.f_final == float(x0 @ x0)
 
     def test_zero_iterations_from_optimal_triple(self):
         r = solve_qsqp(circle_problem(x0=(-1.0, -1.0), u0=0.5))

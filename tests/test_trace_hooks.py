@@ -1,0 +1,83 @@
+"""The benchmark's traced run wraps library functions by module attribute
+(``perfbench/layers.py``).  These tests fail when a library change leaves
+one of those attributes unused, breaks a result hook, or feeds the SQP merit
+search into the unconstrained line-search figures."""
+
+import os
+import sys
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+if ROOT not in sys.path:
+    sys.path.insert(0, ROOT)
+
+from perfbench import layers  # noqa: E402
+from perfbench.spans import Meter, SpanRecorder  # noqa: E402
+from qlinesearch import get_problem, solve_bfgs, solve_qls  # noqa: E402
+from qlinesearch.sqp import ConstrainedProblem, solve_qsqp  # noqa: E402
+
+
+def circle():
+    return ConstrainedProblem(
+        objective=lambda x: float(x[0] + x[1]),
+        gradient=lambda x: np.array([1.0, 1.0]),
+        x0=np.array([-0.5, -1.5]),
+        h=lambda x: np.array([x[0] ** 2 + x[1] ** 2 - 2.0]),
+        jac_h=lambda x: np.array([[2.0 * x[0], 2.0 * x[1]]]),
+        n_eq=1)
+
+
+def traced(solves):
+    """Run the solves with the span wrappers installed; checks that
+    ``restore`` puts every original back and returns the recorder."""
+    recorder = SpanRecorder(Meter())
+    originals = [getattr(owner, attr) for owner, attr, *_ in layers.PATCHES]
+    saved = layers.install(recorder)
+    try:
+        for solve in solves:
+            solve()
+    finally:
+        layers.restore(saved)
+    after = [getattr(owner, attr) for owner, attr, *_ in layers.PATCHES]
+    assert all(a is b for a, b in zip(after, originals))
+    return recorder
+
+
+def qls():
+    assert solve_qls(get_problem("branin"), np.array([3.0, 2.5])).status == "converged"
+
+
+def bfgs():
+    assert solve_bfgs(get_problem("branin"), np.array([3.0, 2.5])).status == "converged"
+
+
+def sqp():
+    assert solve_qsqp(circle()).status == "converged"
+
+
+def test_every_patched_attribute_is_reached(monkeypatch):
+    # one span name per PATCHES entry, so an entry that no solve reaches
+    # shows as a name without calls
+    unique = tuple((owner, attr, f"{i}:{name}", on_result, on_error)
+                   for i, (owner, attr, name, on_result, on_error)
+                   in enumerate(layers.PATCHES))
+    monkeypatch.setattr(layers, "PATCHES", unique)
+    recorder = traced([qls, bfgs, sqp])
+    unreached = [name for _, _, name, _, _ in unique if recorder.totals.calls[name] == 0]
+    assert unreached == []
+
+
+def test_result_hooks_read_their_fields():
+    counts = traced([qls, bfgs, sqp]).counts
+    assert counts["psdfactor.pivots"] > 0  # FactorizationBundle.blocks
+    assert counts["psdfactor.shifted"] > 0  # PsdModification.modification_frobenius
+    assert counts["linesearch.first_trial_accepts"] > 0  # StepResult.trials
+
+
+def test_line_search_spans_count_only_unconstrained_searches():
+    totals = traced([sqp]).totals
+    assert totals.calls["sqp.qp_active_set"] > 0
+    assert totals.calls["linesearch.backtracking_step"] == 0
+    totals = traced([qls]).totals
+    assert totals.calls["linesearch.backtracking_step"] == totals.calls["psdfactor.psd_modify"]

@@ -8,7 +8,8 @@ from qlinesearch.qcalc import QSchedule
 from qlinesearch.usolve import (STATUS_CONVERGED, STATUS_DIVERGED,
                                 STATUS_LINE_SEARCH_FAILURE,
                                 STATUS_MAX_ITERATIONS, STATUS_NUMERIC_FAILURE,
-                                SolverConfig, bfgs_update, solve_bfgs, solve_qls)
+                                SolverConfig, _DescentRun, bfgs_update, drive,
+                                solve_bfgs, solve_qls)
 
 FC_STARTS = [np.array([0.5, y]) for y in np.arange(0.1, 2.0, 0.2)]
 
@@ -286,3 +287,90 @@ class TestDivergenceGuard:
         r = solve_qls(quadratic_problem(), np.array([1.0, 1.0]),
                       config=SolverConfig(f_floor=0.5))
         assert r.status == STATUS_CONVERGED and r.iterations == 1
+
+
+def one_dim_problem(gradient):
+    return Problem(name="inconsistent", dimension=1,
+                   objective=lambda x: float(x[0] ** 2), gradient=gradient,
+                   known_minimizers=[np.zeros(1)], known_min_value=0.0)
+
+
+class TestSharedStep:
+    """The step both unconstrained solvers share: preconditions of the
+    Armijo search, faults at trial and accepted points, zero-length steps."""
+
+    X0 = np.array([1.0, 1.0])
+
+    @staticmethod
+    def bowl(objective=None, gradient=None):
+        return Problem(name="bowl", dimension=2,
+                       objective=objective or (lambda x: float(x @ x)),
+                       gradient=gradient or (lambda x: 2.0 * x),
+                       known_minimizers=[np.zeros(2)], known_min_value=0.0)
+
+    def test_ascent_direction_is_line_search_failure(self):
+        # the search checks no slope; the solver step rejects p with g.p >= 0
+        # before any trial is evaluated
+        prob, counts = counted(self.bowl())
+        config = SolverConfig()
+        run = _DescentRun(prob, self.X0, config, lambda x, g: (g, None, 1.0, 0))
+        r = drive(run, config, None)
+        assert r.status == STATUS_LINE_SEARCH_FAILURE
+        assert r.iterations == 0
+        assert np.array_equal(r.x_final, self.X0) and r.f_final == 2.0
+        assert counts == {"f": 1, "g": 1}
+
+    @pytest.mark.parametrize("solve", [solve_bfgs, solve_qls])
+    def test_nan_gradient_at_accepted_point(self, solve):
+        # both solvers accept x = 0 first (BFGS after one halving); a
+        # gradient that is NaN only there ends the run at the previous
+        # iterate with its f
+        prob = self.bowl(gradient=lambda x: 2.0 * x if np.any(x) else np.full(2, np.nan))
+        r = solve(prob, self.X0)
+        assert r.status == STATUS_NUMERIC_FAILURE
+        assert r.iterations == 0 and r.trace == []
+        assert np.array_equal(r.x_final, self.X0)
+        assert r.f_final == 2.0
+
+    @pytest.mark.parametrize("solve", [solve_bfgs, solve_qls])
+    def test_nan_objective_on_first_trial_is_skipped(self, solve):
+        # QLS's unit step lands on the origin, where f is NaN; the search
+        # backtracks to alpha = 1/2 and carries f from that trial
+        prob = self.bowl(objective=lambda x: float(x @ x) if np.any(x) else float("nan"))
+        if solve is solve_bfgs:  # BFGS's first trial is -grad, two units long
+            prob = dataclasses.replace(prob, gradient=lambda x: x)
+        r = solve(prob, self.X0, config=SolverConfig(max_iterations=1))
+        assert r.status == STATUS_MAX_ITERATIONS
+        assert (r.trace[0].alpha, r.trace[0].trials) == (0.5, 2)
+        assert np.array_equal(r.x_final, [0.5, 0.5])
+        assert r.f_final == 0.5
+
+    @pytest.mark.parametrize("solve", [solve_bfgs, solve_qls])
+    def test_arithmetic_error_in_a_trial_is_numeric_failure(self, solve):
+        def objective(x):
+            if not np.array_equal(x, self.X0):
+                raise OverflowError("objective overflow")
+            return float(x @ x)
+
+        r = solve(self.bowl(objective=objective), self.X0)
+        assert r.status == STATUS_NUMERIC_FAILURE
+        assert np.array_equal(r.x_final, self.X0) and r.f_final == 2.0
+
+    @pytest.mark.parametrize("solve, gradient, trials", [
+        # the gradient's sign is flipped: f rises along p until alpha p is
+        # below half an ulp of x, where Armijo passes with x unchanged
+        (solve_bfgs, lambda x: -2.0 * x, 55),
+        # the gradient of (x - 10)^2; its q-Hessian is exact, so QLS steps
+        # toward 10 where f = x^2 rises
+        (solve_bfgs, lambda x: 2.0 * (x - 10.0), 59),
+        (solve_qls, lambda x: 2.0 * (x - 10.0), 58),
+    ], ids=["bfgs-flipped", "bfgs-shifted", "qls-shifted"])
+    def test_zero_length_step_is_line_search_failure(self, solve, gradient, trials):
+        prob, counts = counted(one_dim_problem(gradient))
+        r = solve(prob, np.array([1.0]), config=SolverConfig(max_iterations=200))
+        assert r.status == STATUS_LINE_SEARCH_FAILURE
+        assert r.iterations == 0
+        assert r.x_final[0] == 1.0 and r.f_final == 1.0
+        # f at the start and at every trial; no gradient at the unmoved point
+        assert counts["f"] == 1 + trials
+        assert counts["g"] == (1 if solve is solve_bfgs else 2)
