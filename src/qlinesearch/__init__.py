@@ -18,7 +18,7 @@ from .bench import (BenchmarkRow, BenchmarkTable, FcSummaryRow, ProfileCurve,
                     emit, fc_summary, load_profile_csv, load_runs_csv,
                     performance_profile, run_fc_benchmark, run_suite_benchmark)
 from .errors import (DegenerateConstraintError, DescentDirectionError,
-                     LineSearchError, NumericError, QPError)
+                     GradientShapeError, LineSearchError, NumericError, QPError)
 from .linesearch import LineSearchParams, StepResult, backtracking_step
 from .problems import Problem, StartBox, check_gradient, get_problem, make_fc, standard_suite
 from .psdfactor import (FactorizationBundle, PsdModification, block_spectral,
@@ -35,7 +35,7 @@ __all__ = [
     "emit", "fc_summary", "load_profile_csv", "load_runs_csv",
     "performance_profile", "run_fc_benchmark", "run_suite_benchmark",
     "DegenerateConstraintError", "DescentDirectionError", "LineSearchError",
-    "NumericError", "QPError",
+    "GradientShapeError", "NumericError", "QPError",
     "LineSearchParams", "StepResult", "backtracking_step",
     "Problem", "StartBox", "check_gradient", "get_problem", "make_fc",
     "standard_suite",

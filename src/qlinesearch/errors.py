@@ -12,6 +12,10 @@ class NumericError(ArithmeticError):
         self.point = point
 
 
+class GradientShapeError(ValueError):
+    """A gradient callback returned an array whose shape does not match x."""
+
+
 class DescentDirectionError(ValueError):
     """The supplied direction is not a descent direction (slope at 0 is >= 0)."""
 

@@ -387,10 +387,7 @@ def standard_suite():
     ]
 
 
-SUITE_NAMES = ["bohachevsky", "branin", "crossintray", "dixonprice", "easom",
-               "griewank", "hartmann3", "levy", "mccormick",
-               "rotatedhyperellipsoid", "schwefel", "sphere", "styblinskitang",
-               "sumsquares", "zakharov"]
+SUITE_NAMES = [p.name for p in standard_suite()]
 
 
 def get_problem(name, c=None):

@@ -3,8 +3,10 @@
 The q-derivative of f at x is (f(x) - f(qx)) / ((1-q)x) for q in (0,1); it
 reduces to the classical derivative as q -> 1 and is defined without second
 order smoothness.  The coordinate version scales a single coordinate by q.
-Both operators fall back to a classical (central finite difference) derivative
-on the measure-zero set where the scaled coordinate carries no information.
+One kernel, ``q_difference``, holds the rule for both operators here and for
+every row of the q-Hessian in ``qmatrix``: the q-quotient away from zero, and
+a classical (central finite difference) derivative in the band around
+x_i = 0, where the scaled coordinate carries no information.
 """
 
 from __future__ import annotations
@@ -52,52 +54,47 @@ def q_shift(x, i, q):
     return out
 
 
-def q_derivative_1d(f, x, q, dfdx=None, fd_step=None):
-    """q-derivative of a scalar function of one variable.
+def q_difference(g, x, i, q, gx=None):
+    """q-difference of ``g`` at the float array ``x`` in coordinate ``i``,
+    and whether the zero band forced the central difference instead.
 
-    At x = 0 the q-difference is undefined; ``dfdx`` is used when supplied,
-    otherwise a central finite difference with step ``fd_step``.
+    ``g`` may be scalar- or vector-valued; ``gx`` is g(x) when the caller
+    holds it.  The q-quotient calls g at x (unless ``gx`` is given), then at
+    the q-shifted point; the central difference calls g at x + h e_i, then
+    at x - h e_i.  The value is not checked for finiteness.
     """
-    q = _check_q(q)
-    x = float(x)
-    if abs(x) <= ZERO_BAND:
-        if dfdx is not None:
-            val = float(dfdx(x))
-        else:
-            h = default_fd_step(x) if fd_step is None else float(fd_step)
-            val = (float(f(x + h)) - float(f(x - h))) / (2.0 * h)
-    else:
-        val = (float(f(x)) - float(f(q * x))) / ((1.0 - q) * x)
-    if not np.isfinite(val):
-        raise NumericError("non-finite q-derivative evaluation", point=x)
-    return val
+    xi = float(x[i])
+    if abs(xi) <= ZERO_BAND * max(1.0, float(abs(x).max())):
+        h = default_fd_step(xi)
+        xp = x.copy()
+        xp[i] += h
+        xm = x.copy()
+        xm[i] -= h
+        return (g(xp) - g(xm)) / (2.0 * h), True
+    if gx is None:
+        gx = g(x)
+    return (gx - g(q_shift(x, i, q))) / ((1.0 - q) * xi), False
 
 
-def q_partial(g, x, i, q, fd_step=None):
-    """q-partial derivative of ``g`` at ``x`` in coordinate ``i``.
-
-    Uses the q-difference quotient when |x_i| is safely away from zero and a
-    central finite difference (step ``fd_step``) otherwise.
-    """
+def q_partial(g, x, i, q):
+    """q-partial derivative of the scalar ``g`` at ``x`` in coordinate ``i``:
+    ``q_difference`` as a float, which must be finite."""
     q = _check_q(q)
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
     if not 0 <= i < n:
         raise IndexError(f"coordinate index {i} out of range for dimension {n}")
-    xi = float(x[i])
-    scale = max(1.0, float(np.max(np.abs(x))) if n else 1.0)
-    if abs(xi) <= ZERO_BAND * scale:
-        h = default_fd_step(xi) if fd_step is None else float(fd_step)
-        xp = x.copy()
-        xp[i] += h
-        xm = x.copy()
-        xm[i] -= h
-        val = (float(g(xp)) - float(g(xm))) / (2.0 * h)
-    else:
-        val = (float(g(x)) - float(g(q_shift(x, i, q)))) / ((1.0 - q) * xi)
+    val = float(q_difference(g, x, i, q)[0])
     if not np.isfinite(val):
         raise NumericError("non-finite q-partial evaluation", point=x.copy())
     return val
+
+
+def q_derivative_1d(f, x, q):
+    """q-derivative of a scalar function of one variable: ``q_partial`` on a
+    1-vector, so x = 0, where the q-quotient is undefined, takes the central
+    difference."""
+    return q_partial(lambda v: f(float(v[0])), np.array([float(x)]), 0, q)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """Symmetrized q-Hessian surrogates.
 
-Row i of the raw matrix applies the q-partial in coordinate i to every
-component of the gradient; symmetrizing with (a_ij + a_ji)/2 yields a
-symmetric curvature surrogate that is exact for quadratics at every q and
-converges to the Hessian as q -> 1.  One gradient evaluation at x plus one
-per q-shifted point suffices; rows whose coordinate sits in the zero band
-use a central difference of the gradient instead (two extra evaluations).
+Row i of the raw matrix is ``qcalc.q_difference`` of the whole gradient in
+coordinate i, the kernel behind ``q_partial``; symmetrizing with
+(a_ij + a_ji)/2 yields a symmetric curvature surrogate that is exact for
+quadratics at every q and converges to the Hessian as q -> 1.  One gradient
+evaluation at x plus one per q-shifted point suffices; rows whose coordinate
+sits in the zero band use a central difference of the gradient instead (two
+extra evaluations).  ``lagrangian_gradient`` forms the Lagrangian gradient
+for both the SQP solver and the Lagrangian q-Hessian.
 """
 
 from __future__ import annotations
@@ -14,36 +16,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError
-from .qcalc import ZERO_BAND, _check_q, default_fd_step, q_shift
+from .errors import GradientShapeError, NumericError
+from .qcalc import _check_q, q_difference
 
 
 @dataclass
 class QHessian:
-    """Symmetrized q-Hessian: the matrix, the q used, and how many entries
-    came from the zero-coordinate finite-difference branch."""
+    """Symmetrized q-Hessian: the matrix, and how many entries came from the
+    zero-coordinate finite-difference branch."""
 
     matrix: np.ndarray
-    q_used: float
     fallback_count: int
 
 
 def checked_gradient(g, x):
     """``g``, a gradient value at ``x``, as a float array of x's length.
 
-    Raises ``ValueError`` on a wrong shape and ``NumericError`` on a
+    Raises ``GradientShapeError`` on a wrong shape and ``NumericError`` on a
     non-finite entry, so every solver rejects a bad gradient the same way.
     """
     g = np.asarray(g, dtype=float)
     n = np.shape(x)[0]
     if g.shape != (n,):
-        raise ValueError(f"gradient returned shape {g.shape}, expected ({n},)")
+        raise GradientShapeError(f"gradient returned shape {g.shape}, expected ({n},)")
     if not np.all(np.isfinite(g)):
         raise NumericError("non-finite gradient evaluation", point=np.asarray(x, dtype=float).copy())
     return g
 
 
-def q_hessian(gradient, x, q, fd_step=None, g0=None):
+def q_hessian(gradient, x, q, g0=None):
     """Assemble the symmetrized q-Hessian of the function whose gradient is given.
 
     ``gradient`` must return the full analytic gradient; it is evaluated once
@@ -53,50 +54,62 @@ def q_hessian(gradient, x, q, fd_step=None, g0=None):
     q = _check_q(q)
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
-    scale = max(1.0, float(np.max(np.abs(x))) if n else 1.0)
+
+    def checked(pt):
+        return checked_gradient(gradient(pt), pt)
+
     g0 = checked_gradient(gradient(x) if g0 is None else g0, x)
     rows = np.empty((n, n))
     fallback = 0
     for i in range(n):
-        xi = float(x[i])
-        if abs(xi) <= ZERO_BAND * scale:
-            h = default_fd_step(xi) if fd_step is None else float(fd_step)
-            xp = x.copy()
-            xp[i] += h
-            xm = x.copy()
-            xm[i] -= h
-            rows[i] = (checked_gradient(gradient(xp), xp) - checked_gradient(gradient(xm), xm)) / (2.0 * h)
+        rows[i], central = q_difference(checked, x, i, q, g0)
+        if central:
             fallback += n
-        else:
-            xs = q_shift(x, i, q)
-            gi = checked_gradient(gradient(xs), xs)
-            rows[i] = (g0 - gi) / ((1.0 - q) * xi)
     matrix = 0.5 * (rows + rows.T)
     if not np.all(np.isfinite(matrix)):
         raise NumericError("non-finite q-Hessian entry", point=x.copy())
-    return QHessian(matrix=matrix, q_used=q, fallback_count=fallback)
+    return QHessian(matrix=matrix, fallback_count=fallback)
 
 
-def q_hessian_lagrangian(grad_f, x, q, jac_h=None, u=None, jac_g=None, v=None, fd_step=None,
-                         g0=None):
+def _contributing(jac, multipliers):
+    """``multipliers`` as a float array when their term adds to the
+    Lagrangian gradient (a Jacobian is given and a multiplier is nonzero),
+    else None."""
+    if jac is None or multipliers is None:
+        return None
+    multipliers = np.asarray(multipliers, dtype=float)
+    return multipliers if multipliers.any() else None
+
+
+def lagrangian_gradient(grad_f, jac_h, u, jac_g, v):
+    """grad f + J_h^T u + J_g^T v from values at one point.
+
+    A term is skipped when its Jacobian is None or its multipliers are None,
+    empty or all zero; its Jacobian is then not read.  When both terms are
+    skipped the result is ``grad_f`` as a float array, bit for bit.
+    """
+    g = np.asarray(grad_f, dtype=float)
+    u, v = _contributing(jac_h, u), _contributing(jac_g, v)
+    if u is not None:
+        g = g + np.asarray(jac_h, dtype=float).T @ u
+    if v is not None:
+        g = g + np.asarray(jac_g, dtype=float).T @ v
+    return g
+
+
+def q_hessian_lagrangian(grad_f, x, q, jac_h=None, u=None, jac_g=None, v=None, g0=None):
     """q-Hessian of the Lagrangian f + u.h + v.g with multipliers held fixed.
 
-    ``jac_h``/``jac_g`` return the (m, n) / (p, n) constraint Jacobians.  With
-    zero (or absent) multipliers the result is identical to ``q_hessian`` of
-    the objective at the same point and q.  ``g0``, the Lagrangian gradient
-    at ``x`` when the caller holds it, is passed through to ``q_hessian``.
+    ``jac_h``/``jac_g`` return the (m, n) / (p, n) constraint Jacobians and
+    are called only when their multipliers are nonzero.  With zero (or
+    absent) multipliers the result is identical to ``q_hessian`` of the
+    objective at the same point and q.  ``g0``, the Lagrangian gradient at
+    ``x`` when the caller holds it, is passed through to ``q_hessian``.
     """
-    u = None if u is None else np.asarray(u, dtype=float)
-    v = None if v is None else np.asarray(v, dtype=float)
-    use_h = jac_h is not None and u is not None and u.size > 0 and np.any(u != 0.0)
-    use_g = jac_g is not None and v is not None and v.size > 0 and np.any(v != 0.0)
+    u, v = _contributing(jac_h, u), _contributing(jac_g, v)
 
     def grad_lagrangian(pt):
-        g = np.asarray(grad_f(pt), dtype=float)
-        if use_h:
-            g = g + np.asarray(jac_h(pt), dtype=float).T @ u
-        if use_g:
-            g = g + np.asarray(jac_g(pt), dtype=float).T @ v
-        return g
+        return lagrangian_gradient(grad_f(pt), None if u is None else jac_h(pt), u,
+                                   None if v is None else jac_g(pt), v)
 
-    return q_hessian(grad_lagrangian, x, q, fd_step=fd_step, g0=g0)
+    return q_hessian(grad_lagrangian, x, q, g0=g0)

@@ -18,7 +18,7 @@ from .errors import DegenerateConstraintError, QPError
 from .linesearch import backtracking_step
 from .psdfactor import default_delta, ldl_factor, psd_modify
 from .qcalc import QSchedule, next_q
-from .qmatrix import q_hessian_lagrangian
+from .qmatrix import checked_gradient, lagrangian_gradient, q_hessian_lagrangian
 from .usolve import (STATUS_CONVERGED, STATUS_NUMERIC_FAILURE, SolverConfig,
                      drive)
 
@@ -50,6 +50,8 @@ class ConstrainedProblem:
             raise ValueError("need fewer equality constraints than variables")
         self.u0 = np.zeros(self.n_eq) if self.u0 is None else np.asarray(self.u0, float)
         self.v0 = np.zeros(self.n_ineq) if self.v0 is None else np.asarray(self.v0, float)
+        if self.u0.shape != (self.n_eq,) or self.v0.shape != (self.n_ineq,):
+            raise ValueError("u0 and v0 need one multiplier per equality and inequality")
 
 
 @dataclass
@@ -105,12 +107,7 @@ def merit_l1(f_val, h_vals, g_vals, mu):
     """Exact l1 penalty: f + mu * (sum |h_i| + sum max(0, g_j))."""
     if mu <= 0.0:
         raise ValueError("penalty parameter must be positive")
-    total = float(f_val)
-    if h_vals is not None and len(h_vals) > 0:
-        total += mu * float(np.sum(np.abs(h_vals)))
-    if g_vals is not None and len(g_vals) > 0:
-        total += mu * float(np.sum(np.maximum(0.0, g_vals)))
-    return total
+    return float(f_val) + mu * _violation(h_vals, g_vals)
 
 
 def _violation(h_vals, g_vals):
@@ -253,7 +250,7 @@ def _beta_monitors(M, jac_eq):
     w = np.linalg.eigvalsh(M)
     beta2 = float(np.max(np.abs(w)))
     beta3 = float(1.0 / np.min(np.abs(w))) if np.min(np.abs(w)) > 0 else np.inf
-    if jac_eq is not None and jac_eq.shape[0] > 0:
+    if jac_eq.shape[0] > 0:
         _, s, vt = np.linalg.svd(jac_eq)
         rank = int(np.sum(s > s[0] * 1e-12)) if s.size else 0
         Z = vt[rank:].T
@@ -278,10 +275,6 @@ class _SqpRun:
         self.x = problem.x0.astype(float).copy()
         self.u = problem.u0.astype(float).copy()
         self.v = problem.v0.astype(float).copy()
-        m, p = problem.n_eq, problem.n_ineq
-        self.policy = config.delta_policy
-        if self.policy is None:
-            self.policy = _sqp_delta if (m or p) else default_delta
         self.mu_pen = 1.0
         self.warm = None
         self.held = None  # (f, h, g) at x, once known
@@ -304,23 +297,18 @@ class _SqpRun:
         if self.held is None:
             self.held = self._values(x)
         fval, hx, gx = self.held
-        g_obj = np.asarray(prob.gradient(x), dtype=float)
+        g_obj = prob.gradient(x)
         Jh = np.atleast_2d(np.asarray(prob.jac_h(x), float)) if m else np.zeros((0, n))
         Jg = np.atleast_2d(np.asarray(prob.jac_g(x), float)) if p else np.zeros((0, n))
-        if not (np.isfinite(fval) and np.all(np.isfinite(g_obj))
-                and np.all(np.isfinite(hx)) and np.all(np.isfinite(gx))):
+        g_obj = checked_gradient(g_obj, x)
+        if not (np.isfinite(fval) and np.all(np.isfinite(hx)) and np.all(np.isfinite(gx))):
             return STATUS_NUMERIC_FAILURE
-        # zero multipliers add nothing, as in q_hessian_lagrangian, so this is
-        # bitwise the gradient the q-Hessian would evaluate at x
-        grad_lag = g_obj
-        if m and np.any(u != 0.0):
-            grad_lag = grad_lag + Jh.T @ u
-        if p and np.any(v != 0.0):
-            grad_lag = grad_lag + Jg.T @ v
+        # the same function the q-Hessian's closure calls, so this is bitwise
+        # the gradient it would evaluate at x
+        grad_lag = lagrangian_gradient(g_obj, Jh, u, Jg, v)
         residual = float(np.linalg.norm(grad_lag))
         residual += float(np.linalg.norm(hx))
-        if p:
-            residual += float(np.linalg.norm(np.minimum(v, -gx)))
+        residual += float(np.linalg.norm(np.minimum(v, -gx)))
         if residual < self.config.grad_tolerance:
             return STATUS_CONVERGED
         self.at_x = (g_obj, Jh, Jg, grad_lag, residual)
@@ -332,11 +320,9 @@ class _SqpRun:
         fval, hx, gx = self.held
         g_obj, Jh, Jg, grad_lag, residual = self.at_x
         q_k = self.schedule.q_current
-        qh = q_hessian_lagrangian(prob.gradient, x, q_k,
-                                  jac_h=prob.jac_h if m else None, u=u if m else None,
-                                  jac_g=prob.jac_g if p else None, v=v if p else None,
-                                  g0=grad_lag)
-        mod = psd_modify(qh.matrix, self.policy(qh.matrix))
+        qh = q_hessian_lagrangian(prob.gradient, x, q_k, jac_h=prob.jac_h, u=u,
+                                  jac_g=prob.jac_g, v=v, g0=grad_lag)
+        mod = psd_modify(qh.matrix, _sqp_delta(qh.matrix) if m or p else None)
         if m == 0 and p == 0:
             d = mod.solve(-g_obj)
             lam_new = mu_new = np.zeros(0)
@@ -348,9 +334,8 @@ class _SqpRun:
 
         mult_norm = float(np.max(np.abs(np.concatenate([lam_new, mu_new])), initial=0.0))
         mu_pen = self.mu_pen = max(self.mu_pen, mult_norm + 1.0)
-        viol0 = _violation(hx, gx)
-        phi0 = fval + mu_pen * viol0
-        slope = float(g_obj @ d) - mu_pen * viol0
+        phi0 = merit_l1(fval, hx, gx, mu_pen)
+        slope = float(g_obj @ d) - mu_pen * _violation(hx, gx)
 
         accepted = None  # (f, h, g) at the last merit trial
         if float(np.max(np.abs(d), initial=0.0)) <= 1e-14 * max(1.0, float(np.max(np.abs(x)))):
@@ -359,23 +344,21 @@ class _SqpRun:
             def merit(a):
                 nonlocal accepted
                 accepted = self._values(x + a * d)
-                return accepted[0] + mu_pen * _violation(accepted[1], accepted[2])
+                return merit_l1(*accepted, mu_pen)
 
             # no descent check: the slope can round to a tiny positive
             # number on a step that still decreases the merit
             alpha = backtracking_step(merit, phi0, slope, self.config.line_search).alpha
 
-        beta1, beta2, beta3 = _beta_monitors(mod.modified_matrix, Jh if m else None)
+        beta1, beta2, beta3 = _beta_monitors(mod.modified_matrix, Jh)
         record = SqpTraceRecord(k=k, merit_value=phi0, kkt_residual=residual,
                                 alpha=alpha, q_k=q_k,
                                 beta1_observed=beta1, beta2_observed=beta2,
                                 beta3_observed=beta3, merit_penalty=mu_pen)
         self.x = x + alpha * d
         self.held = accepted
-        if m:
-            self.u = u + alpha * (lam_new - u)
-        if p:
-            self.v = v + alpha * (mu_new - v)
+        self.u = u + alpha * (lam_new - u)
+        self.v = v + alpha * (mu_new - v)
         self.schedule = next_q(self.schedule)
         return record
 

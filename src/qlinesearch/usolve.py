@@ -19,9 +19,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import (DegenerateConstraintError, DescentDirectionError,
-                     LineSearchError, NumericError, QPError)
+                     GradientShapeError, LineSearchError, NumericError, QPError)
 from .linesearch import LineSearchParams, backtracking_step
-from .psdfactor import default_delta, psd_modify
+from .psdfactor import psd_modify
 from .qcalc import QSchedule, next_q
 from .qmatrix import checked_gradient, q_hessian
 
@@ -40,7 +40,6 @@ class SolverConfig:
     max_iterations: int = 10_000
     time_cap_seconds: float = 100.0
     line_search: LineSearchParams = field(default_factory=LineSearchParams)
-    delta_policy: Optional[callable] = None  # matrix -> delta; None = default rule
     #: unconstrained solvers stop with STATUS_DIVERGED once an accepted step
     #: lands below this objective value (Armijo steps never raise f again);
     #: the SQP solver, whose steps decrease a merit function instead, ignores it
@@ -126,7 +125,8 @@ def drive(run, config, callback):
             status = STATUS_LINE_SEARCH_FAILURE
         except QPError:
             status = STATUS_QP_FAILURE
-        except (ArithmeticError, np.linalg.LinAlgError, DegenerateConstraintError):
+        except (ArithmeticError, GradientShapeError, np.linalg.LinAlgError,
+                DegenerateConstraintError):
             status = STATUS_NUMERIC_FAILURE
         if status is not None:
             break
@@ -164,7 +164,7 @@ class _DescentRun:
         if self.g is None:
             try:
                 self.g = checked_gradient(self.gradient(self.x), self.x)
-            except NumericError:
+            except (NumericError, GradientShapeError):
                 self.f_x = float("nan")  # no f is evaluated at an unusable start
                 raise
         if float(np.linalg.norm(self.g)) < self.config.grad_tolerance:
@@ -211,13 +211,12 @@ def solve_qls(problem, x0, config=None, schedule=None, callback=None):
     config = config if config is not None else SolverConfig()
     state = {"schedule": schedule if schedule is not None else QSchedule(0.9, 1)}
     grad = problem.gradient
-    policy = config.delta_policy if config.delta_policy is not None else default_delta
 
     def direction(x, g):
         sched = state["schedule"]
         state["schedule"] = next_q(sched)
         qh = q_hessian(grad, x, sched.q_current, g0=g)
-        mod = psd_modify(qh.matrix, policy(qh.matrix))
+        mod = psd_modify(qh.matrix)
         p = mod.solve(-g)
         return p, sched.q_current, _spd_condition(mod.modified_matrix), qh.fallback_count
 

@@ -96,13 +96,12 @@ class TestFc:
 class TestSuite:
     def test_names_and_dimensions(self):
         suite = standard_suite()
-        dims = {p.name: p.dimension for p in suite}
-        assert dims == {"bohachevsky": 2, "branin": 2, "crossintray": 2,
-                        "dixonprice": 2, "easom": 2, "griewank": 4,
-                        "hartmann3": 3, "levy": 4, "mccormick": 2,
-                        "rotatedhyperellipsoid": 4, "schwefel": 2, "sphere": 8,
-                        "styblinskitang": 4, "sumsquares": 10, "zakharov": 2}
-        assert [p.name for p in suite] == SUITE_NAMES
+        assert [(p.name, p.dimension) for p in suite] == [
+            ("bohachevsky", 2), ("branin", 2), ("crossintray", 2), ("dixonprice", 2),
+            ("easom", 2), ("griewank", 4), ("hartmann3", 3), ("levy", 4),
+            ("mccormick", 2), ("rotatedhyperellipsoid", 4), ("schwefel", 2),
+            ("sphere", 8), ("styblinskitang", 4), ("sumsquares", 10), ("zakharov", 2)]
+        assert SUITE_NAMES == [p.name for p in suite]
 
     def test_registry_lookup(self):
         assert get_problem("branin").name == "branin"

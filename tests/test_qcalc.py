@@ -19,10 +19,6 @@ class TestQDerivative1d:
         oracle = 1.0 ** 2 * (1 + q + q * q)
         assert q_derivative_1d(lambda t: t ** 3, 1.0, q) == pytest.approx(oracle, rel=1e-12)
 
-    def test_derivative_callback_used_at_zero(self):
-        val = q_derivative_1d(lambda t: abs(t), 0.0, 0.3, dfdx=lambda t: 7.0)
-        assert val == 7.0
-
     def test_invalid_q_rejected(self):
         for bad in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(ValueError):

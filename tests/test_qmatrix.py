@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlinesearch.errors import NumericError
+from qlinesearch.qcalc import q_partial
 from qlinesearch.qmatrix import q_hessian, q_hessian_lagrangian
 
 
@@ -105,3 +108,43 @@ class TestQHessianLagrangian:
         got = q_hessian_lagrangian(grad_f, np.array([2.0, -1.0, 0.5]), 0.5,
                                    jac_h=jac_h, u=np.array([-3.7]))
         np.testing.assert_allclose(got.matrix, np.eye(3), atol=1e-12)
+
+
+# Coordinates are exactly zero or at least 0.1 away from it, so which rows
+# fall back is known; derandomized, so every run draws the same examples.
+_coordinate = st.one_of(st.just(0.0), st.floats(0.1, 5.0), st.floats(-5.0, -0.1))
+_quadratic_case = st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(-3.0, 3.0), min_size=n * n, max_size=n * n),
+    st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n),
+    st.lists(_coordinate, min_size=n, max_size=n),
+    st.floats(0.05, 0.95)))
+_property = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+class TestOneRuleProperties:
+    """The q-Hessian is the q-difference kernel applied row by row."""
+
+    @_property
+    @given(_quadratic_case)
+    def test_quadratic_exact_with_zero_coordinates(self, case):
+        entries, b, x, q = case
+        n = len(b)
+        M = np.reshape(entries, (n, n))
+        Q = 0.5 * (M + M.T)
+        x = np.array(x)
+        got = q_hessian(quadratic_gradient(Q, np.array(b)), x, q)
+        assert np.max(np.abs(got.matrix - Q)) <= 1e-6
+        assert got.fallback_count == n * int(np.sum(x == 0.0))
+
+    @_property
+    @given(_quadratic_case)
+    def test_matrix_is_symmetrized_q_partials(self, case):
+        entries, b, x, q = case
+        n = len(b)
+        M = np.reshape(entries, (n, n))
+        x = np.array(x)
+        # a nonquadratic gradient, so the rows differ from the Hessian's
+        grad = lambda z: M @ z + np.array(b) * z ** 3
+        rows = np.array([[q_partial(lambda z, j=j: grad(z)[j], x, i, q) for j in range(n)]
+                         for i in range(n)])
+        assert np.array_equal(0.5 * (rows + rows.T), q_hessian(grad, x, q).matrix)

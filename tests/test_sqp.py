@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,15 @@ class TestQpActiveSet:
 
 
 class TestSolveQsqp:
+    def test_multipliers_must_match_constraint_counts(self):
+        # one multiplier per constraint: the iterate update and the
+        # Lagrangian gradient rely on it
+        with pytest.raises(ValueError, match="multiplier"):
+            dataclasses.replace(circle_problem(), u0=np.zeros(2))
+        with pytest.raises(ValueError, match="multiplier"):
+            ConstrainedProblem(objective=lambda x: float(x @ x), gradient=lambda x: 2.0 * x,
+                               x0=np.ones(2), v0=np.ones(1))
+
     def test_circle_problem(self):
         r = solve_qsqp(circle_problem())
         assert r.status == STATUS_CONVERGED
@@ -217,6 +228,19 @@ class TestSolveQsqp:
         r = solve_qsqp(self.plane_problem(objective))
         assert r.status == STATUS_NUMERIC_FAILURE
         assert np.array_equal(r.x_final, x0) and r.f_final == float(x0 @ x0)
+
+    @pytest.mark.parametrize("bad", [np.zeros(4), np.full(3, np.nan)],
+                             ids=["wrong-shape", "nan"])
+    def test_unusable_gradient_at_start_is_numeric_failure(self, bad):
+        # SQP pays f, h and the Jacobians before it reads the gradient, so
+        # f_final is f(x0) for both faults
+        prob = self.plane_problem(lambda x: float(x @ x))
+        prob.gradient = lambda x: bad
+        r = solve_qsqp(prob)
+        assert r.status == STATUS_NUMERIC_FAILURE
+        assert r.iterations == 0 and r.trace == []
+        assert np.array_equal(r.x_final, prob.x0)
+        assert r.f_final == float(prob.x0 @ prob.x0)
 
     def test_zero_iterations_from_optimal_triple(self):
         r = solve_qsqp(circle_problem(x0=(-1.0, -1.0), u0=0.5))

@@ -333,6 +333,36 @@ class TestSharedStep:
         assert r.f_final == 2.0
 
     @pytest.mark.parametrize("solve", [solve_bfgs, solve_qls])
+    def test_wrong_shaped_gradient_at_start(self, solve):
+        # a 2-D problem whose gradient returns three entries cannot start;
+        # as with a non-finite gradient, no f is paid and f_final is NaN
+        branin = get_problem("branin")
+        prob, counts = counted(dataclasses.replace(
+            branin, gradient=lambda x: np.append(branin.gradient(x), 0.0)))
+        r = solve(prob, np.array([3.0, 2.5]))
+        assert r.status == STATUS_NUMERIC_FAILURE
+        assert r.iterations == 0 and r.trace == []
+        assert np.array_equal(r.x_final, [3.0, 2.5]) and np.isnan(r.f_final)
+        assert counts == {"f": 0, "g": 1}
+
+    @pytest.mark.parametrize("solve", [solve_bfgs, solve_qls])
+    def test_wrong_shaped_gradient_at_accepted_point(self, solve):
+        # as in the NaN case above: the run ends at the previous iterate
+        prob = self.bowl(gradient=lambda x: 2.0 * x if np.any(x) else np.zeros(3))
+        r = solve(prob, self.X0)
+        assert r.status == STATUS_NUMERIC_FAILURE
+        assert r.iterations == 0 and r.trace == []
+        assert np.array_equal(r.x_final, self.X0)
+        assert r.f_final == 2.0
+
+    def test_other_value_errors_surface(self):
+        def gradient(x):
+            raise ValueError("bug in the callback")
+
+        with pytest.raises(ValueError, match="bug in the callback"):
+            solve_qls(self.bowl(gradient=gradient), self.X0)
+
+    @pytest.mark.parametrize("solve", [solve_bfgs, solve_qls])
     def test_nan_objective_on_first_trial_is_skipped(self, solve):
         # QLS's unit step lands on the origin, where f is NaN; the search
         # backtracks to alpha = 1/2 and carries f from that trial
