@@ -25,7 +25,7 @@ class LineSearchError(RuntimeError):
 
 
 class DegenerateConstraintError(RuntimeError):
-    """Equality-constraint Jacobian is rank deficient; the KKT system is singular."""
+    """Constraint rows of an equality QP are linearly dependent; its KKT system is singular."""
 
 
 class QPError(RuntimeError):

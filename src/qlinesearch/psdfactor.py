@@ -82,12 +82,13 @@ class FactorizationBundle:
         return B
 
     def solve(self, rhs):
-        """Solve A x = rhs through the factorization (blocks unmodified).
+        """Solve A x = rhs, a vector or a matrix of columns, on the factors.
 
-        Raises ``numpy.linalg.LinAlgError`` when a block eigenvalue vanishes.
+        Raises ``numpy.linalg.LinAlgError`` when a block eigenvalue vanishes
+        next to the largest one: |lam_i| <= n * eps * max |lam|.
         """
         lam = self.block_eigenvalues
-        tiny = _EPS * max(1.0, float(np.max(np.abs(lam))))
+        tiny = lam.size * _EPS * float(np.max(np.abs(lam), initial=0.0))
         if np.any(np.abs(lam) <= tiny):
             raise np.linalg.LinAlgError("singular block in symmetric indefinite solve")
         return _factored_solve(self, lam, rhs)
@@ -115,7 +116,7 @@ def _factored_solve(bundle, eigenvalues, rhs):
     L = bundle.lower_unit_triangular
     Q = bundle.block_eigenvectors
     z = _forward_unit_lower(L, rhs[perm])
-    w = Q @ ((Q.T @ z) / eigenvalues)
+    w = Q @ ((Q.T @ z) / (eigenvalues if z.ndim == 1 else eigenvalues[:, None]))
     y = _backward_unit_upper(L.T, w)
     x = np.empty_like(y)
     x[perm] = y
@@ -281,7 +282,7 @@ class PsdModification:
     shifted_eigenvalues: np.ndarray
 
     def solve(self, rhs):
-        """Solve (A + E) x = rhs reusing the factorization (never forms an inverse)."""
+        """Solve (A + E) x = rhs, a vector or a matrix, on the held factors (no inverse)."""
         return _factored_solve(self.bundle, self.shifted_eigenvalues, rhs)
 
     @functools.cached_property

@@ -1,9 +1,10 @@
 """SQP with q-Hessian Lagrangian surrogates: QP subproblem, l1 merit search.
 
-Each iteration builds the positive definite modification of the Lagrangian's
-q-Hessian, solves the inequality-constrained QP model by a primal active-set
-method (equality-only subproblems go through one KKT factorization), picks a
-common step length for (x, u, v) by backtracking on the exact l1 penalty, and
+Each iteration factors the positive definite modification B of the
+Lagrangian's q-Hessian once, solves the inequality-constrained QP model on
+that factorization by a primal active-set method (each working-set
+subproblem by the range-space method, with no KKT matrix), picks a common
+step length for (x, u, v) by backtracking on the exact l1 penalty, and
 advances the q schedule.  Convergence is declared on the KKT residual
 ||grad L|| + ||h|| + ||min(v, -g)||.
 """
@@ -78,29 +79,39 @@ class SqpTraceRecord:
     merit_penalty: float
 
 
+def _factored(B):
+    # anything with .solve is a factorization already; a matrix is factored
+    return B if hasattr(B, "solve") else ldl_factor(B)
+
+
+def _rows(A, n):
+    A = np.asarray(A, dtype=float)
+    return A.reshape(0, n) if A.size == 0 else np.atleast_2d(A)
+
+
 def kkt_solve(B, grad, A_eq, rhs):
     """Solve the equality-constrained QP  min g.d + d.B.d/2  s.t.  A_eq d = rhs.
 
-    Returns (d, lam) with B d + grad + A_eq^T lam = 0 and A_eq d = rhs, via a
-    symmetric indefinite factorization of the KKT matrix (no modification).
+    Returns (d, lam) with B d + grad + A_eq^T lam = 0 and A_eq d = rhs, by the
+    range-space method (Nocedal & Wright 2006, 16.2): with d0 = B^-1 (-grad)
+    and Y = B^-1 A_eq^T, lam solves (A_eq Y) lam = A_eq d0 - rhs and
+    d = d0 - Y lam.  B is a factorization (anything with ``.solve``) or a
+    nonsingular symmetric matrix, factored here.  Dependent rows give a
+    vanishing pivot of A_eq Y and raise ``DegenerateConstraintError``.
     """
-    B = np.asarray(B, dtype=float)
+    B = _factored(B)
     grad = np.asarray(grad, dtype=float)
-    A_eq = np.atleast_2d(np.asarray(A_eq, dtype=float))
-    rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
-    n = grad.shape[0]
-    if A_eq.size == 0:
-        A_eq = A_eq.reshape(0, n)
-    m = A_eq.shape[0]
-    if m > 0 and np.linalg.matrix_rank(A_eq) < m:
-        raise DegenerateConstraintError("equality-constraint rows are linearly dependent")
-    K = np.zeros((n + m, n + m))
-    K[:n, :n] = 0.5 * (B + B.T)
-    K[n:, :n] = A_eq
-    K[:n, n:] = A_eq.T
-    full_rhs = np.concatenate([-grad, rhs])
-    sol = ldl_factor(K).solve(full_rhs)
-    return sol[:n], sol[n:]
+    A_eq = _rows(A_eq, grad.shape[0])
+    d0 = B.solve(-grad)
+    if A_eq.shape[0] == 0:
+        return d0, np.zeros(0)
+    Y = B.solve(A_eq.T)
+    S = A_eq @ Y
+    try:
+        lam = ldl_factor(0.5 * (S + S.T)).solve(A_eq @ d0 - np.atleast_1d(rhs))
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateConstraintError("constraint rows are linearly dependent") from exc
+    return d0 - Y @ lam, lam
 
 
 def merit_l1(f_val, h_vals, g_vals, mu):
@@ -120,32 +131,27 @@ def _violation(h_vals, g_vals):
 
 
 def _active_set_iterate(B, grad, A_eq, b_eq, A_in, b_in, d_start, work_set, max_iter):
-    """Primal active-set loop from a feasible d_start.
+    """Primal active-set loop from a feasible d_start, on a factorization B.
 
     Each pass solves the equality QP pinned to the working set in position
     form, steps toward its minimizer with a ratio test on the inactive
     inequalities, and adds/drops constraints until the KKT conditions hold.
     """
-    n = grad.shape[0]
     m = A_eq.shape[0]
     p = A_in.shape[0]
     d = np.asarray(d_start, dtype=float).copy()
     W = list(work_set)
-    scale = 1.0 + float(np.max(np.abs(b_in))) if p else 1.0
+    scale = 1.0 + float(np.max(np.abs(b_in), initial=0.0))
     for _ in range(max_iter):
-        rows = np.vstack([A_eq, A_in[W]]) if (m or W) else np.zeros((0, n))
-        rhs = np.concatenate([b_eq, b_in[W]]) if (m or W) else np.zeros(0)
-        try:
-            d_new, mult = kkt_solve(B, grad, rows, rhs)
-        except DegenerateConstraintError as exc:
-            raise QPError(f"degenerate working set {sorted(W)}: {exc}") from exc
+        rows = np.vstack([A_eq, A_in[W]])
+        rhs = np.concatenate([b_eq, b_in[W]])
+        d_new, mult = kkt_solve(B, grad, rows, rhs)
         step = d_new - d
         if float(np.max(np.abs(step), initial=0.0)) <= 1e-12 * (1.0 + float(np.max(np.abs(d_new), initial=0.0))):
             mu_W = mult[m:]
             if mu_W.size == 0 or float(np.min(mu_W)) >= -1e-9:
                 d_v = np.zeros(p)
-                for idx, wi in enumerate(W):
-                    d_v[wi] = max(float(mu_W[idx]), 0.0)
+                d_v[W] = np.maximum(mu_W, 0.0)
                 return QpSolution(d_x=d_new, d_u=mult[:m], d_v=d_v,
                                   active_set=tuple(sorted(W)))
             W.pop(int(np.argmin(mu_W)))
@@ -173,15 +179,9 @@ def _active_set_iterate(B, grad, A_eq, b_eq, A_in, b_in, d_start, work_set, max_
 def _feasible_start(A_eq, b_eq, A_in, b_in):
     """A point satisfying the QP constraints, via least squares plus (if
     needed) an auxiliary strictly convex phase-1 QP in (d, t)."""
-    n = A_eq.shape[1] if A_eq.size else A_in.shape[1]
-    m = A_eq.shape[0]
+    m, n = A_eq.shape
     p = A_in.shape[0]
-    if m > 0:
-        d0, *_ = np.linalg.lstsq(A_eq, b_eq, rcond=None)
-    else:
-        d0 = np.zeros(n)
-    if p == 0:
-        return d0
+    d0 = np.linalg.lstsq(A_eq, b_eq, rcond=None)[0]
     viol = float(np.max(A_in @ d0 - b_in, initial=0.0))
     if viol <= 1e-10 * (1.0 + float(np.max(np.abs(b_in), initial=0.0))):
         return d0
@@ -193,12 +193,12 @@ def _feasible_start(A_eq, b_eq, A_in, b_in):
     B1 = np.eye(n + 1) * eps_reg
     B1[n, n] = 1.0
     grad1 = np.concatenate([-eps_reg * d0, [0.0]])
-    A_eq1 = np.hstack([A_eq, np.zeros((m, 1))]) if m else np.zeros((0, n + 1))
+    A_eq1 = np.hstack([A_eq, np.zeros((m, 1))])
     A_in1 = np.vstack([np.hstack([A_in, -np.ones((p, 1))]),
                        np.concatenate([np.zeros(n), [-1.0]])[None, :]])
     b_in1 = np.concatenate([b_in, [0.0]])
     z0 = np.concatenate([d0, [viol + 1.0]])
-    sol = _active_set_iterate(B1, grad1, A_eq1, b_eq, A_in1, b_in1, z0, [],
+    sol = _active_set_iterate(ldl_factor(B1), grad1, A_eq1, b_eq, A_in1, b_in1, z0, [],
                               max_iter=50 + 10 * (p + m + 1))
     d1 = sol.d_x[:n]
     residual = float(np.max(A_in @ d1 - b_in, initial=0.0))
@@ -210,32 +210,33 @@ def _feasible_start(A_eq, b_eq, A_in, b_in):
 def qp_active_set(B, grad, eq=None, ineq=None, warm_start=None):
     """Minimize g.d + d.B.d/2 subject to A_eq d = b_eq and A_in d <= b_in.
 
-    B must be positive definite, so the minimizer is unique.  ``warm_start``
-    is an iterable of inequality indices used to seed the working set.
-    Infeasible constraints raise ``QPError``.
+    B must be positive definite, so the minimizer is unique; it is a
+    factorization (anything with ``.solve``, such as ``psd_modify``'s result)
+    or a matrix, which is factored once here.  ``warm_start`` is an iterable
+    of inequality indices used to seed the working set.  Infeasible
+    constraints and linearly dependent working-set rows raise ``QPError``.
     """
-    B = np.asarray(B, dtype=float)
+    B = _factored(B)
     grad = np.asarray(grad, dtype=float)
     n = grad.shape[0]
-    A_eq, b_eq = eq if eq is not None else (np.zeros((0, n)), np.zeros(0))
-    A_in, b_in = ineq if ineq is not None else (np.zeros((0, n)), np.zeros(0))
-    A_eq = np.atleast_2d(np.asarray(A_eq, dtype=float)) if np.size(A_eq) else np.zeros((0, n))
-    A_in = np.atleast_2d(np.asarray(A_in, dtype=float)) if np.size(A_in) else np.zeros((0, n))
-    b_eq = np.atleast_1d(np.asarray(b_eq, dtype=float)) if np.size(b_eq) else np.zeros(0)
-    b_in = np.atleast_1d(np.asarray(b_in, dtype=float)) if np.size(b_in) else np.zeros(0)
+    A_eq, b_eq = eq if eq is not None else ((), ())
+    A_in, b_in = ineq if ineq is not None else ((), ())
+    A_eq, A_in = _rows(A_eq, n), _rows(A_in, n)
+    b_eq = np.asarray(b_eq, dtype=float).reshape(-1)
+    b_in = np.asarray(b_in, dtype=float).reshape(-1)
     p = A_in.shape[0]
-    if p == 0:
-        d, lam = kkt_solve(B, grad, A_eq, b_eq)
-        return QpSolution(d_x=d, d_u=lam, d_v=np.zeros(0), active_set=())
-    d0 = _feasible_start(A_eq, b_eq, A_in, b_in)
-    tol = 1e-9 * (1.0 + float(np.max(np.abs(b_in))))
-    active0 = [i for i in range(p) if A_in[i] @ d0 - b_in[i] >= -tol]
-    if warm_start is not None:
-        work = [i for i in warm_start if i in active0]
-    else:
-        work = []
-    return _active_set_iterate(B, grad, A_eq, b_eq, A_in, b_in, d0, work,
-                               max_iter=100 + 20 * p)
+    try:
+        if p == 0:
+            d, lam = kkt_solve(B, grad, A_eq, b_eq)
+            return QpSolution(d_x=d, d_u=lam, d_v=np.zeros(0), active_set=())
+        d0 = _feasible_start(A_eq, b_eq, A_in, b_in)
+        tol = 1e-9 * (1.0 + float(np.max(np.abs(b_in))))
+        active0 = [i for i in range(p) if A_in[i] @ d0 - b_in[i] >= -tol]
+        work = [i for i in warm_start if i in active0] if warm_start is not None else []
+        return _active_set_iterate(B, grad, A_eq, b_eq, A_in, b_in, d0, work,
+                                   max_iter=100 + 20 * p)
+    except DegenerateConstraintError as exc:
+        raise QPError(f"dependent constraint rows: {exc}") from exc
 
 
 def _sqp_delta(A):
@@ -323,14 +324,10 @@ class _SqpRun:
         qh = q_hessian_lagrangian(prob.gradient, x, q_k, jac_h=prob.jac_h, u=u,
                                   jac_g=prob.jac_g, v=v, g0=grad_lag)
         mod = psd_modify(qh.matrix, _sqp_delta(qh.matrix) if m or p else None)
-        if m == 0 and p == 0:
-            d = mod.solve(-g_obj)
-            lam_new = mu_new = np.zeros(0)
-        else:
-            qp = qp_active_set(mod.modified_matrix, g_obj,
-                               eq=(Jh, -hx), ineq=(Jg, -gx), warm_start=self.warm)
-            d, lam_new, mu_new = qp.d_x, qp.d_u, qp.d_v
-            self.warm = qp.active_set
+        # without constraints this is mod.solve(-g_obj), the q-Newton step
+        qp = qp_active_set(mod, g_obj, eq=(Jh, -hx), ineq=(Jg, -gx), warm_start=self.warm)
+        d, lam_new, mu_new = qp.d_x, qp.d_u, qp.d_v
+        self.warm = qp.active_set
 
         mult_norm = float(np.max(np.abs(np.concatenate([lam_new, mu_new])), initial=0.0))
         mu_pen = self.mu_pen = max(self.mu_pen, mult_norm + 1.0)

@@ -18,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (DegenerateConstraintError, DescentDirectionError,
-                     GradientShapeError, LineSearchError, NumericError, QPError)
+from .errors import (DescentDirectionError, GradientShapeError, LineSearchError,
+                     NumericError, QPError)
 from .linesearch import LineSearchParams, backtracking_step
 from .psdfactor import psd_modify
 from .qcalc import QSchedule, next_q
@@ -125,8 +125,7 @@ def drive(run, config, callback):
             status = STATUS_LINE_SEARCH_FAILURE
         except QPError:
             status = STATUS_QP_FAILURE
-        except (ArithmeticError, GradientShapeError, np.linalg.LinAlgError,
-                DegenerateConstraintError):
+        except (ArithmeticError, GradientShapeError, np.linalg.LinAlgError):
             status = STATUS_NUMERIC_FAILURE
         if status is not None:
             break

@@ -14,9 +14,11 @@ import numpy as np
 import pytest
 
 import qlinesearch as q
-from qlinesearch import bench
+from qlinesearch import bench, usolve
 from qlinesearch.cli import main as cli_main
+from qlinesearch.psdfactor import psd_modify
 from qlinesearch.qcalc import QSchedule
+from qlinesearch.qmatrix import q_hessian
 from qlinesearch.sqp import ConstrainedProblem, qp_active_set, solve_qsqp
 from qlinesearch.usolve import SolverConfig, solve_bfgs, solve_qls
 
@@ -388,4 +390,61 @@ def test_criterion_11_determinism(suite_csvs):
     ok = mismatches == 0 and suite_csvs["codes"][0] == suite_csvs["codes"][1]
     _report(11, f"two seed-42 suite invocations byte-identical in non-time "
                 f"columns ({len(a) - 1} rows)", ok)
+    assert ok
+
+
+def _dennis_more_ratios(gradient, hessian, points, trace):
+    """||(B_k - H(x_k)) p_k|| / ||p_k|| along a q-solver run (Dennis & More
+    1974; Nocedal & Wright 2006, Thm 3.6): B_k is the modified q-Hessian the
+    step used, rebuilt from x_k and the recorded q_k, H the exact Hessian
+    and p_k the step x_{k+1} - x_k.  The run is superlinear if and only if
+    these ratios tend to 0."""
+    ratios = []
+    for rec, x_k, x_next in zip(trace, points, points[1:]):
+        B = psd_modify(q_hessian(gradient, x_k, rec.q_k).matrix).modified_matrix
+        p = x_next - x_k
+        ratios.append(float(np.linalg.norm((B - hessian(x_k)) @ p) / np.linalg.norm(p)))
+    return ratios
+
+
+def test_criterion_12_rate_from_the_schedule(monkeypatch):
+    """The q_k -> 1 schedule is what makes QLS superlinear.
+
+    The quartic sum (x - s)^4 + (x - s)^2 has its minimizer at s = 3, away
+    from the origin, so the q-shift (1 - q) |x_i| does not vanish with the
+    error the way it does in criterion 06.  From s + 0.7 (n = 4, q0 = 0.9,
+    gamma = 2) the error ratios ||x_{k+1} - x*|| / ||x_k - x*|| measured
+    0.18, 0.15, 0.13, 0.11, 0.095 over the last five iterations: superlinear,
+    but the ratio falls only like 1 - q_k = O(1/k).  With ``next_q`` frozen
+    at q0 they stay at 0.1525: linear.  The Dennis-More ratios fall with the
+    schedule (0.44 to 0.21 over the same iterations) and stay at 0.36 when
+    it is frozen.
+    """
+    s, n = 3.0, 4
+    prob = q.Problem(name="shifted quartic", dimension=n,
+                     objective=lambda x: float(np.sum((x - s) ** 4 + (x - s) ** 2)),
+                     gradient=lambda x: 4.0 * (x - s) ** 3 + 2.0 * (x - s),
+                     known_minimizers=[np.full(n, s)], known_min_value=0.0)
+    hessian = lambda x: np.diag(12.0 * (x - s) ** 2 + 2.0)
+    x0 = np.full(n, s + 0.7)
+
+    def tail():
+        xs = []
+        r = solve_qls(prob, x0, config=SolverConfig(grad_tolerance=1e-10),
+                      schedule=QSchedule(0.9, 2), callback=lambda x: xs.append(x))
+        assert r.status == "converged"
+        points = [x0] + xs
+        errs = [np.linalg.norm(x - s) for x in points]
+        ratios = [b / a for a, b in zip(errs, errs[1:])]
+        dm = _dennis_more_ratios(prob.gradient, hessian, points, r.trace)
+        return ratios[-5:], dm[-5:]
+
+    ratios, dm = tail()
+    monkeypatch.setattr(usolve, "next_q", lambda schedule: schedule)
+    frozen, frozen_dm = tail()
+    falls = lambda seq: all(b < a for a, b in zip(seq, seq[1:]))
+    ok = (falls(ratios) and falls(dm) and all(t >= 0.15 for t in frozen)
+          and all(t >= 0.3 for t in frozen_dm) and dm[-1] < 0.3)
+    _report(12, f"rate from the schedule: error ratios {['%.3f' % t for t in ratios]}, "
+                f"frozen q {['%.3f' % t for t in frozen]}", ok)
     assert ok

@@ -2,14 +2,19 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from qlinesearch import psdfactor, sqp
 from qlinesearch.errors import DegenerateConstraintError, QPError
 from qlinesearch.problems import Problem
+from qlinesearch.psdfactor import psd_modify
 from qlinesearch.qcalc import QSchedule
 from qlinesearch.sqp import (ConstrainedProblem, kkt_solve, merit_l1,
                              qp_active_set, solve_qsqp)
 from qlinesearch.usolve import (STATUS_CONVERGED, STATUS_MAX_ITERATIONS,
-                                STATUS_NUMERIC_FAILURE, SolverConfig, solve_qls)
+                                STATUS_NUMERIC_FAILURE, STATUS_QP_FAILURE, SolverConfig,
+                                solve_qls)
 
 
 def circle_problem(x0=(-0.5, -1.5), u0=0.0):
@@ -148,7 +153,165 @@ class TestQpActiveSet:
         assert np.max(np.abs(stat)) < 1e-8
 
 
+# Derandomized, so every run draws the same examples.  Working sets have at
+# most 4 rows (the benchmark's have at most 3) and singular values within a
+# factor 20 of the largest and of 1, so the residual bounds hold with room
+# to spare.
+_property = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+def _matrix(draw, rows, cols, bound=1.0):
+    entries = draw(st.lists(st.floats(-bound, bound), min_size=rows * cols,
+                            max_size=rows * cols))
+    return np.reshape(np.array(entries, dtype=float), (rows, cols))
+
+
+def _full_rank(A):
+    if A.shape[0] == 0:
+        return True
+    s = np.linalg.svd(A, compute_uv=False)
+    return s[-1] >= 0.05 * max(s[0], 1.0)
+
+
+@st.composite
+def equality_qps(draw):
+    """(B, grad, A, rhs): B positive definite, A of full row rank."""
+    n = draw(st.integers(1, 10))
+    m = draw(st.integers(0, min(n, 4)))
+    M = _matrix(draw, n, n)
+    B = M @ M.T + draw(st.floats(0.1, 2.0)) * np.eye(n)
+    A = _matrix(draw, m, n)
+    assume(_full_rank(A))
+    return B, _matrix(draw, 1, n, 2.0)[0], A, _matrix(draw, 1, m, 2.0)[0]
+
+
+@st.composite
+def modified_qps(draw):
+    """(PsdModification of an indefinite matrix under a unit floor, grad, A,
+    rhs, A_in, b_in); d = 0 satisfies the inequalities."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(0, min(n - 1, 2)))
+    p = draw(st.integers(0, 3))
+    M = _matrix(draw, n, n, 3.0)
+    A = _matrix(draw, m, n)
+    assume(_full_rank(A))
+    b_in = np.array(draw(st.lists(st.floats(0.1, 1.5), min_size=p, max_size=p)))
+    return (psd_modify(0.5 * (M + M.T), 1.0), _matrix(draw, 1, n, 2.0)[0], A,
+            np.zeros(m), _matrix(draw, p, n), b_in)
+
+
+def _scale(*arrays):
+    return 1.0 + max(float(np.max(np.abs(a), initial=0.0)) for a in arrays)
+
+
+class TestQpProperties:
+    @_property
+    @given(equality_qps())
+    def test_kkt_residual_small(self, case):
+        B, g, A, rhs = case
+        d, lam = kkt_solve(B, g, A, rhs)
+        assert kkt_residual(B, g, A, rhs, d, lam) <= 1e-9 * _scale(g, rhs)
+
+    @_property
+    @given(modified_qps())
+    def test_matrix_and_its_factorization_agree(self, case):
+        mod, g, A, rhs, A_in, b_in = case
+        B = mod.modified_matrix
+        tol = 1e-8 * _scale(g, b_in) * _scale(B)
+        d_fact, lam_fact = kkt_solve(mod, g, A, rhs)
+        d_mat, lam_mat = kkt_solve(B, g, A, rhs)
+        assert np.max(np.abs(d_fact - d_mat)) <= tol
+        assert np.max(np.abs(lam_fact - lam_mat), initial=0.0) <= tol * _scale(B)
+        sol_fact = qp_active_set(mod, g, eq=(A, rhs), ineq=(A_in, b_in))
+        sol_mat = qp_active_set(B, g, eq=(A, rhs), ineq=(A_in, b_in))
+        assert np.max(np.abs(sol_fact.d_x - sol_mat.d_x)) <= tol
+
+    @_property
+    @given(equality_qps(), st.data())
+    def test_dependent_rows_raise(self, case, data):
+        B, g, A, rhs = case
+        assume(A.shape[0] > 0)
+        # a copy of one row scaled by a power of two: dependent in floating
+        # point too, with a consistent right-hand side
+        j = data.draw(st.integers(0, A.shape[0] - 1))
+        k = data.draw(st.integers(-3, 3))
+        rows = np.vstack([A, 2.0 ** k * A[j]])
+        rhs2 = np.append(rhs, 2.0 ** k * rhs[j])
+        with pytest.raises(DegenerateConstraintError):
+            kkt_solve(B, g, rows, rhs2)
+        n = g.shape[0]
+        loose = (np.eye(1, n), np.array([1e3]))
+        with pytest.raises(QPError):
+            qp_active_set(B, g, eq=(rows, rhs2), ineq=loose)
+
+    @_property
+    @given(equality_qps(), st.floats(-1e-5, 1e-5), st.floats(-2.0, 2.0), st.data())
+    def test_near_infeasible_inequalities(self, case, gap, b, data):
+        # the slab b <= a.d <= b - gap is empty for gap > 0, plus extra rows
+        # that hold with slack at the slab's point closest to the origin
+        B, g, _, _ = case
+        n = g.shape[0]
+        a = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+        a = np.array(a)
+        assume(np.linalg.norm(a) >= 0.1)
+        extra = _matrix(data.draw, data.draw(st.integers(0, 3)), n)
+        d_slab = a * (b / (a @ a))
+        slack = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=extra.shape[0],
+                                            max_size=extra.shape[0])))
+        A_in = np.vstack([-a, a, extra])
+        b_in = np.concatenate([[-b], [b - gap], extra @ d_slab + slack])
+        try:
+            sol = qp_active_set(B, g, ineq=(A_in, b_in))
+        except QPError:
+            return
+        assert np.all(A_in @ sol.d_x - b_in <= 1e-6 * _scale(b_in, sol.d_x))
+        assert np.all(sol.d_v >= 0.0)
+
+
 class TestSolveQsqp:
+    @pytest.mark.parametrize("n_ineq", [0, 1], ids=["equalities-only", "with-inequality"])
+    def test_dependent_equality_rows_are_qp_failure(self, n_ineq):
+        # two parallel planes, consistent at x0; the inequality stays inactive
+        A = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]])
+        prob = ConstrainedProblem(
+            objective=lambda x: float(x @ x), gradient=lambda x: 2.0 * x,
+            x0=np.array([3.0, -2.0, 0.7]),
+            h=lambda x: A @ x - np.array([1.0, 2.0]), jac_h=lambda x: A, n_eq=2,
+            g=lambda x: np.array([x[2] - 10.0]),
+            jac_g=lambda x: np.array([[0.0, 0.0, 1.0]]), n_ineq=n_ineq)
+        r = solve_qsqp(prob)
+        assert r.status == STATUS_QP_FAILURE
+        assert r.iterations == 0 and np.array_equal(r.x_final, prob.x0)
+
+    def test_one_factorization_of_b_per_iteration(self, monkeypatch):
+        # every QP pass solves on psd_modify's factorization of B: besides
+        # it, only Schur complements (at most m + p + 1 rows, counting the
+        # phase-1 bound t >= 0) and at most one phase-1 matrix per QP
+        sizes = []
+        original = psdfactor.ldl_factor
+
+        def counting(A):
+            sizes.append(np.shape(A)[0])
+            return original(A)
+
+        monkeypatch.setattr(psdfactor, "ldl_factor", counting)
+        monkeypatch.setattr(sqp, "ldl_factor", counting)
+        c = np.array([2.0, -1.0, 1.5, 0.5])
+        n, m, p = 4, 1, 1
+        prob = ConstrainedProblem(
+            objective=lambda x: float(np.sum((x - c) ** 4 + (x - c) ** 2)),
+            gradient=lambda x: 4.0 * (x - c) ** 3 + 2.0 * (x - c),
+            x0=np.array([0.3, -0.2, 0.4, 0.5]),
+            h=lambda x: np.array([np.sum(x) - 1.0]), jac_h=lambda x: np.ones((1, n)),
+            g=lambda x: np.array([x @ x - 2.0]), jac_g=lambda x: 2.0 * x[None, :],
+            n_eq=m, n_ineq=p)
+        r = solve_qsqp(prob)
+        assert r.status == STATUS_CONVERGED
+        assert abs(r.x_final @ r.x_final - 2.0) < 1e-8  # the ball is active
+        assert sizes.count(n) == r.iterations >= 3
+        assert sizes.count(n + 1) <= r.iterations
+        assert all(s <= m + p + 1 for s in sizes if s not in (n, n + 1))
+
     def test_multipliers_must_match_constraint_counts(self):
         # one multiplier per constraint: the iterate update and the
         # Lagrangian gradient rely on it
