@@ -29,4 +29,4 @@ class DegenerateConstraintError(RuntimeError):
 
 
 class QPError(RuntimeError):
-    """Quadratic subproblem is infeasible, unbounded, or the active-set loop stalled."""
+    """Quadratic subproblem is infeasible, has dependent equality rows, or did not terminate."""

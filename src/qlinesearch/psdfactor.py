@@ -160,7 +160,8 @@ def ldl_factor(A):
             below = np.abs(W[imax + 1:, imax])
             rowmax = float(max(left.max() if left.size else 0.0,
                                below.max() if below.size else 0.0))
-            if absakk * rowmax >= _ALPHA * colmax * colmax:
+            # (a zero pivot passes this test when colmax**2 underflows)
+            if absakk > 0.0 and absakk * rowmax >= _ALPHA * colmax * colmax:
                 pass  # 1x1 pivot, no interchange
             elif abs(W[imax, imax]) >= _ALPHA * rowmax:
                 swap_to = (k, imax)  # 1x1 pivot after interchange

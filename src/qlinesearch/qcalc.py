@@ -39,6 +39,13 @@ def default_fd_step(scale=1.0):
     return _EPS ** (1.0 / 3.0) * max(1.0, abs(float(scale)))
 
 
+def _shifted(x, i, q):
+    # q_shift on arguments its callers have checked already
+    out = x.copy()
+    out[i] = q * x[i]
+    return out
+
+
 def q_shift(x, i, q):
     """Return a copy of ``x`` with coordinate ``i`` multiplied by ``q``.
 
@@ -49,9 +56,7 @@ def q_shift(x, i, q):
     n = x.shape[0]
     if not 0 <= i < n:
         raise IndexError(f"coordinate index {i} out of range for dimension {n}")
-    out = x.copy()
-    out[i] = q * x[i]
-    return out
+    return _shifted(x, i, q)
 
 
 def q_difference(g, x, i, q, gx=None):
@@ -59,7 +64,8 @@ def q_difference(g, x, i, q, gx=None):
     and whether the zero band forced the central difference instead.
 
     ``g`` may be scalar- or vector-valued; ``gx`` is g(x) when the caller
-    holds it.  The q-quotient calls g at x (unless ``gx`` is given), then at
+    holds it.  q and i are not checked here: the public entry points check
+    them once.  The q-quotient calls g at x (unless ``gx`` is given), then at
     the q-shifted point; the central difference calls g at x + h e_i, then
     at x - h e_i.  The value is not checked for finiteness.
     """
@@ -73,7 +79,7 @@ def q_difference(g, x, i, q, gx=None):
         return (g(xp) - g(xm)) / (2.0 * h), True
     if gx is None:
         gx = g(x)
-    return (gx - g(q_shift(x, i, q))) / ((1.0 - q) * xi), False
+    return (gx - g(_shifted(x, i, q))) / ((1.0 - q) * xi), False
 
 
 def q_partial(g, x, i, q):

@@ -2,7 +2,8 @@
 
 Each iteration factors the positive definite modification B of the
 Lagrangian's q-Hessian once, solves the inequality-constrained QP model on
-that factorization by a primal active-set method (each working-set
+that factorization by the dual active-set method of Goldfarb & Idnani
+(started at the equality-constrained minimizer, each working-set
 subproblem by the range-space method, with no KKT matrix), picks a common
 step length for (x, u, v) by backtracking on the exact l1 penalty, and
 advances the q schedule.  Convergence is declared on the KKT residual
@@ -130,91 +131,23 @@ def _violation(h_vals, g_vals):
     return total
 
 
-def _active_set_iterate(B, grad, A_eq, b_eq, A_in, b_in, d_start, work_set, max_iter):
-    """Primal active-set loop from a feasible d_start, on a factorization B.
-
-    Each pass solves the equality QP pinned to the working set in position
-    form, steps toward its minimizer with a ratio test on the inactive
-    inequalities, and adds/drops constraints until the KKT conditions hold.
-    """
-    m = A_eq.shape[0]
-    p = A_in.shape[0]
-    d = np.asarray(d_start, dtype=float).copy()
-    W = list(work_set)
-    scale = 1.0 + float(np.max(np.abs(b_in), initial=0.0))
-    for _ in range(max_iter):
-        rows = np.vstack([A_eq, A_in[W]])
-        rhs = np.concatenate([b_eq, b_in[W]])
-        d_new, mult = kkt_solve(B, grad, rows, rhs)
-        step = d_new - d
-        if float(np.max(np.abs(step), initial=0.0)) <= 1e-12 * (1.0 + float(np.max(np.abs(d_new), initial=0.0))):
-            mu_W = mult[m:]
-            if mu_W.size == 0 or float(np.min(mu_W)) >= -1e-9:
-                d_v = np.zeros(p)
-                d_v[W] = np.maximum(mu_W, 0.0)
-                return QpSolution(d_x=d_new, d_u=mult[:m], d_v=d_v,
-                                  active_set=tuple(sorted(W)))
-            W.pop(int(np.argmin(mu_W)))
-            continue
-        blocking = -1
-        alpha = 1.0
-        for i in range(p):
-            if i in W:
-                continue
-            advance = float(A_in[i] @ step)
-            if advance > 1e-13 * scale:
-                ratio = (float(b_in[i]) - float(A_in[i] @ d)) / advance
-                ratio = max(ratio, 0.0)
-                if ratio < alpha:
-                    alpha = ratio
-                    blocking = i
-        if blocking < 0:
-            d = d_new
-        else:
-            d = d + alpha * step
-            W.append(blocking)
-    raise QPError("active-set iteration did not terminate")
-
-
-def _feasible_start(A_eq, b_eq, A_in, b_in):
-    """A point satisfying the QP constraints, via least squares plus (if
-    needed) an auxiliary strictly convex phase-1 QP in (d, t)."""
-    m, n = A_eq.shape
-    p = A_in.shape[0]
-    d0 = np.linalg.lstsq(A_eq, b_eq, rcond=None)[0]
-    viol = float(np.max(A_in @ d0 - b_in, initial=0.0))
-    if viol <= 1e-10 * (1.0 + float(np.max(np.abs(b_in), initial=0.0))):
-        return d0
-    # Phase 1: min t^2/2 + eps/2 ||d - d0||^2  s.t.  A_eq d = b_eq,
-    # A_in d - t <= b_in, -t <= 0, started strictly feasible at t = viol + 1.
-    # The d-regularization must be tiny: the optimal t is O(eps_reg) whenever
-    # the true feasible region is nonempty.
-    eps_reg = 1e-8
-    B1 = np.eye(n + 1) * eps_reg
-    B1[n, n] = 1.0
-    grad1 = np.concatenate([-eps_reg * d0, [0.0]])
-    A_eq1 = np.hstack([A_eq, np.zeros((m, 1))])
-    A_in1 = np.vstack([np.hstack([A_in, -np.ones((p, 1))]),
-                       np.concatenate([np.zeros(n), [-1.0]])[None, :]])
-    b_in1 = np.concatenate([b_in, [0.0]])
-    z0 = np.concatenate([d0, [viol + 1.0]])
-    sol = _active_set_iterate(ldl_factor(B1), grad1, A_eq1, b_eq, A_in1, b_in1, z0, [],
-                              max_iter=50 + 10 * (p + m + 1))
-    d1 = sol.d_x[:n]
-    residual = float(np.max(A_in @ d1 - b_in, initial=0.0))
-    if residual > 1e-7 * (1.0 + float(np.max(np.abs(b_in), initial=0.0))):
-        raise QPError(f"QP constraints infeasible (phase-1 residual {residual:.3e})")
-    return d1
-
-
-def qp_active_set(B, grad, eq=None, ineq=None, warm_start=None):
+def qp_active_set(B, grad, eq=None, ineq=None):
     """Minimize g.d + d.B.d/2 subject to A_eq d = b_eq and A_in d <= b_in.
 
     B must be positive definite, so the minimizer is unique; it is a
     factorization (anything with ``.solve``, such as ``psd_modify``'s result)
-    or a matrix, which is factored once here.  ``warm_start`` is an iterable
-    of inequality indices used to seed the working set.  Infeasible
-    constraints and linearly dependent working-set rows raise ``QPError``.
+    or a matrix, which is factored once here.
+
+    The dual active-set method of Goldfarb & Idnani (1983; Nocedal & Wright
+    2006, 16.8) starts at the equality-constrained minimizer, so it needs no
+    feasible start.  It adds the most violated inequality q by raising q's
+    multiplier while the working set W stays pinned: a full step makes q
+    active, a partial step drops the row of W whose multiplier reaches zero
+    first.  A row q in the span of the equality rows and W's rows moves
+    only the multipliers.  After each full step, d and the multipliers are
+    solved afresh with W pinned, W in the order its rows were added.
+    Infeasible constraints (neither step bounded) and dependent equality
+    rows raise ``QPError``.
     """
     B = _factored(B)
     grad = np.asarray(grad, dtype=float)
@@ -224,19 +157,48 @@ def qp_active_set(B, grad, eq=None, ineq=None, warm_start=None):
     A_eq, A_in = _rows(A_eq, n), _rows(A_in, n)
     b_eq = np.asarray(b_eq, dtype=float).reshape(-1)
     b_in = np.asarray(b_in, dtype=float).reshape(-1)
-    p = A_in.shape[0]
+    m, p = A_eq.shape[0], A_in.shape[0]
+    tol = 1e-9 * (1.0 + float(np.max(np.abs(b_in), initial=0.0)))
+    W = []
+    q = -1  # the inequality being added, or -1 between additions
     try:
-        if p == 0:
-            d, lam = kkt_solve(B, grad, A_eq, b_eq)
-            return QpSolution(d_x=d, d_u=lam, d_v=np.zeros(0), active_set=())
-        d0 = _feasible_start(A_eq, b_eq, A_in, b_in)
-        tol = 1e-9 * (1.0 + float(np.max(np.abs(b_in))))
-        active0 = [i for i in range(p) if A_in[i] @ d0 - b_in[i] >= -tol]
-        work = [i for i in warm_start if i in active0] if warm_start is not None else []
-        return _active_set_iterate(B, grad, A_eq, b_eq, A_in, b_in, d0, work,
-                                   max_iter=100 + 20 * p)
+        d, mult = kkt_solve(B, grad, A_eq, b_eq)
+        for _ in range(100 + 20 * p):
+            if q < 0:
+                viol = A_in @ d - b_in
+                viol[W] = -np.inf
+                q = int(np.argmax(viol)) if p else -1
+                if q < 0 or viol[q] <= tol:
+                    d_v = np.zeros(p)
+                    d_v[W] = np.maximum(mult[m:], 0.0)
+                    return QpSolution(d_x=d, d_u=mult[:m], d_v=d_v,
+                                      active_set=tuple(sorted(W)))
+            a_q = A_in[q]
+            rows = np.vstack([A_eq, A_in[W]])
+            z, r = kkt_solve(B, a_q, rows, np.zeros(rows.shape[0]))
+            # partial step: the first multiplier of W to fall to zero
+            t1, drop = np.inf, -1
+            for j in range(len(W)):
+                if r[m + j] < 0.0 and -mult[m + j] / r[m + j] < t1:
+                    t1, drop = -mult[m + j] / r[m + j], j
+            # full step: unbounded when a_q lies in the span of the rows
+            t2, curvature = np.inf, -float(a_q @ z)
+            if curvature > 0.0 and np.max(np.abs(a_q + rows.T @ r)) > 1e-9 * np.max(np.abs(a_q)):
+                t2 = (float(a_q @ d) - b_in[q]) / curvature
+            if t2 <= t1:
+                if t2 == np.inf:
+                    raise QPError("QP constraints infeasible")
+                W.append(q)
+                q = -1
+                d, mult = kkt_solve(B, grad, np.vstack([A_eq, A_in[W]]),
+                                    np.concatenate([b_eq, b_in[W]]))
+            else:
+                d = d + t1 * z
+                mult = np.delete(mult + t1 * r, m + drop)
+                del W[drop]
     except DegenerateConstraintError as exc:
         raise QPError(f"dependent constraint rows: {exc}") from exc
+    raise QPError("active-set iteration did not terminate")
 
 
 def _sqp_delta(A):
@@ -266,7 +228,7 @@ def _beta_monitors(M, jac_eq):
 
 class _SqpRun:
     """One SQP run in the shared driver: the primal-dual iterate, the l1
-    penalty and the QP's active set, with (f, h, g) at x held once known."""
+    penalty, with (f, h, g) at x held once known."""
 
     def __init__(self, problem, config, schedule):
         self.problem = problem
@@ -277,7 +239,6 @@ class _SqpRun:
         self.u = problem.u0.astype(float).copy()
         self.v = problem.v0.astype(float).copy()
         self.mu_pen = 1.0
-        self.warm = None
         self.held = None  # (f, h, g) at x, once known
         self.at_x = None  # derivatives and KKT residual at x, from stop()
 
@@ -325,9 +286,8 @@ class _SqpRun:
                                   jac_g=prob.jac_g, v=v, g0=grad_lag)
         mod = psd_modify(qh.matrix, _sqp_delta(qh.matrix) if m or p else None)
         # without constraints this is mod.solve(-g_obj), the q-Newton step
-        qp = qp_active_set(mod, g_obj, eq=(Jh, -hx), ineq=(Jg, -gx), warm_start=self.warm)
+        qp = qp_active_set(mod, g_obj, eq=(Jh, -hx), ineq=(Jg, -gx))
         d, lam_new, mu_new = qp.d_x, qp.d_u, qp.d_v
-        self.warm = qp.active_set
 
         mult_norm = float(np.max(np.abs(np.concatenate([lam_new, mu_new])), initial=0.0))
         mu_pen = self.mu_pen = max(self.mu_pen, mult_norm + 1.0)

@@ -36,6 +36,22 @@ class TestLdlFactor:
         np.testing.assert_array_equal(b.blocks[0], A)
         np.testing.assert_array_equal(b.lower_unit_triangular, np.eye(2))
 
+    @pytest.mark.parametrize("rest", [[[1.0, 1.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, 2.0]]],
+                             ids=["singular", "tiny-coupling"])
+    def test_zero_pivot_with_underflowing_column(self, rest):
+        # t**2 underflows to 0, so the 1x1 test on the zero diagonal entry
+        # reads 0 >= 0; the zero must not become a pivot (a division by
+        # zero, then NaN factors or an index past the matrix)
+        t = 8e-268
+        A = np.zeros((3, 3))
+        A[0, 1:] = A[1:, 0] = t
+        A[1:, 1:] = rest
+        b = ldl_factor(A)
+        assert all(np.all(np.isfinite(blk)) for blk in b.blocks)
+        assert np.all(np.isfinite(b.lower_unit_triangular))
+        with pytest.raises(np.linalg.LinAlgError):
+            b.solve(np.ones(3))  # t**2 is below every scale: singular
+
     def test_reconstruction_and_inertia_random(self):
         rng = np.random.default_rng(29)
         for _ in range(300):

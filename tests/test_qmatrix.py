@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qlinesearch import qcalc, qmatrix
 from qlinesearch.errors import NumericError
 from qlinesearch.qcalc import q_partial
 from qlinesearch.qmatrix import q_hessian, q_hessian_lagrangian
@@ -50,6 +51,20 @@ class TestQHessian:
         n = 6
         q_hessian(grad, np.arange(1.0, n + 1.0), 0.7)
         assert calls["n"] == n + 1
+
+    def test_q_checked_once(self, monkeypatch):
+        # the rows shift through qcalc's unchecked helper, not q_shift
+        checks = []
+
+        def counting(q):
+            checks.append(q)
+            return original(q)
+
+        original = qcalc._check_q
+        monkeypatch.setattr(qcalc, "_check_q", counting)
+        monkeypatch.setattr(qmatrix, "_check_q", counting)
+        q_hessian(lambda x: 2.0 * x, np.arange(1.0, 6.0), 0.7)
+        assert checks == [0.7]
 
     def test_bitwise_symmetry(self):
         rng = np.random.default_rng(23)
