@@ -17,9 +17,9 @@ The package provides:
 from .bench import (BenchmarkRow, BenchmarkTable, FcSummaryRow, ProfileCurve,
                     emit, fc_summary, load_profile_csv, load_runs_csv,
                     performance_profile, run_fc_benchmark, run_suite_benchmark)
-from .errors import (DegenerateConstraintError, DescentDirectionError,
-                     GradientShapeError, LineSearchError, NumericError, QPError)
-from .linesearch import LineSearchParams, StepResult, backtracking_step
+from .errors import (DescentDirectionError, GradientShapeError, LineSearchError,
+                     NumericError, QPError)
+from .linesearch import StepResult, backtracking_step
 from .problems import Problem, StartBox, check_gradient, get_problem, make_fc, standard_suite
 from .psdfactor import (FactorizationBundle, PsdModification, block_spectral,
                         default_delta, ldl_factor, psd_modify)
@@ -34,9 +34,9 @@ __all__ = [
     "BenchmarkRow", "BenchmarkTable", "FcSummaryRow", "ProfileCurve",
     "emit", "fc_summary", "load_profile_csv", "load_runs_csv",
     "performance_profile", "run_fc_benchmark", "run_suite_benchmark",
-    "DegenerateConstraintError", "DescentDirectionError", "LineSearchError",
-    "GradientShapeError", "NumericError", "QPError",
-    "LineSearchParams", "StepResult", "backtracking_step",
+    "DescentDirectionError", "GradientShapeError", "LineSearchError",
+    "NumericError", "QPError",
+    "StepResult", "backtracking_step",
     "Problem", "StartBox", "check_gradient", "get_problem", "make_fc",
     "standard_suite",
     "FactorizationBundle", "PsdModification", "block_spectral", "default_delta",

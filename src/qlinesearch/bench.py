@@ -43,7 +43,7 @@ class BenchmarkRow:
     problem: str
     solver: str
     run_index: int
-    seed: int
+    seed: int  # the sweep's master seed; 0 for fc rows, which draw nothing
     success: bool
     iterations: int
     elapsed_seconds: float
@@ -127,16 +127,20 @@ def run_fc_benchmark(c_values=None, q0=0.9, gammas=(1, 2, 3), config=None,
     return table
 
 
-def fc_summary(table, c_values=None, solvers=SOLVERS):
-    """Per-c mean iterations and time over successful runs, one row per c."""
-    c_values = DEFAULT_C_VALUES if c_values is None else tuple(c_values)
+def fc_summary(table):
+    """Per-c mean iterations and time over successful runs, one row per c.
+
+    Every fc start lies on its line x = c, so the c values are the rows'
+    first start coordinates; the solvers are the table's.
+    """
+    solvers = table.solvers()
     out = []
-    for c in c_values:
-        name = make_fc(c).name
+    for c in sorted({float(r.start_point[0]) for r in table.rows}):
         iters = {}
         times = {}
         for solver in solvers:
-            good = [r for r in table.cell(name, solver) if r.success]
+            good = [r for r in table.rows
+                    if r.start_point[0] == c and r.solver == solver and r.success]
             iters[solver] = (sum(r.iterations for r in good) / len(good)
                              if good else float("nan"))
             times[solver] = (sum(r.elapsed_seconds for r in good) / len(good)
@@ -145,13 +149,13 @@ def fc_summary(table, c_values=None, solvers=SOLVERS):
     return out
 
 
-def _substream_seed(master_seed, problem_name, solver, attempt):
+def suite_start(problem, solver, master_seed, run_index):
+    """The start of suite run ``run_index`` of ``solver`` on ``problem``,
+    drawn from the box around a known minimizer by its own RNG substream."""
     # crc32 keys are stable across platforms and runs, unlike hash()
-    key = f"{master_seed}:{problem_name}:{solver}:{attempt}"
-    return zlib.crc32(key.encode("utf-8"))
-
-
-def _draw_start(problem, rng):
+    rng = np.random.default_rng(
+        np.random.SeedSequence([master_seed & 0xFFFFFFFF, zlib.crc32(problem.name.encode()),
+                                zlib.crc32(solver.encode()), run_index]))
     box = problem.start_box
     return box.center + box.side * (rng.random(problem.dimension) - 0.5)
 
@@ -161,10 +165,10 @@ def run_suite_benchmark(suite=None, solvers=SOLVERS, master_seed=0,
                         q0=0.9, result_hook=None):
     """Randomized sweep over the test suite.
 
-    For each (problem, solver), starts are drawn from the unit box centered
-    on a known minimizer, one RNG substream per (master_seed, problem,
-    solver, attempt), until ``runs_required`` successes or ``attempt_cap``
-    attempts.  Every attempt is recorded as a row.
+    For each (problem, solver), starts are drawn by ``suite_start``, one RNG
+    substream per (master_seed, problem, solver, attempt), until
+    ``runs_required`` successes or ``attempt_cap`` attempts.  Every attempt
+    is recorded as a row, with ``master_seed`` as its seed.
 
     Each problem's runs get the objective floor ``known_min_value -
     SUCCESS_VALUE_GAP`` (overriding ``config.f_floor``): a run that descends
@@ -183,12 +187,7 @@ def run_suite_benchmark(suite=None, solvers=SOLVERS, master_seed=0,
             for attempt in range(attempt_cap):
                 if successes >= runs_required:
                     break
-                seed = _substream_seed(master_seed, problem.name, solver, attempt)
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([master_seed & 0xFFFFFFFF,
-                                            zlib.crc32(problem.name.encode()),
-                                            zlib.crc32(solver.encode()), attempt]))
-                x0 = _draw_start(problem, rng)
+                x0 = suite_start(problem, solver, master_seed, attempt)
                 result = _solver_run(solver, problem, x0, floored, q0)
                 if result_hook is not None:
                     result_hook(problem, solver, result)
@@ -196,7 +195,7 @@ def run_suite_benchmark(suite=None, solvers=SOLVERS, master_seed=0,
                 successes += int(ok)
                 table.rows.append(BenchmarkRow(
                     problem=problem.name, solver=solver, run_index=attempt,
-                    seed=seed, success=ok, iterations=result.iterations,
+                    seed=master_seed, success=ok, iterations=result.iterations,
                     elapsed_seconds=result.elapsed_seconds, start_point=x0))
             if successes < runs_required:
                 log.warning("problem %s / solver %s: only %d/%d successes within %d attempts",
@@ -365,8 +364,8 @@ def load_profile_csv(path):
 _SVG_COLORS = ("#1b6ca8", "#c23b22", "#2e8540", "#8031a7", "#b8860b", "#444444")
 
 
-def _profiles_svg(curves, width=640, height=440):
-    margin = 60
+def _profiles_svg(curves):
+    width, height, margin = 640, 440, 60
     plot_w = width - 2 * margin
     plot_h = height - 2 * margin
     max_tau = max((t for c in curves for t, _ in c.points), default=1.0)

@@ -75,10 +75,10 @@ def _build_parser():
     return parser
 
 
-def _write_trace(result, path, q_solver):
+def _write_trace(result, path):
     lines = ["k,f_value,grad_norm,alpha,q,cos_theta,condition_number,fallback_count"]
     for t in result.trace:
-        qv = repr(float(t.q_k)) if (q_solver and t.q_k is not None) else ""
+        qv = "" if t.q_k is None else repr(float(t.q_k))
         lines.append(f"{t.k},{t.f_value!r},{t.grad_norm!r},{t.alpha!r},{qv},"
                      f"{t.cos_theta!r},{t.condition_number!r},{t.fallback_count}")
     with open(path, "w", encoding="utf-8") as fh:
@@ -102,7 +102,7 @@ def _cmd_solve(args):
     else:
         result = solve_bfgs(problem, args.x0, config=config)
     if args.trace:
-        _write_trace(result, args.trace, q_solver=(args.method == "qls"))
+        _write_trace(result, args.trace)
     xs = ", ".join(f"{v:.10g}" for v in result.x_final)
     print(f"status={result.status} iterations={result.iterations} "
           f"f={result.f_final:.10g} x=[{xs}] elapsed={result.elapsed_seconds:.3f}s")
@@ -112,10 +112,9 @@ def _cmd_solve(args):
 def _cmd_bench_fc(args):
     config = SolverConfig(grad_tolerance=args.eps)
     table = bench.run_fc_benchmark(q0=args.q0, gammas=tuple(args.gammas), config=config)
-    solvers = ("bfgs",) + tuple(f"q{g}" for g in args.gammas)
-    summary = bench.fc_summary(table, solvers=solvers)
+    summary = bench.fc_summary(table)
     for row in summary:
-        iters = " ".join(f"{s}={row.iterations[s]:.2f}" for s in solvers)
+        iters = " ".join(f"{s}={v:.2f}" for s, v in row.iterations.items())
         print(f"c={row.c:g}: {iters}")
     if args.out:
         bench.emit(summary, "csv", args.out)

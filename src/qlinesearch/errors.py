@@ -13,7 +13,9 @@ class NumericError(ArithmeticError):
 
 
 class GradientShapeError(ValueError):
-    """A gradient callback returned an array whose shape does not match x."""
+    """A gradient, constraint or Jacobian callback returned an array of the
+    wrong shape: (n,) for a gradient at x of length n, (m,) for m constraint
+    values, (m, n) for their Jacobian."""
 
 
 class DescentDirectionError(ValueError):
@@ -22,10 +24,6 @@ class DescentDirectionError(ValueError):
 
 class LineSearchError(RuntimeError):
     """No step in the backtracking sequence satisfied the sufficient-decrease test."""
-
-
-class DegenerateConstraintError(RuntimeError):
-    """Constraint rows of an equality QP are linearly dependent; its KKT system is singular."""
 
 
 class QPError(RuntimeError):

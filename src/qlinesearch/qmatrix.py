@@ -29,19 +29,28 @@ class QHessian:
     fallback_count: int
 
 
+def _checked(a, shape, x, what):
+    if a.shape != shape:
+        raise GradientShapeError(f"{what} returned shape {a.shape}, expected {shape}")
+    if not np.all(np.isfinite(a)):
+        raise NumericError(f"non-finite {what} evaluation", point=np.asarray(x, dtype=float).copy())
+    return a
+
+
 def checked_gradient(g, x):
     """``g``, a gradient value at ``x``, as a float array of x's length.
 
     Raises ``GradientShapeError`` on a wrong shape and ``NumericError`` on a
     non-finite entry, so every solver rejects a bad gradient the same way.
     """
-    g = np.asarray(g, dtype=float)
-    n = np.shape(x)[0]
-    if g.shape != (n,):
-        raise GradientShapeError(f"gradient returned shape {g.shape}, expected ({n},)")
-    if not np.all(np.isfinite(g)):
-        raise NumericError("non-finite gradient evaluation", point=np.asarray(x, dtype=float).copy())
-    return g
+    return _checked(np.asarray(g, dtype=float), (np.shape(x)[0],), x, "gradient")
+
+
+def checked_jacobian(J, rows, x):
+    """``J``, a constraint Jacobian value at ``x``, as a float (rows, n) array;
+    a 1-D value is one row.  Raises as ``checked_gradient`` does."""
+    return _checked(np.atleast_2d(np.asarray(J, dtype=float)), (rows, np.shape(x)[0]), x,
+                    "Jacobian")
 
 
 def q_hessian(gradient, x, q, g0=None):
@@ -100,16 +109,21 @@ def lagrangian_gradient(grad_f, jac_h, u, jac_g, v):
 def q_hessian_lagrangian(grad_f, x, q, jac_h=None, u=None, jac_g=None, v=None, g0=None):
     """q-Hessian of the Lagrangian f + u.h + v.g with multipliers held fixed.
 
-    ``jac_h``/``jac_g`` return the (m, n) / (p, n) constraint Jacobians and
-    are called only when their multipliers are nonzero.  With zero (or
-    absent) multipliers the result is identical to ``q_hessian`` of the
-    objective at the same point and q.  ``g0``, the Lagrangian gradient at
-    ``x`` when the caller holds it, is passed through to ``q_hessian``.
+    ``jac_h``/``jac_g`` return the (m, n) / (p, n) constraint Jacobians, m
+    and p the lengths of ``u`` and ``v``, and are called only when their
+    multipliers are nonzero; each value is checked by ``checked_jacobian``.
+    With zero (or absent) multipliers the result is identical to
+    ``q_hessian`` of the objective at the same point and q.  ``g0``, the
+    Lagrangian gradient at ``x`` when the caller holds it, is passed through
+    to ``q_hessian``.
     """
     u, v = _contributing(jac_h, u), _contributing(jac_g, v)
 
+    def jacobian(jac, multipliers, pt):
+        return None if multipliers is None else checked_jacobian(jac(pt), len(multipliers), pt)
+
     def grad_lagrangian(pt):
-        return lagrangian_gradient(grad_f(pt), None if u is None else jac_h(pt), u,
-                                   None if v is None else jac_g(pt), v)
+        return lagrangian_gradient(grad_f(pt), jacobian(jac_h, u, pt), u,
+                                   jacobian(jac_g, v, pt), v)
 
     return q_hessian(grad_lagrangian, x, q, g0=g0)

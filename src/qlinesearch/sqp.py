@@ -16,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateConstraintError, QPError
+from .errors import GradientShapeError, QPError
 from .linesearch import backtracking_step
 from .psdfactor import default_delta, ldl_factor, psd_modify
 from .qcalc import QSchedule, next_q
-from .qmatrix import checked_gradient, lagrangian_gradient, q_hessian_lagrangian
+from .qmatrix import (checked_gradient, checked_jacobian, lagrangian_gradient,
+                      q_hessian_lagrangian)
 from .usolve import (STATUS_CONVERGED, STATUS_NUMERIC_FAILURE, SolverConfig,
                      drive)
 
@@ -29,8 +30,10 @@ from .usolve import (STATUS_CONVERGED, STATUS_NUMERIC_FAILURE, SolverConfig,
 class ConstrainedProblem:
     """min f(x) s.t. h(x) = 0 (m of them), g(x) <= 0 (p of them), m < n.
 
-    Jacobian callbacks return (m, n) / (p, n) arrays with constraint
-    gradients as rows.  ``u0`` / ``v0`` default to zero multipliers.
+    ``h`` / ``g`` return (m,) / (p,) arrays, and the Jacobian callbacks
+    (m, n) / (p, n) arrays with constraint gradients as rows; a value of the
+    wrong shape or a non-finite Jacobian ends the run as
+    ``numeric_failure``.  ``u0`` / ``v0`` default to zero multipliers.
     """
 
     objective: callable
@@ -98,7 +101,7 @@ def kkt_solve(B, grad, A_eq, rhs):
     and Y = B^-1 A_eq^T, lam solves (A_eq Y) lam = A_eq d0 - rhs and
     d = d0 - Y lam.  B is a factorization (anything with ``.solve``) or a
     nonsingular symmetric matrix, factored here.  Dependent rows give a
-    vanishing pivot of A_eq Y and raise ``DegenerateConstraintError``.
+    vanishing pivot of A_eq Y and raise ``QPError``.
     """
     B = _factored(B)
     grad = np.asarray(grad, dtype=float)
@@ -111,7 +114,7 @@ def kkt_solve(B, grad, A_eq, rhs):
     try:
         lam = ldl_factor(0.5 * (S + S.T)).solve(A_eq @ d0 - np.atleast_1d(rhs))
     except np.linalg.LinAlgError as exc:
-        raise DegenerateConstraintError("constraint rows are linearly dependent") from exc
+        raise QPError("dependent constraint rows") from exc
     return d0 - Y @ lam, lam
 
 
@@ -119,7 +122,11 @@ def merit_l1(f_val, h_vals, g_vals, mu):
     """Exact l1 penalty: f + mu * (sum |h_i| + sum max(0, g_j))."""
     if mu <= 0.0:
         raise ValueError("penalty parameter must be positive")
-    return float(f_val) + mu * _violation(h_vals, g_vals)
+    return _penalized(f_val, _violation(h_vals, g_vals), mu)
+
+
+def _penalized(f_val, violation, mu):
+    return float(f_val) + mu * violation
 
 
 def _violation(h_vals, g_vals):
@@ -161,43 +168,40 @@ def qp_active_set(B, grad, eq=None, ineq=None):
     tol = 1e-9 * (1.0 + float(np.max(np.abs(b_in), initial=0.0)))
     W = []
     q = -1  # the inequality being added, or -1 between additions
-    try:
-        d, mult = kkt_solve(B, grad, A_eq, b_eq)
-        for _ in range(100 + 20 * p):
-            if q < 0:
-                viol = A_in @ d - b_in
-                viol[W] = -np.inf
-                q = int(np.argmax(viol)) if p else -1
-                if q < 0 or viol[q] <= tol:
-                    d_v = np.zeros(p)
-                    d_v[W] = np.maximum(mult[m:], 0.0)
-                    return QpSolution(d_x=d, d_u=mult[:m], d_v=d_v,
-                                      active_set=tuple(sorted(W)))
-            a_q = A_in[q]
-            rows = np.vstack([A_eq, A_in[W]])
-            z, r = kkt_solve(B, a_q, rows, np.zeros(rows.shape[0]))
-            # partial step: the first multiplier of W to fall to zero
-            t1, drop = np.inf, -1
-            for j in range(len(W)):
-                if r[m + j] < 0.0 and -mult[m + j] / r[m + j] < t1:
-                    t1, drop = -mult[m + j] / r[m + j], j
-            # full step: unbounded when a_q lies in the span of the rows
-            t2, curvature = np.inf, -float(a_q @ z)
-            if curvature > 0.0 and np.max(np.abs(a_q + rows.T @ r)) > 1e-9 * np.max(np.abs(a_q)):
-                t2 = (float(a_q @ d) - b_in[q]) / curvature
-            if t2 <= t1:
-                if t2 == np.inf:
-                    raise QPError("QP constraints infeasible")
-                W.append(q)
-                q = -1
-                d, mult = kkt_solve(B, grad, np.vstack([A_eq, A_in[W]]),
-                                    np.concatenate([b_eq, b_in[W]]))
-            else:
-                d = d + t1 * z
-                mult = np.delete(mult + t1 * r, m + drop)
-                del W[drop]
-    except DegenerateConstraintError as exc:
-        raise QPError(f"dependent constraint rows: {exc}") from exc
+    d, mult = kkt_solve(B, grad, A_eq, b_eq)
+    for _ in range(100 + 20 * p):
+        if q < 0:
+            viol = A_in @ d - b_in
+            viol[W] = -np.inf
+            q = int(np.argmax(viol)) if p else -1
+            if q < 0 or viol[q] <= tol:
+                d_v = np.zeros(p)
+                d_v[W] = np.maximum(mult[m:], 0.0)
+                return QpSolution(d_x=d, d_u=mult[:m], d_v=d_v,
+                                  active_set=tuple(sorted(W)))
+        a_q = A_in[q]
+        rows = np.vstack([A_eq, A_in[W]])
+        z, r = kkt_solve(B, a_q, rows, np.zeros(rows.shape[0]))
+        # partial step: the first multiplier of W to fall to zero
+        t1, drop = np.inf, -1
+        for j in range(len(W)):
+            if r[m + j] < 0.0 and -mult[m + j] / r[m + j] < t1:
+                t1, drop = -mult[m + j] / r[m + j], j
+        # full step: unbounded when a_q lies in the span of the rows
+        t2, curvature = np.inf, -float(a_q @ z)
+        if curvature > 0.0 and np.max(np.abs(a_q + rows.T @ r)) > 1e-9 * np.max(np.abs(a_q)):
+            t2 = (float(a_q @ d) - b_in[q]) / curvature
+        if t2 <= t1:
+            if t2 == np.inf:
+                raise QPError("QP constraints infeasible")
+            W.append(q)
+            q = -1
+            d, mult = kkt_solve(B, grad, np.vstack([A_eq, A_in[W]]),
+                                np.concatenate([b_eq, b_in[W]]))
+        else:
+            d = d + t1 * z
+            mult = np.delete(mult + t1 * r, m + drop)
+            del W[drop]
     raise QPError("active-set iteration did not terminate")
 
 
@@ -251,6 +255,9 @@ class _SqpRun:
         f = float(self.objective(pt))
         h = np.atleast_1d(np.asarray(prob.h(pt), float)) if prob.n_eq else np.zeros(0)
         g = np.atleast_1d(np.asarray(prob.g(pt), float)) if prob.n_ineq else np.zeros(0)
+        if h.shape != (prob.n_eq,) or g.shape != (prob.n_ineq,):
+            raise GradientShapeError(f"constraints returned shapes {h.shape} and {g.shape}, "
+                                     f"expected ({prob.n_eq},) and ({prob.n_ineq},)")
         return f, h, g
 
     def stop(self):
@@ -260,8 +267,8 @@ class _SqpRun:
             self.held = self._values(x)
         fval, hx, gx = self.held
         g_obj = prob.gradient(x)
-        Jh = np.atleast_2d(np.asarray(prob.jac_h(x), float)) if m else np.zeros((0, n))
-        Jg = np.atleast_2d(np.asarray(prob.jac_g(x), float)) if p else np.zeros((0, n))
+        Jh = checked_jacobian(prob.jac_h(x), m, x) if m else np.zeros((0, n))
+        Jg = checked_jacobian(prob.jac_g(x), p, x) if p else np.zeros((0, n))
         g_obj = checked_gradient(g_obj, x)
         if not (np.isfinite(fval) and np.all(np.isfinite(hx)) and np.all(np.isfinite(gx))):
             return STATUS_NUMERIC_FAILURE
@@ -291,8 +298,9 @@ class _SqpRun:
 
         mult_norm = float(np.max(np.abs(np.concatenate([lam_new, mu_new])), initial=0.0))
         mu_pen = self.mu_pen = max(self.mu_pen, mult_norm + 1.0)
-        phi0 = merit_l1(fval, hx, gx, mu_pen)
-        slope = float(g_obj @ d) - mu_pen * _violation(hx, gx)
+        violation = _violation(hx, gx)
+        phi0 = _penalized(fval, violation, mu_pen)
+        slope = float(g_obj @ d) - mu_pen * violation
 
         accepted = None  # (f, h, g) at the last merit trial
         if float(np.max(np.abs(d), initial=0.0)) <= 1e-14 * max(1.0, float(np.max(np.abs(x)))):
@@ -305,7 +313,7 @@ class _SqpRun:
 
             # no descent check: the slope can round to a tiny positive
             # number on a step that still decreases the merit
-            alpha = backtracking_step(merit, phi0, slope, self.config.line_search).alpha
+            alpha = backtracking_step(merit, phi0, slope).alpha
 
         beta1, beta2, beta3 = _beta_monitors(mod.modified_matrix, Jh)
         record = SqpTraceRecord(k=k, merit_value=phi0, kkt_residual=residual,

@@ -13,14 +13,14 @@ forward.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import (DescentDirectionError, GradientShapeError, LineSearchError,
                      NumericError, QPError)
-from .linesearch import LineSearchParams, backtracking_step
+from .linesearch import backtracking_step
 from .psdfactor import psd_modify
 from .qcalc import QSchedule, next_q
 from .qmatrix import checked_gradient, q_hessian
@@ -39,7 +39,6 @@ class SolverConfig:
     grad_tolerance: float = 1e-5
     max_iterations: int = 10_000
     time_cap_seconds: float = 100.0
-    line_search: LineSearchParams = field(default_factory=LineSearchParams)
     #: unconstrained solvers stop with STATUS_DIVERGED once an accepted step
     #: lands below this objective value (Armijo steps never raise f again);
     #: the SQP solver, whose steps decrease a merit function instead, ignores it
@@ -185,8 +184,7 @@ class _DescentRun:
             raise DescentDirectionError(f"not a descent direction (slope {slope:.6g} >= 0)")
         if not np.isfinite(f0):
             raise NumericError("non-finite objective at alpha = 0")
-        step = backtracking_step(lambda a: float(self.objective(x + a * p)), f0, slope,
-                                 self.config.line_search)
+        step = backtracking_step(lambda a: float(self.objective(x + a * p)), f0, slope)
         x_new = x + step.alpha * p
         if np.array_equal(x_new, x):
             raise LineSearchError(f"accepted step alpha = {step.alpha:.3g} leaves x unchanged")

@@ -7,7 +7,7 @@ from qlinesearch import bench
 from qlinesearch.bench import (BenchmarkRow, BenchmarkTable, ProfileCurve,
                                fc_summary, is_success, performance_profile,
                                run_fc_benchmark, run_suite_benchmark)
-from qlinesearch.problems import standard_suite
+from qlinesearch.problems import get_problem, standard_suite
 from qlinesearch.usolve import STATUS_DIVERGED, SolverConfig
 
 
@@ -93,7 +93,7 @@ class TestFcBenchmark:
         table = run_fc_benchmark(c_values=(0.5,), gammas=(1,), config=config)
         assert len(table.rows) == 20  # 2 solvers x 10 starts
         assert all(r.success for r in table.rows)
-        summary = fc_summary(table, c_values=(0.5,), solvers=("bfgs", "q1"))
+        summary = fc_summary(table)
         assert len(summary) == 1
         assert 3.0 <= summary[0].iterations["q1"] <= 7.0
         assert 6.0 <= summary[0].iterations["bfgs"] <= 13.0
@@ -131,6 +131,20 @@ class TestSuiteBenchmark:
         center = suite[0].known_minimizers[0]
         for r in t.rows:
             assert np.all(np.abs(r.start_point - center) <= 0.5 + 1e-12)
+
+    def test_csv_row_replays_its_start(self, tmp_path):
+        # a row records the master seed, and (seed, problem, solver,
+        # run_index) redraw its start bit for bit
+        suite = [p for p in standard_suite() if p.name in ("branin", "levy")]
+        t = run_suite_benchmark(suite=suite, solvers=("bfgs", "q2"), master_seed=11,
+                                runs_required=2, attempt_cap=3)
+        path = tmp_path / "runs.csv"
+        bench.emit(t, "csv", str(path))
+        rows = bench.load_runs_csv(str(path)).rows
+        assert len(rows) >= 8 and all(r.seed == 11 for r in rows)
+        for r in rows:
+            start = bench.suite_start(get_problem(r.problem), r.solver, r.seed, r.run_index)
+            assert np.array_equal(start, r.start_point)
 
     def test_quadratics_converge_fast(self):
         suite = [p for p in standard_suite() if p.name in ("sphere", "sumsquares",
@@ -171,7 +185,7 @@ class TestEmit:
     def test_fc_summary_layout(self, tmp_path):
         table = run_fc_benchmark(c_values=(0.1, 0.3), gammas=(1, 2, 3),
                                  config=SolverConfig())
-        summary = fc_summary(table, c_values=(0.1, 0.3))
+        summary = fc_summary(table)
         path = tmp_path / "fc.csv"
         bench.emit(summary, "csv", str(path))
         lines = path.read_text().strip().split("\n")

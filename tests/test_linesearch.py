@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from qlinesearch.errors import LineSearchError
-from qlinesearch.linesearch import LineSearchParams, backtracking_step
+from qlinesearch.linesearch import (ALPHA0, BACKTRACK_FACTOR, C1, MAX_HALVINGS,
+                                    backtracking_step)
 
 
 def test_full_step_accepted_on_linear_decrease():
@@ -30,23 +31,30 @@ def test_positive_slope_accepted_when_phi_decreases():
 
 
 def test_failure_after_max_halvings():
-    params = LineSearchParams(max_halvings=10)
-    # never satisfies sufficient decrease
+    # never satisfies sufficient decrease: the unit step and MAX_HALVINGS
+    # halvings are tried, then the search gives up
+    trials = []
+
+    def phi(a):
+        trials.append(a)
+        return 2.0
+
     with pytest.raises(LineSearchError):
-        backtracking_step(lambda a: 2.0, 1.0, -1.0, params)
+        backtracking_step(phi, 1.0, -1.0)
+    assert len(trials) == MAX_HALVINGS + 1 == 61
+    assert trials[-1] == ALPHA0 * BACKTRACK_FACTOR ** MAX_HALVINGS
 
 
 def test_accepted_alpha_is_largest_in_sequence():
     # re-check: every larger candidate in the backtracking sequence violates
     phi = lambda a: 1.0 - a * (1.0 - 0.9 * a) ** 31
-    params = LineSearchParams()
-    res = backtracking_step(phi, phi(0.0), -1.0, params)
-    c1, d0, phi0 = params.c1, -1.0, phi(0.0)
-    alpha = params.alpha0
+    res = backtracking_step(phi, phi(0.0), -1.0)
+    d0, phi0 = -1.0, phi(0.0)
+    alpha = ALPHA0
     while alpha > res.alpha * (1 + 1e-12):
-        assert phi(alpha) > phi0 + c1 * alpha * d0
-        alpha *= params.backtrack_factor
-    assert phi(res.alpha) <= phi0 + c1 * res.alpha * d0
+        assert phi(alpha) > phi0 + C1 * alpha * d0
+        alpha *= BACKTRACK_FACTOR
+    assert phi(res.alpha) <= phi0 + C1 * res.alpha * d0
 
 
 def test_newton_step_on_convex_quadratic_takes_unit_alpha():
@@ -72,16 +80,3 @@ def test_nan_trials_are_skipped():
     res = backtracking_step(phi, 1.0, -1.0)
     assert res.alpha == 0.25
     assert res.trials == 3
-
-
-def test_param_validation():
-    with pytest.raises(ValueError):
-        LineSearchParams(c1=1.0)
-    with pytest.raises(ValueError):
-        LineSearchParams(c1=0.0)
-    with pytest.raises(TypeError):
-        LineSearchParams(c2=0.9)  # no curvature constant: the search is Armijo only
-    with pytest.raises(ValueError):
-        LineSearchParams(backtrack_factor=1.0)
-    with pytest.raises(ValueError):
-        LineSearchParams(alpha0=0.0)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlinesearch import qcalc, qmatrix
-from qlinesearch.errors import NumericError
+from qlinesearch.errors import GradientShapeError, NumericError
 from qlinesearch.qcalc import q_partial
 from qlinesearch.qmatrix import q_hessian, q_hessian_lagrangian
 
@@ -123,6 +123,13 @@ class TestQHessianLagrangian:
         got = q_hessian_lagrangian(grad_f, np.array([2.0, -1.0, 0.5]), 0.5,
                                    jac_h=jac_h, u=np.array([-3.7]))
         np.testing.assert_allclose(got.matrix, np.eye(3), atol=1e-12)
+
+    def test_wrong_shape_jacobian_raises(self):
+        # J_h returned transposed, (n, m) instead of (m, n), for m = 2
+        jac_h = lambda x: np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(GradientShapeError, match="Jacobian"):
+            q_hessian_lagrangian(lambda x: x, np.array([2.0, -1.0, 0.5]), 0.5,
+                                 jac_h=jac_h, u=np.array([1.0, -1.0]))
 
 
 # Coordinates are exactly zero or at least 0.1 away from it, so which rows

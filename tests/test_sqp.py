@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qlinesearch import psdfactor, sqp
-from qlinesearch.errors import DegenerateConstraintError, QPError
+from qlinesearch.errors import QPError
 from qlinesearch.problems import Problem
 from qlinesearch.psdfactor import psd_modify
 from qlinesearch.qcalc import QSchedule
@@ -55,7 +55,7 @@ class TestKktSolve:
         np.testing.assert_allclose(lam, [-2.0], atol=1e-12)
 
     def test_rank_deficient_rows_rejected(self):
-        with pytest.raises(DegenerateConstraintError):
+        with pytest.raises(QPError, match="dependent constraint rows"):
             kkt_solve(np.eye(2), np.zeros(2),
                       np.array([[1.0, 0.0], [2.0, 0.0]]), np.zeros(2))
 
@@ -259,7 +259,7 @@ def brute_force_qp(B, g, A, rhs, A_in, b_in, tol):
             try:
                 d, lam = kkt_solve(B, g, np.vstack([A, A_in[subset]]),
                                    np.concatenate([rhs, b_in[subset]]))
-            except DegenerateConstraintError:
+            except QPError:
                 continue
             if np.all(A_in @ d - b_in <= tol) and np.all(lam[m:] >= -tol):
                 value = float(g @ d + 0.5 * d @ B @ d)
@@ -314,11 +314,11 @@ class TestQpProperties:
         k = data.draw(st.integers(-3, 3))
         rows = np.vstack([A, 2.0 ** k * A[j]])
         rhs2 = np.append(rhs, 2.0 ** k * rhs[j])
-        with pytest.raises(DegenerateConstraintError):
+        with pytest.raises(QPError, match="dependent constraint rows"):
             kkt_solve(B, g, rows, rhs2)
         n = g.shape[0]
         loose = (np.eye(1, n), np.array([1e3]))
-        with pytest.raises(QPError):
+        with pytest.raises(QPError, match="dependent constraint rows"):
             qp_active_set(B, g, eq=(rows, rhs2), ineq=loose)
 
     @_property
@@ -510,6 +510,39 @@ class TestSolveQsqp:
         assert r.iterations == 0 and r.trace == []
         assert np.array_equal(r.x_final, prob.x0)
         assert r.f_final == float(prob.x0 @ prob.x0)
+
+    @staticmethod
+    def two_plane_problem(**callbacks):
+        # min |x|^2 on two planes, with an inactive inequality; the minimizer
+        # is (2/3, 1/3, 1/3)
+        A = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+        fields = dict(objective=lambda x: float(x @ x), gradient=lambda x: 2.0 * x,
+                      x0=np.array([3.0, -2.0, 0.7]),
+                      h=lambda x: A @ x - 1.0, jac_h=lambda x: A, n_eq=2,
+                      g=lambda x: np.array([x[2] - 10.0]),
+                      jac_g=lambda x: np.array([[0.0, 0.0, 1.0]]), n_ineq=1)
+        fields.update(callbacks)
+        return ConstrainedProblem(**fields)
+
+    def test_two_planes_converge(self):
+        r = solve_qsqp(self.two_plane_problem())
+        assert r.status == STATUS_CONVERGED
+        np.testing.assert_allclose(r.x_final, [2 / 3, 1 / 3, 1 / 3], atol=1e-6)
+
+    @pytest.mark.parametrize("callbacks", [
+        dict(jac_h=lambda x: np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])),
+        dict(jac_h=lambda x: np.array([[1.0, 1.0, 0.0], [1.0, 0.0, np.nan]])),
+        dict(h=lambda x: np.array([x[0] + x[1] - 1.0])),
+        dict(jac_g=lambda x: np.array([[0.0, 0.0, np.nan]])),
+    ], ids=["jac_h-transposed", "jac_h-nan", "h-one-value", "jac_g-nan"])
+    def test_bad_constraint_callback_is_numeric_failure(self, callbacks):
+        # a constraint value or Jacobian of the wrong shape, or a non-finite
+        # Jacobian, ends the run with a status at the start, not with a
+        # traceback, a QP failure or a wrong answer
+        prob = self.two_plane_problem(**callbacks)
+        r = solve_qsqp(prob)
+        assert r.status == STATUS_NUMERIC_FAILURE
+        assert r.iterations == 0 and np.array_equal(r.x_final, prob.x0)
 
     def test_zero_iterations_from_optimal_triple(self):
         r = solve_qsqp(circle_problem(x0=(-1.0, -1.0), u0=0.5))

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from qlinesearch.linesearch import MAX_HALVINGS
 from qlinesearch.problems import Problem, get_problem, make_fc
 from qlinesearch.qcalc import QSchedule
 from qlinesearch.usolve import (STATUS_CONVERGED, STATUS_DIVERGED,
@@ -247,8 +248,7 @@ class TestEvaluationAccounting:
         r = solve_bfgs(prob, np.array([1.0]))
         assert r.status == STATUS_LINE_SEARCH_FAILURE
         assert r.f_final == 1.0
-        halvings = SolverConfig().line_search.max_halvings
-        assert len(calls) == 1 + halvings + 1  # f(x0), then every trial
+        assert len(calls) == 1 + MAX_HALVINGS + 1  # f(x0), then every trial
 
 
 class TestDivergenceGuard:
