@@ -21,8 +21,8 @@ from .errors import (DescentDirectionError, GradientShapeError, LineSearchError,
                      NumericError, QPError)
 from .linesearch import StepResult, backtracking_step
 from .problems import Problem, StartBox, check_gradient, get_problem, make_fc, standard_suite
-from .psdfactor import (FactorizationBundle, PsdModification, block_spectral,
-                        default_delta, ldl_factor, psd_modify)
+from .psdfactor import (FactorizationBundle, PsdModification, default_delta,
+                        ldl_factor, psd_modify)
 from .qcalc import QSchedule, next_q, q_derivative_1d, q_partial, q_shift
 from .qmatrix import QHessian, q_hessian, q_hessian_lagrangian
 from .sqp import (ConstrainedProblem, QpSolution, SqpTraceRecord, kkt_solve,
@@ -39,8 +39,8 @@ __all__ = [
     "StepResult", "backtracking_step",
     "Problem", "StartBox", "check_gradient", "get_problem", "make_fc",
     "standard_suite",
-    "FactorizationBundle", "PsdModification", "block_spectral", "default_delta",
-    "ldl_factor", "psd_modify",
+    "FactorizationBundle", "PsdModification", "default_delta", "ldl_factor",
+    "psd_modify",
     "QSchedule", "next_q", "q_derivative_1d", "q_partial", "q_shift",
     "QHessian", "q_hessian", "q_hessian_lagrangian",
     "ConstrainedProblem", "QpSolution", "SqpTraceRecord", "kkt_solve",

@@ -266,8 +266,6 @@ def performance_profile(table, metric="iterations", runs_required=None):
 
 RUNS_HEADER = "problem,solver,run_index,seed,success,iterations,elapsed_seconds,start_point"
 PROFILE_HEADER = "solver,tau,fraction"
-FC_HEADER = ("c,iter_bfgs,iter_q1,iter_q2,iter_q3,"
-             "time_bfgs,time_q1,time_q2,time_q3")
 
 
 def _fmt(x):
@@ -310,11 +308,12 @@ def _to_csv(obj):
                 lines.append(f"{c.solver},{_fmt(tau)},{_fmt(frac)}")
         return "\n".join(lines) + "\n"
     if isinstance(obj, list) and all(isinstance(r, FcSummaryRow) for r in obj):
-        lines = [FC_HEADER]
+        # the columns are the summary's own solvers: c, iter_<s>..., time_<s>...
+        solvers = list(obj[0].iterations)
+        lines = [",".join(["c"] + [f"iter_{s}" for s in solvers] + [f"time_{s}" for s in solvers])]
         for r in obj:
-            iters = ",".join(_fmt(r.iterations.get(s, float("nan"))) for s in SOLVERS)
-            times = ",".join(_fmt(r.times.get(s, float("nan"))) for s in SOLVERS)
-            lines.append(f"{_fmt(r.c)},{iters},{times}")
+            lines.append(",".join([_fmt(r.c)] + [_fmt(r.iterations[s]) for s in solvers]
+                                  + [_fmt(r.times[s]) for s in solvers]))
         return "\n".join(lines) + "\n"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 

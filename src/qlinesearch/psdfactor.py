@@ -3,10 +3,13 @@
 ``ldl_factor`` computes P A P^T = L B L^T with Bunch-Kaufman partial pivoting
 (pivot constant alpha = (1 + sqrt(17))/8): L is unit lower triangular, B is
 block diagonal with 1x1 and 2x2 blocks, and the inertia of B equals the
-inertia of A.  ``psd_modify`` shifts every block eigenvalue below delta up to
-delta, giving a positive definite A + E = P^T L (B + F) L^T P whose smallest
-eigenvalue is approximately delta; when no eigenvalue is below delta the
-input is returned untouched (E is exactly zero).
+inertia of A.  The same pass takes each block's eigenpairs, B = Q diag(lam)
+Q^T.  ``psd_modify`` shifts every block eigenvalue below delta up to delta
+(Cheng & Higham 1998), giving A + E = P^T L Q diag(lam + tau) Q^T L^T P.
+A + E is positive definite and its block eigenvalues are >= delta, up to
+the rounding of lam + tau.  Its smallest eigenvalue is not bounded by delta,
+because L is not orthogonal: it can fall far below delta.  When no block
+eigenvalue is below delta, nothing is shifted and E is exactly zero.
 
 Everything here is dense and sized for small n (the solvers use n <= ~20);
 clarity over blocking.
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,13 +28,14 @@ _EPS = float(np.finfo(float).eps)
 
 
 def default_delta(A):
-    """Eigenvalue floor used when none is supplied: sqrt(eps) * max(1, ||A||_inf)."""
+    """Eigenvalue floor used when none is supplied: sqrt(eps) * max(1, max |a_ij|)."""
     A = np.asarray(A, dtype=float)
     scale = float(np.max(np.abs(A))) if A.size else 0.0
     return math.sqrt(_EPS) * max(1.0, scale)
 
 
 def _check_symmetric(A):
+    # the symmetrized A and max |a_ij|
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
@@ -41,7 +45,7 @@ def _check_symmetric(A):
     asym = float(np.max(np.abs(A - A.T))) if A.size else 0.0
     if asym > 1e-10 * max(scale, 1e-300):
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-    return 0.5 * (A + A.T)
+    return 0.5 * (A + A.T), scale
 
 
 def _swap(W, perm, r1, r2):
@@ -66,9 +70,9 @@ class FactorizationBundle:
     matrix: np.ndarray
     permutation: np.ndarray
     lower_unit_triangular: np.ndarray
-    blocks: list = field(default_factory=list)
-    block_eigenvectors: np.ndarray = None
-    block_eigenvalues: np.ndarray = None
+    blocks: list
+    block_eigenvectors: np.ndarray
+    block_eigenvalues: np.ndarray
 
     def block_diagonal(self):
         """B assembled as a dense matrix."""
@@ -123,14 +127,31 @@ def _factored_solve(bundle, eigenvalues, rhs):
     return x
 
 
+def _reassemble(bundle, eigenvalues):
+    # P^T L Q diag(eigenvalues) Q^T L^T P, unpermuted as (P^T M P)[perm, perm] = M
+    Q = bundle.block_eigenvectors
+    L = bundle.lower_unit_triangular
+    perm = bundle.permutation
+    out = np.empty((perm.shape[0], perm.shape[0]))
+    out[np.ix_(perm, perm)] = L @ (Q @ np.diag(eigenvalues) @ Q.T) @ L.T
+    return out
+
+
 def ldl_factor(A):
     """Bunch-Kaufman factorization P A P^T = L B L^T of a symmetric matrix.
 
-    The input is symmetrized first; asymmetry beyond 1e-10 * ||A||_inf is an
-    error, as are non-finite entries.
+    The input is symmetrized first; asymmetry beyond 1e-10 * max |a_ij| is an
+    error, as are non-finite entries.  Each block's eigenpairs are taken in
+    the loop that fills L: 1x1 blocks pass through, and 2x2 blocks use the
+    closed-form symmetric eigensolver with eigenvalues in descending order.
     """
-    A_sym = _check_symmetric(A)
-    W = A_sym.copy()
+    A_sym, size = _check_symmetric(A)
+    # Far from unit scale, factor A / 2^e with max |a_ij| near 1: the power
+    # of two is exact, and no 2x2 determinant or eigenvector norm under- or
+    # overflows.  B and its eigenvalues are scaled back.
+    e = math.frexp(size)[1]
+    scale = math.ldexp(1.0, e) if abs(e) > 256 else 1.0
+    W = A_sym / scale
     n = W.shape[0]
     perm = np.arange(n)
     pivots = []
@@ -195,16 +216,34 @@ def ldl_factor(A):
             k += 2
 
     L = np.eye(n)
+    Q = np.zeros((n, n))
+    lam = np.zeros(n)
     blocks = []
     for (j, s) in pivots:
         if j + s < n:
             L[j + s:, j:j + s] = W[j + s:, j:j + s]
         if s == 1:
-            blocks.append(np.array([[W[j, j]]]))
-        else:
-            blocks.append(np.array([[W[j, j], W[j + 1, j]],
-                                    [W[j + 1, j], W[j + 1, j + 1]]]))
-    Q, lam = block_spectral(blocks)
+            lam[j] = W[j, j] * scale
+            blocks.append(np.array([[lam[j]]]))
+            Q[j, j] = 1.0
+            continue
+        # B = Q diag(lam) Q^T blockwise: the closed-form symmetric 2x2
+        # eigensolver, eigenvalues descending.  The pivot search put the
+        # nonzero colmax entry at b, so b != 0.
+        a, b, c = W[j, j], W[j + 1, j], W[j + 1, j + 1]
+        blocks.append(np.array([[a, b], [b, c]]) * scale)
+        half = 0.5 * (a + c)
+        disc = math.hypot(0.5 * (a - c), b)
+        l1 = half + disc
+        v = np.array([b, l1 - a])
+        alt = np.array([l1 - c, b])
+        if alt @ alt > v @ v:
+            v = alt
+        v /= math.sqrt(v @ v)
+        Q[j:j + 2, j] = v
+        Q[j:j + 2, j + 1] = (-v[1], v[0])
+        lam[j] = l1 * scale
+        lam[j + 1] = (half - disc) * scale
     return FactorizationBundle(matrix=A_sym,
                                permutation=perm,
                                lower_unit_triangular=L,
@@ -213,113 +252,52 @@ def ldl_factor(A):
                                block_eigenvalues=lam)
 
 
-def block_spectral(blocks):
-    """Spectral decomposition B = Q diag(lam) Q^T of a 1x1/2x2 block diagonal.
-
-    2x2 blocks use the closed-form symmetric eigensolver with eigenvalues in
-    descending order; 1x1 blocks pass through.  Blocks larger than 2x2 are a
-    contract violation.
-    """
-    n = sum(b.shape[0] for b in blocks)
-    Q = np.zeros((n, n))
-    lam = np.zeros(n)
-    j = 0
-    for blk in blocks:
-        s = blk.shape[0]
-        if s == 1:
-            Q[j, j] = 1.0
-            lam[j] = blk[0, 0]
-        elif s == 2:
-            a = blk[0, 0]
-            b = blk[0, 1]
-            c = blk[1, 1]
-            if b == 0.0:
-                Q[j, j] = 1.0
-                Q[j + 1, j + 1] = 1.0
-                lam[j] = a
-                lam[j + 1] = c
-            else:
-                half = 0.5 * (a + c)
-                disc = math.hypot(0.5 * (a - c), b)
-                l1 = half + disc
-                l2 = half - disc
-                v = np.array([b, l1 - a])
-                alt = np.array([l1 - c, b])
-                if alt @ alt > v @ v:
-                    v = alt
-                v /= math.sqrt(v @ v)
-                Q[j:j + 2, j] = v
-                Q[j:j + 2, j + 1] = (-v[1], v[0])
-                lam[j] = l1
-                lam[j + 1] = l2
-        else:
-            raise ValueError(f"block of size {s} exceeds the 2x2 contract")
-        j += s
-    return Q, lam
-
-
-def _shifts(lam, delta):
-    """tau: how far each block eigenvalue is lifted to reach delta."""
-    return np.where(lam < delta, delta - lam, 0.0)
-
-
-def _unpermute(M, perm):
-    out = np.empty_like(M)
-    out[np.ix_(perm, perm)] = M
-    return out
-
-
 @dataclass
 class PsdModification:
-    """Positive definite A + E together with the pieces needed to solve with it.
+    """Positive definite A + E held as A's factorization and the block shifts.
 
-    ``modification_frobenius`` is ||E||_F, built on first read, and is
-    exactly zero iff every block eigenvalue was already >= delta.
+    ``shifts`` holds tau = max(delta - lam, 0) for each block eigenvalue lam,
+    so A + E = P^T L Q diag(lam + tau) Q^T L^T P and E = P^T L Q diag(tau)
+    Q^T L^T P.  ``modified_matrix`` and ``modification_frobenius`` are
+    assembled on first read; with no shift they are the symmetrized input
+    itself and exactly 0.
     """
 
-    modified_matrix: np.ndarray
-    delta: float
     bundle: FactorizationBundle
-    shifted_eigenvalues: np.ndarray
+    delta: float
+    shifts: np.ndarray
 
     def solve(self, rhs):
         """Solve (A + E) x = rhs, a vector or a matrix, on the held factors (no inverse)."""
-        return _factored_solve(self.bundle, self.shifted_eigenvalues, rhs)
+        return _factored_solve(self.bundle, self.bundle.block_eigenvalues + self.shifts, rhs)
+
+    @functools.cached_property
+    def modified_matrix(self):
+        if not np.any(self.shifts > 0.0):
+            return self.bundle.matrix
+        M = _reassemble(self.bundle, self.bundle.block_eigenvalues + self.shifts)
+        return 0.5 * (M + M.T)
 
     @functools.cached_property
     def modification_frobenius(self):
-        # E = P^T L F L^T P with F = Q diag(tau) Q^T, tau the block shifts
-        tau = _shifts(self.bundle.block_eigenvalues, self.delta)
-        if not np.any(tau > 0.0):
+        if not np.any(self.shifts > 0.0):
             return 0.0
-        Q = self.bundle.block_eigenvectors
-        L = self.bundle.lower_unit_triangular
-        E = _unpermute(L @ (Q @ np.diag(tau) @ Q.T) @ L.T, self.bundle.permutation)
-        return float(np.linalg.norm(E, "fro"))
+        return float(np.linalg.norm(_reassemble(self.bundle, self.shifts), "fro"))
 
 
 def psd_modify(A, delta=None):
     """Shift the block eigenvalues of A's indefinite factorization up to delta.
 
-    Returns the modified matrix and factorization data.  When every block
-    eigenvalue is already >= delta, the (symmetrized) input comes back bitwise
-    unchanged with a zero modification.
+    Returns the factorization with the shifts; when every block eigenvalue
+    is already >= delta, nothing is shifted and the modified matrix is the
+    (symmetrized) input, bitwise.
     """
     bundle = ldl_factor(A)
-    A_sym = bundle.matrix
     if delta is None:
-        delta = default_delta(A_sym)
+        delta = default_delta(bundle.matrix)
     delta = float(delta)
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta!r}")
     lam = bundle.block_eigenvalues
-    tau = _shifts(lam, delta)
-    shifted = lam + tau
-    modified = A_sym
-    if np.any(tau > 0.0):
-        Q = bundle.block_eigenvectors
-        L = bundle.lower_unit_triangular
-        modified = _unpermute(L @ (Q @ np.diag(shifted) @ Q.T) @ L.T, bundle.permutation)
-        modified = 0.5 * (modified + modified.T)
-    return PsdModification(modified_matrix=modified, delta=delta, bundle=bundle,
-                           shifted_eigenvalues=shifted)
+    return PsdModification(bundle=bundle, delta=delta,
+                           shifts=np.where(lam < delta, delta - lam, 0.0))

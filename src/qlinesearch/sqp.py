@@ -83,11 +83,6 @@ class SqpTraceRecord:
     merit_penalty: float
 
 
-def _factored(B):
-    # anything with .solve is a factorization already; a matrix is factored
-    return B if hasattr(B, "solve") else ldl_factor(B)
-
-
 def _rows(A, n):
     A = np.asarray(A, dtype=float)
     return A.reshape(0, n) if A.size == 0 else np.atleast_2d(A)
@@ -99,11 +94,11 @@ def kkt_solve(B, grad, A_eq, rhs):
     Returns (d, lam) with B d + grad + A_eq^T lam = 0 and A_eq d = rhs, by the
     range-space method (Nocedal & Wright 2006, 16.2): with d0 = B^-1 (-grad)
     and Y = B^-1 A_eq^T, lam solves (A_eq Y) lam = A_eq d0 - rhs and
-    d = d0 - Y lam.  B is a factorization (anything with ``.solve``) or a
-    nonsingular symmetric matrix, factored here.  Dependent rows give a
-    vanishing pivot of A_eq Y and raise ``QPError``.
+    d = d0 - Y lam.  B is a factorization of a nonsingular symmetric
+    matrix: anything with ``.solve``, such as ``ldl_factor``'s or
+    ``psd_modify``'s result.  Dependent rows give a vanishing pivot of
+    A_eq Y and raise ``QPError``.
     """
-    B = _factored(B)
     grad = np.asarray(grad, dtype=float)
     A_eq = _rows(A_eq, grad.shape[0])
     d0 = B.solve(-grad)
@@ -141,9 +136,9 @@ def _violation(h_vals, g_vals):
 def qp_active_set(B, grad, eq=None, ineq=None):
     """Minimize g.d + d.B.d/2 subject to A_eq d = b_eq and A_in d <= b_in.
 
-    B must be positive definite, so the minimizer is unique; it is a
-    factorization (anything with ``.solve``, such as ``psd_modify``'s result)
-    or a matrix, which is factored once here.
+    B must be positive definite, so the minimizer is unique.  It is given
+    as a factorization: anything with ``.solve``, such as ``psd_modify``'s
+    result.
 
     The dual active-set method of Goldfarb & Idnani (1983; Nocedal & Wright
     2006, 16.8) starts at the equality-constrained minimizer, so it needs no
@@ -156,7 +151,6 @@ def qp_active_set(B, grad, eq=None, ineq=None):
     Infeasible constraints (neither step bounded) and dependent equality
     rows raise ``QPError``.
     """
-    B = _factored(B)
     grad = np.asarray(grad, dtype=float)
     n = grad.shape[0]
     A_eq, b_eq = eq if eq is not None else ((), ())

@@ -341,11 +341,11 @@ def test_criterion_09_sqp():
         parity.append(f"{name} {ra.iterations}")
 
     # active-set hand examples
-    s1 = qp_active_set(np.eye(2), np.array([1.0, 0.0]),
+    s1 = qp_active_set(q.ldl_factor(np.eye(2)), np.array([1.0, 0.0]),
                        ineq=(np.array([[-1.0, 0.0]]), np.array([0.0])))
     np.testing.assert_allclose(s1.d_x, [0.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(s1.d_v, [1.0], atol=1e-12)
-    s2 = qp_active_set(np.eye(2), np.array([-1.0, 0.0]),
+    s2 = qp_active_set(q.ldl_factor(np.eye(2)), np.array([-1.0, 0.0]),
                        ineq=(np.array([[-1.0, 0.0]]), np.array([0.0])))
     np.testing.assert_allclose(s2.d_x, [1.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(s2.d_v, [0.0], atol=1e-12)

@@ -69,6 +69,20 @@ def test_bench_fc_writes_summary(tmp_path, capsys):
     assert len(table.rows) == 200  # 10 c x 2 solvers x 10 starts
 
 
+def test_bench_fc_csv_carries_the_printed_means(tmp_path, capsys):
+    # the summary CSV's columns are the sweep's own solvers, so q4 is written
+    out = tmp_path / "fc.csv"
+    code = main(["bench", "fc", "--gammas", "4", "--out", str(out)])
+    assert code == 0
+    printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("c=")]
+    lines = out.read_text().strip().split("\n")
+    assert lines[0] == "c,iter_bfgs,iter_q4,time_bfgs,time_q4"
+    assert len(printed) == len(lines) - 1 == 10
+    for shown, line in zip(printed, lines[1:]):
+        c, bfgs, q4 = (float(v) for v in line.split(",")[:3])
+        assert shown == f"c={c:g}: bfgs={bfgs:.2f} q4={q4:.2f}"
+
+
 def test_bench_suite_and_profile(tmp_path, capsys):
     runs = tmp_path / "runs.csv"
     prof = tmp_path / "profile.csv"

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qlinesearch import psdfactor
-from qlinesearch.psdfactor import (block_spectral, default_delta, ldl_factor,
-                                   psd_modify)
+from qlinesearch.psdfactor import default_delta, ldl_factor, psd_modify
 
 
 def reconstruct(bundle):
@@ -52,6 +53,19 @@ class TestLdlFactor:
         with pytest.raises(np.linalg.LinAlgError):
             b.solve(np.ones(3))  # t**2 is below every scale: singular
 
+    def test_rank_one_far_below_unit_scale(self):
+        # entries near 1e-157: unscaled, the 2x2 pivot's determinant and the
+        # eigenvector norm underflow to 0, giving NaN factors and an index
+        # past the matrix
+        x = np.array([1.0, 9.0, 12171.1, 0.0]) * 1e-81
+        A = -np.outer(x, x)
+        b = ldl_factor(A)
+        assert all(np.all(np.isfinite(blk)) for blk in b.blocks)
+        assert np.all(np.isfinite(b.block_eigenvectors))
+        P, rec = reconstruct(b)
+        assert np.max(np.abs(P @ A @ P.T - rec)) <= 1e-12 * np.max(np.abs(A))
+        np.linalg.cholesky(psd_modify(A).modified_matrix)
+
     def test_reconstruction_and_inertia_random(self):
         rng = np.random.default_rng(29)
         for _ in range(300):
@@ -86,55 +100,52 @@ class TestLdlFactor:
 
 
 class TestBlockSpectral:
+    """B = Q diag(lam) Q^T, as ``ldl_factor`` takes it block by block."""
+
     def test_diagonal_blocks(self):
-        Q, lam = block_spectral([np.array([[3.0]]), np.array([[5.0]])])
-        np.testing.assert_array_equal(Q, np.eye(2))
-        assert lam.tolist() == [3.0, 5.0]
+        b = ldl_factor(np.diag([3.0, 5.0]))
+        assert [blk.shape for blk in b.blocks] == [(1, 1), (1, 1)]
+        np.testing.assert_array_equal(b.block_eigenvectors, np.eye(2))
+        assert b.block_eigenvalues.tolist() == [3.0, 5.0]
 
     def test_antidiagonal_block(self):
-        Q, lam = block_spectral([np.array([[0.0, 1.0], [1.0, 0.0]])])
+        B = np.array([[0.0, 1.0], [1.0, 0.0]])
+        b = ldl_factor(B)
+        Q, lam = b.block_eigenvectors, b.block_eigenvalues
         assert lam.tolist() == [1.0, -1.0]
         s = 1.0 / np.sqrt(2.0)
         # eigenvector signs are free; compare columns up to sign
         assert np.allclose(np.abs(Q[:, 0]), [s, s])
         assert np.allclose(np.abs(Q[:, 1]), [s, s])
-        B = np.array([[0.0, 1.0], [1.0, 0.0]])
         np.testing.assert_allclose(Q @ np.diag(lam) @ Q.T, B, atol=1e-14)
 
     def test_mixed_blocks(self):
-        Q, lam = block_spectral([np.array([[-2.0]]),
-                                 np.array([[2.0, 0.0], [0.0, 2.0]])])
-        assert lam.tolist() == [-2.0, 2.0, 2.0]
-        np.testing.assert_array_equal(Q, np.eye(3))
+        # a 1x1 pivot -2, then the antidiagonal 2x2 block
+        A = np.array([[-2.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        b = ldl_factor(A)
+        assert [blk.shape for blk in b.blocks] == [(1, 1), (2, 2)]
+        Q, lam = b.block_eigenvectors, b.block_eigenvalues
+        assert lam.tolist() == [-2.0, 1.0, -1.0]
+        np.testing.assert_array_equal(Q[0], [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(Q[:, 0], [1.0, 0.0, 0.0])
+        np.testing.assert_allclose(Q @ np.diag(lam) @ Q.T, b.block_diagonal(), atol=1e-14)
 
     def test_orthogonality_random(self):
         rng = np.random.default_rng(37)
+        twos = 0
         for _ in range(100):
-            blocks = []
-            budget = int(rng.integers(1, 8))
-            while budget > 0:
-                if budget >= 2 and rng.random() < 0.5:
-                    M = rng.uniform(-2, 2, (2, 2))
-                    blocks.append(0.5 * (M + M.T))
-                    budget -= 2
-                else:
-                    blocks.append(rng.uniform(-2, 2, (1, 1)))
-                    budget -= 1
-            Q, lam = block_spectral(blocks)
-            n = Q.shape[0]
+            n = int(rng.integers(1, 8))
+            A = 2.0 * random_symmetric(rng, n)
+            if rng.random() < 0.5:
+                np.fill_diagonal(A, 0.0)  # forces 2x2 pivots
+            b = ldl_factor(A)
+            Q, lam = b.block_eigenvectors, b.block_eigenvalues
             np.testing.assert_allclose(Q.T @ Q, np.eye(n), atol=1e-12)
-            dense = np.zeros((n, n))
-            j = 0
-            for blk in blocks:
-                s = blk.shape[0]
-                dense[j:j + s, j:j + s] = blk
-                j += s
+            dense = b.block_diagonal()
             np.testing.assert_allclose(Q @ np.diag(lam) @ Q.T, dense,
                                        atol=1e-12 * max(1.0, np.max(np.abs(dense))))
-
-    def test_oversized_block_rejected(self):
-        with pytest.raises(ValueError):
-            block_spectral([np.eye(3)])
+            twos += sum(blk.shape[0] == 2 for blk in b.blocks)
+        assert twos > 50
 
 
 class TestPsdModify:
@@ -222,3 +233,93 @@ class TestPsdModify:
         mod = psd_modify(A)
         assert len(calls) == 1
         assert np.array_equal(mod.bundle.matrix, 0.5 * (A + A.T))
+
+
+_KINDS = ("dense", "rank_deficient", "zero_columns", "zero_diagonal", "positive_definite")
+
+
+@st.composite
+def symmetric_matrices(draw, kinds=_KINDS):
+    """A symmetric matrix of one of ``kinds``, scaled by 1e-150, 1 or 1e150.
+
+    Entries lie on a grid of 1e-6, so none is subnormal after scaling.  A
+    zero diagonal forces a 2x2 pivot first; "rank_deficient" is X D X^T
+    with X of fewer columns than rows and D = diag(+-1).
+    """
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(kinds))
+    scale = draw(st.sampled_from([1e-150, 1.0, 1e150]))
+    entries = draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=n * n, max_size=n * n))
+    M = np.reshape(np.array(entries, dtype=float) * 1e-6, (n, n))
+    if kind == "rank_deficient":
+        r = draw(st.integers(0, n - 1))
+        signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=r, max_size=r))
+        A = (M[:, :r] * np.array(signs)) @ M[:, :r].T
+    elif kind == "positive_definite":
+        A = M @ M.T + 0.5 * np.eye(n)
+    else:
+        A = M + M.T
+    if kind == "zero_columns":
+        zero = list(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        A[zero, :] = 0.0
+        A[:, zero] = 0.0
+    if kind == "zero_diagonal":
+        np.fill_diagonal(A, 0.0)
+    return 0.5 * (A + A.T) * scale
+
+
+def _size(A):
+    return float(np.max(np.abs(A), initial=0.0))
+
+
+class TestFactorProperties:
+    @given(symmetric_matrices())
+    def test_factors_reassemble_the_matrix(self, A):
+        b = ldl_factor(A)
+        P, rec = reconstruct(b)
+        assert np.max(np.abs(P @ A @ P.T - rec), initial=0.0) <= 1e-12 * _size(A)
+        Q, lam = b.block_eigenvectors, b.block_eigenvalues
+        n = A.shape[0]
+        assert np.max(np.abs(Q.T @ Q - np.eye(n)), initial=0.0) <= 1e-14
+        B = b.block_diagonal()
+        assert np.max(np.abs(Q @ np.diag(lam) @ Q.T - B), initial=0.0) <= 1e-14 * _size(B)
+
+    @given(symmetric_matrices(kinds=("zero_diagonal",)))
+    def test_zero_diagonal_forces_a_2x2_pivot(self, A):
+        # a nonzero first column below a zero diagonal entry fails both 1x1 tests
+        if np.any(A[:, 0]):
+            assert ldl_factor(A).blocks[0].shape == (2, 2)
+
+    @given(symmetric_matrices())
+    def test_inertia_where_the_spectrum_is_clear_of_zero(self, A):
+        ew = np.linalg.eigvalsh(A)
+        if A.size == 0 or np.min(np.abs(ew)) <= 1e-8 * A.shape[0] * _size(A):
+            return
+        lam = ldl_factor(A).block_eigenvalues
+        assert np.sum(ew > 0) == np.sum(lam > 0)
+        assert np.sum(ew < 0) == np.sum(lam < 0)
+        assert not np.any(lam == 0.0)
+
+    @given(symmetric_matrices())
+    def test_modification_is_positive_definite(self, A):
+        mod = psd_modify(A)
+        np.linalg.cholesky(mod.modified_matrix)
+        lam = mod.bundle.block_eigenvalues
+        shifted = lam + mod.shifts
+        assert np.array_equal(mod.shifts > 0.0, lam < mod.delta)
+        # lam + tau is delta up to its own rounding; the smallest eigenvalue
+        # of A + E is not bounded by delta, because L is not orthogonal
+        eps = np.finfo(float).eps
+        assert np.all(shifted >= mod.delta - eps * (mod.delta + np.abs(lam)))
+        dense = float(np.linalg.norm(mod.modified_matrix - A, "fro"))
+        assert mod.modification_frobenius == pytest.approx(
+            dense, rel=1e-8, abs=1e-10 * max(_size(A), mod.delta))
+
+    @given(symmetric_matrices(kinds=("positive_definite",)).filter(lambda A: _size(A) >= 1.0))
+    def test_unshifted_input_comes_back_bitwise(self, A):
+        # only a positive definite input can go unshifted; here every block
+        # eigenvalue is >= lambda_min(A) >= 0.5 * scale > delta
+        mod = psd_modify(A)
+        assert not np.any(mod.shifts > 0.0)
+        assert np.array_equal(mod.modified_matrix, A)
+        assert mod.modification_frobenius == 0.0

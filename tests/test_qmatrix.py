@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from qlinesearch import qcalc, qmatrix
@@ -133,20 +133,18 @@ class TestQHessianLagrangian:
 
 
 # Coordinates are exactly zero or at least 0.1 away from it, so which rows
-# fall back is known; derandomized, so every run draws the same examples.
+# fall back is known.
 _coordinate = st.one_of(st.just(0.0), st.floats(0.1, 5.0), st.floats(-5.0, -0.1))
 _quadratic_case = st.integers(1, 6).flatmap(lambda n: st.tuples(
     st.lists(st.floats(-3.0, 3.0), min_size=n * n, max_size=n * n),
     st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n),
     st.lists(_coordinate, min_size=n, max_size=n),
     st.floats(0.05, 0.95)))
-_property = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
 class TestOneRuleProperties:
     """The q-Hessian is the q-difference kernel applied row by row."""
 
-    @_property
     @given(_quadratic_case)
     def test_quadratic_exact_with_zero_coordinates(self, case):
         entries, b, x, q = case
@@ -158,7 +156,6 @@ class TestOneRuleProperties:
         assert np.max(np.abs(got.matrix - Q)) <= 1e-6
         assert got.fallback_count == n * int(np.sum(x == 0.0))
 
-    @_property
     @given(_quadratic_case)
     def test_matrix_is_symmetrized_q_partials(self, case):
         entries, b, x, q = case

@@ -3,13 +3,13 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from qlinesearch import psdfactor, sqp
 from qlinesearch.errors import QPError
 from qlinesearch.problems import Problem
-from qlinesearch.psdfactor import psd_modify
+from qlinesearch.psdfactor import ldl_factor, psd_modify
 from qlinesearch.qcalc import QSchedule
 from qlinesearch.sqp import (ConstrainedProblem, kkt_solve, merit_l1,
                              qp_active_set, solve_qsqp)
@@ -37,26 +37,26 @@ def kkt_residual(B, grad, A_eq, rhs, d, lam):
 
 class TestKktSolve:
     def test_hand_example_antisymmetric_constraint(self):
-        d, lam = kkt_solve(np.eye(2), np.array([1.0, 1.0]),
+        d, lam = kkt_solve(ldl_factor(np.eye(2)), np.array([1.0, 1.0]),
                            np.array([[1.0, -1.0]]), np.array([0.0]))
         np.testing.assert_allclose(d, [-1.0, -1.0], atol=1e-12)
         np.testing.assert_allclose(lam, [0.0], atol=1e-12)
 
     def test_stationary_feasible_input(self):
-        d, lam = kkt_solve(np.eye(3), np.zeros(3),
+        d, lam = kkt_solve(ldl_factor(np.eye(3)), np.zeros(3),
                            np.array([[1.0, 0.0, 0.0]]), np.array([0.0]))
         np.testing.assert_allclose(d, np.zeros(3), atol=1e-14)
         np.testing.assert_allclose(lam, [0.0], atol=1e-14)
 
     def test_pinned_coordinate(self):
-        d, lam = kkt_solve(2.0 * np.eye(2), np.array([2.0, 0.0]),
+        d, lam = kkt_solve(ldl_factor(2.0 * np.eye(2)), np.array([2.0, 0.0]),
                            np.array([[1.0, 0.0]]), np.array([0.0]))
         np.testing.assert_allclose(d, [0.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(lam, [-2.0], atol=1e-12)
 
     def test_rank_deficient_rows_rejected(self):
         with pytest.raises(QPError, match="dependent constraint rows"):
-            kkt_solve(np.eye(2), np.zeros(2),
+            kkt_solve(ldl_factor(np.eye(2)), np.zeros(2),
                       np.array([[1.0, 0.0], [2.0, 0.0]]), np.zeros(2))
 
     def test_random_residuals(self):
@@ -71,7 +71,7 @@ class TestKktSolve:
                 continue
             g = rng.uniform(-1, 1, n)
             rhs = rng.uniform(-1, 1, m)
-            d, lam = kkt_solve(B, g, A, rhs)
+            d, lam = kkt_solve(ldl_factor(B), g, A, rhs)
             data = 1.0 + max(np.max(np.abs(g)), np.max(np.abs(rhs), initial=0.0))
             assert kkt_residual(B, g, A, rhs, d, lam) < 1e-8 * data
 
@@ -93,7 +93,7 @@ class TestMeritL1:
 
 class TestQpActiveSet:
     def test_no_inequalities_matches_kkt_solve(self):
-        B = 2.0 * np.eye(2)
+        B = ldl_factor(2.0 * np.eye(2))
         g = np.array([2.0, 0.0])
         A = np.array([[1.0, 0.0]])
         rhs = np.array([0.0])
@@ -104,14 +104,14 @@ class TestQpActiveSet:
         assert sol.active_set == ()
 
     def test_active_bound(self):
-        sol = qp_active_set(np.eye(2), np.array([1.0, 0.0]),
+        sol = qp_active_set(ldl_factor(np.eye(2)), np.array([1.0, 0.0]),
                             ineq=(np.array([[-1.0, 0.0]]), np.array([0.0])))
         np.testing.assert_allclose(sol.d_x, [0.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(sol.d_v, [1.0], atol=1e-12)
         assert sol.active_set == (0,)
 
     def test_inactive_bound(self):
-        sol = qp_active_set(np.eye(2), np.array([-1.0, 0.0]),
+        sol = qp_active_set(ldl_factor(np.eye(2)), np.array([-1.0, 0.0]),
                             ineq=(np.array([[-1.0, 0.0]]), np.array([0.0])))
         np.testing.assert_allclose(sol.d_x, [1.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(sol.d_v, [0.0], atol=1e-12)
@@ -128,7 +128,7 @@ class TestQpActiveSet:
             g = rng.uniform(-2, 2, n)
             A_in = rng.uniform(-1, 1, (p, n))
             b_in = rng.uniform(0.1, 1.5, p)  # d = 0 strictly feasible
-            sol = qp_active_set(B, g, ineq=(A_in, b_in))
+            sol = qp_active_set(ldl_factor(B), g, ineq=(A_in, b_in))
             data = 1.0 + max(np.max(np.abs(g)), np.max(np.abs(b_in)))
             stat = B @ sol.d_x + g + A_in.T @ sol.d_v
             assert np.max(np.abs(stat)) < 1e-8 * data
@@ -141,12 +141,12 @@ class TestQpActiveSet:
 
     def test_infeasible_detected(self):
         with pytest.raises(QPError):
-            qp_active_set(np.eye(1), np.zeros(1),
+            qp_active_set(ldl_factor(np.eye(1)), np.zeros(1),
                           ineq=(np.array([[1.0], [-1.0]]), np.array([-2.0, -2.0])))
 
     def test_phase_one_start(self):
         # d = 0 violates the first constraint; a feasible point must be found
-        sol = qp_active_set(np.eye(2), np.array([0.0, 1.0]),
+        sol = qp_active_set(ldl_factor(np.eye(2)), np.array([0.0, 1.0]),
                             ineq=(np.array([[-1.0, 0.0], [1.0, 1.0]]),
                                   np.array([-1.0, 4.0])))
         assert sol.d_x[0] >= 1.0 - 1e-8
@@ -157,7 +157,7 @@ class TestQpActiveSet:
         # a.d <= b and -a.d <= -b leave d = b/a; once both rows are in one
         # working set they are dependent, which must not end the solve
         a, b = -0.444, 1.703
-        sol = qp_active_set(np.eye(1), np.array([-1.0]),
+        sol = qp_active_set(ldl_factor(np.eye(1)), np.array([-1.0]),
                             ineq=(np.array([[a], [-a]]), np.array([b, -b])))
         np.testing.assert_allclose(sol.d_x, [b / a], rtol=1e-12)
         stat = sol.d_x + np.array([-1.0]) + np.array([[a], [-a]]).T @ sol.d_v
@@ -177,7 +177,8 @@ class TestQpActiveSet:
 
         monkeypatch.setattr(sqp, "kkt_solve", spy)
         A_in = np.array([[-2.0, -2.0], [-1.0, 0.0]])
-        sol = qp_active_set(np.eye(2), np.zeros(2), ineq=(A_in, np.array([-4.0, -3.0])))
+        sol = qp_active_set(ldl_factor(np.eye(2)), np.zeros(2),
+                            ineq=(A_in, np.array([-4.0, -3.0])))
         np.testing.assert_allclose(sol.d_x, [3.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(sol.d_v, [0.0, 3.0], atol=1e-12)
         assert sol.active_set == (1,)
@@ -185,11 +186,10 @@ class TestQpActiveSet:
         assert directions == [[[-2.0, -2.0]], []]
 
 
-# Derandomized, so every run draws the same examples.  Equality rows number
-# at most 4 (the benchmark's working sets have at most 3 rows), with singular
-# values within a factor 20 of the largest and of 1, and at most 4
+# Equality rows number at most 4 (the benchmark's working sets have at most
+# 3 rows), with singular values within a factor 20 of the largest and of 1,
+# and at most 4
 # inequality rows are added, so the residual bounds hold with room to spare.
-_property = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
 def _matrix(draw, rows, cols, bound=1.0):
@@ -252,12 +252,13 @@ def brute_force_qp(B, g, A, rhs, A_in, b_in, tol):
     multipliers (B is positive definite, so any such point is the
     minimizer).  Of those, the one with the least objective."""
     m, p = A.shape[0], A_in.shape[0]
+    factors = ldl_factor(B)
     best = None
     for k in range(p + 1):
         for subset in itertools.combinations(range(p), k):
             subset = list(subset)
             try:
-                d, lam = kkt_solve(B, g, np.vstack([A, A_in[subset]]),
+                d, lam = kkt_solve(factors, g, np.vstack([A, A_in[subset]]),
                                    np.concatenate([rhs, b_in[subset]]))
             except QPError:
                 continue
@@ -282,28 +283,25 @@ def feasible_qps(draw, max_ineq=4):
 
 
 class TestQpProperties:
-    @_property
     @given(equality_qps())
     def test_kkt_residual_small(self, case):
         B, g, A, rhs = case
-        d, lam = kkt_solve(B, g, A, rhs)
+        d, lam = kkt_solve(ldl_factor(B), g, A, rhs)
         assert kkt_residual(B, g, A, rhs, d, lam) <= 1e-9 * _scale(g, rhs)
 
-    @_property
     @given(modified_qps())
     def test_matrix_and_its_factorization_agree(self, case):
         mod, g, A, rhs, A_in, b_in = case
         B = mod.modified_matrix
         tol = 1e-8 * _scale(g, b_in) * _scale(B)
         d_fact, lam_fact = kkt_solve(mod, g, A, rhs)
-        d_mat, lam_mat = kkt_solve(B, g, A, rhs)
+        d_mat, lam_mat = kkt_solve(ldl_factor(B), g, A, rhs)
         assert np.max(np.abs(d_fact - d_mat)) <= tol
         assert np.max(np.abs(lam_fact - lam_mat), initial=0.0) <= tol * _scale(B)
         sol_fact = qp_active_set(mod, g, eq=(A, rhs), ineq=(A_in, b_in))
-        sol_mat = qp_active_set(B, g, eq=(A, rhs), ineq=(A_in, b_in))
+        sol_mat = qp_active_set(ldl_factor(B), g, eq=(A, rhs), ineq=(A_in, b_in))
         assert np.max(np.abs(sol_fact.d_x - sol_mat.d_x)) <= tol
 
-    @_property
     @given(equality_qps(), st.data())
     def test_dependent_rows_raise(self, case, data):
         B, g, A, rhs = case
@@ -315,13 +313,12 @@ class TestQpProperties:
         rows = np.vstack([A, 2.0 ** k * A[j]])
         rhs2 = np.append(rhs, 2.0 ** k * rhs[j])
         with pytest.raises(QPError, match="dependent constraint rows"):
-            kkt_solve(B, g, rows, rhs2)
+            kkt_solve(ldl_factor(B), g, rows, rhs2)
         n = g.shape[0]
         loose = (np.eye(1, n), np.array([1e3]))
         with pytest.raises(QPError, match="dependent constraint rows"):
-            qp_active_set(B, g, eq=(rows, rhs2), ineq=loose)
+            qp_active_set(ldl_factor(B), g, eq=(rows, rhs2), ineq=loose)
 
-    @_property
     @given(equality_qps(), st.floats(-1e-5, 1e-5), st.floats(-2.0, 2.0), st.data())
     def test_near_infeasible_inequalities(self, case, gap, b, data):
         # the slab b <= a.d <= b - gap is empty for gap > 0, plus extra rows
@@ -338,22 +335,20 @@ class TestQpProperties:
         A_in = np.vstack([-a, a, extra])
         b_in = np.concatenate([[-b], [b - gap], extra @ d_slab + slack])
         try:
-            sol = qp_active_set(B, g, ineq=(A_in, b_in))
+            sol = qp_active_set(ldl_factor(B), g, ineq=(A_in, b_in))
         except QPError:
             return
         assert np.all(A_in @ sol.d_x - b_in <= 1e-6 * _scale(b_in, sol.d_x))
         assert np.all(sol.d_v >= 0.0)
 
-    @_property
     @given(feasible_qps())
     def test_agrees_with_brute_force(self, case):
         B, g, A, rhs, A_in, b_in, _ = case
         tol = 1e-9 * _scale(g, rhs, b_in) * _scale(B)
-        sol = qp_active_set(B, g, eq=(A, rhs), ineq=(A_in, b_in))
+        sol = qp_active_set(ldl_factor(B), g, eq=(A, rhs), ineq=(A_in, b_in))
         d_ref = brute_force_qp(B, g, A, rhs, A_in, b_in, tol)
         assert np.max(np.abs(sol.d_x - d_ref)) <= 1e3 * tol * _scale(d_ref)
 
-    @_property
     @given(feasible_qps(max_ineq=3), st.sampled_from(["slab", "copy"]), st.data())
     def test_dependent_inequality_rows_are_solved(self, case, kind, data):
         # a row pinned from both sides (a zero-gap slab), or a power-of-two
@@ -369,7 +364,7 @@ class TestQpProperties:
         b_in = np.append(b_in, scale * b_in[j])
         order = data.draw(st.permutations(range(A_in.shape[0])))
         A_in, b_in = A_in[order], b_in[order]
-        sol = qp_active_set(B, g, eq=(A, rhs), ineq=(A_in, b_in))
+        sol = qp_active_set(ldl_factor(B), g, eq=(A, rhs), ineq=(A_in, b_in))
         _assert_kkt(B, g, A, rhs, A_in, b_in, sol,
                     1e-7 * _scale(g, rhs, b_in) * _scale(B) * _scale(sol.d_x, sol.d_v))
 
