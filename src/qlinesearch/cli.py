@@ -44,6 +44,7 @@ def _build_parser():
     p_solve.add_argument("--eps", type=float, default=1e-5)
     p_solve.add_argument("--max-iter", type=int, default=10_000)
     p_solve.add_argument("--trace", default=None, help="write per-iteration CSV here")
+    p_solve.set_defaults(handler=_cmd_solve)
 
     p_bench = sub.add_parser("bench", help="run a benchmark sweep")
     bench_sub = p_bench.add_subparsers(dest="bench_kind", required=True)
@@ -54,6 +55,7 @@ def _build_parser():
     p_fc.add_argument("--eps", type=float, default=1e-5)
     p_fc.add_argument("--out", default=None, help="summary CSV path")
     p_fc.add_argument("--runs-out", default=None, help="optional per-run CSV path")
+    p_fc.set_defaults(handler=_cmd_bench_fc)
 
     p_suite = bench_sub.add_parser("suite", help="randomized test-set sweep")
     p_suite.add_argument("--seed", type=int, default=0)
@@ -65,12 +67,14 @@ def _build_parser():
                          help="per-attempt iteration budget (default: bench module default)")
     p_suite.add_argument("--q0", type=float, default=0.9)
     p_suite.add_argument("--out", default=None, help="per-run CSV path")
+    p_suite.set_defaults(handler=_cmd_bench_suite)
 
     p_prof = sub.add_parser("profile", help="Dolan-More profile from a runs CSV")
     p_prof.add_argument("--metric", choices=("iterations", "time"), required=True)
     p_prof.add_argument("--in", dest="input", required=True)
     p_prof.add_argument("--out", required=True)
     p_prof.add_argument("--svg", default=None)
+    p_prof.set_defaults(handler=_cmd_profile)
 
     return parser
 
@@ -163,18 +167,8 @@ def _cmd_profile(args):
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "solve":
-        return _cmd_solve(args)
-    if args.command == "bench":
-        if args.bench_kind == "fc":
-            return _cmd_bench_fc(args)
-        return _cmd_bench_suite(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    args = _build_parser().parse_args(argv)
+    return args.handler(args)
 
 
 def console_main():

@@ -391,9 +391,19 @@ SUITE_NAMES = [p.name for p in standard_suite()]
 
 
 def get_problem(name, c=None):
-    """Registry lookup by lowercase hyphenless name; ``fc`` needs parameter c."""
-    key = name.strip().lower().replace("-", "").replace("_", "").replace(" ", "")
-    if key == "fc" or key.startswith("fc"):
+    """Registry lookup by lowercase hyphenless name; ``fc`` needs parameter c,
+    which the name ``make_fc`` gives, ``fc_c<c>``, carries itself."""
+    label = name.strip().lower()
+    key = label.replace("-", "").replace("_", "").replace(" ", "")
+    if label.startswith("fc_c"):
+        try:
+            named_c = float(label[4:])
+        except ValueError:
+            raise KeyError(f"unknown problem {name!r}") from None
+        if c not in (None, named_c):
+            raise ValueError(f"problem {name!r} has c = {named_c:g}, not {c!r}")
+        key, c = "fc", named_c
+    if key == "fc":
         if c is None:
             raise ValueError("problem 'fc' requires the parameter c")
         return make_fc(c)

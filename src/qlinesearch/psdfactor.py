@@ -48,11 +48,13 @@ def _check_symmetric(A):
     return 0.5 * (A + A.T), scale
 
 
-def _swap(W, perm, r1, r2):
-    # Full row and column swap keeps the trailing block symmetric and permutes
-    # the already-stored multiplier rows consistently.
+def _swap(W, L, perm, k, r1, r2):
+    # Interchange rows r1, r2 >= k as pivot k is chosen.  The full row and
+    # column swap keeps W's trailing block symmetric; L's rows swap only over
+    # the k columns already filled, since its columns from k on are still I's.
     W[[r1, r2], :] = W[[r2, r1], :]
     W[:, [r1, r2]] = W[:, [r2, r1]]
+    L[[r1, r2], :k] = L[[r2, r1], :k]
     perm[r1], perm[r2] = perm[r2], perm[r1]
 
 
@@ -98,30 +100,20 @@ class FactorizationBundle:
         return _factored_solve(self, lam, rhs)
 
 
-def _forward_unit_lower(L, b):
-    x = np.array(b, dtype=float, copy=True)
-    for i in range(x.shape[0]):
-        x[i] -= L[i, :i] @ x[:i]
-    return x
-
-
-def _backward_unit_upper(U, b):
-    x = np.array(b, dtype=float, copy=True)
-    for i in range(x.shape[0] - 1, -1, -1):
-        x[i] -= U[i, i + 1:] @ x[i + 1:]
-    return x
-
-
 def _factored_solve(bundle, eigenvalues, rhs):
-    # A = P^T L Q diag(eigenvalues) Q^T L^T P, so permute, two triangular
-    # solves around a diagonal solve in the blocks' eigenbasis, unpermute.
+    # A = P^T L Q diag(eigenvalues) Q^T L^T P, so permute, sweep forward with
+    # L, solve diagonally in the blocks' eigenbasis, sweep backward with L's
+    # columns (the rows of L^T), unpermute.
     rhs = np.asarray(rhs, dtype=float)
     perm = bundle.permutation
     L = bundle.lower_unit_triangular
     Q = bundle.block_eigenvectors
-    z = _forward_unit_lower(L, rhs[perm])
-    w = Q @ ((Q.T @ z) / (eigenvalues if z.ndim == 1 else eigenvalues[:, None]))
-    y = _backward_unit_upper(L.T, w)
+    z = rhs[perm]
+    for i in range(1, z.shape[0]):
+        z[i] -= L[i, :i] @ z[:i]
+    y = Q @ ((Q.T @ z) / (eigenvalues if z.ndim == 1 else eigenvalues[:, None]))
+    for i in range(y.shape[0] - 2, -1, -1):
+        y[i] -= L[i + 1:, i] @ y[i + 1:]
     x = np.empty_like(y)
     x[perm] = y
     return x
@@ -141,9 +133,11 @@ def ldl_factor(A):
     """Bunch-Kaufman factorization P A P^T = L B L^T of a symmetric matrix.
 
     The input is symmetrized first; asymmetry beyond 1e-10 * max |a_ij| is an
-    error, as are non-finite entries.  Each block's eigenpairs are taken in
-    the loop that fills L: 1x1 blocks pass through, and 2x2 blocks use the
-    closed-form symmetric eigensolver with eigenvalues in descending order.
+    error, as are non-finite entries.  One pass over the pivots fills L, B's
+    blocks and their eigenpairs as each pivot is chosen: 1x1 blocks pass
+    through, and 2x2 blocks use the closed-form symmetric eigensolver with
+    eigenvalues in descending order.  A zero column of the reduced matrix is
+    a 1x1 zero pivot with nothing to eliminate.
     """
     A_sym, size = _check_symmetric(A)
     # Far from unit scale, factor A / 2^e with max |a_ij| near 1: the power
@@ -154,7 +148,10 @@ def ldl_factor(A):
     W = A_sym / scale
     n = W.shape[0]
     perm = np.arange(n)
-    pivots = []
+    L = np.eye(n)
+    Q = np.zeros((n, n))
+    lam = np.zeros(n)
+    blocks = []
     k = 0
     while k < n:
         absakk = abs(W[k, k])
@@ -165,85 +162,61 @@ def ldl_factor(A):
         else:
             imax = k
             colmax = 0.0
-        if max(absakk, colmax) == 0.0:
-            # Zero column in the reduced matrix: 1x1 zero pivot, no update.
-            pivots.append((k, 1))
-            k += 1
-            continue
         size = 1
-        swap_to = None
-        if absakk >= _ALPHA * colmax:
-            pass  # 1x1 pivot, no interchange
-        else:
+        if absakk < _ALPHA * colmax:
             # rowmax: largest off-diagonal magnitude in row imax of the
-            # trailing submatrix (read from the lower triangle).
-            left = np.abs(W[imax, k:imax])
-            below = np.abs(W[imax + 1:, imax])
-            rowmax = float(max(left.max() if left.size else 0.0,
-                               below.max() if below.size else 0.0))
-            # (a zero pivot passes this test when colmax**2 underflows)
-            if absakk > 0.0 and absakk * rowmax >= _ALPHA * colmax * colmax:
-                pass  # 1x1 pivot, no interchange
-            elif abs(W[imax, imax]) >= _ALPHA * rowmax:
-                swap_to = (k, imax)  # 1x1 pivot after interchange
-            else:
-                swap_to = (k + 1, imax)  # 2x2 pivot after interchange
-                size = 2
-        if swap_to is not None and swap_to[0] != swap_to[1]:
-            _swap(W, perm, swap_to[0], swap_to[1])
+            # trailing submatrix, read from the lower triangle (colmax > 0
+            # here, so imax > k and the part left of the diagonal is nonempty).
+            rowmax = float(max(np.abs(W[imax, k:imax]).max(),
+                               np.abs(W[imax + 1:, imax]).max(initial=0.0)))
+            # A 1x1 pivot without interchange passes the first test; a zero
+            # pivot would pass it when colmax**2 underflows.  Otherwise move
+            # imax to k (1x1 pivot) or to k + 1 (2x2 pivot).
+            if not (absakk > 0.0 and absakk * rowmax >= _ALPHA * colmax * colmax):
+                if abs(W[imax, imax]) < _ALPHA * rowmax:
+                    size = 2
+                if imax != k + size - 1:
+                    _swap(W, L, perm, k, k + size - 1, imax)
         if size == 1:
+            # d == 0 only in a zero column, which has nothing to eliminate; a
+            # zero column with d != 0 still updates W, whose zeros may flip sign.
             d = W[k, k]
             if k + 1 < n:
-                colv = W[k + 1:, k].copy()
-                mult = colv / d
-                W[k + 1:, k + 1:] -= np.outer(mult, colv)
-                W[k + 1:, k] = mult
-            pivots.append((k, 1))
-            k += 1
+                colv = W[k + 1:, k]
+                if d != 0.0:
+                    colv = colv / d
+                    W[k + 1:, k + 1:] -= np.outer(colv, W[k + 1:, k])
+                L[k + 1:, k] = colv
+            lam[k] = d * scale
+            blocks.append(np.array([[lam[k]]]))
+            Q[k, k] = 1.0
         else:
+            a, b, c = W[k, k], W[k + 1, k], W[k + 1, k + 1]
             if k + 2 < n:
-                d11 = W[k, k]
-                d21 = W[k + 1, k]
-                d22 = W[k + 1, k + 1]
-                det = d11 * d22 - d21 * d21
+                det = a * c - b * b
                 C = W[k + 2:, k:k + 2].copy()
-                # T = C @ inv([[d11, d21], [d21, d22]])
-                T = np.column_stack(((C[:, 0] * d22 - C[:, 1] * d21) / det,
-                                     (C[:, 1] * d11 - C[:, 0] * d21) / det))
+                # T = C @ inv([[a, b], [b, c]])
+                T = np.column_stack(((C[:, 0] * c - C[:, 1] * b) / det,
+                                     (C[:, 1] * a - C[:, 0] * b) / det))
                 W[k + 2:, k + 2:] -= T @ C.T
-                W[k + 2:, k:k + 2] = T
-            pivots.append((k, 2))
-            k += 2
-
-    L = np.eye(n)
-    Q = np.zeros((n, n))
-    lam = np.zeros(n)
-    blocks = []
-    for (j, s) in pivots:
-        if j + s < n:
-            L[j + s:, j:j + s] = W[j + s:, j:j + s]
-        if s == 1:
-            lam[j] = W[j, j] * scale
-            blocks.append(np.array([[lam[j]]]))
-            Q[j, j] = 1.0
-            continue
-        # B = Q diag(lam) Q^T blockwise: the closed-form symmetric 2x2
-        # eigensolver, eigenvalues descending.  The pivot search put the
-        # nonzero colmax entry at b, so b != 0.
-        a, b, c = W[j, j], W[j + 1, j], W[j + 1, j + 1]
-        blocks.append(np.array([[a, b], [b, c]]) * scale)
-        half = 0.5 * (a + c)
-        disc = math.hypot(0.5 * (a - c), b)
-        l1 = half + disc
-        v = np.array([b, l1 - a])
-        alt = np.array([l1 - c, b])
-        if alt @ alt > v @ v:
-            v = alt
-        v /= math.sqrt(v @ v)
-        Q[j:j + 2, j] = v
-        Q[j:j + 2, j + 1] = (-v[1], v[0])
-        lam[j] = l1 * scale
-        lam[j + 1] = (half - disc) * scale
+                L[k + 2:, k:k + 2] = T
+            # B = Q diag(lam) Q^T blockwise: the closed-form symmetric 2x2
+            # eigensolver, eigenvalues descending.  The pivot search put the
+            # nonzero colmax entry at b, so b != 0.
+            blocks.append(np.array([[a, b], [b, c]]) * scale)
+            half = 0.5 * (a + c)
+            disc = math.hypot(0.5 * (a - c), b)
+            l1 = half + disc
+            v = np.array([b, l1 - a])
+            alt = np.array([l1 - c, b])
+            if alt @ alt > v @ v:
+                v = alt
+            v /= math.sqrt(v @ v)
+            Q[k:k + 2, k] = v
+            Q[k:k + 2, k + 1] = (-v[1], v[0])
+            lam[k] = l1 * scale
+            lam[k + 1] = (half - disc) * scale
+        k += size
     return FactorizationBundle(matrix=A_sym,
                                permutation=perm,
                                lower_unit_triangular=L,

@@ -211,16 +211,14 @@ def _beta_monitors(M, jac_eq):
     w = np.linalg.eigvalsh(M)
     beta2 = float(np.max(np.abs(w)))
     beta3 = float(1.0 / np.min(np.abs(w))) if np.min(np.abs(w)) > 0 else np.inf
+    # ConstrainedProblem keeps m < n: a nonempty J_h has singular values, and
+    # its null space Z, the columns of vt past J_h's rank, is never empty.
     if jac_eq.shape[0] > 0:
         _, s, vt = np.linalg.svd(jac_eq)
-        rank = int(np.sum(s > s[0] * 1e-12)) if s.size else 0
-        Z = vt[rank:].T
+        Z = vt[int(np.sum(s > s[0] * 1e-12)):].T
     else:
         Z = np.eye(M.shape[0])
-    if Z.shape[1] == 0:
-        beta1 = float("nan")
-    else:
-        beta1 = float(np.min(np.linalg.eigvalsh(Z.T @ M @ Z)))
+    beta1 = float(np.min(np.linalg.eigvalsh(Z.T @ M @ Z)))
     return beta1, beta2, beta3
 
 

@@ -45,9 +45,10 @@ class SolverConfig:
     f_floor: float = float("-inf")
 
     def __post_init__(self):
-        if self.grad_tolerance <= 0.0:
+        # "not > 0" also rejects NaN, which "<= 0" lets through
+        if not self.grad_tolerance > 0.0:
             raise ValueError("gradient tolerance must be positive")
-        if self.time_cap_seconds <= 0.0:
+        if not self.time_cap_seconds > 0.0:
             raise ValueError("time cap must be positive")
         if np.isnan(self.f_floor):
             raise ValueError("objective floor must not be NaN")

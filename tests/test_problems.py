@@ -111,6 +111,21 @@ class TestSuite:
             get_problem("fc")
         with pytest.raises(KeyError):
             get_problem("nosuchproblem")
+        with pytest.raises(KeyError):
+            get_problem("fcbogus", c=0.5)  # an fc name is "fc" or "fc_c<c>"
+
+    def test_fc_names_look_up_their_problem(self):
+        # a runs-CSV row names its fc problem as make_fc does, c included
+        x = np.array([0.3, 1.7])
+        for c in FC_VALUES:
+            prob = get_problem(make_fc(c).name)
+            assert prob.name == make_fc(c).name == f"fc_c{c:g}"
+            assert prob.objective(x) == make_fc(c).objective(x)
+        assert get_problem("fc_c0.5", c=0.5).name == "fc_c0.5"
+        with pytest.raises(ValueError):
+            get_problem("fc_c0.5", c=0.7)
+        with pytest.raises(KeyError):
+            get_problem("fc_cbogus")
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(11)

@@ -53,6 +53,19 @@ class TestLdlFactor:
         with pytest.raises(np.linalg.LinAlgError):
             b.solve(np.ones(3))  # t**2 is below every scale: singular
 
+    def test_interchange_swaps_the_filled_rows_of_l(self):
+        # pivot 4 fills column 0 with (1/2, 1); the reduced matrix
+        # [[0, 1], [1, 3]] then takes 3 as a 1x1 pivot after interchanging
+        # rows 1 and 2, which must carry column 0's multipliers with them
+        A = np.array([[4.0, 2.0, 4.0], [2.0, 1.0, 3.0], [4.0, 3.0, 7.0]])
+        b = ldl_factor(A)
+        assert b.permutation.tolist() == [0, 2, 1]
+        np.testing.assert_array_equal(
+            b.lower_unit_triangular, [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.5, 1.0 / 3.0, 1.0]])
+        np.testing.assert_array_equal(b.block_diagonal(), np.diag([4.0, 3.0, -1.0 / 3.0]))
+        P, rec = reconstruct(b)
+        np.testing.assert_allclose(rec, P @ A @ P.T, atol=1e-15)
+
     def test_rank_one_far_below_unit_scale(self):
         # entries near 1e-157: unscaled, the 2x2 pivot's determinant and the
         # eigenvector norm underflow to 0, giving NaN factors and an index
@@ -283,6 +296,16 @@ class TestFactorProperties:
         assert np.max(np.abs(Q.T @ Q - np.eye(n)), initial=0.0) <= 1e-14
         B = b.block_diagonal()
         assert np.max(np.abs(Q @ np.diag(lam) @ Q.T - B), initial=0.0) <= 1e-14 * _size(B)
+        # L is exactly unit lower triangular, and zero below each 2x2 block's
+        # diagonal, where B holds the coupling instead
+        L = b.lower_unit_triangular
+        assert np.all(np.diag(L) == 1.0)
+        assert not np.any(np.triu(L, 1))
+        j = 0
+        for blk in b.blocks:
+            if blk.shape[0] == 2:
+                assert L[j + 1, j] == 0.0
+            j += blk.shape[0]
 
     @given(symmetric_matrices(kinds=("zero_diagonal",)))
     def test_zero_diagonal_forces_a_2x2_pivot(self, A):

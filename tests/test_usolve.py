@@ -261,6 +261,13 @@ class TestDivergenceGuard:
         with pytest.raises(ValueError):
             SolverConfig(f_floor=float("nan"))
 
+    @pytest.mark.parametrize("field", ["grad_tolerance", "time_cap_seconds"])
+    def test_nan_tolerance_and_time_cap_rejected(self, field):
+        # "nan <= 0" is False: a NaN tolerance turned a run that lands on the
+        # minimizer into line_search_failure, and a NaN time cap was no cap
+        with pytest.raises(ValueError):
+            SolverConfig(**{field: float("nan")})
+
     @pytest.mark.parametrize("solve", [solve_bfgs, solve_qls])
     def test_stops_after_first_step_below_floor(self, solve):
         fc = make_fc(0.5)
