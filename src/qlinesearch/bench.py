@@ -18,13 +18,18 @@ import numpy as np
 
 from .problems import make_fc, standard_suite
 from .qcalc import QSchedule
-from .usolve import STATUS_CONVERGED, SolverConfig, solve_bfgs, solve_qls
+from .usolve import DEFAULT_SCHEDULE, STATUS_CONVERGED, SolverConfig, solve_bfgs, solve_qls
 
 log = logging.getLogger(__name__)
 
 SOLVERS = ("bfgs", "q1", "q2", "q3")
-DEFAULT_C_VALUES = tuple(round(0.1 + 0.2 * i, 1) for i in range(10))
-DEFAULT_Y_VALUES = tuple(round(0.1 + 0.2 * i, 1) for i in range(10))
+DEFAULT_C_VALUES = DEFAULT_Y_VALUES = tuple(round(0.1 + 0.2 * i, 1) for i in range(10))
+FC_GAMMAS = (1, 2, 3)
+
+#: the published suite protocol: master seed, success quota, attempt cap per cell
+SUITE_SEED = 0
+SUITE_RUNS_REQUIRED = 10
+SUITE_ATTEMPT_CAP = 200
 
 #: a run succeeds if it converged and lands near a known global minimizer,
 #: either by distance or by objective gap
@@ -59,6 +64,17 @@ class BenchmarkTable:
 
     def cell(self, problem, solver):
         return [r for r in self.rows if r.problem == problem and r.solver == solver]
+
+    def quota(self, problem, solver, runs_required):
+        """A cell's successful rows, in run order, and whether it is short of
+        ``runs_required`` successes (never, if None): then it is unsolved."""
+        good = [r for r in self.cell(problem, solver) if r.success]
+        return good, runs_required is not None and len(good) < runs_required
+
+    def short_cells(self, runs_required):
+        """(problem, solver, successes) of every cell short of the quota."""
+        return [(p, s, len(good)) for p in self.problems() for s in self.solvers()
+                for good, short in [self.quota(p, s, runs_required)] if short]
 
     def problems(self):
         return sorted({r.problem for r in self.rows})
@@ -99,8 +115,17 @@ def _solver_run(solver, problem, x0, config, q0):
     raise ValueError(f"unknown solver {solver!r}")
 
 
-def run_fc_benchmark(c_values=None, q0=0.9, gammas=(1, 2, 3), config=None,
-                     y_values=None, result_hook=None):
+def _run_row(problem, solver, run_index, seed, x0, config, q0):
+    """The row of one solve from ``x0``: the per-run body of both sweeps."""
+    result = _solver_run(solver, problem, x0, config, q0)
+    return BenchmarkRow(
+        problem=problem.name, solver=solver, run_index=run_index, seed=seed,
+        success=is_success(problem, result), iterations=result.iterations,
+        elapsed_seconds=result.elapsed_seconds, start_point=x0)
+
+
+def run_fc_benchmark(c_values=None, q0=DEFAULT_SCHEDULE.q0, gammas=FC_GAMMAS, config=None,
+                     y_values=None):
     """Sweep the fc family: BFGS and Q_gamma from the starts (c, y).
 
     Returns a run-level BenchmarkTable; aggregate with ``fc_summary``.
@@ -115,16 +140,14 @@ def run_fc_benchmark(c_values=None, q0=0.9, gammas=(1, 2, 3), config=None,
         problem = make_fc(c)
         for solver in solvers:
             for run_index, y in enumerate(y_values):
-                x0 = np.array([float(c), float(y)])
-                result = _solver_run(solver, problem, x0, config, q0)
-                if result_hook is not None:
-                    result_hook(problem, solver, result)
-                table.rows.append(BenchmarkRow(
-                    problem=problem.name, solver=solver, run_index=run_index,
-                    seed=0, success=is_success(problem, result),
-                    iterations=result.iterations,
-                    elapsed_seconds=result.elapsed_seconds, start_point=x0))
+                table.rows.append(_run_row(problem, solver, run_index, 0,
+                                           np.array([float(c), float(y)]), config, q0))
     return table
+
+
+def _success_mean(rows, field_name):
+    """Mean of a row field over a cell's successful ``rows``; NaN if none."""
+    return sum(getattr(r, field_name) for r in rows) / len(rows) if rows else float("nan")
 
 
 def fc_summary(table):
@@ -133,19 +156,14 @@ def fc_summary(table):
     Every fc start lies on its line x = c, so the c values are the rows'
     first start coordinates; the solvers are the table's.
     """
-    solvers = table.solvers()
     out = []
     for c in sorted({float(r.start_point[0]) for r in table.rows}):
-        iters = {}
-        times = {}
-        for solver in solvers:
-            good = [r for r in table.rows
-                    if r.start_point[0] == c and r.solver == solver and r.success]
-            iters[solver] = (sum(r.iterations for r in good) / len(good)
-                             if good else float("nan"))
-            times[solver] = (sum(r.elapsed_seconds for r in good) / len(good)
-                             if good else float("nan"))
-        out.append(FcSummaryRow(c=c, iterations=iters, times=times))
+        good = {s: [r for r in table.rows
+                    if r.start_point[0] == c and r.solver == s and r.success]
+                for s in table.solvers()}
+        out.append(FcSummaryRow(
+            c=c, iterations={s: _success_mean(g, "iterations") for s, g in good.items()},
+            times={s: _success_mean(g, "elapsed_seconds") for s, g in good.items()}))
     return out
 
 
@@ -160,15 +178,16 @@ def suite_start(problem, solver, master_seed, run_index):
     return box.center + box.side * (rng.random(problem.dimension) - 0.5)
 
 
-def run_suite_benchmark(suite=None, solvers=SOLVERS, master_seed=0,
-                        runs_required=10, attempt_cap=200, config=None,
-                        q0=0.9, result_hook=None):
+def run_suite_benchmark(suite=None, solvers=SOLVERS, master_seed=SUITE_SEED,
+                        runs_required=SUITE_RUNS_REQUIRED, attempt_cap=SUITE_ATTEMPT_CAP,
+                        config=None, q0=DEFAULT_SCHEDULE.q0):
     """Randomized sweep over the test suite.
 
     For each (problem, solver), starts are drawn by ``suite_start``, one RNG
     substream per (master_seed, problem, solver, attempt), until
     ``runs_required`` successes or ``attempt_cap`` attempts.  Every attempt
-    is recorded as a row, with ``master_seed`` as its seed.
+    is recorded as a row, with ``master_seed`` as its seed; a cell left
+    short of the quota is named by ``BenchmarkTable.short_cells``.
 
     Each problem's runs get the objective floor ``known_min_value -
     SUCCESS_VALUE_GAP`` (overriding ``config.f_floor``): a run that descends
@@ -183,39 +202,25 @@ def run_suite_benchmark(suite=None, solvers=SOLVERS, master_seed=0,
         floored = dataclasses.replace(
             config, f_floor=problem.known_min_value - SUCCESS_VALUE_GAP)
         for solver in solvers:
-            successes = 0
+            cell = BenchmarkTable()
             for attempt in range(attempt_cap):
-                if successes >= runs_required:
+                if not cell.quota(problem.name, solver, runs_required)[1]:
                     break
                 x0 = suite_start(problem, solver, master_seed, attempt)
-                result = _solver_run(solver, problem, x0, floored, q0)
-                if result_hook is not None:
-                    result_hook(problem, solver, result)
-                ok = is_success(problem, result)
-                successes += int(ok)
-                table.rows.append(BenchmarkRow(
-                    problem=problem.name, solver=solver, run_index=attempt,
-                    seed=master_seed, success=ok, iterations=result.iterations,
-                    elapsed_seconds=result.elapsed_seconds, start_point=x0))
-            if successes < runs_required:
-                log.warning("problem %s / solver %s: only %d/%d successes within %d attempts",
-                            problem.name, solver, successes, runs_required, attempt_cap)
+                cell.rows.append(_run_row(problem, solver, attempt, master_seed, x0,
+                                          floored, q0))
+            table.rows += cell.rows
     return table
 
 
+#: the row field each profile metric averages
+_METRIC_FIELDS = {"iterations": "iterations", "time": "elapsed_seconds"}
+
+
 def _cell_metric(table, problem, solver, metric, runs_required):
-    good = [r for r in table.cell(problem, solver) if r.success]
-    if runs_required is not None:
-        if len(good) < runs_required:
-            return float("inf")  # attempt cap hit before the quota: unsolved
-        good = good[:runs_required]
-    if not good:
-        return float("inf")
-    if metric == "iterations":
-        return sum(r.iterations for r in good) / len(good)
-    if metric == "time":
-        return sum(r.elapsed_seconds for r in good) / len(good)
-    raise ValueError(f"unknown metric {metric!r}")
+    good, short = table.quota(problem, solver, runs_required)
+    good = good[:runs_required]
+    return float("inf") if short or not good else _success_mean(good, _METRIC_FIELDS[metric])
 
 
 def performance_profile(table, metric="iterations", runs_required=None):
@@ -227,6 +232,8 @@ def performance_profile(table, metric="iterations", runs_required=None):
     counts as unsolved.  Problems unsolved by every solver are dropped from
     the count (with a warning).
     """
+    if metric not in _METRIC_FIELDS:
+        raise ValueError(f"unknown metric {metric!r}")
     problems = table.problems()
     solvers = table.solvers()
     if not problems or not solvers:
@@ -247,9 +254,7 @@ def performance_profile(table, metric="iterations", runs_required=None):
     n_p = len(counted)
     if n_p == 0:
         return [ProfileCurve(solver=s, points=[(1.0, 0.0)]) for s in solvers]
-    finite = sorted({ratios[(p, s)] for p in counted for s in solvers
-                     if np.isfinite(ratios[(p, s)])})
-    taus = sorted({1.0, *finite})
+    taus = sorted({1.0, *(r for r in ratios.values() if np.isfinite(r))})
     curves = []
     for s in solvers:
         pts = []
@@ -279,20 +284,20 @@ def emit(obj, fmt, path):
     """
     try:
         if fmt == "csv":
-            text = _to_csv(obj)
+            lines = _csv_lines(obj)
         elif fmt == "svg":
             if not (isinstance(obj, list) and all(isinstance(c, ProfileCurve) for c in obj)):
                 raise TypeError("svg emission expects a list of ProfileCurve")
-            text = _profiles_svg(obj)
+            lines = _profiles_svg(obj)
         else:
             raise ValueError(f"unknown format {fmt!r}")
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-def _to_csv(obj):
+def _csv_lines(obj):
     if isinstance(obj, BenchmarkTable):
         lines = [RUNS_HEADER]
         for r in obj.sorted_rows():
@@ -300,60 +305,48 @@ def _to_csv(obj):
             lines.append(f"{r.problem},{r.solver},{r.run_index},{r.seed},"
                          f"{'true' if r.success else 'false'},{r.iterations},"
                          f"{_fmt(r.elapsed_seconds)},{start}")
-        return "\n".join(lines) + "\n"
-    if isinstance(obj, list) and all(isinstance(c, ProfileCurve) for c in obj):
+    elif isinstance(obj, list) and all(isinstance(c, ProfileCurve) for c in obj):
         lines = [PROFILE_HEADER]
         for c in obj:
             for tau, frac in c.points:
                 lines.append(f"{c.solver},{_fmt(tau)},{_fmt(frac)}")
-        return "\n".join(lines) + "\n"
-    if isinstance(obj, list) and all(isinstance(r, FcSummaryRow) for r in obj):
+    elif isinstance(obj, list) and all(isinstance(r, FcSummaryRow) for r in obj):
         # the columns are the summary's own solvers: c, iter_<s>..., time_<s>...
         solvers = list(obj[0].iterations)
         lines = [",".join(["c"] + [f"iter_{s}" for s in solvers] + [f"time_{s}" for s in solvers])]
         for r in obj:
             lines.append(",".join([_fmt(r.c)] + [_fmt(r.iterations[s]) for s in solvers]
                                   + [_fmt(r.times[s]) for s in solvers]))
-        return "\n".join(lines) + "\n"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    return lines
+
+
+def _read_csv(path, header, kind):
+    """The comma-split lines of a CSV after its header, which must be
+    ``header``; blank lines are skipped."""
+    with open(path, encoding="utf-8") as fh:
+        found = fh.readline().strip()
+        if found != header:
+            raise ValueError(f"unexpected {kind} header in {path}: {found!r}")
+        return [line.split(",") for line in map(str.strip, fh) if line]
 
 
 def load_runs_csv(path):
-    table = BenchmarkTable()
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != RUNS_HEADER:
-            raise ValueError(f"unexpected runs header in {path}: {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            prob, solver, run_index, seed, success, iters, secs, start = line.split(",")
-            table.rows.append(BenchmarkRow(
-                problem=prob, solver=solver, run_index=int(run_index),
-                seed=int(seed), success=(success == "true"), iterations=int(iters),
-                elapsed_seconds=float(secs),
-                start_point=np.array([float(v) for v in start.split(";")])))
-    return table
+    return BenchmarkTable([
+        BenchmarkRow(problem=prob, solver=solver, run_index=int(run_index),
+                     seed=int(seed), success=(success == "true"), iterations=int(iters),
+                     elapsed_seconds=float(secs),
+                     start_point=np.array([float(v) for v in start.split(";")]))
+        for prob, solver, run_index, seed, success, iters, secs, start
+        in _read_csv(path, RUNS_HEADER, "runs")])
 
 
 def load_profile_csv(path):
-    curves = {}
-    order = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != PROFILE_HEADER:
-            raise ValueError(f"unexpected profile header in {path}: {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            solver, tau, frac = line.split(",")
-            if solver not in curves:
-                curves[solver] = []
-                order.append(solver)
-            curves[solver].append((float(tau), float(frac)))
-    return [ProfileCurve(solver=s, points=curves[s]) for s in order]
+    curves = {}  # solver -> points, in file order
+    for solver, tau, frac in _read_csv(path, PROFILE_HEADER, "profile"):
+        curves.setdefault(solver, []).append((float(tau), float(frac)))
+    return [ProfileCurve(solver=s, points=p) for s, p in curves.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -420,4 +413,4 @@ def _profiles_svg(curves):
         parts.append(f'<text x="{width - margin - 80}" y="{ly}" font-size="12" '
                      f'font-family="sans-serif">{curve.solver}</text>')
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return parts

@@ -13,8 +13,7 @@ import numpy as np
 
 from . import bench
 from .problems import get_problem
-from .qcalc import QSchedule
-from .usolve import STATUS_CONVERGED, SolverConfig, solve_bfgs, solve_qls
+from .usolve import DEFAULT_SCHEDULE, STATUS_CONVERGED, SolverConfig
 
 
 def _parse_reals(text):
@@ -39,10 +38,10 @@ def _build_parser():
     p_solve.add_argument("--x0", required=True, type=_parse_reals,
                          help="comma-separated start point")
     p_solve.add_argument("--method", choices=("qls", "bfgs"), required=True)
-    p_solve.add_argument("--gamma", type=int, default=1)
-    p_solve.add_argument("--q0", type=float, default=0.9)
-    p_solve.add_argument("--eps", type=float, default=1e-5)
-    p_solve.add_argument("--max-iter", type=int, default=10_000)
+    p_solve.add_argument("--gamma", type=int, default=DEFAULT_SCHEDULE.gamma)
+    p_solve.add_argument("--q0", type=float, default=DEFAULT_SCHEDULE.q0)
+    p_solve.add_argument("--eps", type=float, default=SolverConfig.grad_tolerance)
+    p_solve.add_argument("--max-iter", type=int, default=SolverConfig.max_iterations)
     p_solve.add_argument("--trace", default=None, help="write per-iteration CSV here")
     p_solve.set_defaults(handler=_cmd_solve)
 
@@ -50,22 +49,22 @@ def _build_parser():
     bench_sub = p_bench.add_subparsers(dest="bench_kind", required=True)
 
     p_fc = bench_sub.add_parser("fc", help="fc family sweep (deterministic starts)")
-    p_fc.add_argument("--q0", type=float, default=0.9)
-    p_fc.add_argument("--gammas", type=_parse_ints, default=[1, 2, 3])
-    p_fc.add_argument("--eps", type=float, default=1e-5)
+    p_fc.add_argument("--q0", type=float, default=DEFAULT_SCHEDULE.q0)
+    p_fc.add_argument("--gammas", type=_parse_ints, default=bench.FC_GAMMAS)
+    p_fc.add_argument("--eps", type=float, default=SolverConfig.grad_tolerance)
     p_fc.add_argument("--out", default=None, help="summary CSV path")
     p_fc.add_argument("--runs-out", default=None, help="optional per-run CSV path")
     p_fc.set_defaults(handler=_cmd_bench_fc)
 
     p_suite = bench_sub.add_parser("suite", help="randomized test-set sweep")
-    p_suite.add_argument("--seed", type=int, default=0)
-    p_suite.add_argument("--runs", type=int, default=10)
-    p_suite.add_argument("--attempt-cap", type=int, default=200)
-    p_suite.add_argument("--eps", type=float, default=1e-5)
-    p_suite.add_argument("--time-cap", type=float, default=100.0)
-    p_suite.add_argument("--max-iter", type=int, default=None,
-                         help="per-attempt iteration budget (default: bench module default)")
-    p_suite.add_argument("--q0", type=float, default=0.9)
+    p_suite.add_argument("--seed", type=int, default=bench.SUITE_SEED)
+    p_suite.add_argument("--runs", type=int, default=bench.SUITE_RUNS_REQUIRED)
+    p_suite.add_argument("--attempt-cap", type=int, default=bench.SUITE_ATTEMPT_CAP)
+    p_suite.add_argument("--eps", type=float, default=SolverConfig.grad_tolerance)
+    p_suite.add_argument("--time-cap", type=float, default=SolverConfig.time_cap_seconds)
+    p_suite.add_argument("--max-iter", type=int, default=bench.SUITE_MAX_ITERATIONS,
+                         help="per-attempt iteration budget")
+    p_suite.add_argument("--q0", type=float, default=DEFAULT_SCHEDULE.q0)
     p_suite.add_argument("--out", default=None, help="per-run CSV path")
     p_suite.set_defaults(handler=_cmd_bench_suite)
 
@@ -100,11 +99,8 @@ def _cmd_solve(args):
               f"got x0 of length {args.x0.shape[0]}", file=sys.stderr)
         return 2
     config = SolverConfig(grad_tolerance=args.eps, max_iterations=args.max_iter)
-    if args.method == "qls":
-        result = solve_qls(problem, args.x0, config=config,
-                           schedule=QSchedule(args.q0, args.gamma))
-    else:
-        result = solve_bfgs(problem, args.x0, config=config)
+    solver = f"q{args.gamma}" if args.method == "qls" else "bfgs"
+    result = bench._solver_run(solver, problem, args.x0, config, args.q0)
     if args.trace:
         _write_trace(result, args.trace)
     xs = ", ".join(f"{v:.10g}" for v in result.x_final)
@@ -132,25 +128,19 @@ def _cmd_bench_fc(args):
 
 
 def _cmd_bench_suite(args):
-    max_iter = args.max_iter if args.max_iter is not None else bench.SUITE_MAX_ITERATIONS
     config = SolverConfig(grad_tolerance=args.eps, time_cap_seconds=args.time_cap,
-                          max_iterations=max_iter)
+                          max_iterations=args.max_iter)
     table = bench.run_suite_benchmark(master_seed=args.seed, runs_required=args.runs,
                                       attempt_cap=args.attempt_cap, config=config,
                                       q0=args.q0)
-    unsolved = 0
-    for prob in table.problems():
-        for solver in table.solvers():
-            good = sum(1 for r in table.cell(prob, solver) if r.success)
-            if good < args.runs:
-                unsolved += 1
-                print(f"unsolved cell: {prob}/{solver} ({good}/{args.runs})",
-                      file=sys.stderr)
+    short = table.short_cells(args.runs)
+    for prob, solver, good in short:
+        print(f"unsolved cell: {prob}/{solver} ({good}/{args.runs})", file=sys.stderr)
     if args.out:
         bench.emit(table, "csv", args.out)
     print(f"{len(table.rows)} runs over {len(table.problems())} problems x "
-          f"{len(table.solvers())} solvers; {unsolved} unsolved cells")
-    return 3 if unsolved else 0
+          f"{len(table.solvers())} solvers; {len(short)} unsolved cells")
+    return 3 if short else 0
 
 
 def _cmd_profile(args):
@@ -172,8 +162,4 @@ def main(argv=None):
 
 
 def console_main():
-    raise SystemExit(main())
-
-
-if __name__ == "__main__":
     raise SystemExit(main())

@@ -121,7 +121,9 @@ def make_fc(c):
         return np.array([gx, gy])
 
     xstar = np.array([1.0, 1.0])
-    return Problem(name=f"fc_c{c:g}", dimension=2,
+    # exact where {c:g} would round c, so that get_problem(name) is this problem
+    label = f"{c:g}" if float(f"{c:g}") == c else repr(c)
+    return Problem(name=f"fc_c{label}", dimension=2,
                    objective=objective, gradient=gradient,
                    known_minimizers=[xstar],
                    known_min_value=c,

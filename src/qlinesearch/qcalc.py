@@ -46,17 +46,21 @@ def _shifted(x, i, q):
     return out
 
 
-def q_shift(x, i, q):
-    """Return a copy of ``x`` with coordinate ``i`` multiplied by ``q``.
-
-    Every other coordinate is bit-identical to the input.
-    """
+def _checked(x, i, q):
     q = _check_q(q)
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
     if not 0 <= i < n:
         raise IndexError(f"coordinate index {i} out of range for dimension {n}")
-    return _shifted(x, i, q)
+    return x, i, q
+
+
+def q_shift(x, i, q):
+    """Return a copy of ``x`` with coordinate ``i`` multiplied by ``q``.
+
+    Every other coordinate is bit-identical to the input.
+    """
+    return _shifted(*_checked(x, i, q))
 
 
 def q_difference(g, x, i, q, gx=None):
@@ -85,11 +89,7 @@ def q_difference(g, x, i, q, gx=None):
 def q_partial(g, x, i, q):
     """q-partial derivative of the scalar ``g`` at ``x`` in coordinate ``i``:
     ``q_difference`` as a float, which must be finite."""
-    q = _check_q(q)
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    if not 0 <= i < n:
-        raise IndexError(f"coordinate index {i} out of range for dimension {n}")
+    x, i, q = _checked(x, i, q)
     val = float(q_difference(g, x, i, q)[0])
     if not np.isfinite(val):
         raise NumericError("non-finite q-partial evaluation", point=x.copy())

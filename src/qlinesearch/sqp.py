@@ -19,11 +19,11 @@ import numpy as np
 from .errors import GradientShapeError, QPError
 from .linesearch import backtracking_step
 from .psdfactor import default_delta, ldl_factor, psd_modify
-from .qcalc import QSchedule, next_q
+from .qcalc import next_q
 from .qmatrix import (checked_gradient, checked_jacobian, lagrangian_gradient,
                       q_hessian_lagrangian)
-from .usolve import (STATUS_CONVERGED, STATUS_NUMERIC_FAILURE, SolverConfig,
-                     drive)
+from .usolve import (DEFAULT_SCHEDULE, STATUS_CONVERGED, STATUS_NUMERIC_FAILURE,
+                     SolverConfig, drive)
 
 
 @dataclass
@@ -330,5 +330,5 @@ def solve_qsqp(problem, config=None, schedule=None, callback=None):
     the accepted merit trial; ``config.f_floor`` is not used.
     """
     config = config if config is not None else SolverConfig()
-    schedule = schedule if schedule is not None else QSchedule(0.9, 1)
+    schedule = schedule if schedule is not None else DEFAULT_SCHEDULE
     return drive(_SqpRun(problem, config, schedule), config, callback)

@@ -33,6 +33,9 @@ STATUS_NUMERIC_FAILURE = "numeric_failure"
 STATUS_QP_FAILURE = "qp_failure"
 STATUS_DIVERGED = "diverged"
 
+#: the q schedule QLS and SQP run when given none
+DEFAULT_SCHEDULE = QSchedule(0.9, 1)
+
 
 @dataclass
 class SolverConfig:
@@ -97,6 +100,10 @@ def bfgs_update(B, s, y):
     return B - np.outer(v, v) / sBs + np.outer(y, y) / sy
 
 
+class _PastDeadline(Exception):
+    """The time cap passed before an objective evaluation."""
+
+
 def drive(run, config, callback):
     """The iteration loop every solver shares.
 
@@ -105,10 +112,20 @@ def drive(run, config, callback):
     ``run.stop()`` for a status, then checks ``max_iterations`` and the time
     cap, then calls ``run.step(k)``, which moves ``run.x`` and returns the
     iteration's trace record.  An exception from either ends the run with a
-    status.  ``f_final`` is the carried f, or one fresh evaluation (NaN if it
-    raises).
+    status.  ``run.objective`` is wrapped to check the time cap first, so a
+    run past it ends as ``time_cap`` at its last accepted iterate, in a line
+    search too.  ``f_final`` is the carried f, or one fresh evaluation (NaN
+    if it raises).
     """
     t0 = time.perf_counter()
+    deadline = t0 + config.time_cap_seconds
+    objective = run.objective
+
+    def capped_objective(x):
+        if time.perf_counter() > deadline:
+            raise _PastDeadline
+        return objective(x)
+    run.objective = capped_objective
     trace = []
     k = 0
     while True:
@@ -117,10 +134,12 @@ def drive(run, config, callback):
             if status is None:
                 if k >= config.max_iterations:
                     status = STATUS_MAX_ITERATIONS
-                elif time.perf_counter() - t0 > config.time_cap_seconds:
+                elif time.perf_counter() > deadline:
                     status = STATUS_TIME_CAP
                 else:
                     trace.append(run.step(k))
+        except _PastDeadline:
+            status = STATUS_TIME_CAP
         except (LineSearchError, DescentDirectionError):
             status = STATUS_LINE_SEARCH_FAILURE
         except QPError:
@@ -135,7 +154,7 @@ def drive(run, config, callback):
     f_final = run.f_x
     if f_final is None:
         try:
-            f_final = float(run.objective(run.x))
+            f_final = float(objective(run.x))
         except Exception:
             f_final = float("nan")
     return SolveResult(status, run.x, f_final, k, time.perf_counter() - t0, trace)
@@ -207,7 +226,7 @@ def solve_qls(problem, x0, config=None, schedule=None, callback=None):
     advances once per iteration.
     """
     config = config if config is not None else SolverConfig()
-    state = {"schedule": schedule if schedule is not None else QSchedule(0.9, 1)}
+    state = {"schedule": schedule if schedule is not None else DEFAULT_SCHEDULE}
     grad = problem.gradient
 
     def direction(x, g):

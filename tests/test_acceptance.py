@@ -88,14 +88,14 @@ def _oracle_bfgs_iterations(x0):
 
 
 @pytest.fixture(scope="module")
-def fc_results():
+def fc_results(recorded_solves):
     """The fc benchmark at the published protocol, with traces captured."""
-    traces = []
     t0 = time.perf_counter()
-    table = bench.run_fc_benchmark(
-        q0=0.9, gammas=(1, 2, 3), config=SolverConfig(grad_tolerance=1e-5),
-        result_hook=lambda prob, solver, res: traces.append((solver, res)))
+    with recorded_solves() as solves:
+        table = bench.run_fc_benchmark(
+            q0=0.9, gammas=(1, 2, 3), config=SolverConfig(grad_tolerance=1e-5))
     elapsed = time.perf_counter() - t0
+    traces = [(solver, res) for _, solver, res in solves]
     summary = bench.fc_summary(table)
     means = {row.c: tuple(row.iterations[s] for s in SOLVER_ORDER)
              for row in summary}
@@ -256,7 +256,7 @@ def test_criterion_06_superlinear_signature():
     assert ok
 
 
-def test_criterion_07_lemma_monitor(fc_results):
+def test_criterion_07_lemma_monitor(fc_results, recorded_solves):
     records = 0
     for solver, res in fc_results["traces"]:
         for t in res.trace:
@@ -264,12 +264,12 @@ def test_criterion_07_lemma_monitor(fc_results):
             assert t.cos_theta >= 1.0 / t.condition_number - 1e-10
             records += 1
     # a randomized slice of the suite exercises the monitor off the fc family
-    traces = []
     suite = [p for p in q.standard_suite()
              if p.name in ("branin", "hartmann3", "levy", "schwefel")]
-    bench.run_suite_benchmark(suite=suite, solvers=("bfgs", "q1"), master_seed=9,
-                              runs_required=3, attempt_cap=10,
-                              result_hook=lambda p, s, res: traces.append(res))
+    with recorded_solves() as solves:
+        bench.run_suite_benchmark(suite=suite, solvers=("bfgs", "q1"), master_seed=9,
+                                  runs_required=3, attempt_cap=10)
+    traces = [res for _, _, res in solves]
     for res in traces:
         for t in res.trace:
             assert t.cos_theta > 0.0

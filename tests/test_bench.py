@@ -177,6 +177,31 @@ class TestEmit:
         assert [(c.solver, c.points) for c in back] == \
                [(c.solver, c.points) for c in curves]
 
+    def test_loaders_skip_blank_lines(self, tmp_path):
+        curves = performance_profile(hand_table(), "iterations")
+        for obj, load in [(hand_table(), bench.load_runs_csv),
+                          (curves, bench.load_profile_csv)]:
+            path = tmp_path / "spaced.csv"
+            bench.emit(obj, "csv", str(path))
+            header, *lines = path.read_text().splitlines()
+            path.write_text(header + "\n\n" + "\n  \n".join(lines) + "\n\n")
+            back = load(str(path))
+            if load is bench.load_profile_csv:
+                assert [(c.solver, c.points) for c in back] == \
+                       [(c.solver, c.points) for c in curves]
+            else:
+                assert [(r.problem, r.solver, r.iterations) for r in back.sorted_rows()] == \
+                       [(r.problem, r.solver, r.iterations) for r in obj.sorted_rows()]
+
+    def test_loaders_reject_a_wrong_header(self, tmp_path):
+        path = tmp_path / "other.csv"
+        path.write_text(bench.PROFILE_HEADER + "\ns1,1.0,0.5\n")
+        with pytest.raises(ValueError, match="unexpected runs header"):
+            bench.load_runs_csv(str(path))
+        path.write_text(bench.RUNS_HEADER + "\n")
+        with pytest.raises(ValueError, match="unexpected profile header"):
+            bench.load_profile_csv(str(path))
+
     def test_empty_curves_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
         bench.emit([], "csv", str(path))
@@ -244,12 +269,11 @@ class TestDivergenceGuard:
                 assert problem.objective(np.asarray(m, dtype=float)) >= floor, problem.name
 
     @pytest.fixture(scope="class")
-    def sweeps(self):
+    def sweeps(self, recorded_solves):
         suite = [p for p in standard_suite() if p.name in ("schwefel", "branin")]
-        statuses = []
-        guarded = run_suite_benchmark(
-            suite=suite, result_hook=lambda p, s, r: statuses.append((p.name, s, r.status)),
-            **self.SWEEP)
+        with recorded_solves() as solves:
+            guarded = run_suite_benchmark(suite=suite, **self.SWEEP)
+        statuses = [(p.name, s, r.status) for p, s, r in solves]
         original = bench._solver_run
 
         def unguarded_run(solver, problem, x0, config, q0):

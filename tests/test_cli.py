@@ -114,3 +114,22 @@ def test_module_entry_point():
                           env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert "status=converged" in proc.stdout
+
+
+def test_bench_suite_names_each_short_cell_once(tmp_path):
+    # a child process, so that stderr is everything the command writes
+    # there, log records included
+    runs = tmp_path / "runs.csv"
+    root = os.path.dirname(os.path.dirname(os.path.abspath(qlinesearch.__file__)))
+    path = os.pathsep.join(p for p in (root, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "qlinesearch", "bench", "suite",
+                           "--seed", "3", "--runs", "2", "--attempt-cap", "2",
+                           "--out", str(runs)],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+    table = bench.load_runs_csv(str(runs))
+    short = [(p, s, n) for p in table.problems() for s in table.solvers()
+             if (n := sum(r.success for r in table.cell(p, s))) < 2]
+    assert short and proc.returncode == 3
+    assert proc.stderr.splitlines() == [f"unsolved cell: {p}/{s} ({n}/2)" for p, s, n in short]
+    assert proc.stdout.rstrip().endswith(f"; {len(short)} unsolved cells")

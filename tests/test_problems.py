@@ -127,6 +127,16 @@ class TestSuite:
         with pytest.raises(KeyError):
             get_problem("fc_cbogus")
 
+    def test_unround_c_names_look_up_their_problem(self):
+        # {c:g} would round these c to 6 digits; their names carry c exactly,
+        # and the published names keep their {c:g} form
+        x = np.array([0.3, 1.7])
+        for c in [0.123456789, 1.0 / 3.0] + FC_VALUES:
+            prob = get_problem(make_fc(c).name)
+            assert prob.name == make_fc(c).name
+            assert prob.objective(x) == make_fc(c).objective(x)
+        assert make_fc(1.0 / 3.0).name == "fc_c0.3333333333333333"
+
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(11)
         for prob in standard_suite():

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -6,11 +7,12 @@ import pytest
 from qlinesearch.linesearch import MAX_HALVINGS
 from qlinesearch.problems import Problem, get_problem, make_fc
 from qlinesearch.qcalc import QSchedule
+from qlinesearch.sqp import ConstrainedProblem, solve_qsqp
 from qlinesearch.usolve import (STATUS_CONVERGED, STATUS_DIVERGED,
                                 STATUS_LINE_SEARCH_FAILURE,
                                 STATUS_MAX_ITERATIONS, STATUS_NUMERIC_FAILURE,
-                                SolverConfig, _DescentRun, bfgs_update, drive,
-                                solve_bfgs, solve_qls)
+                                STATUS_TIME_CAP, SolverConfig, _DescentRun,
+                                bfgs_update, drive, solve_bfgs, solve_qls)
 
 FC_STARTS = [np.array([0.5, y]) for y in np.arange(0.1, 2.0, 0.2)]
 
@@ -326,6 +328,26 @@ class TestSharedStep:
         assert r.iterations == 0
         assert np.array_equal(r.x_final, self.X0) and r.f_final == 2.0
         assert counts == {"f": 1, "g": 1}
+
+    @pytest.mark.parametrize("method", ["qls", "bfgs", "sqp"])
+    def test_time_cap_holds_between_line_search_trials(self, method):
+        # f takes 10 ms and never decreases, so no Armijo trial passes; the
+        # 50 ms cap must end the search long before its 61 trials
+        def objective(x):
+            time.sleep(0.01)
+            return 1.0
+
+        prob, counts = counted(self.bowl(objective=objective, gradient=lambda x: np.ones(2)))
+        config = SolverConfig(time_cap_seconds=0.05)
+        if method == "sqp":
+            r = solve_qsqp(ConstrainedProblem(prob.objective, prob.gradient, self.X0),
+                           config=config)
+        else:
+            r = {"qls": solve_qls, "bfgs": solve_bfgs}[method](prob, self.X0, config=config)
+        assert r.status == STATUS_TIME_CAP
+        assert r.iterations == 0 and r.trace == []
+        assert np.array_equal(r.x_final, self.X0) and r.f_final == 1.0
+        assert counts["f"] <= 6
 
     @pytest.mark.parametrize("solve", [solve_bfgs, solve_qls])
     def test_nan_gradient_at_accepted_point(self, solve):
