@@ -178,6 +178,13 @@ def suite_start(problem, solver, master_seed, run_index):
     return box.center + box.side * (rng.random(problem.dimension) - 0.5)
 
 
+def check_counts(**counts):
+    """Raise ValueError for a success quota or attempt cap below 1; None is no quota."""
+    for name, value in counts.items():
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value!r}")
+
+
 def run_suite_benchmark(suite=None, solvers=SOLVERS, master_seed=SUITE_SEED,
                         runs_required=SUITE_RUNS_REQUIRED, attempt_cap=SUITE_ATTEMPT_CAP,
                         config=None, q0=DEFAULT_SCHEDULE.q0):
@@ -195,6 +202,7 @@ def run_suite_benchmark(suite=None, solvers=SOLVERS, master_seed=SUITE_SEED,
     of using up its iteration budget.  Start points, success flags and the
     iterations of successful runs are the same as without the floor.
     """
+    check_counts(runs_required=runs_required, attempt_cap=attempt_cap)
     suite = standard_suite() if suite is None else list(suite)
     config = config if config is not None else SolverConfig(max_iterations=SUITE_MAX_ITERATIONS)
     table = BenchmarkTable()
@@ -228,12 +236,13 @@ def performance_profile(table, metric="iterations", runs_required=None):
 
     Per-problem ratios divide each solver's mean metric by the best solver's
     mean on that problem; unsolved cells get ratio +inf and never enter a
-    curve.  When ``runs_required`` is given, a cell below that success quota
-    counts as unsolved.  Problems unsolved by every solver are dropped from
-    the count (with a warning).
+    curve.  When ``runs_required`` is given, at least 1, a cell below that
+    success quota counts as unsolved.  Problems unsolved by every solver are
+    dropped from the count (with a warning).
     """
     if metric not in _METRIC_FIELDS:
         raise ValueError(f"unknown metric {metric!r}")
+    check_counts(runs_required=runs_required)
     problems = table.problems()
     solvers = table.solvers()
     if not problems or not solvers:

@@ -8,20 +8,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-
-import numpy as np
+from dataclasses import fields
 
 from . import bench
 from .problems import get_problem
+from .qcalc import QSchedule
 from .usolve import DEFAULT_SCHEDULE, STATUS_CONVERGED, SolverConfig
 
 
-def _parse_reals(text):
-    return np.array([float(v) for v in text.split(",") if v.strip() != ""])
-
-
-def _parse_ints(text):
-    return [int(v) for v in text.split(",") if v.strip() != ""]
+def _parse_list(kind):
+    """An argparse type: comma-separated values, each parsed by ``kind``."""
+    return lambda text: [kind(v) for v in text.split(",") if v.strip() != ""]
 
 
 def _build_parser():
@@ -35,13 +32,13 @@ def _build_parser():
                          help="registry name (e.g. sphere, branin, fc)")
     p_solve.add_argument("--c", type=float, default=None,
                          help="parameter for the fc family")
-    p_solve.add_argument("--x0", required=True, type=_parse_reals,
+    p_solve.add_argument("--x0", required=True, type=_parse_list(float),
                          help="comma-separated start point")
     p_solve.add_argument("--method", choices=("qls", "bfgs"), required=True)
     p_solve.add_argument("--gamma", type=int, default=DEFAULT_SCHEDULE.gamma)
     p_solve.add_argument("--q0", type=float, default=DEFAULT_SCHEDULE.q0)
-    p_solve.add_argument("--eps", type=float, default=SolverConfig.grad_tolerance)
-    p_solve.add_argument("--max-iter", type=int, default=SolverConfig.max_iterations)
+    p_solve.add_argument("--eps", dest="grad_tolerance", type=float, metavar="EPS")
+    p_solve.add_argument("--max-iter", dest="max_iterations", type=int, metavar="MAX_ITER")
     p_solve.add_argument("--trace", default=None, help="write per-iteration CSV here")
     p_solve.set_defaults(handler=_cmd_solve)
 
@@ -50,8 +47,8 @@ def _build_parser():
 
     p_fc = bench_sub.add_parser("fc", help="fc family sweep (deterministic starts)")
     p_fc.add_argument("--q0", type=float, default=DEFAULT_SCHEDULE.q0)
-    p_fc.add_argument("--gammas", type=_parse_ints, default=bench.FC_GAMMAS)
-    p_fc.add_argument("--eps", type=float, default=SolverConfig.grad_tolerance)
+    p_fc.add_argument("--gammas", type=_parse_list(int), default=bench.FC_GAMMAS)
+    p_fc.add_argument("--eps", dest="grad_tolerance", type=float, metavar="EPS")
     p_fc.add_argument("--out", default=None, help="summary CSV path")
     p_fc.add_argument("--runs-out", default=None, help="optional per-run CSV path")
     p_fc.set_defaults(handler=_cmd_bench_fc)
@@ -60,10 +57,10 @@ def _build_parser():
     p_suite.add_argument("--seed", type=int, default=bench.SUITE_SEED)
     p_suite.add_argument("--runs", type=int, default=bench.SUITE_RUNS_REQUIRED)
     p_suite.add_argument("--attempt-cap", type=int, default=bench.SUITE_ATTEMPT_CAP)
-    p_suite.add_argument("--eps", type=float, default=SolverConfig.grad_tolerance)
-    p_suite.add_argument("--time-cap", type=float, default=SolverConfig.time_cap_seconds)
-    p_suite.add_argument("--max-iter", type=int, default=bench.SUITE_MAX_ITERATIONS,
-                         help="per-attempt iteration budget")
+    p_suite.add_argument("--eps", dest="grad_tolerance", type=float, metavar="EPS")
+    p_suite.add_argument("--time-cap", dest="time_cap_seconds", type=float, metavar="TIME_CAP")
+    p_suite.add_argument("--max-iter", dest="max_iterations", type=int, metavar="MAX_ITER",
+                         default=bench.SUITE_MAX_ITERATIONS, help="per-attempt iteration budget")
     p_suite.add_argument("--q0", type=float, default=DEFAULT_SCHEDULE.q0)
     p_suite.add_argument("--out", default=None, help="per-run CSV path")
     p_suite.set_defaults(handler=_cmd_bench_suite)
@@ -89,18 +86,8 @@ def _write_trace(result, path):
 
 
 def _cmd_solve(args):
-    try:
-        problem = get_problem(args.problem, c=args.c)
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.x0.shape[0] != problem.dimension:
-        print(f"error: {problem.name} expects dimension {problem.dimension}, "
-              f"got x0 of length {args.x0.shape[0]}", file=sys.stderr)
-        return 2
-    config = SolverConfig(grad_tolerance=args.eps, max_iterations=args.max_iter)
     solver = f"q{args.gamma}" if args.method == "qls" else "bfgs"
-    result = bench._solver_run(solver, problem, args.x0, config, args.q0)
+    result = bench._solver_run(solver, args.problem, args.x0, args.config, args.q0)
     if args.trace:
         _write_trace(result, args.trace)
     xs = ", ".join(f"{v:.10g}" for v in result.x_final)
@@ -110,8 +97,7 @@ def _cmd_solve(args):
 
 
 def _cmd_bench_fc(args):
-    config = SolverConfig(grad_tolerance=args.eps)
-    table = bench.run_fc_benchmark(q0=args.q0, gammas=tuple(args.gammas), config=config)
+    table = bench.run_fc_benchmark(q0=args.q0, gammas=tuple(args.gammas), config=args.config)
     summary = bench.fc_summary(table)
     for row in summary:
         iters = " ".join(f"{s}={v:.2f}" for s, v in row.iterations.items())
@@ -128,10 +114,8 @@ def _cmd_bench_fc(args):
 
 
 def _cmd_bench_suite(args):
-    config = SolverConfig(grad_tolerance=args.eps, time_cap_seconds=args.time_cap,
-                          max_iterations=args.max_iter)
     table = bench.run_suite_benchmark(master_seed=args.seed, runs_required=args.runs,
-                                      attempt_cap=args.attempt_cap, config=config,
+                                      attempt_cap=args.attempt_cap, config=args.config,
                                       q0=args.q0)
     short = table.short_cells(args.runs)
     for prob, solver, good in short:
@@ -158,6 +142,21 @@ def _cmd_profile(args):
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    try:  # the library's own checks are the only rule for a valid value
+        args.config = SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)
+                                      if getattr(args, f.name, None) is not None})
+        for gamma in getattr(args, "gammas", [getattr(args, "gamma", DEFAULT_SCHEDULE.gamma)]):
+            QSchedule(getattr(args, "q0", DEFAULT_SCHEDULE.q0), gamma)
+        if "runs" in args:
+            bench.check_counts(runs_required=args.runs, attempt_cap=args.attempt_cap)
+        if "problem" in args:
+            args.problem = problem = get_problem(args.problem, c=args.c)
+            if len(args.x0) != problem.dimension:
+                raise ValueError(f"{problem.name} expects dimension {problem.dimension}, "
+                                 f"got x0 of length {len(args.x0)}")
+    except (KeyError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return args.handler(args)
 
 

@@ -225,6 +225,7 @@ def _beta_monitors(M, jac_eq):
 class _SqpRun:
     """One SQP run in the shared driver: the primal-dual iterate, the l1
     penalty, with (f, h, g) at x held once known."""
+    record = SqpTraceRecord
 
     def __init__(self, problem, config, schedule):
         self.problem = problem

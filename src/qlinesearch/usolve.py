@@ -2,8 +2,8 @@
 
 Both solvers, and the SQP solver in ``sqp``, run in one iteration driver,
 ``drive``, which owns the iteration and time caps, the mapping of errors to
-statuses, the trace, the callback and ``f_final``; each solver supplies only
-a stop test and a step.  Both unconstrained solvers stop on the gradient
+statuses, the ``Trace``, the callback and ``f_final``; each solver supplies
+only a stop test and a step.  Both unconstrained solvers stop on the gradient
 norm and the objective floor and emit the same per-iteration trace.  The q
 solver rebuilds its positive definite matrix from scratch every iteration
 out of the q-Hessian surrogate; BFGS carries the classical rank-two update
@@ -13,7 +13,8 @@ forward.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -53,6 +54,8 @@ class SolverConfig:
             raise ValueError("gradient tolerance must be positive")
         if not self.time_cap_seconds > 0.0:
             raise ValueError("time cap must be positive")
+        if self.max_iterations < 0:
+            raise ValueError("iteration cap must be nonnegative")
         if np.isnan(self.f_floor):
             raise ValueError("objective floor must not be NaN")
 
@@ -70,6 +73,32 @@ class IterationRecord:
     trials: int  # line-search trials, one objective evaluation each
 
 
+class Trace(Sequence):
+    """A run's records, stored as one float64 row of ``record``'s fields per
+    iteration (``values``: all rows, flat).  Each read builds a fresh record."""
+
+    __slots__ = ("_record", "_rows")
+
+    def __init__(self, record, values):
+        self._record = record
+        self._rows = np.array(values, dtype=float).reshape(-1, len(fields(record)))
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        # None (BFGS's q) packs as NaN; only an Optional field reads NaN as None
+        kinds = {"int": int, "float": float,
+                 "Optional[float]": lambda v: None if np.isnan(v) else v}
+        return self._record(*(kinds[f.type](v) for f, v in
+                              zip(fields(self._record), self._rows[i].tolist())))
+
+    def __eq__(self, other):  # equal to any sequence of equal records, as a list is
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+
 @dataclass
 class SolveResult:
     status: str
@@ -77,7 +106,7 @@ class SolveResult:
     f_final: float
     iterations: int
     elapsed_seconds: float
-    trace: list
+    trace: Sequence  # a Trace, from drive
 
 
 def _spd_condition(M):
@@ -111,11 +140,11 @@ def drive(run, config, callback):
     until known) and the callable ``objective``.  Each pass asks
     ``run.stop()`` for a status, then checks ``max_iterations`` and the time
     cap, then calls ``run.step(k)``, which moves ``run.x`` and returns the
-    iteration's trace record.  An exception from either ends the run with a
-    status.  ``run.objective`` is wrapped to check the time cap first, so a
-    run past it ends as ``time_cap`` at its last accepted iterate, in a line
-    search too.  ``f_final`` is the carried f, or one fresh evaluation (NaN
-    if it raises).
+    iteration's ``run.record``, kept as a row of the ``Trace``.  An
+    exception from either ends the run with a status.  ``run.objective`` is
+    wrapped to check the time cap first, so a run past it ends as
+    ``time_cap`` at its last accepted iterate, in a line search too.
+    ``f_final`` is the carried f, or one fresh evaluation (NaN if it raises).
     """
     t0 = time.perf_counter()
     deadline = t0 + config.time_cap_seconds
@@ -126,7 +155,7 @@ def drive(run, config, callback):
             raise _PastDeadline
         return objective(x)
     run.objective = capped_objective
-    trace = []
+    values = []  # each record's fields in order (a dataclass's vars), flat
     k = 0
     while True:
         try:
@@ -137,7 +166,7 @@ def drive(run, config, callback):
                 elif time.perf_counter() > deadline:
                     status = STATUS_TIME_CAP
                 else:
-                    trace.append(run.step(k))
+                    values.extend(vars(run.step(k)).values())
         except _PastDeadline:
             status = STATUS_TIME_CAP
         except (LineSearchError, DescentDirectionError):
@@ -157,7 +186,8 @@ def drive(run, config, callback):
             f_final = float(objective(run.x))
         except Exception:
             f_final = float("nan")
-    return SolveResult(status, run.x, f_final, k, time.perf_counter() - t0, trace)
+    return SolveResult(status, run.x, f_final, k, time.perf_counter() - t0,
+                       Trace(run.record, values))
 
 
 class _DescentRun:
@@ -168,6 +198,7 @@ class _DescentRun:
     gradient evaluation at the accepted point; f at the new iterate is the
     accepted trial's value (the same expression f(x + alpha p)).
     """
+    record = IterationRecord
 
     def __init__(self, problem, x0, config, direction):
         self.objective = problem.objective

@@ -79,6 +79,13 @@ class TestPerformanceProfile:
         # neither cell reaches the quota of 2 successes: the problem is dropped
         assert all(f == 0.0 for f in curves["s1"].values())
 
+    def test_quota_below_one_rejected(self):
+        # a quota of 0 used to count every cell unsolved
+        t = BenchmarkTable()
+        t.rows += [row("p1", "s1", 1)]
+        with pytest.raises(ValueError):
+            performance_profile(t, "iterations", runs_required=0)
+
     def test_time_metric(self):
         t = BenchmarkTable()
         t.rows += [row("p1", "s1", 1, secs=2.0), row("p1", "s2", 1, secs=4.0)]
@@ -145,6 +152,13 @@ class TestSuiteBenchmark:
         for r in rows:
             start = bench.suite_start(get_problem(r.problem), r.solver, r.seed, r.run_index)
             assert np.array_equal(start, r.start_point)
+
+    @pytest.mark.parametrize("counts", [{"runs_required": 0}, {"attempt_cap": 0},
+                                        {"runs_required": -1}], ids=str)
+    def test_counts_below_one_rejected(self, counts):
+        # either count at 0 used to run nothing and return an empty table
+        with pytest.raises(ValueError):
+            run_suite_benchmark(**counts)
 
     def test_quadratics_converge_fast(self):
         suite = [p for p in standard_suite() if p.name in ("sphere", "sumsquares",

@@ -57,6 +57,27 @@ def test_invalid_arguments_exit_2():
     assert err.value.code == 2
 
 
+SPHERE = ["solve", "--problem", "sphere", "--method", "qls", "--x0", "1,1,1,1,1,1,1,1"]
+
+
+@pytest.mark.parametrize("argv", [
+    SPHERE + ["--q0", "1.5"], SPHERE + ["--q0", "0"], SPHERE + ["--gamma", "0"],
+    SPHERE + ["--eps", "0"], SPHERE + ["--eps", "nan"], SPHERE + ["--max-iter", "-5"],
+    ["bench", "fc", "--q0", "1"], ["bench", "fc", "--gammas", "1,0"],
+    ["bench", "fc", "--eps", "-0.5"],
+    ["bench", "suite", "--time-cap", "0"], ["bench", "suite", "--time-cap", "-1"],
+    ["bench", "suite", "--eps", "nan"], ["bench", "suite", "--q0", "1.5"],
+    ["bench", "suite", "--runs", "0"], ["bench", "suite", "--attempt-cap", "0"],
+    ["bench", "suite", "--max-iter", "-1"],
+], ids=lambda argv: " ".join(argv[:1 + (argv[0] == "bench")] + argv[-2:]))
+def test_invalid_values_exit_2_with_one_error_line(argv, capsys):
+    # the library's own checks reject each value before anything runs
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
 def test_bench_fc_writes_summary(tmp_path, capsys):
     out = tmp_path / "fc.csv"
     runs = tmp_path / "runs.csv"

@@ -1,0 +1,99 @@
+"""The packed trace: one float64 row per iteration, a fresh record per read."""
+
+import gc
+import tracemalloc
+from dataclasses import fields
+
+import numpy as np
+import pytest
+
+from qlinesearch.problems import Problem, make_fc
+from qlinesearch.sqp import ConstrainedProblem, solve_qsqp
+from qlinesearch.usolve import SolverConfig, Trace, solve_bfgs, solve_qls
+
+INT_FIELDS = {"k", "fallback_count", "trials"}
+
+
+def circle_run(config=None):
+    # min x0 + x1 on the circle |x|^2 = 2: a few SQP iterations, some backtracked
+    return solve_qsqp(ConstrainedProblem(
+        objective=lambda x: float(x[0] + x[1]), gradient=lambda x: np.array([1.0, 1.0]),
+        x0=np.array([-0.5, -1.5]), h=lambda x: np.array([x[0] ** 2 + x[1] ** 2 - 2.0]),
+        jac_h=lambda x: np.array([[2.0 * x[0], 2.0 * x[1]]]), n_eq=1), config=config)
+
+
+def linear_run(method, config):
+    # f = x0 has no minimizer and a unit gradient: every run uses its iteration cap
+    objective, gradient = (lambda x: float(x[0])), (lambda x: np.array([1.0, 0.0]))
+    if method == "sqp":
+        return solve_qsqp(ConstrainedProblem(objective=objective, gradient=gradient,
+                                             x0=np.ones(2)), config=config)
+    problem = Problem(name="linear", dimension=2, objective=objective, gradient=gradient,
+                      known_minimizers=[], known_min_value=-np.inf)
+    return (solve_qls if method == "qls" else solve_bfgs)(problem, np.ones(2), config=config)
+
+
+RUNS = {
+    "qls": lambda: solve_qls(make_fc(0.5), np.array([0.5, 1.9])),
+    "bfgs": lambda: solve_bfgs(make_fc(0.5), np.array([0.5, 1.9])),
+    "sqp": circle_run,
+}
+
+
+@pytest.mark.parametrize("method", sorted(RUNS))
+def test_trace_reads_as_a_sequence_of_records(method):
+    r = RUNS[method]()
+    trace = r.trace
+    assert isinstance(trace, Trace) and len(trace) == r.iterations > 2
+    records = [trace[i] for i in range(len(trace))]
+    assert list(trace) == records and trace == records and trace == tuple(records)
+    assert [t.k for t in records] == list(range(len(trace)))
+    assert trace[-1] == records[-1] and trace[-len(trace)] == records[0]
+    assert trace[1:3] == records[1:3] and trace[::-1] == records[::-1] and trace[5:2] == []
+    assert trace != records[:-1] and trace != "not a trace"
+    with pytest.raises(IndexError):
+        trace[len(trace)]
+    # each read is a fresh record: changing one leaves the trace as it was
+    first = trace[0]
+    assert first is not trace[0]
+    first.alpha = -1.0
+    assert trace[0] == records[0] != first
+
+
+@pytest.mark.parametrize("method", sorted(RUNS))
+def test_fields_read_back_with_their_types(method):
+    for t in RUNS[method]().trace:
+        for f in fields(t):
+            value = getattr(t, f.name)
+            if f.name in INT_FIELDS:
+                assert type(value) is int
+            elif method == "bfgs" and f.name == "q_k":
+                assert value is None
+            else:
+                assert type(value) is float
+
+
+@pytest.mark.parametrize("method", ["qls", "bfgs", "sqp"])
+def test_run_without_iterations_has_an_empty_trace(method):
+    r = linear_run(method, SolverConfig(max_iterations=0))
+    assert r.iterations == 0 and len(r.trace) == 0 and r.trace == [] and list(r.trace) == []
+
+
+@pytest.mark.parametrize("method", ["qls", "bfgs", "sqp"])
+def test_trace_memory_is_its_float64_rows(method):
+    # at most 16 B per field per iteration, plus 1 KiB for the containers; a
+    # list of dataclasses of Python floats took about 260-290 B per iteration
+    config = SolverConfig(max_iterations=300)
+    linear_run(method, config)  # first calls allocate what later solves reuse
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = linear_run(method, config).trace
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 300
+    bound = 16 * len(fields(trace[0])) * len(trace) + 1024
+    assert retained <= bound

@@ -263,12 +263,16 @@ class TestDivergenceGuard:
         with pytest.raises(ValueError):
             SolverConfig(f_floor=float("nan"))
 
-    @pytest.mark.parametrize("field", ["grad_tolerance", "time_cap_seconds"])
-    def test_nan_tolerance_and_time_cap_rejected(self, field):
+    @pytest.mark.parametrize("field,value", [
+        pytest.param("grad_tolerance", float("nan"), id="grad_tolerance"),
+        pytest.param("time_cap_seconds", float("nan"), id="time_cap_seconds"),
+        pytest.param("max_iterations", -5, id="max_iterations")])
+    def test_nan_tolerance_and_time_cap_rejected(self, field, value):
         # "nan <= 0" is False: a NaN tolerance turned a run that lands on the
-        # minimizer into line_search_failure, and a NaN time cap was no cap
+        # minimizer into line_search_failure, and a NaN time cap was no cap;
+        # a negative iteration cap acted as 0 (a cap of 0 stays valid)
         with pytest.raises(ValueError):
-            SolverConfig(**{field: float("nan")})
+            SolverConfig(**{field: value})
 
     @pytest.mark.parametrize("solve", [solve_bfgs, solve_qls])
     def test_stops_after_first_step_below_floor(self, solve):
