@@ -24,7 +24,6 @@ log = logging.getLogger(__name__)
 
 SOLVERS = ("bfgs", "q1", "q2", "q3")
 DEFAULT_C_VALUES = DEFAULT_Y_VALUES = tuple(round(0.1 + 0.2 * i, 1) for i in range(10))
-FC_GAMMAS = (1, 2, 3)
 
 #: the published suite protocol: master seed, success quota, attempt cap per cell
 SUITE_SEED = 0
@@ -106,13 +105,21 @@ def is_success(problem, result):
     return abs(result.f_final - problem.known_min_value) < SUCCESS_VALUE_GAP
 
 
-def _solver_run(solver, problem, x0, config, q0):
+def solver_call(solver, q0=DEFAULT_SCHEDULE.q0):
+    """The solve of a runs-CSV solver name, a function of (problem, x0, config):
+    ``bfgs``, or ``q<gamma>`` for solve_qls under QSchedule(q0, gamma), each
+    looked up in this module when it runs.  Raises ValueError for any other
+    name or gamma, and for a q0 outside (0, 1) whatever the name."""
+    if solver != "bfgs" and not (solver[:1] == "q" and solver[1:].isdigit()):
+        raise ValueError(f"unknown solver {solver!r}; a solver is bfgs or q<gamma>")
+    schedule = QSchedule(q0, DEFAULT_SCHEDULE.gamma if solver == "bfgs" else int(solver[1:]))
     if solver == "bfgs":
-        return solve_bfgs(problem, x0, config=config)
-    if solver.startswith("q") and solver[1:].isdigit():
-        gamma = int(solver[1:])
-        return solve_qls(problem, x0, config=config, schedule=QSchedule(q0, gamma))
-    raise ValueError(f"unknown solver {solver!r}")
+        return lambda problem, x0, config: solve_bfgs(problem, x0, config=config)
+    return lambda problem, x0, config: solve_qls(problem, x0, config=config, schedule=schedule)
+
+
+def _solver_run(solver, problem, x0, config, q0):
+    return solver_call(solver, q0)(problem, x0, config)
 
 
 def _run_row(problem, solver, run_index, seed, x0, config, q0):
@@ -124,9 +131,9 @@ def _run_row(problem, solver, run_index, seed, x0, config, q0):
         elapsed_seconds=result.elapsed_seconds, start_point=x0)
 
 
-def run_fc_benchmark(c_values=None, q0=DEFAULT_SCHEDULE.q0, gammas=FC_GAMMAS, config=None,
+def run_fc_benchmark(c_values=None, q0=DEFAULT_SCHEDULE.q0, solvers=SOLVERS, config=None,
                      y_values=None):
-    """Sweep the fc family: BFGS and Q_gamma from the starts (c, y).
+    """Sweep the fc family: each of ``solvers`` from the starts (c, y).
 
     Returns a run-level BenchmarkTable; aggregate with ``fc_summary``.
     Individual failures are recorded (success=False), never raised.
@@ -134,7 +141,6 @@ def run_fc_benchmark(c_values=None, q0=DEFAULT_SCHEDULE.q0, gammas=FC_GAMMAS, co
     c_values = DEFAULT_C_VALUES if c_values is None else tuple(c_values)
     y_values = DEFAULT_Y_VALUES if y_values is None else tuple(y_values)
     config = config if config is not None else SolverConfig()
-    solvers = ("bfgs",) + tuple(f"q{g}" for g in gammas)
     table = BenchmarkTable()
     for c in c_values:
         problem = make_fc(c)

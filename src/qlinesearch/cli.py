@@ -1,18 +1,19 @@
 """Command-line interface: solve single problems, run benchmarks, build profiles.
 
-Exit codes: 0 on success, 2 on invalid arguments (argparse convention), 3
-when runs failed or cells stayed unsolved (partial output is still written).
+A run is named as in the runs CSV: problem ``fc_c0.5``, solver ``bfgs`` or
+``q<gamma>``.  Exit codes: 0 on success, 2 on invalid arguments, 3 when runs
+failed or cells stayed unsolved (partial output is still written).
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import fields
 
 from . import bench
 from .problems import get_problem
-from .qcalc import QSchedule
 from .usolve import DEFAULT_SCHEDULE, STATUS_CONVERGED, SolverConfig
 
 
@@ -26,18 +27,14 @@ def _build_parser():
         prog="qlinesearch",
         description="q-derivative Newton-like line search: solvers and benchmarks")
     sub = parser.add_subparsers(dest="command", required=True)
+    solving = argparse.ArgumentParser(add_help=False)  # the options of every command that solves
+    solving.add_argument("--q0", type=float, default=DEFAULT_SCHEDULE.q0)
+    solving.add_argument("--eps", dest="grad_tolerance", type=float, metavar="EPS")
 
-    p_solve = sub.add_parser("solve", help="run one solver on one problem")
-    p_solve.add_argument("--problem", required=True,
-                         help="registry name (e.g. sphere, branin, fc)")
-    p_solve.add_argument("--c", type=float, default=None,
-                         help="parameter for the fc family")
-    p_solve.add_argument("--x0", required=True, type=_parse_list(float),
-                         help="comma-separated start point")
-    p_solve.add_argument("--method", choices=("qls", "bfgs"), required=True)
-    p_solve.add_argument("--gamma", type=int, default=DEFAULT_SCHEDULE.gamma)
-    p_solve.add_argument("--q0", type=float, default=DEFAULT_SCHEDULE.q0)
-    p_solve.add_argument("--eps", dest="grad_tolerance", type=float, metavar="EPS")
+    p_solve = sub.add_parser("solve", parents=[solving], help="run one solver on one problem")
+    p_solve.add_argument("--problem", required=True, help="registry name (e.g. sphere, fc_c0.5)")
+    p_solve.add_argument("--x0", required=True, type=_parse_list(float), help="x1,x2,...")
+    p_solve.add_argument("--solver", required=True, help="bfgs or q<gamma> (e.g. q2)")
     p_solve.add_argument("--max-iter", dest="max_iterations", type=int, metavar="MAX_ITER")
     p_solve.add_argument("--trace", default=None, help="write per-iteration CSV here")
     p_solve.set_defaults(handler=_cmd_solve)
@@ -45,25 +42,21 @@ def _build_parser():
     p_bench = sub.add_parser("bench", help="run a benchmark sweep")
     bench_sub = p_bench.add_subparsers(dest="bench_kind", required=True)
 
-    p_fc = bench_sub.add_parser("fc", help="fc family sweep (deterministic starts)")
-    p_fc.add_argument("--q0", type=float, default=DEFAULT_SCHEDULE.q0)
-    p_fc.add_argument("--gammas", type=_parse_list(int), default=bench.FC_GAMMAS)
-    p_fc.add_argument("--eps", dest="grad_tolerance", type=float, metavar="EPS")
+    p_fc = bench_sub.add_parser("fc", parents=[solving], help="fc family sweep (fixed starts)")
+    p_fc.add_argument("--solvers", type=_parse_list(str), default=bench.SOLVERS, help="bfgs,q2,...")
     p_fc.add_argument("--out", default=None, help="summary CSV path")
     p_fc.add_argument("--runs-out", default=None, help="optional per-run CSV path")
     p_fc.set_defaults(handler=_cmd_bench_fc)
 
-    p_suite = bench_sub.add_parser("suite", help="randomized test-set sweep")
+    p_suite = bench_sub.add_parser("suite", parents=[solving], help="randomized test-set sweep")
     p_suite.add_argument("--seed", type=int, default=bench.SUITE_SEED)
     p_suite.add_argument("--runs", type=int, default=bench.SUITE_RUNS_REQUIRED)
     p_suite.add_argument("--attempt-cap", type=int, default=bench.SUITE_ATTEMPT_CAP)
-    p_suite.add_argument("--eps", dest="grad_tolerance", type=float, metavar="EPS")
     p_suite.add_argument("--time-cap", dest="time_cap_seconds", type=float, metavar="TIME_CAP")
     p_suite.add_argument("--max-iter", dest="max_iterations", type=int, metavar="MAX_ITER",
                          default=bench.SUITE_MAX_ITERATIONS, help="per-attempt iteration budget")
-    p_suite.add_argument("--q0", type=float, default=DEFAULT_SCHEDULE.q0)
     p_suite.add_argument("--out", default=None, help="per-run CSV path")
-    p_suite.set_defaults(handler=_cmd_bench_suite)
+    p_suite.set_defaults(handler=_cmd_bench_suite, solvers=bench.SOLVERS)
 
     p_prof = sub.add_parser("profile", help="Dolan-More profile from a runs CSV")
     p_prof.add_argument("--metric", choices=("iterations", "time"), required=True)
@@ -86,8 +79,7 @@ def _write_trace(result, path):
 
 
 def _cmd_solve(args):
-    solver = f"q{args.gamma}" if args.method == "qls" else "bfgs"
-    result = bench._solver_run(solver, args.problem, args.x0, args.config, args.q0)
+    result = bench.solver_call(args.solver, args.q0)(args.problem, args.x0, args.config)
     if args.trace:
         _write_trace(result, args.trace)
     xs = ", ".join(f"{v:.10g}" for v in result.x_final)
@@ -97,7 +89,7 @@ def _cmd_solve(args):
 
 
 def _cmd_bench_fc(args):
-    table = bench.run_fc_benchmark(q0=args.q0, gammas=tuple(args.gammas), config=args.config)
+    table = bench.run_fc_benchmark(q0=args.q0, solvers=args.solvers, config=args.config)
     summary = bench.fc_summary(table)
     for row in summary:
         iters = " ".join(f"{s}={v:.2f}" for s, v in row.iterations.items())
@@ -109,14 +101,13 @@ def _cmd_bench_fc(args):
     failures = sum(1 for r in table.rows if not r.success)
     if failures:
         print(f"{failures} failed runs", file=sys.stderr)
-        return 3
-    return 0
+    return 3 if failures else 0
 
 
 def _cmd_bench_suite(args):
     table = bench.run_suite_benchmark(master_seed=args.seed, runs_required=args.runs,
                                       attempt_cap=args.attempt_cap, config=args.config,
-                                      q0=args.q0)
+                                      solvers=args.solvers, q0=args.q0)
     short = table.short_cells(args.runs)
     for prob, solver, good in short:
         print(f"unsolved cell: {prob}/{solver} ({good}/{args.runs})", file=sys.stderr)
@@ -141,16 +132,21 @@ def _cmd_profile(args):
 
 
 def main(argv=None):
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):  # "--x0 -1,2" as "--x0=-1,2", not option "-1,2"
+        if argv[i - 1].startswith("--") and re.match(r"-[\d.]", argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = _build_parser().parse_args(argv)
     try:  # the library's own checks are the only rule for a valid value
         args.config = SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)
                                       if getattr(args, f.name, None) is not None})
-        for gamma in getattr(args, "gammas", [getattr(args, "gamma", DEFAULT_SCHEDULE.gamma)]):
-            QSchedule(getattr(args, "q0", DEFAULT_SCHEDULE.q0), gamma)
+        if "q0" in args:  # each solver the command runs (none is the unknown ""), and q0
+            for solver in [args.solver] if "solver" in args else args.solvers or [""]:
+                bench.solver_call(solver, args.q0)
         if "runs" in args:
             bench.check_counts(runs_required=args.runs, attempt_cap=args.attempt_cap)
         if "problem" in args:
-            args.problem = problem = get_problem(args.problem, c=args.c)
+            args.problem = problem = get_problem(args.problem)
             if len(args.x0) != problem.dimension:
                 raise ValueError(f"{problem.name} expects dimension {problem.dimension}, "
                                  f"got x0 of length {len(args.x0)}")

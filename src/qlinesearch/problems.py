@@ -67,14 +67,14 @@ def check_gradient(problem, x, step=1e-6):
 # ---------------------------------------------------------------------------
 
 def make_fc(c):
-    """Piecewise two-branch objective with parameter c != 0.
+    """Piecewise two-branch objective with a finite parameter c != 0.
 
     Minimum at (1, 1) with value c; twice differentiable everywhere except
     the measure-zero lines x = c and x = 0.
     """
     c = float(c)
-    if c == 0.0:
-        raise ValueError("fc requires a nonzero parameter c")
+    if not 0.0 < abs(c) < math.inf:  # "not" also rejects NaN
+        raise ValueError(f"fc requires a finite nonzero parameter c, got {c!r}")
 
     def rosen(xx, yy):
         return 0.05 * (yy - xx * xx) ** 2 + (1.0 - xx) ** 2 + c
@@ -392,24 +392,18 @@ def standard_suite():
 SUITE_NAMES = [p.name for p in standard_suite()]
 
 
-def get_problem(name, c=None):
-    """Registry lookup by lowercase hyphenless name; ``fc`` needs parameter c,
-    which the name ``make_fc`` gives, ``fc_c<c>``, carries itself."""
+def get_problem(name):
+    """Registry lookup by lowercase hyphenless name; an fc problem is named
+    as ``make_fc`` names it, ``fc_c<c>``."""
     label = name.strip().lower()
-    key = label.replace("-", "").replace("_", "").replace(" ", "")
     if label.startswith("fc_c"):
         try:
-            named_c = float(label[4:])
+            c = float(label[4:])
         except ValueError:
             raise KeyError(f"unknown problem {name!r}") from None
-        if c not in (None, named_c):
-            raise ValueError(f"problem {name!r} has c = {named_c:g}, not {c!r}")
-        key, c = "fc", named_c
-    if key == "fc":
-        if c is None:
-            raise ValueError("problem 'fc' requires the parameter c")
         return make_fc(c)
+    key = label.replace("-", "").replace("_", "").replace(" ", "")
     for prob in standard_suite():
         if prob.name == key:
             return prob
-    raise KeyError(f"unknown problem {name!r}; known: {', '.join(SUITE_NAMES)} and fc")
+    raise KeyError(f"unknown problem {name!r}; known: {', '.join(SUITE_NAMES)} and fc_c<c>")

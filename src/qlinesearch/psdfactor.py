@@ -269,8 +269,8 @@ def psd_modify(A, delta=None):
     if delta is None:
         delta = default_delta(bundle.matrix)
     delta = float(delta)
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta!r}")
+    if not 0.0 < delta < np.inf:  # "not" also rejects NaN
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
     lam = bundle.block_eigenvalues
     return PsdModification(bundle=bundle, delta=delta,
                            shifts=np.where(lam < delta, delta - lam, 0.0))

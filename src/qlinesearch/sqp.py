@@ -30,10 +30,10 @@ from .usolve import (DEFAULT_SCHEDULE, STATUS_CONVERGED, STATUS_NUMERIC_FAILURE,
 class ConstrainedProblem:
     """min f(x) s.t. h(x) = 0 (m of them), g(x) <= 0 (p of them), m < n.
 
-    ``h`` / ``g`` return (m,) / (p,) arrays, and the Jacobian callbacks
-    (m, n) / (p, n) arrays with constraint gradients as rows; a value of the
-    wrong shape or a non-finite Jacobian ends the run as
-    ``numeric_failure``.  ``u0`` / ``v0`` default to zero multipliers.
+    ``h``, ``jac_h`` are given exactly when m = n_eq > 0, and ``g``, ``jac_g``
+    when p = n_ineq > 0; they return (m,), (m, n), (p,), (p, n) arrays, with
+    constraint gradients as rows.  A value of the wrong shape or a non-finite
+    Jacobian ends the run as ``numeric_failure``.  ``u0``, ``v0`` default to 0.
     """
 
     objective: callable
@@ -53,6 +53,10 @@ class ConstrainedProblem:
         n = self.x0.shape[0]
         if self.n_eq >= n and self.n_eq > 0:
             raise ValueError("need fewer equality constraints than variables")
+        for names in (("n_eq", "h", "jac_h"), ("n_ineq", "g", "jac_g")):
+            count, value, jac = (getattr(self, a) for a in names)
+            if not (value is None) == (jac is None) == (count == 0):
+                raise ValueError("{1} and {2} are given exactly when {0} > 0".format(*names))
         self.u0 = np.zeros(self.n_eq) if self.u0 is None else np.asarray(self.u0, float)
         self.v0 = np.zeros(self.n_ineq) if self.v0 is None else np.asarray(self.v0, float)
         if self.u0.shape != (self.n_eq,) or self.v0.shape != (self.n_ineq,):
@@ -115,8 +119,8 @@ def kkt_solve(B, grad, A_eq, rhs):
 
 def merit_l1(f_val, h_vals, g_vals, mu):
     """Exact l1 penalty: f + mu * (sum |h_i| + sum max(0, g_j))."""
-    if mu <= 0.0:
-        raise ValueError("penalty parameter must be positive")
+    if not mu > 0.0:  # "not > 0" also rejects NaN, which "<= 0" lets through
+        raise ValueError(f"penalty parameter must be positive, got {mu!r}")
     return _penalized(f_val, _violation(h_vals, g_vals), mu)
 
 

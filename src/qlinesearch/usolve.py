@@ -54,8 +54,8 @@ class SolverConfig:
             raise ValueError("gradient tolerance must be positive")
         if not self.time_cap_seconds > 0.0:
             raise ValueError("time cap must be positive")
-        if self.max_iterations < 0:
-            raise ValueError("iteration cap must be nonnegative")
+        if not (self.max_iterations >= 0 and self.max_iterations % 1 == 0):
+            raise ValueError("iteration cap must be a nonnegative integer")
         if np.isnan(self.f_floor):
             raise ValueError("objective floor must not be NaN")
 

@@ -93,7 +93,7 @@ def fc_results(recorded_solves):
     t0 = time.perf_counter()
     with recorded_solves() as solves:
         table = bench.run_fc_benchmark(
-            q0=0.9, gammas=(1, 2, 3), config=SolverConfig(grad_tolerance=1e-5))
+            q0=0.9, solvers=("bfgs", "q1", "q2", "q3"), config=SolverConfig(grad_tolerance=1e-5))
     elapsed = time.perf_counter() - t0
     traces = [(solver, res) for _, solver, res in solves]
     summary = bench.fc_summary(table)

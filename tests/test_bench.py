@@ -97,7 +97,7 @@ class TestPerformanceProfile:
 class TestFcBenchmark:
     def test_shape_and_success(self):
         config = SolverConfig()
-        table = run_fc_benchmark(c_values=(0.5,), gammas=(1,), config=config)
+        table = run_fc_benchmark(c_values=(0.5,), solvers=("bfgs", "q1"), config=config)
         assert len(table.rows) == 20  # 2 solvers x 10 starts
         assert all(r.success for r in table.rows)
         summary = fc_summary(table)
@@ -106,7 +106,7 @@ class TestFcBenchmark:
         assert 6.0 <= summary[0].iterations["bfgs"] <= 13.0
 
     def test_injected_optimal_start(self):
-        table = run_fc_benchmark(c_values=(0.9,), gammas=(1,),
+        table = run_fc_benchmark(c_values=(0.9,), solvers=("bfgs", "q1"),
                                  y_values=(1.0,), config=SolverConfig())
         # start (0.9, 1.0) is not the minimizer; now inject (1, 1) directly
         from qlinesearch.problems import make_fc
@@ -222,7 +222,7 @@ class TestEmit:
         assert path.read_text() == bench.PROFILE_HEADER + "\n"
 
     def test_fc_summary_layout(self, tmp_path):
-        table = run_fc_benchmark(c_values=(0.1, 0.3), gammas=(1, 2, 3),
+        table = run_fc_benchmark(c_values=(0.1, 0.3), solvers=("bfgs", "q1", "q2", "q3"),
                                  config=SolverConfig())
         summary = fc_summary(table)
         path = tmp_path / "fc.csv"

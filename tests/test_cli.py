@@ -1,17 +1,19 @@
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qlinesearch
-from qlinesearch import bench
+from qlinesearch import bench, cli
 from qlinesearch.cli import main
 
 
 def test_solve_sphere(capsys):
-    code = main(["solve", "--problem", "sphere", "--method", "qls",
+    code = main(["solve", "--problem", "sphere", "--solver", "q1",
                  "--x0", "1,1,1,1,1,1,1,1"])
     out = capsys.readouterr().out
     assert code == 0
@@ -20,7 +22,7 @@ def test_solve_sphere(capsys):
 
 def test_solve_bfgs_with_trace(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
-    code = main(["solve", "--problem", "fc", "--c", "0.5", "--method", "bfgs",
+    code = main(["solve", "--problem", "fc_c0.5", "--solver", "bfgs",
                  "--x0", "0.5,0.9", "--trace", str(trace)])
     assert code == 0
     lines = trace.read_text().strip().split("\n")
@@ -31,19 +33,19 @@ def test_solve_bfgs_with_trace(tmp_path, capsys):
 
 
 def test_solve_dimension_mismatch_exits_2(capsys):
-    code = main(["solve", "--problem", "sphere", "--method", "bfgs", "--x0", "1,2"])
+    code = main(["solve", "--problem", "sphere", "--solver", "bfgs", "--x0", "1,2"])
     assert code == 2
 
 
 def test_solve_unknown_problem_exits_2(capsys):
-    code = main(["solve", "--problem", "nosuch", "--method", "bfgs", "--x0", "1"])
+    code = main(["solve", "--problem", "nosuch", "--solver", "bfgs", "--x0", "1"])
     assert code == 2
-    code = main(["solve", "--problem", "fc", "--method", "bfgs", "--x0", "1,1"])
-    assert code == 2  # fc requires --c
+    code = main(["solve", "--problem", "fc", "--solver", "bfgs", "--x0", "1,1"])
+    assert code == 2  # an fc problem is named fc_c<c>
 
 
 def test_solve_nonconverged_exits_3(capsys):
-    code = main(["solve", "--problem", "fc", "--c", "0.5", "--method", "bfgs",
+    code = main(["solve", "--problem", "fc_c0.5", "--solver", "bfgs",
                  "--x0", "0.5,1.9", "--max-iter", "1"])
     assert code == 3
 
@@ -57,13 +59,16 @@ def test_invalid_arguments_exit_2():
     assert err.value.code == 2
 
 
-SPHERE = ["solve", "--problem", "sphere", "--method", "qls", "--x0", "1,1,1,1,1,1,1,1"]
+SPHERE = ["solve", "--problem", "sphere", "--solver", "q1", "--x0", "1,1,1,1,1,1,1,1"]
 
 
 @pytest.mark.parametrize("argv", [
-    SPHERE + ["--q0", "1.5"], SPHERE + ["--q0", "0"], SPHERE + ["--gamma", "0"],
-    SPHERE + ["--eps", "0"], SPHERE + ["--eps", "nan"], SPHERE + ["--max-iter", "-5"],
-    ["bench", "fc", "--q0", "1"], ["bench", "fc", "--gammas", "1,0"],
+    SPHERE + ["--q0", "1.5"], SPHERE + ["--q0", "0"], SPHERE + ["--solver", "q0"],
+    SPHERE + ["--solver", "newton"], SPHERE + ["--q0", "1.5", "--solver", "bfgs"],
+    SPHERE + ["--eps", "0"], SPHERE + ["--eps", "nan"], SPHERE + ["--eps", "-1e-5"],
+    SPHERE + ["--max-iter", "-5"],
+    ["bench", "fc", "--q0", "1"], ["bench", "fc", "--solvers", "bfgs,q0"],
+    ["bench", "fc", "--solvers", "bfgs,qls"], ["bench", "fc", "--solvers", ","],
     ["bench", "fc", "--eps", "-0.5"],
     ["bench", "suite", "--time-cap", "0"], ["bench", "suite", "--time-cap", "-1"],
     ["bench", "suite", "--eps", "nan"], ["bench", "suite", "--q0", "1.5"],
@@ -78,10 +83,21 @@ def test_invalid_values_exit_2_with_one_error_line(argv, capsys):
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("x0", [["--x0", "-1.2,1.5"], ["--x0", "-1,2"], ["--x0=-1.2,1.5"]],
+                         ids=" ".join)
+def test_negative_start_point_parses(x0, capsys):
+    # no iteration runs, so the printed x is the parsed start point
+    code = main(["solve", "--problem", "dixonprice", *x0, "--solver", "q2", "--max-iter", "0"])
+    assert code == 3
+    out = capsys.readouterr().out
+    assert out.startswith("status=max_iterations iterations=0 ")
+    assert f" x=[{x0[-1].split('=')[-1].replace(',', ', ')}] " in out
+
+
 def test_bench_fc_writes_summary(tmp_path, capsys):
     out = tmp_path / "fc.csv"
     runs = tmp_path / "runs.csv"
-    code = main(["bench", "fc", "--gammas", "1", "--out", str(out),
+    code = main(["bench", "fc", "--solvers", "bfgs,q1", "--out", str(out),
                  "--runs-out", str(runs)])
     assert code == 0
     lines = out.read_text().strip().split("\n")
@@ -93,7 +109,7 @@ def test_bench_fc_writes_summary(tmp_path, capsys):
 def test_bench_fc_csv_carries_the_printed_means(tmp_path, capsys):
     # the summary CSV's columns are the sweep's own solvers, so q4 is written
     out = tmp_path / "fc.csv"
-    code = main(["bench", "fc", "--gammas", "4", "--out", str(out)])
+    code = main(["bench", "fc", "--solvers", "bfgs,q4", "--out", str(out)])
     assert code == 0
     printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("c=")]
     lines = out.read_text().strip().split("\n")
@@ -129,7 +145,7 @@ def test_module_entry_point():
     root = os.path.dirname(os.path.dirname(os.path.abspath(qlinesearch.__file__)))
     path = os.pathsep.join(p for p in (root, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "qlinesearch", "solve",
-                           "--problem", "sphere", "--method", "bfgs",
+                           "--problem", "sphere", "--solver", "bfgs",
                            "--x0", "1,0,0,0,0,0,0,0"],
                           capture_output=True, text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=path))
@@ -154,3 +170,40 @@ def test_bench_suite_names_each_short_cell_once(tmp_path):
     assert short and proc.returncode == 3
     assert proc.stderr.splitlines() == [f"unsolved cell: {p}/{s} ({n}/2)" for p, s, n in short]
     assert proc.stdout.rstrip().endswith(f"; {len(short)} unsolved cells")
+
+
+def test_every_row_replays_through_solve(tmp_path, capsys):
+    # each row of a runs CSV names its run: problem, solver and start point
+    # are all a solve needs (suite rows add the suite's iteration budget);
+    # one successful suite row per cell
+    fc, suite = tmp_path / "fc.csv", tmp_path / "suite.csv"
+    bench.emit(bench.run_fc_benchmark(c_values=(0.3, 0.5, 1.7), y_values=(0.1, 1.0, 1.9)),
+               "csv", str(fc))
+    bench.emit(bench.run_suite_benchmark(master_seed=42, runs_required=3, attempt_cap=6),
+               "csv", str(suite))
+    firsts = {}
+    for r in bench.load_runs_csv(str(suite)).rows:
+        if r.success:
+            firsts.setdefault((r.problem, r.solver), r)
+    replays = [(r, []) for r in bench.load_runs_csv(str(fc)).rows]
+    replays += [(r, ["--max-iter", str(bench.SUITE_MAX_ITERATIONS)]) for r in firsts.values()]
+    assert len(replays) == 36 + 57
+    for r, budget in replays:
+        argv = ["solve", "--problem", r.problem, "--solver", r.solver,
+                "--x0=" + ",".join(map(repr, r.start_point.tolist())), *budget]
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out
+        assert out.startswith(f"status=converged iterations={r.iterations} "), (argv, out)
+
+
+def test_readme_cli_lines_parse():
+    # a flag renamed in the parser but not in README fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line) for line in block.splitlines() if line.startswith("qlinesearch ")]
+    assert len(lines) >= 5
+    for argv in lines:
+        try:
+            cli._build_parser().parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {shlex.join(argv)}")

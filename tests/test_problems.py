@@ -77,8 +77,12 @@ class TestFc:
                 assert prob.objective(x) >= c - 1e-12
 
     def test_zero_c_rejected(self):
+        # a NaN or infinite c would give a NaN or infinite minimum value
+        for c in (0.0, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError):
+                make_fc(c)
         with pytest.raises(ValueError):
-            make_fc(0.0)
+            get_problem("fc_cnan")
 
     def test_gradient_checks(self):
         rng = np.random.default_rng(7)
@@ -106,13 +110,13 @@ class TestSuite:
     def test_registry_lookup(self):
         assert get_problem("branin").name == "branin"
         assert get_problem("Cross-in-Tray").name == "crossintray"
-        assert get_problem("fc", c=0.5).name == "fc_c0.5"
-        with pytest.raises(ValueError):
-            get_problem("fc")
+        assert get_problem("fc_c0.5").name == "fc_c0.5"
+        with pytest.raises(KeyError, match=r"fc_c<c>"):
+            get_problem("fc")  # an fc problem is named fc_c<c> only
         with pytest.raises(KeyError):
             get_problem("nosuchproblem")
         with pytest.raises(KeyError):
-            get_problem("fcbogus", c=0.5)  # an fc name is "fc" or "fc_c<c>"
+            get_problem("fcbogus")  # an fc name is "fc_c<c>"
 
     def test_fc_names_look_up_their_problem(self):
         # a runs-CSV row names its fc problem as make_fc does, c included
@@ -121,9 +125,8 @@ class TestSuite:
             prob = get_problem(make_fc(c).name)
             assert prob.name == make_fc(c).name == f"fc_c{c:g}"
             assert prob.objective(x) == make_fc(c).objective(x)
-        assert get_problem("fc_c0.5", c=0.5).name == "fc_c0.5"
-        with pytest.raises(ValueError):
-            get_problem("fc_c0.5", c=0.7)
+        with pytest.raises(TypeError):
+            get_problem("fc_c0.5", c=0.7)  # the name alone carries c
         with pytest.raises(KeyError):
             get_problem("fc_cbogus")
 

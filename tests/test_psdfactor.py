@@ -206,8 +206,10 @@ class TestPsdModify:
             assert np.array_equal(mod.modified_matrix, A)
 
     def test_delta_validation(self):
-        with pytest.raises(ValueError):
-            psd_modify(np.eye(2), -1.0)
+        # a NaN delta shifted nothing: an indefinite "modification"
+        for delta in (-1.0, 0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                psd_modify(np.diag([-2.0, 1.0]), delta)
 
     def test_default_delta_scales_with_matrix(self):
         eps = np.finfo(float).eps

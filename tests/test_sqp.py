@@ -87,8 +87,10 @@ class TestMeritL1:
         assert merit_l1(0.0, None, np.array([-1.0, 2.0]), 2.0) == pytest.approx(4.0)
 
     def test_positive_mu_required(self):
-        with pytest.raises(ValueError):
-            merit_l1(0.0, None, None, 0.0)
+        # a NaN penalty gave a NaN merit value
+        for mu in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                merit_l1(0.0, None, None, mu)
 
 
 class TestQpActiveSet:
@@ -369,17 +371,46 @@ class TestQpProperties:
                     1e-7 * _scale(g, rhs, b_in) * _scale(B) * _scale(sol.d_x, sol.d_v))
 
 
+class TestConstrainedProblem:
+    CIRCLE = dict(objective=lambda x: float(x[0] + x[1]), gradient=lambda x: np.ones(2),
+                  x0=np.array([-0.5, -1.5]),
+                  h=lambda x: np.array([x[0] ** 2 + x[1] ** 2 - 2.0]),
+                  jac_h=lambda x: np.array([[2.0 * x[0], 2.0 * x[1]]]), n_eq=1)
+    BALL = dict(g=lambda x: np.array([x @ x - 4.0]), jac_g=lambda x: np.atleast_2d(2.0 * x),
+                n_ineq=1)
+
+    @pytest.mark.parametrize("dropped", [
+        "n_eq",  # the constraint was silently dropped: a run to max_iterations
+        "h", "jac_h",  # a TypeError from inside the first stop test
+    ])
+    def test_equality_count_matches_callbacks(self, dropped):
+        kwargs = {k: v for k, v in self.CIRCLE.items() if k != dropped}
+        with pytest.raises(ValueError, match="h and jac_h are given exactly when n_eq > 0"):
+            ConstrainedProblem(**kwargs)
+
+    @pytest.mark.parametrize("dropped", ["n_ineq", "g", "jac_g"])
+    def test_inequality_count_matches_callbacks(self, dropped):
+        kwargs = {**self.CIRCLE, **{k: v for k, v in self.BALL.items() if k != dropped}}
+        with pytest.raises(ValueError, match="g and jac_g are given exactly when n_ineq > 0"):
+            ConstrainedProblem(**kwargs)
+
+    def test_matching_counts_accepted(self):
+        assert solve_qsqp(ConstrainedProblem(**self.CIRCLE, **self.BALL)).status == \
+            STATUS_CONVERGED
+
+
 class TestSolveQsqp:
     @pytest.mark.parametrize("n_ineq", [0, 1], ids=["equalities-only", "with-inequality"])
     def test_dependent_equality_rows_are_qp_failure(self, n_ineq):
         # two parallel planes, consistent at x0; the inequality stays inactive
         A = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]])
+        ineq = dict(g=lambda x: np.array([x[2] - 10.0]),
+                    jac_g=lambda x: np.array([[0.0, 0.0, 1.0]]), n_ineq=1)
         prob = ConstrainedProblem(
             objective=lambda x: float(x @ x), gradient=lambda x: 2.0 * x,
             x0=np.array([3.0, -2.0, 0.7]),
             h=lambda x: A @ x - np.array([1.0, 2.0]), jac_h=lambda x: A, n_eq=2,
-            g=lambda x: np.array([x[2] - 10.0]),
-            jac_g=lambda x: np.array([[0.0, 0.0, 1.0]]), n_ineq=n_ineq)
+            **(ineq if n_ineq else {}))
         r = solve_qsqp(prob)
         assert r.status == STATUS_QP_FAILURE
         assert r.iterations == 0 and np.array_equal(r.x_final, prob.x0)

@@ -266,11 +266,15 @@ class TestDivergenceGuard:
     @pytest.mark.parametrize("field,value", [
         pytest.param("grad_tolerance", float("nan"), id="grad_tolerance"),
         pytest.param("time_cap_seconds", float("nan"), id="time_cap_seconds"),
-        pytest.param("max_iterations", -5, id="max_iterations")])
+        pytest.param("max_iterations", -5, id="max_iterations"),
+        pytest.param("max_iterations", 1.5, id="max_iterations_fraction"),
+        pytest.param("max_iterations", float("nan"), id="max_iterations_nan"),
+        pytest.param("max_iterations", float("inf"), id="max_iterations_inf")])
     def test_nan_tolerance_and_time_cap_rejected(self, field, value):
         # "nan <= 0" is False: a NaN tolerance turned a run that lands on the
         # minimizer into line_search_failure, and a NaN time cap was no cap;
-        # a negative iteration cap acted as 0 (a cap of 0 stays valid)
+        # a negative iteration cap acted as 0 (a cap of 0 stays valid), and a
+        # cap of 1.5 ran 2 iterations
         with pytest.raises(ValueError):
             SolverConfig(**{field: value})
 
