@@ -18,7 +18,8 @@ import numpy as np
 
 from .problems import make_fc, standard_suite
 from .qcalc import QSchedule
-from .usolve import DEFAULT_SCHEDULE, STATUS_CONVERGED, SolverConfig, solve_bfgs, solve_qls
+from .usolve import (DEFAULT_SCHEDULE, STATUS_CONVERGED, SolverConfig, Trace, solve_bfgs,
+                     solve_qls)
 
 log = logging.getLogger(__name__)
 
@@ -160,8 +161,11 @@ def fc_summary(table):
     """Per-c mean iterations and time over successful runs, one row per c.
 
     Every fc start lies on its line x = c, so the c values are the rows'
-    first start coordinates; the solvers are the table's.
+    first start coordinates; the solvers are the table's.  Raises ValueError
+    for a table with no rows, whose summary would have no columns.
     """
+    if not table.rows:
+        raise ValueError("cannot summarize an empty fc table")
     out = []
     for c in sorted({float(r.start_point[0]) for r in table.rows}):
         good = {s: [r for r in table.rows
@@ -293,9 +297,12 @@ def _fmt(x):
 
 
 def emit(obj, fmt, path):
-    """Write a BenchmarkTable, fc summary list, or profile curves to disk.
+    """Write a BenchmarkTable, fc summary list, profile curves or a solve's
+    Trace to disk.
 
-    ``fmt`` is "csv" for any of the three, or "svg" for profile curves.
+    ``fmt`` is "csv" for any of the four, or "svg" for profile curves.  A
+    trace's columns are its record's fields, each cell the value's repr
+    (empty for None, as BFGS's q_k).
     """
     try:
         if fmt == "csv":
@@ -320,6 +327,9 @@ def _csv_lines(obj):
             lines.append(f"{r.problem},{r.solver},{r.run_index},{r.seed},"
                          f"{'true' if r.success else 'false'},{r.iterations},"
                          f"{_fmt(r.elapsed_seconds)},{start}")
+    elif isinstance(obj, Trace):
+        lines = [",".join(f.name for f in dataclasses.fields(obj.record))]
+        lines += [",".join("" if v is None else repr(v) for v in vars(r).values()) for r in obj]
     elif isinstance(obj, list) and all(isinstance(c, ProfileCurve) for c in obj):
         lines = [PROFILE_HEADER]
         for c in obj:

@@ -68,20 +68,10 @@ def _build_parser():
     return parser
 
 
-def _write_trace(result, path):
-    lines = ["k,f_value,grad_norm,alpha,q,cos_theta,condition_number,fallback_count"]
-    for t in result.trace:
-        qv = "" if t.q_k is None else repr(float(t.q_k))
-        lines.append(f"{t.k},{t.f_value!r},{t.grad_norm!r},{t.alpha!r},{qv},"
-                     f"{t.cos_theta!r},{t.condition_number!r},{t.fallback_count}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def _cmd_solve(args):
     result = bench.solver_call(args.solver, args.q0)(args.problem, args.x0, args.config)
     if args.trace:
-        _write_trace(result, args.trace)
+        bench.emit(result.trace, "csv", args.trace)
     xs = ", ".join(f"{v:.10g}" for v in result.x_final)
     print(f"status={result.status} iterations={result.iterations} "
           f"f={result.f_final:.10g} x=[{xs}] elapsed={result.elapsed_seconds:.3f}s")

@@ -215,13 +215,12 @@ def _beta_monitors(M, jac_eq):
     w = np.linalg.eigvalsh(M)
     beta2 = float(np.max(np.abs(w)))
     beta3 = float(1.0 / np.min(np.abs(w))) if np.min(np.abs(w)) > 0 else np.inf
+    if jac_eq.shape[0] == 0:  # the null space is everything: beta1 is M's least eigenvalue
+        return float(np.min(w)), beta2, beta3
     # ConstrainedProblem keeps m < n: a nonempty J_h has singular values, and
     # its null space Z, the columns of vt past J_h's rank, is never empty.
-    if jac_eq.shape[0] > 0:
-        _, s, vt = np.linalg.svd(jac_eq)
-        Z = vt[int(np.sum(s > s[0] * 1e-12)):].T
-    else:
-        Z = np.eye(M.shape[0])
+    _, s, vt = np.linalg.svd(jac_eq)
+    Z = vt[int(np.sum(s > s[0] * 1e-12)):].T
     beta1 = float(np.min(np.linalg.eigvalsh(Z.T @ M @ Z)))
     return beta1, beta2, beta3
 

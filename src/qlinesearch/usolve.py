@@ -74,13 +74,13 @@ class IterationRecord:
 
 
 class Trace(Sequence):
-    """A run's records, stored as one float64 row of ``record``'s fields per
-    iteration (``values``: all rows, flat).  Each read builds a fresh record."""
+    """A run's records: one float64 row per iteration (``values``: all rows,
+    flat) of the fields of ``record``, the type each read builds afresh."""
 
-    __slots__ = ("_record", "_rows")
+    __slots__ = ("record", "_rows")
 
     def __init__(self, record, values):
-        self._record = record
+        self.record = record
         self._rows = np.array(values, dtype=float).reshape(-1, len(fields(record)))
 
     def __len__(self):
@@ -92,8 +92,8 @@ class Trace(Sequence):
         # None (BFGS's q) packs as NaN; only an Optional field reads NaN as None
         kinds = {"int": int, "float": float,
                  "Optional[float]": lambda v: None if np.isnan(v) else v}
-        return self._record(*(kinds[f.type](v) for f, v in
-                              zip(fields(self._record), self._rows[i].tolist())))
+        return self.record(*(kinds[f.type](v) for f, v in
+                             zip(fields(self.record), self._rows[i].tolist())))
 
     def __eq__(self, other):  # equal to any sequence of equal records, as a list is
         return isinstance(other, Sequence) and list(self) == list(other)
@@ -207,7 +207,7 @@ class _DescentRun:
         self.direction = direction
         self.x = np.asarray(x0, dtype=float).copy()
         self.f_x = None
-        self.g = None
+        self.g = self.gnorm = None  # grad f at x and its norm, from stop()
 
     def stop(self):
         if self.g is None:
@@ -216,14 +216,15 @@ class _DescentRun:
             except (NumericError, GradientShapeError):
                 self.f_x = float("nan")  # no f is evaluated at an unusable start
                 raise
-        if float(np.linalg.norm(self.g)) < self.config.grad_tolerance:
+        self.gnorm = float(np.linalg.norm(self.g))
+        if self.gnorm < self.config.grad_tolerance:
             return STATUS_CONVERGED
         if self.f_x is not None and self.f_x < self.config.f_floor:
             return STATUS_DIVERGED
         return None
 
     def step(self, k):
-        x, g = self.x, self.g
+        x, g, gnorm = self.x, self.g, self.gnorm
         p, q_k, cond, fallbacks = self.direction(x, g)
         if self.f_x is None:
             self.f_x = float(self.objective(x))
@@ -240,7 +241,6 @@ class _DescentRun:
         if np.array_equal(x_new, x):
             raise LineSearchError(f"accepted step alpha = {step.alpha:.3g} leaves x unchanged")
         g_new = checked_gradient(self.gradient(x_new), x_new)
-        gnorm = float(np.linalg.norm(g))
         record = IterationRecord(k=k, f_value=f0, grad_norm=gnorm, alpha=step.alpha,
                                  q_k=q_k, cos_theta=-slope / (gnorm * float(np.linalg.norm(p))),
                                  condition_number=cond, fallback_count=fallbacks,

@@ -114,6 +114,10 @@ class TestFcBenchmark:
         r = solve_qls(make_fc(0.9), np.array([1.0, 1.0]))
         assert r.status == "converged" and r.iterations == 0
 
+    def test_empty_table_has_no_summary(self):
+        with pytest.raises(ValueError, match="empty"):
+            fc_summary(run_fc_benchmark(c_values=()))
+
 
 class TestSuiteBenchmark:
     def test_determinism_nontime_columns(self):

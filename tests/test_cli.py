@@ -26,7 +26,7 @@ def test_solve_bfgs_with_trace(tmp_path, capsys):
                  "--x0", "0.5,0.9", "--trace", str(trace)])
     assert code == 0
     lines = trace.read_text().strip().split("\n")
-    assert lines[0].startswith("k,f_value,grad_norm,alpha,q,")
+    assert lines[0].startswith("k,f_value,grad_norm,alpha,q_k,")
     assert len(lines) > 2
     # q column empty for bfgs
     assert lines[1].split(",")[4] == ""

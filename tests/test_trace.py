@@ -7,9 +7,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from qlinesearch.problems import Problem, make_fc
-from qlinesearch.sqp import ConstrainedProblem, solve_qsqp
-from qlinesearch.usolve import SolverConfig, Trace, solve_bfgs, solve_qls
+from qlinesearch import bench
+from qlinesearch.problems import Problem, get_problem, make_fc
+from qlinesearch.sqp import ConstrainedProblem, SqpTraceRecord, solve_qsqp
+from qlinesearch.usolve import IterationRecord, SolverConfig, Trace, solve_bfgs, solve_qls
 
 INT_FIELDS = {"k", "fallback_count", "trials"}
 
@@ -77,6 +78,50 @@ def test_fields_read_back_with_their_types(method):
 def test_run_without_iterations_has_an_empty_trace(method):
     r = linear_run(method, SolverConfig(max_iterations=0))
     assert r.iterations == 0 and len(r.trace) == 0 and r.trace == [] and list(r.trace) == []
+
+
+def written_trace(trace, tmp_path):
+    """The header and the rows of ``trace`` as ``bench.emit`` writes it."""
+    path = tmp_path / "trace.csv"
+    bench.emit(trace, "csv", str(path))
+    header, *rows = path.read_text().splitlines()
+    return header.split(","), [row.split(",") for row in rows]
+
+
+@pytest.mark.parametrize("method, record", [("qls", IterationRecord),
+                                            ("bfgs", IterationRecord),
+                                            ("sqp", SqpTraceRecord)])
+def test_emit_writes_a_trace_by_its_record_fields(method, record, tmp_path):
+    trace = RUNS[method]().trace
+    header, rows = written_trace(trace, tmp_path)
+    assert trace.record is record
+    assert header == [f.name for f in fields(record)]
+    assert len(rows) == len(trace)
+    for t, row in zip(trace, rows):
+        assert len(row) == len(header)
+        parsed = [None if cell == "" else int(cell) if name in INT_FIELDS else float(cell)
+                  for name, cell in zip(header, row)]
+        assert record(*parsed) == t  # every cell reads back to its record's value
+        assert (row[header.index("q_k")] == "") == (method == "bfgs")
+
+
+@pytest.mark.parametrize("method", ["qls", "bfgs", "sqp"])
+def test_emit_writes_a_header_only_for_a_stationary_start(method, tmp_path):
+    sphere = get_problem("sphere")
+    x0 = np.zeros(sphere.dimension)
+    if method == "sqp":
+        r = solve_qsqp(ConstrainedProblem(objective=sphere.objective,
+                                          gradient=sphere.gradient, x0=x0))
+    else:
+        r = (solve_qls if method == "qls" else solve_bfgs)(sphere, x0)
+    assert r.status == "converged" and r.iterations == 0
+    header, rows = written_trace(r.trace, tmp_path)
+    assert header == [f.name for f in fields(r.trace.record)] and rows == []
+
+
+def test_emit_rejects_a_trace_as_svg(tmp_path):
+    with pytest.raises(TypeError):
+        bench.emit(RUNS["qls"]().trace, "svg", str(tmp_path / "trace.svg"))
 
 
 @pytest.mark.parametrize("method", ["qls", "bfgs", "sqp"])
