@@ -253,10 +253,9 @@ def performance_profile(table, metric="iterations", runs_required=None):
     if metric not in _METRIC_FIELDS:
         raise ValueError(f"unknown metric {metric!r}")
     check_counts(runs_required=runs_required)
-    problems = table.problems()
-    solvers = table.solvers()
-    if not problems or not solvers:
+    if not table.rows:
         return []
+    problems, solvers = table.problems(), table.solvers()
     ratios = {}
     counted = []
     for prob in problems:
@@ -270,40 +269,46 @@ def performance_profile(table, metric="iterations", runs_required=None):
             v = vals[s]
             # guard the degenerate all-zero cell (e.g. 0-iteration runs)
             ratios[(prob, s)] = v / best if best > 0 else (1.0 if v == best else float("inf"))
-    n_p = len(counted)
-    if n_p == 0:
-        return [ProfileCurve(solver=s, points=[(1.0, 0.0)]) for s in solvers]
     taus = sorted({1.0, *(r for r in ratios.values() if np.isfinite(r))})
-    curves = []
-    for s in solvers:
-        pts = []
-        for tau in taus:
-            frac = sum(1 for p in counted if ratios[(p, s)] <= tau) / n_p
-            pts.append((tau, frac))
-        curves.append(ProfileCurve(solver=s, points=pts))
-    return curves
+    n_p = max(len(counted), 1)  # with no problem counted, each curve is (1, 0) alone
+    return [ProfileCurve(solver=s, points=[(tau, sum(ratios[(p, s)] <= tau for p in counted) / n_p)
+                                           for tau in taus]) for s in solvers]
 
 
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
-RUNS_HEADER = "problem,solver,run_index,seed,success,iterations,elapsed_seconds,start_point"
+#: the text of a CSV cell and its parse, by the annotation of the cell's field;
+#: a float is written as a Python float's repr, which parses back bit for bit
+_CELLS = {
+    "str": (str, str),
+    "int": (str, int),
+    "bool": (lambda v: "true" if v else "false", lambda s: s == "true"),
+    "float": (lambda v: repr(float(v)), float),
+    "Optional[float]": (lambda v: "" if v is None else repr(float(v)),
+                        lambda s: None if s == "" else float(s)),
+    "np.ndarray": (lambda v: ";".join(map(repr, np.asarray(v, dtype=float).tolist())),
+                   lambda s: np.array([float(t) for t in s.split(";")])),
+}
+RUNS_HEADER = ",".join(f.name for f in dataclasses.fields(BenchmarkRow))
 PROFILE_HEADER = "solver,tau,fraction"
+_PROFILE_TYPES = ("str", "float", "float")
 
 
-def _fmt(x):
-    return repr(float(x))
+def _cell_rules(types, which):
+    """The writers (``which`` 0) or parsers (1) of cells annotated ``types``;
+    TypeError for an annotation without a rule, before any cell is written."""
+    if set(types) - _CELLS.keys():
+        raise TypeError(f"no CSV cell rule for annotations {set(types) - _CELLS.keys()}")
+    return [_CELLS[t][which] for t in types]
 
 
 def emit(obj, fmt, path):
     """Write a BenchmarkTable, fc summary list, profile curves or a solve's
-    Trace to disk.
-
-    ``fmt`` is "csv" for any of the four, or "svg" for profile curves.  A
-    trace's columns are its record's fields, each cell the value's repr
-    (empty for None, as BFGS's q_k).
-    """
+    Trace to disk as ``fmt`` "csv", or profile curves as "svg".  The columns
+    of a runs CSV or a trace are its record's fields, each cell written by
+    its annotation's rule (None as an empty cell, as BFGS's q_k)."""
     try:
         if fmt == "csv":
             lines = _csv_lines(obj)
@@ -320,57 +325,48 @@ def emit(obj, fmt, path):
 
 
 def _csv_lines(obj):
-    if isinstance(obj, BenchmarkTable):
-        lines = [RUNS_HEADER]
-        for r in obj.sorted_rows():
-            start = ";".join(_fmt(v) for v in np.asarray(r.start_point))
-            lines.append(f"{r.problem},{r.solver},{r.run_index},{r.seed},"
-                         f"{'true' if r.success else 'false'},{r.iterations},"
-                         f"{_fmt(r.elapsed_seconds)},{start}")
-    elif isinstance(obj, Trace):
-        lines = [",".join(f.name for f in dataclasses.fields(obj.record))]
-        lines += [",".join("" if v is None else repr(v) for v in vars(r).values()) for r in obj]
+    if isinstance(obj, (BenchmarkTable, Trace)):
+        table = isinstance(obj, BenchmarkTable)
+        fields = dataclasses.fields(BenchmarkRow if table else obj.record)
+        names, types = [f.name for f in fields], [f.type for f in fields]
+        rows = (vars(r).values() for r in (obj.sorted_rows() if table else obj))
     elif isinstance(obj, list) and all(isinstance(c, ProfileCurve) for c in obj):
-        lines = [PROFILE_HEADER]
-        for c in obj:
-            for tau, frac in c.points:
-                lines.append(f"{c.solver},{_fmt(tau)},{_fmt(frac)}")
+        names, types = PROFILE_HEADER.split(","), _PROFILE_TYPES
+        rows = ((c.solver, tau, frac) for c in obj for tau, frac in c.points)
     elif isinstance(obj, list) and all(isinstance(r, FcSummaryRow) for r in obj):
         # the columns are the summary's own solvers: c, iter_<s>..., time_<s>...
         solvers = list(obj[0].iterations)
-        lines = [",".join(["c"] + [f"iter_{s}" for s in solvers] + [f"time_{s}" for s in solvers])]
-        for r in obj:
-            lines.append(",".join([_fmt(r.c)] + [_fmt(r.iterations[s]) for s in solvers]
-                                  + [_fmt(r.times[s]) for s in solvers]))
+        names = ["c"] + [f"iter_{s}" for s in solvers] + [f"time_{s}" for s in solvers]
+        types = ["float"] * len(names)
+        rows = ([r.c, *map(r.iterations.get, solvers), *map(r.times.get, solvers)] for r in obj)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-    return lines
+    writers = _cell_rules(types, 0)
+    return [",".join(names)] + [",".join([w(v) for w, v in zip(writers, row)]) for row in rows]
 
 
-def _read_csv(path, header, kind):
-    """The comma-split lines of a CSV after its header, which must be
-    ``header``; blank lines are skipped."""
+def _read_csv(path, header, kind, types):
+    """The rows after a CSV's header, which must be ``header``, each cell
+    parsed by its annotation in ``types``; blank lines are skipped."""
+    parsers = _cell_rules(types, 1)
     with open(path, encoding="utf-8") as fh:
         found = fh.readline().strip()
         if found != header:
             raise ValueError(f"unexpected {kind} header in {path}: {found!r}")
-        return [line.split(",") for line in map(str.strip, fh) if line]
+        return [[p(c) for p, c in zip(parsers, line.split(","), strict=True)]
+                for line in map(str.strip, fh) if line]
 
 
 def load_runs_csv(path):
-    return BenchmarkTable([
-        BenchmarkRow(problem=prob, solver=solver, run_index=int(run_index),
-                     seed=int(seed), success=(success == "true"), iterations=int(iters),
-                     elapsed_seconds=float(secs),
-                     start_point=np.array([float(v) for v in start.split(";")]))
-        for prob, solver, run_index, seed, success, iters, secs, start
-        in _read_csv(path, RUNS_HEADER, "runs")])
+    types = [f.type for f in dataclasses.fields(BenchmarkRow)]
+    return BenchmarkTable([BenchmarkRow(*cells)
+                           for cells in _read_csv(path, RUNS_HEADER, "runs", types)])
 
 
 def load_profile_csv(path):
     curves = {}  # solver -> points, in file order
-    for solver, tau, frac in _read_csv(path, PROFILE_HEADER, "profile"):
-        curves.setdefault(solver, []).append((float(tau), float(frac)))
+    for solver, tau, frac in _read_csv(path, PROFILE_HEADER, "profile", _PROFILE_TYPES):
+        curves.setdefault(solver, []).append((tau, frac))
     return [ProfileCurve(solver=s, points=p) for s, p in curves.items()]
 
 

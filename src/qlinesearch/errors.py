@@ -2,10 +2,9 @@
 
 
 class NumericError(ArithmeticError):
-    """A user callback produced a non-finite value.
-
-    Carries the evaluation point (when known) so failing runs can be replayed.
-    """
+    """A user callback produced a non-finite value, at ``point`` when known.
+    The solvers end such a run as ``numeric_failure`` and drop the error, so
+    only direct callers of q_hessian, q_partial and checked_gradient see the point."""
 
     def __init__(self, message, point=None):
         super().__init__(message)

@@ -448,3 +448,54 @@ def test_criterion_12_rate_from_the_schedule(monkeypatch):
     _report(12, f"rate from the schedule: error ratios {['%.3f' % t for t in ratios]}, "
                 f"frozen q {['%.3f' % t for t in frozen]}", ok)
     assert ok
+
+
+# The stationary points of x sin(sqrt|x|) either side of 420.97, Schwefel's
+# minimizer coordinate: each coordinate's basin of the global minimizer.
+SCHWEFEL_BASIN = (302.525, 559.149)
+
+
+def test_criterion_13_schwefel_q_cells(monkeypatch):
+    """Why the seed-42 suite leaves Schwefel's q cells unsolved.
+
+    The q-shift (1 - q_k) |x_i| scales with the distance from the origin,
+    not from the minimizer, and Schwefel's minimizer lies 420.97 out in each
+    coordinate.  The schedule takes q_2 = 1 - 0.9^gamma (0.1, 0.19, 0.271)
+    before q_k climbs to 1, and q_4 = 0.683 for gamma = 1.  On the first ten
+    sweep starts per gamma, under the sweep's floor and iteration cap, every
+    run leaves the basin at step k = 4 for gamma = 1 (q-shift
+    (1 - q_k) max|x_k| = 133) and k = 2 for gamma = 2 and 3 (341 and 307),
+    and ends diverged.  With ``next_q`` frozen at q0 = 0.9 (shift 42), as
+    in criterion 12, all 30 runs succeed.
+    """
+    prob = q.get_problem("schwefel")
+    lo, hi = SCHWEFEL_BASIN
+    slope = lambda t: float(prob.gradient(np.array([t, t]))[0])
+    assert all(slope(b - 0.01) * slope(b + 0.01) < 0 for b in SCHWEFEL_BASIN)
+    config = SolverConfig(max_iterations=bench.SUITE_MAX_ITERATIONS,
+                          f_floor=prob.known_min_value - bench.SUCCESS_VALUE_GAP)
+
+    def runs():
+        out = []
+        for gamma in (1, 2, 3):
+            for i in range(10):
+                xs = [bench.suite_start(prob, f"q{gamma}", 42, i)]
+                r = solve_qls(prob, xs[0], config=config, schedule=QSchedule(0.9, gamma),
+                              callback=xs.append)
+                k = next((j for j, x in enumerate(xs[1:]) if np.any((x <= lo) | (x >= hi))),
+                         None)
+                shift = None if k is None else round((1 - r.trace[k].q_k) * max(abs(xs[k])))
+                out.append((gamma, r.status, k, shift, bench.is_success(prob, r)))
+        return out
+
+    scheduled = runs()
+    monkeypatch.setattr(usolve, "next_q", lambda schedule: schedule)
+    frozen = runs()
+    expected = {1: (4, 133), 2: (2, 341), 3: (2, 307)}
+    ok = (scheduled == [(g, "diverged", *expected[g], False) for g in (1, 2, 3) for _ in range(10)]
+          and all(status == "converged" and k is None and good
+                  for _, status, k, _, good in frozen))
+    _report(13, f"Schwefel q cells: all 30 scheduled runs leave the basin "
+                f"(k, shift by gamma {expected}) and diverge; {sum(r[-1] for r in frozen)}/30 "
+                f"succeed with q frozen", ok)
+    assert ok

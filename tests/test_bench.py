@@ -8,7 +8,7 @@ from qlinesearch.bench import (BenchmarkRow, BenchmarkTable, ProfileCurve,
                                fc_summary, is_success, performance_profile,
                                run_fc_benchmark, run_suite_benchmark)
 from qlinesearch.problems import get_problem, standard_suite
-from qlinesearch.usolve import STATUS_DIVERGED, SolverConfig
+from qlinesearch.usolve import STATUS_DIVERGED, SolverConfig, Trace
 
 
 def row(problem, solver, iterations, success=True, run_index=0, secs=0.0):
@@ -186,6 +186,38 @@ class TestEmit:
             assert ra.success == rb.success and ra.iterations == rb.iterations
             assert ra.elapsed_seconds == rb.elapsed_seconds
             assert np.array_equal(ra.start_point, rb.start_point)
+
+    def test_runs_header_is_the_row_fields(self):
+        assert bench.RUNS_HEADER == ",".join(f.name for f in dataclasses.fields(BenchmarkRow))
+
+    @pytest.mark.parametrize("sweep", [
+        lambda: run_fc_benchmark(c_values=(0.5, 1.3), y_values=(0.1, 0.9)),
+        lambda: run_suite_benchmark(suite=[get_problem("branin"), get_problem("schwefel")],
+                                    master_seed=42, runs_required=2, attempt_cap=3),
+    ], ids=["fc", "suite"])
+    def test_runs_load_back_every_field_with_its_type(self, sweep, tmp_path):
+        table = sweep()
+        path = tmp_path / "runs.csv"
+        bench.emit(table, "csv", str(path))
+        back = bench.load_runs_csv(str(path)).sorted_rows()
+        kinds = {"str": str, "int": int, "bool": bool, "float": float, "np.ndarray": np.ndarray}
+        assert len(back) == len(table.rows)
+        for ra, rb in zip(table.sorted_rows(), back):
+            for f in dataclasses.fields(BenchmarkRow):
+                a, b = getattr(ra, f.name), getattr(rb, f.name)
+                assert type(a) is kinds[f.type] and type(b) is kinds[f.type], f.name
+                assert np.array_equal(a, b) if f.type == "np.ndarray" else a == b, f.name
+
+    def test_unknown_annotation_raises_before_writing(self, tmp_path):
+        @dataclasses.dataclass
+        class Spectrum:
+            k: "int"
+            eigenvalue: "complex"
+
+        path = tmp_path / "trace.csv"
+        with pytest.raises(TypeError, match="complex"):
+            bench.emit(Trace(Spectrum, [0.0, 1.0]), "csv", str(path))
+        assert not path.exists()
 
     def test_profile_round_trip(self, tmp_path):
         curves = performance_profile(hand_table(), "iterations")
