@@ -1,13 +1,16 @@
 """Command-line interface: solve single problems, run benchmarks, build profiles.
 
 A run is named as in the runs CSV: problem ``fc_c0.5``, solver ``bfgs`` or
-``q<gamma>``.  Exit codes: 0 on success, 2 on invalid arguments, 3 when runs
-failed or cells stayed unsolved (partial output is still written).
+``q<gamma>``.  Exit codes: 0 on success, 2 on invalid arguments (among them an
+``--in`` file that does not read as a runs CSV and an output path in a missing
+directory), 3 when runs failed or cells stayed unsolved (partial output is
+still written).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from dataclasses import fields
@@ -109,8 +112,7 @@ def _cmd_bench_suite(args):
 
 
 def _cmd_profile(args):
-    table = bench.load_runs_csv(args.input)
-    curves = bench.performance_profile(table, metric=args.metric)
+    curves = bench.performance_profile(args.table, metric=args.metric)
     bench.emit(curves, "csv", args.out)
     if args.svg:
         bench.emit(curves, "svg", args.svg)
@@ -140,7 +142,13 @@ def main(argv=None):
             if len(args.x0) != problem.dimension:
                 raise ValueError(f"{problem.name} expects dimension {problem.dimension}, "
                                  f"got x0 of length {len(args.x0)}")
-    except (KeyError, ValueError) as exc:
+        for name in ("trace", "out", "runs_out", "svg"):  # the output paths, before any run
+            path = getattr(args, name, None)
+            if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+                raise ValueError(f"cannot write {path}: not a file in an existing directory")
+        if "input" in args:
+            args.table = bench.load_runs_csv(args.input)
+    except (KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return args.handler(args)

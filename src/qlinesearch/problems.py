@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .qcalc import central_difference
+
 _PI = math.pi
 
 
@@ -43,11 +45,7 @@ def check_gradient(problem, x, step=1e-6):
     g = np.asarray(problem.gradient(x), dtype=float)
     worst = 0.0
     for i in range(x.shape[0]):
-        xp = x.copy()
-        xp[i] += step
-        xm = x.copy()
-        xm[i] -= step
-        fd = (problem.objective(xp) - problem.objective(xm)) / (2.0 * step)
+        fd = central_difference(problem.objective, x, i, step)
         worst = max(worst, abs(g[i] - fd) / max(1.0, abs(g[i])))
     return worst
 
@@ -101,12 +99,8 @@ def make_fc(c):
                 - (1.0 - c) ** 2 / c - 0.2 * xx * (yy - xx * xx))
 
     # the Rosenbrock branch sits on the side of x = c containing x = 1
-    if c <= 1.0:
-        def on_rosen_side(xx):
-            return xx >= c
-    else:
-        def on_rosen_side(xx):
-            return xx <= c
+    def on_rosen_side(xx):
+        return xx >= c if c <= 1.0 else xx <= c
 
     def objective(x):
         xx, yy = float(x[0]), float(x[1])
@@ -133,6 +127,18 @@ def make_fc(c):
 # ---------------------------------------------------------------------------
 # Standard suite
 # ---------------------------------------------------------------------------
+
+def _index(x):
+    """The index vector i = 1, ..., n of ``x``, as floats."""
+    return np.arange(1, x.shape[0] + 1, dtype=float)
+
+
+def _weighted_squares(weights):
+    """Objective sum_i w_i x_i^2 and gradient 2 w * x, with w = ``weights(x)``:
+    sphere (w = 1), sumsquares (w = i) and rotated hyper-ellipsoid (w = n + 1 - i)."""
+    return (lambda x: float(np.sum(weights(x) * x ** 2)),
+            lambda x: 2.0 * weights(x) * x)
+
 
 def _bohachevsky(x):
     return (x[0] ** 2 + 2.0 * x[1] ** 2
@@ -217,12 +223,12 @@ def _easom_grad(x):
 
 
 def _griewank(x):
-    i = np.arange(1, x.shape[0] + 1, dtype=float)
+    i = _index(x)
     return float(np.sum(x ** 2) / 4000.0 - np.prod(np.cos(x / np.sqrt(i))) + 1.0)
 
 
 def _griewank_grad(x):
-    i = np.arange(1, x.shape[0] + 1, dtype=float)
+    i = _index(x)
     cosv = np.cos(x / np.sqrt(i))
     prod = np.prod(cosv)
     g = x / 2000.0
@@ -287,18 +293,6 @@ def _mccormick_grad(x):
     return np.array([cs + d - 1.5, cs - d + 2.5])
 
 
-def _rotated_hyper_ellipsoid(x):
-    n = x.shape[0]
-    weights = np.arange(n, 0, -1, dtype=float)
-    return float(np.sum(weights * x ** 2))
-
-
-def _rotated_hyper_ellipsoid_grad(x):
-    n = x.shape[0]
-    weights = np.arange(n, 0, -1, dtype=float)
-    return 2.0 * weights * x
-
-
 _SCHWEFEL_XSTAR = 420.968746359982
 
 
@@ -312,14 +306,6 @@ def _schwefel_grad(x):
     return -(np.sin(r) + 0.5 * r * np.cos(r))
 
 
-def _sphere(x):
-    return float(np.sum(x ** 2))
-
-
-def _sphere_grad(x):
-    return 2.0 * x
-
-
 _STYBTANG_XSTAR = -2.903534027771177
 
 
@@ -331,34 +317,23 @@ def _styblinski_tang_grad(x):
     return 2.0 * x ** 3 - 16.0 * x + 2.5
 
 
-def _sumsquares(x):
-    i = np.arange(1, x.shape[0] + 1, dtype=float)
-    return float(np.sum(i * x ** 2))
-
-
-def _sumsquares_grad(x):
-    i = np.arange(1, x.shape[0] + 1, dtype=float)
-    return 2.0 * i * x
-
-
 def _zakharov(x):
-    i = np.arange(1, x.shape[0] + 1, dtype=float)
-    s = float(np.sum(0.5 * i * x))
+    s = float(np.sum(0.5 * _index(x) * x))
     return float(np.sum(x ** 2) + s ** 2 + s ** 4)
 
 
 def _zakharov_grad(x):
-    i = np.arange(1, x.shape[0] + 1, dtype=float)
+    i = _index(x)
     s = float(np.sum(0.5 * i * x))
     return 2.0 * x + (2.0 * s + 4.0 * s ** 3) * 0.5 * i
 
 
-def _problem(name, dim, obj, grad, minimizers, side=1.0):
+def _problem(name, dim, obj, grad, minimizers):
     mins = [np.asarray(m, dtype=float) for m in minimizers]
     return Problem(name=name, dimension=dim, objective=obj, gradient=grad,
                    known_minimizers=mins,
                    known_min_value=float(obj(mins[0])),
-                   start_box=StartBox(center=mins[0].copy(), side=side))
+                   start_box=StartBox(center=mins[0].copy()))
 
 
 def standard_suite():
@@ -378,13 +353,13 @@ def standard_suite():
         _problem("hartmann3", 3, _hartmann3, _hartmann3_grad, [_HART_XSTAR.copy()]),
         _problem("levy", 4, _levy, _levy_grad, [np.ones(4)]),
         _problem("mccormick", 2, _mccormick, _mccormick_grad, [_MCCORMICK_XSTAR.copy()]),
-        _problem("rotatedhyperellipsoid", 4, _rotated_hyper_ellipsoid,
-                 _rotated_hyper_ellipsoid_grad, [np.zeros(4)]),
+        _problem("rotatedhyperellipsoid", 4, *_weighted_squares(lambda x: _index(x)[::-1]),
+                 [np.zeros(4)]),
         _problem("schwefel", 2, _schwefel, _schwefel_grad, [np.full(2, sw)]),
-        _problem("sphere", 8, _sphere, _sphere_grad, [np.zeros(8)]),
+        _problem("sphere", 8, *_weighted_squares(lambda x: 1.0), [np.zeros(8)]),
         _problem("styblinskitang", 4, _styblinski_tang, _styblinski_tang_grad,
                  [np.full(4, st)]),
-        _problem("sumsquares", 10, _sumsquares, _sumsquares_grad, [np.zeros(10)]),
+        _problem("sumsquares", 10, *_weighted_squares(_index), [np.zeros(10)]),
         _problem("zakharov", 2, _zakharov, _zakharov_grad, [np.zeros(2)]),
     ]
 

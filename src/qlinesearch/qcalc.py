@@ -39,6 +39,15 @@ def default_fd_step(scale=1.0):
     return _EPS ** (1.0 / 3.0) * max(1.0, abs(float(scale)))
 
 
+def central_difference(g, x, i, h):
+    """(g(x + h e_i) - g(x - h e_i)) / 2h at the float array ``x``, calling g
+    at x + h e_i first."""
+    xp, xm = x.copy(), x.copy()
+    xp[i] += h
+    xm[i] -= h
+    return (g(xp) - g(xm)) / (2.0 * h)
+
+
 def _shifted(x, i, q):
     # q_shift on arguments its callers have checked already
     out = x.copy()
@@ -75,12 +84,7 @@ def q_difference(g, x, i, q, gx=None):
     """
     xi = float(x[i])
     if abs(xi) <= ZERO_BAND * max(1.0, float(abs(x).max())):
-        h = default_fd_step(xi)
-        xp = x.copy()
-        xp[i] += h
-        xm = x.copy()
-        xm[i] -= h
-        return (g(xp) - g(xm)) / (2.0 * h), True
+        return central_difference(g, x, i, default_fd_step(xi)), True
     if gx is None:
         gx = g(x)
     return (gx - g(_shifted(x, i, q))) / ((1.0 - q) * xi), False

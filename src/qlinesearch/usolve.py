@@ -12,6 +12,7 @@ forward.
 
 from __future__ import annotations
 
+import functools
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
@@ -73,6 +74,12 @@ class IterationRecord:
     trials: int  # line-search trials, one objective evaluation each
 
 
+@functools.cache
+def _field_reads(record):  # None (BFGS's q) packs as NaN; only an Optional field reads NaN as None
+    kinds = {"int": int, "float": float, "Optional[float]": lambda v: None if np.isnan(v) else v}
+    return tuple(kinds[f.type] for f in fields(record))
+
+
 class Trace(Sequence):
     """A run's records: one float64 row per iteration (``values``: all rows,
     flat) of the fields of ``record``, the type each read builds afresh."""
@@ -89,11 +96,8 @@ class Trace(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
-        # None (BFGS's q) packs as NaN; only an Optional field reads NaN as None
-        kinds = {"int": int, "float": float,
-                 "Optional[float]": lambda v: None if np.isnan(v) else v}
-        return self.record(*(kinds[f.type](v) for f, v in
-                             zip(fields(self.record), self._rows[i].tolist())))
+        return self.record(*[read(v) for read, v in
+                             zip(_field_reads(self.record), self._rows[i].tolist())])
 
     def __eq__(self, other):  # equal to any sequence of equal records, as a list is
         return isinstance(other, Sequence) and list(self) == list(other)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import qlinesearch as q
-from qlinesearch import bench, usolve
+from qlinesearch import bench, sqp, usolve
 from qlinesearch.cli import main as cli_main
 from qlinesearch.psdfactor import psd_modify
 from qlinesearch.qcalc import QSchedule
@@ -498,4 +498,81 @@ def test_criterion_13_schwefel_q_cells(monkeypatch):
     _report(13, f"Schwefel q cells: all 30 scheduled runs leave the basin "
                 f"(k, shift by gamma {expected}) and diverge; {sum(r[-1] for r in frozen)}/30 "
                 f"succeed with q frozen", ok)
+    assert ok
+
+
+def _projected_dennis_more_ratios(hessian, Z, points, matrices):
+    """||Z^T (B_k - H(x_k)) p_k|| / ||p_k|| for each SQP step p_k = x_{k+1} - x_k.
+
+    B_k is the step's modified Lagrangian q-Hessian, H the Hessian of the
+    Lagrangian in x and Z an orthonormal basis of the null space of the
+    constraint Jacobian.  With unit steps the x iterates converge
+    superlinearly if and only if these ratios tend to 0 (Boggs, Tolle &
+    Wang 1982; Nocedal & Wright 2006, Thm 18.5)."""
+    ratios = []
+    for B, x_k, x_next in zip(matrices, points, points[1:]):
+        p = x_next - x_k
+        ratios.append(float(np.linalg.norm(Z.T @ (B - hessian(x_k)) @ p) / np.linalg.norm(p)))
+    return ratios
+
+
+def test_criterion_14_constrained_rate_from_the_schedule(monkeypatch):
+    """SQP is superlinear too, and again because of the q_k -> 1 schedule.
+
+    Criterion 12's quartic sum (x - s)^4 + (x - s)^2 (s = 3, n = 4) under
+    sum(x) = n (s + e) with e = 0.5 has its KKT point in closed form:
+    x* = (s + e) 1 and u* = -(4 e^3 + 2 e).  The Lagrangian is not
+    quadratic, so the q-Hessian is not exact on it, as it is on the circle.
+    From x* + (0.7, 0, 0.4, -0.1), off the constraint by 1, with q0 = 0.9
+    and gamma = 2, the last eight error ratios measured 0.527, 0.469, 0.427,
+    0.390, 0.359, 0.332, 0.308, 0.288 and the projected Dennis-More ratios
+    1.73 to 1.12; with ``sqp.next_q`` frozen at q0 they stay at 0.475 and
+    1.61: linear.
+
+    The run stops at a KKT residual of 1e-6 (error about 2e-7), above the
+    l1 merit's rounding floor.  The merit's true decrease along a step is
+    O(||x - x*||^2); once that falls to a few ulps of the merit, near an
+    error of 1e-8, rounding in f and in mu |h| (h vanishes along the QP step
+    in exact arithmetic) can reject the unit step.  A halved step gives the
+    ratio 1 - (1 - rho) / 2, 0.57 for rho = 0.15: an outlier of the line
+    search, not of the schedule.  Every step of the tail is a unit step.
+    """
+    s, e, n = 3.0, 0.5, 4
+    xstar, ustar = np.full(n, s + e), -(4.0 * e ** 3 + 2.0 * e)
+    prob = ConstrainedProblem(
+        objective=lambda x: float(np.sum((x - s) ** 4 + (x - s) ** 2)),
+        gradient=lambda x: 4.0 * (x - s) ** 3 + 2.0 * (x - s),
+        x0=xstar + np.array([0.7, 0.0, 0.4, -0.1]),
+        h=lambda x: np.array([np.sum(x) - n * (s + e)]),
+        jac_h=lambda x: np.ones((1, n)), n_eq=1)
+    assert np.array_equal(prob.gradient(xstar) + ustar * prob.jac_h(xstar)[0], np.zeros(n))
+    hessian = lambda x: np.diag(12.0 * (x - s) ** 2 + 2.0)  # of L too: h is linear
+    Z = np.linalg.svd(prob.jac_h(xstar))[2][1:].T
+
+    def tail():
+        xs, matrices = [], []
+
+        def modify(A, delta=None):
+            mod = psd_modify(A, delta)
+            matrices.append(mod.modified_matrix)
+            return mod
+        monkeypatch.setattr(sqp, "psd_modify", modify)
+        r = solve_qsqp(prob, config=SolverConfig(grad_tolerance=1e-6),
+                       schedule=QSchedule(0.9, 2), callback=xs.append)
+        assert r.status == "converged"
+        points = [prob.x0] + xs
+        errs = [np.linalg.norm(x - xstar) for x in points]
+        ratios = [b / a for a, b in zip(errs, errs[1:])]
+        dm = _projected_dennis_more_ratios(hessian, Z, points, matrices)
+        assert all(t.alpha == 1.0 for t in r.trace[-8:])
+        return ratios[-8:], dm[-8:]
+
+    ratios, dm = tail()
+    monkeypatch.setattr(sqp, "next_q", lambda schedule: schedule)
+    frozen, frozen_dm = tail()
+    falls = lambda seq: all(b < a for a, b in zip(seq, seq[1:]))
+    ok = (falls(ratios) and falls(dm) and ratios[-1] < 0.3 and dm[-1] < 1.2
+          and all(t >= 0.45 for t in frozen) and all(t >= 1.5 for t in frozen_dm))
+    _report(14, f"constrained rate from the schedule: error ratios "
+                f"{['%.3f' % t for t in ratios]}, frozen q {['%.3f' % t for t in frozen]}", ok)
     assert ok

@@ -74,6 +74,11 @@ SPHERE = ["solve", "--problem", "sphere", "--solver", "q1", "--x0", "1,1,1,1,1,1
     ["bench", "suite", "--eps", "nan"], ["bench", "suite", "--q0", "1.5"],
     ["bench", "suite", "--runs", "0"], ["bench", "suite", "--attempt-cap", "0"],
     ["bench", "suite", "--max-iter", "-1"],
+    ["profile", "--metric", "iterations", "--in", "/nonexistent/runs.csv", "--out", "p.csv"],
+    SPHERE + ["--trace", "/nonexistent/trace.csv"],
+    ["bench", "fc", "--out", "/nonexistent/fc.csv"],
+    ["bench", "fc", "--runs-out", "/nonexistent/runs.csv"],
+    ["bench", "suite", "--runs", "1", "--attempt-cap", "2", "--out", "/nonexistent/runs.csv"],
 ], ids=lambda argv: " ".join(argv[:1 + (argv[0] == "bench")] + argv[-2:]))
 def test_invalid_values_exit_2_with_one_error_line(argv, capsys):
     # the library's own checks reject each value before anything runs
@@ -81,6 +86,20 @@ def test_invalid_values_exit_2_with_one_error_line(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("case", ["header", "out", "out is a directory", "svg"])
+def test_profile_file_errors_exit_2_with_one_error_line(case, tmp_path, capsys):
+    # a runs CSV under another header, or a valid one with an output that cannot be written
+    runs, missing = tmp_path / "runs.csv", tmp_path / "missing"
+    runs.write_text(("c,iter_bfgs" if case == "header" else bench.RUNS_HEADER) + "\n")
+    out = {"out": missing / "p.csv", "out is a directory": tmp_path}.get(case, tmp_path / "p.csv")
+    svg = ["--svg", str(missing / "p.svg")] if case == "svg" else []
+    assert main(["profile", "--metric", "iterations", "--in", str(runs), "--out", str(out), *svg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert sorted(tmp_path.iterdir()) == [runs]
 
 
 @pytest.mark.parametrize("x0", [["--x0", "-1.2,1.5"], ["--x0", "-1,2"], ["--x0=-1.2,1.5"]],
