@@ -110,22 +110,19 @@ def solver_call(solver, q0=DEFAULT_SCHEDULE.q0):
     """The solve of a runs-CSV solver name, a function of (problem, x0, config):
     ``bfgs``, or ``q<gamma>`` for solve_qls under QSchedule(q0, gamma), each
     looked up in this module when it runs.  Raises ValueError for any other
-    name or gamma, and for a q0 outside (0, 1) whatever the name."""
-    if solver != "bfgs" and not (solver[:1] == "q" and solver[1:].isdigit()):
+    name (``q01`` too: a run has one name), and for a q0 outside (0, 1)."""
+    gamma = solver[1:] if solver[:1] == "q" else ""
+    if solver != "bfgs" and not (gamma.isdecimal() and gamma == str(int(gamma))):
         raise ValueError(f"unknown solver {solver!r}; a solver is bfgs or q<gamma>")
-    schedule = QSchedule(q0, DEFAULT_SCHEDULE.gamma if solver == "bfgs" else int(solver[1:]))
+    schedule = QSchedule(q0, int(gamma) if gamma else DEFAULT_SCHEDULE.gamma)
     if solver == "bfgs":
         return lambda problem, x0, config: solve_bfgs(problem, x0, config=config)
     return lambda problem, x0, config: solve_qls(problem, x0, config=config, schedule=schedule)
 
 
-def _solver_run(solver, problem, x0, config, q0):
-    return solver_call(solver, q0)(problem, x0, config)
-
-
 def _run_row(problem, solver, run_index, seed, x0, config, q0):
     """The row of one solve from ``x0``: the per-run body of both sweeps."""
-    result = _solver_run(solver, problem, x0, config, q0)
+    result = solver_call(solver, q0)(problem, x0, config)
     return BenchmarkRow(
         problem=problem.name, solver=solver, run_index=run_index, seed=seed,
         success=is_success(problem, result), iterations=result.iterations,
@@ -141,7 +138,6 @@ def run_fc_benchmark(c_values=None, q0=DEFAULT_SCHEDULE.q0, solvers=SOLVERS, con
     """
     c_values = DEFAULT_C_VALUES if c_values is None else tuple(c_values)
     y_values = DEFAULT_Y_VALUES if y_values is None else tuple(y_values)
-    config = config if config is not None else SolverConfig()
     table = BenchmarkTable()
     for c in c_values:
         problem = make_fc(c)
@@ -189,10 +185,10 @@ def suite_start(problem, solver, master_seed, run_index):
 
 
 def check_counts(**counts):
-    """Raise ValueError for a success quota or attempt cap below 1; None is no quota."""
+    """Raise ValueError unless each count is a whole number >= 1 or None (no quota)."""
     for name, value in counts.items():
-        if value is not None and value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value!r}")
+        if value is not None and not (value >= 1 and value % 1 == 0):
+            raise ValueError(f"{name} must be a whole number of at least 1, got {value!r}")
 
 
 def run_suite_benchmark(suite=None, solvers=SOLVERS, master_seed=SUITE_SEED,

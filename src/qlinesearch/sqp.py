@@ -16,14 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GradientShapeError, QPError
+from .errors import GradientShapeError, NumericError, QPError
 from .linesearch import backtracking_step
 from .psdfactor import default_delta, ldl_factor, psd_modify
 from .qcalc import next_q
 from .qmatrix import (checked_gradient, checked_jacobian, lagrangian_gradient,
                       q_hessian_lagrangian)
-from .usolve import (DEFAULT_SCHEDULE, STATUS_CONVERGED, STATUS_NUMERIC_FAILURE,
-                     SolverConfig, drive)
+from .usolve import DEFAULT_SCHEDULE, STATUS_CONVERGED, drive
 
 
 @dataclass
@@ -230,10 +229,9 @@ class _SqpRun:
     penalty, with (f, h, g) at x held once known."""
     record = SqpTraceRecord
 
-    def __init__(self, problem, config, schedule):
+    def __init__(self, problem, schedule):
         self.problem = problem
         self.objective = problem.objective
-        self.config = config
         self.schedule = schedule
         self.x = problem.x0.astype(float).copy()
         self.u = problem.u0.astype(float).copy()
@@ -256,7 +254,7 @@ class _SqpRun:
                                      f"expected ({prob.n_eq},) and ({prob.n_ineq},)")
         return f, h, g
 
-    def stop(self):
+    def stop(self, config):
         prob, x, u, v = self.problem, self.x, self.u, self.v
         m, p, n = prob.n_eq, prob.n_ineq, x.shape[0]
         if self.held is None:
@@ -267,14 +265,14 @@ class _SqpRun:
         Jg = checked_jacobian(prob.jac_g(x), p, x) if p else np.zeros((0, n))
         g_obj = checked_gradient(g_obj, x)
         if not (np.isfinite(fval) and np.all(np.isfinite(hx)) and np.all(np.isfinite(gx))):
-            return STATUS_NUMERIC_FAILURE
+            raise NumericError("non-finite objective or constraint value", point=x.copy())
         # the same function the q-Hessian's closure calls, so this is bitwise
         # the gradient it would evaluate at x
         grad_lag = lagrangian_gradient(g_obj, Jh, u, Jg, v)
         residual = float(np.linalg.norm(grad_lag))
         residual += float(np.linalg.norm(hx))
         residual += float(np.linalg.norm(np.minimum(v, -gx)))
-        if residual < self.config.grad_tolerance:
+        if residual < config.grad_tolerance:
             return STATUS_CONVERGED
         self.at_x = (g_obj, Jh, Jg, grad_lag, residual)
         return None
@@ -333,6 +331,5 @@ def solve_qsqp(problem, config=None, schedule=None, callback=None):
     objective and constraint values at a new iterate are carried over from
     the accepted merit trial; ``config.f_floor`` is not used.
     """
-    config = config if config is not None else SolverConfig()
     schedule = schedule if schedule is not None else DEFAULT_SCHEDULE
-    return drive(_SqpRun(problem, config, schedule), config, callback)
+    return drive(_SqpRun(problem, schedule), config, callback)

@@ -1,13 +1,13 @@
 """Unconstrained solvers: q-line-search and the BFGS baseline.
 
 Both solvers, and the SQP solver in ``sqp``, run in one iteration driver,
-``drive``, which owns the iteration and time caps, the mapping of errors to
-statuses, the ``Trace``, the callback and ``f_final``; each solver supplies
-only a stop test and a step.  Both unconstrained solvers stop on the gradient
-norm and the objective floor and emit the same per-iteration trace.  The q
-solver rebuilds its positive definite matrix from scratch every iteration
-out of the q-Hessian surrogate; BFGS carries the classical rank-two update
-forward.
+``drive``, which owns the config, the iteration and time caps, the mapping
+of errors to statuses, the ``Trace``, the callback and ``f_final``; each
+solver supplies only a step and a stop test, which ``drive`` hands the
+config.  Both unconstrained solvers stop on the gradient norm and the
+objective floor and emit the same per-iteration trace.  The q solver
+rebuilds its positive definite matrix from scratch every iteration out of
+the q-Hessian surrogate; BFGS carries the classical rank-two update forward.
 """
 
 from __future__ import annotations
@@ -141,15 +141,17 @@ def drive(run, config, callback):
     """The iteration loop every solver shares.
 
     ``run`` holds the iterate ``x``, the objective there as ``f_x`` (None
-    until known) and the callable ``objective``.  Each pass asks
-    ``run.stop()`` for a status, then checks ``max_iterations`` and the time
-    cap, then calls ``run.step(k)``, which moves ``run.x`` and returns the
-    iteration's ``run.record``, kept as a row of the ``Trace``.  An
+    until known) and the callable ``objective``; ``config`` (None for
+    ``SolverConfig()``) is held here alone.  Each pass asks
+    ``run.stop(config)`` for a status, then checks ``max_iterations`` and the
+    time cap, then calls ``run.step(k)``, which moves ``run.x`` and returns
+    the iteration's ``run.record``, kept as a row of the ``Trace``.  An
     exception from either ends the run with a status.  ``run.objective`` is
     wrapped to check the time cap first, so a run past it ends as
     ``time_cap`` at its last accepted iterate, in a line search too.
     ``f_final`` is the carried f, or one fresh evaluation (NaN if it raises).
     """
+    config = config if config is not None else SolverConfig()
     t0 = time.perf_counter()
     deadline = t0 + config.time_cap_seconds
     objective = run.objective
@@ -163,7 +165,7 @@ def drive(run, config, callback):
     k = 0
     while True:
         try:
-            status = run.stop()
+            status = run.stop(config)
             if status is None:
                 if k >= config.max_iterations:
                     status = STATUS_MAX_ITERATIONS
@@ -204,16 +206,15 @@ class _DescentRun:
     """
     record = IterationRecord
 
-    def __init__(self, problem, x0, config, direction):
+    def __init__(self, problem, x0, direction):
         self.objective = problem.objective
         self.gradient = problem.gradient
-        self.config = config
         self.direction = direction
         self.x = np.asarray(x0, dtype=float).copy()
         self.f_x = None
         self.g = self.gnorm = None  # grad f at x and its norm, from stop()
 
-    def stop(self):
+    def stop(self, config):
         if self.g is None:
             try:
                 self.g = checked_gradient(self.gradient(self.x), self.x)
@@ -221,9 +222,9 @@ class _DescentRun:
                 self.f_x = float("nan")  # no f is evaluated at an unusable start
                 raise
         self.gnorm = float(np.linalg.norm(self.g))
-        if self.gnorm < self.config.grad_tolerance:
+        if self.gnorm < config.grad_tolerance:
             return STATUS_CONVERGED
-        if self.f_x is not None and self.f_x < self.config.f_floor:
+        if self.f_x is not None and self.f_x < config.f_floor:
             return STATUS_DIVERGED
         return None
 
@@ -260,7 +261,6 @@ def solve_qls(problem, x0, config=None, schedule=None, callback=None):
     the modification (no explicit inverse).  The schedule starts at q_0 and
     advances once per iteration.
     """
-    config = config if config is not None else SolverConfig()
     state = {"schedule": schedule if schedule is not None else DEFAULT_SCHEDULE}
     grad = problem.gradient
 
@@ -272,12 +272,11 @@ def solve_qls(problem, x0, config=None, schedule=None, callback=None):
         p = mod.solve(-g)
         return p, sched.q_current, _spd_condition(mod.modified_matrix), qh.fallback_count
 
-    return drive(_DescentRun(problem, x0, config, direction), config, callback)
+    return drive(_DescentRun(problem, x0, direction), config, callback)
 
 
 def solve_bfgs(problem, x0, config=None, callback=None):
     """BFGS baseline under the same step, stop test and tracing as ``solve_qls``."""
-    config = config if config is not None else SolverConfig()
     n = np.asarray(x0).shape[0]
     state = {"B": np.eye(n), "x": None, "g": None}
 
@@ -289,4 +288,4 @@ def solve_bfgs(problem, x0, config=None, callback=None):
         B = state["B"]
         return np.linalg.solve(B, -g), None, _spd_condition(B), 0
 
-    return drive(_DescentRun(problem, x0, config, direction), config, callback)
+    return drive(_DescentRun(problem, x0, direction), config, callback)

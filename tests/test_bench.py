@@ -86,6 +86,14 @@ class TestPerformanceProfile:
         with pytest.raises(ValueError):
             performance_profile(t, "iterations", runs_required=0)
 
+    @pytest.mark.parametrize("runs_required", [1.5, float("nan")])
+    def test_quota_not_whole_rejected(self, runs_required):
+        # either used to end in a TypeError from slicing the cell's successes
+        t = BenchmarkTable()
+        t.rows += [row("p1", "s1", 1)]
+        with pytest.raises(ValueError):
+            performance_profile(t, "iterations", runs_required=runs_required)
+
     def test_time_metric(self):
         t = BenchmarkTable()
         t.rows += [row("p1", "s1", 1, secs=2.0), row("p1", "s2", 1, secs=4.0)]
@@ -158,9 +166,12 @@ class TestSuiteBenchmark:
             assert np.array_equal(start, r.start_point)
 
     @pytest.mark.parametrize("counts", [{"runs_required": 0}, {"attempt_cap": 0},
-                                        {"runs_required": -1}], ids=str)
+                                        {"runs_required": -1},
+                                        {"runs_required": float("nan")},
+                                        {"attempt_cap": 2.5}], ids=str)
     def test_counts_below_one_rejected(self, counts):
-        # either count at 0 used to run nothing and return an empty table
+        # either count at 0 (or NaN) used to run nothing and return an empty
+        # table; a fractional cap failed inside range() with a TypeError
         with pytest.raises(ValueError):
             run_suite_benchmark(**counts)
 
@@ -324,17 +335,19 @@ class TestDivergenceGuard:
         with recorded_solves() as solves:
             guarded = run_suite_benchmark(suite=suite, **self.SWEEP)
         statuses = [(p.name, s, r.status) for p, s, r in solves]
-        original = bench._solver_run
+        originals = bench.solve_qls, bench.solve_bfgs
 
-        def unguarded_run(solver, problem, x0, config, q0):
-            config = dataclasses.replace(config, f_floor=float("-inf"))
-            return original(solver, problem, x0, config, q0)
+        def unguarded(solve):  # wraps the solvers bench looks up at call time
+            def run(problem, x0, config, **kwargs):
+                config = dataclasses.replace(config, f_floor=float("-inf"))
+                return solve(problem, x0, config=config, **kwargs)
+            return run
 
-        bench._solver_run = unguarded_run
+        bench.solve_qls, bench.solve_bfgs = map(unguarded, originals)
         try:
             free = run_suite_benchmark(suite=suite, **self.SWEEP)
         finally:
-            bench._solver_run = original
+            bench.solve_qls, bench.solve_bfgs = originals
         return guarded, free, statuses
 
     def test_guard_fires_on_schwefel(self, sweeps):

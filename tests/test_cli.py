@@ -66,8 +66,9 @@ SPHERE = ["solve", "--problem", "sphere", "--solver", "q1", "--x0", "1,1,1,1,1,1
     SPHERE + ["--q0", "1.5"], SPHERE + ["--q0", "0"], SPHERE + ["--solver", "q0"],
     SPHERE + ["--solver", "newton"], SPHERE + ["--q0", "1.5", "--solver", "bfgs"],
     SPHERE + ["--eps", "0"], SPHERE + ["--eps", "nan"], SPHERE + ["--eps", "-1e-5"],
-    SPHERE + ["--max-iter", "-5"],
+    SPHERE + ["--max-iter", "-5"], SPHERE + ["--solver", "q01"],
     ["bench", "fc", "--q0", "1"], ["bench", "fc", "--solvers", "bfgs,q0"],
+    ["bench", "fc", "--solvers", "q1,q01"],
     ["bench", "fc", "--solvers", "bfgs,qls"], ["bench", "fc", "--solvers", ","],
     ["bench", "fc", "--eps", "-0.5"],
     ["bench", "suite", "--time-cap", "0"], ["bench", "suite", "--time-cap", "-1"],

@@ -5,6 +5,8 @@ from qlinesearch.problems import (SUITE_NAMES, check_gradient, get_problem,
                                   make_fc, standard_suite)
 
 FC_VALUES = [round(0.1 + 0.2 * i, 1) for i in range(10)]
+#: c < 0 puts the modified branch, with coefficient x/c, on (-inf, c]
+NEGATIVE_C = [-0.1, -0.5, -1.0, -2.0]
 
 
 def interior_points(problem, rng, count=20):
@@ -56,7 +58,7 @@ class TestFc:
                 assert abs(left - right) < 1e-5
 
     def test_second_x_derivative_jumps_at_joint(self):
-        for c in (0.5, 1.5):
+        for c in (0.5, 1.5, -0.5, -2.0):
             prob = make_fc(c)
             h = 1e-4
             y = 1.3
@@ -68,9 +70,13 @@ class TestFc:
             assert abs(fxx(c - 0.05) - fxx(c + 0.05)) > 0.5
 
     def test_global_lower_bound(self):
-        # every branch term is nonnegative, so f >= c everywhere
+        # for c > 0 every branch term is nonnegative, so f >= c everywhere.
+        # For c < 0 the bound holds on (-inf, c] by convexity, not term by
+        # term: the branch's x-terms have second derivative (6x - 4)/c > 0
+        # there and slope -2(1 - c) < 0 at the joint, so they fall to their
+        # joint value (1 - c)^2 + c >= c, and 0.05 (y - x^2)^2 >= 0
         rng = np.random.default_rng(3)
-        for c in FC_VALUES:
+        for c in FC_VALUES + NEGATIVE_C:
             prob = make_fc(c)
             for _ in range(300):
                 x = rng.uniform(-30, 30, 2)
@@ -86,9 +92,13 @@ class TestFc:
 
     def test_gradient_checks(self):
         rng = np.random.default_rng(7)
-        for c in FC_VALUES:
+        for c in FC_VALUES + NEGATIVE_C:
             prob = make_fc(c)
-            for x in interior_points(prob, rng):
+            # the start box around (1, 1) holds no point of a c < 0 modified
+            # branch, so these c are also checked on x in [c - 3, c - 0.05]
+            beyond = [np.array([c - rng.uniform(0.05, 3.0), rng.uniform(-2.0, 3.0)])
+                      for _ in range(20 if c < 0 else 0)]
+            for x in interior_points(prob, rng) + beyond:
                 assert check_gradient(prob, x, 1e-6) < 1e-5
 
     def test_gradient_check_on_modified_branch(self):
@@ -121,7 +131,7 @@ class TestSuite:
     def test_fc_names_look_up_their_problem(self):
         # a runs-CSV row names its fc problem as make_fc does, c included
         x = np.array([0.3, 1.7])
-        for c in FC_VALUES:
+        for c in FC_VALUES + NEGATIVE_C:
             prob = get_problem(make_fc(c).name)
             assert prob.name == make_fc(c).name == f"fc_c{c:g}"
             assert prob.objective(x) == make_fc(c).objective(x)

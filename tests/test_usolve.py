@@ -330,7 +330,7 @@ class TestSharedStep:
         # before any trial is evaluated
         prob, counts = counted(self.bowl())
         config = SolverConfig()
-        run = _DescentRun(prob, self.X0, config, lambda x, g: (g, None, 1.0, 0))
+        run = _DescentRun(prob, self.X0, lambda x, g: (g, None, 1.0, 0))
         r = drive(run, config, None)
         assert r.status == STATUS_LINE_SEARCH_FAILURE
         assert r.iterations == 0
