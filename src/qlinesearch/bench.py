@@ -156,17 +156,16 @@ def _success_mean(rows, field_name):
 def fc_summary(table):
     """Per-c mean iterations and time over successful runs, one row per c.
 
-    Every fc start lies on its line x = c, so the c values are the rows'
-    first start coordinates; the solvers are the table's.  Raises ValueError
-    for a table with no rows, whose summary would have no columns.
+    Each fc problem's c is its rows' first start coordinate, as every fc
+    start lies on its line x = c; the solvers are the table's.  Raises
+    ValueError for a table with no rows, whose summary would have no columns.
     """
     if not table.rows:
         raise ValueError("cannot summarize an empty fc table")
+    c_of = {r.problem: float(r.start_point[0]) for r in table.rows}
     out = []
-    for c in sorted({float(r.start_point[0]) for r in table.rows}):
-        good = {s: [r for r in table.rows
-                    if r.start_point[0] == c and r.solver == s and r.success]
-                for s in table.solvers()}
+    for problem, c in sorted(c_of.items(), key=lambda item: item[1]):
+        good = {s: table.quota(problem, s, None)[0] for s in table.solvers()}
         out.append(FcSummaryRow(
             c=c, iterations={s: _success_mean(g, "iterations") for s, g in good.items()},
             times={s: _success_mean(g, "elapsed_seconds") for s, g in good.items()}))
@@ -178,17 +177,17 @@ def suite_start(problem, solver, master_seed, run_index):
     drawn from the box around a known minimizer by its own RNG substream."""
     # crc32 keys are stable across platforms and runs, unlike hash()
     rng = np.random.default_rng(
-        np.random.SeedSequence([master_seed & 0xFFFFFFFF, zlib.crc32(problem.name.encode()),
+        np.random.SeedSequence([master_seed, zlib.crc32(problem.name.encode()),
                                 zlib.crc32(solver.encode()), run_index]))
     box = problem.start_box
     return box.center + box.side * (rng.random(problem.dimension) - 0.5)
 
 
-def check_counts(**counts):
-    """Raise ValueError unless each count is a whole number >= 1 or None (no quota)."""
+def check_counts(least=1, **counts):
+    """Raise ValueError unless each count is None (no quota) or a whole number >= ``least``."""
     for name, value in counts.items():
-        if value is not None and not (value >= 1 and value % 1 == 0):
-            raise ValueError(f"{name} must be a whole number of at least 1, got {value!r}")
+        if value is not None and not (value >= least and value % 1 == 0):
+            raise ValueError(f"{name} must be a whole number of at least {least}, got {value!r}")
 
 
 def run_suite_benchmark(suite=None, solvers=SOLVERS, master_seed=SUITE_SEED,
@@ -209,6 +208,7 @@ def run_suite_benchmark(suite=None, solvers=SOLVERS, master_seed=SUITE_SEED,
     iterations of successful runs are the same as without the floor.
     """
     check_counts(runs_required=runs_required, attempt_cap=attempt_cap)
+    check_counts(0, master_seed=master_seed)
     suite = standard_suite() if suite is None else list(suite)
     config = config if config is not None else SolverConfig(max_iterations=SUITE_MAX_ITERATIONS)
     table = BenchmarkTable()
@@ -228,13 +228,7 @@ def run_suite_benchmark(suite=None, solvers=SOLVERS, master_seed=SUITE_SEED,
 
 
 #: the row field each profile metric averages
-_METRIC_FIELDS = {"iterations": "iterations", "time": "elapsed_seconds"}
-
-
-def _cell_metric(table, problem, solver, metric, runs_required):
-    good, short = table.quota(problem, solver, runs_required)
-    good = good[:runs_required]
-    return float("inf") if short or not good else _success_mean(good, _METRIC_FIELDS[metric])
+METRIC_FIELDS = {"iterations": "iterations", "time": "elapsed_seconds"}
 
 
 def performance_profile(table, metric="iterations", runs_required=None):
@@ -246,7 +240,7 @@ def performance_profile(table, metric="iterations", runs_required=None):
     success quota counts as unsolved.  Problems unsolved by every solver are
     dropped from the count (with a warning).
     """
-    if metric not in _METRIC_FIELDS:
+    if metric not in METRIC_FIELDS:
         raise ValueError(f"unknown metric {metric!r}")
     check_counts(runs_required=runs_required)
     if not table.rows:
@@ -255,7 +249,9 @@ def performance_profile(table, metric="iterations", runs_required=None):
     ratios = {}
     counted = []
     for prob in problems:
-        vals = {s: _cell_metric(table, prob, s, metric, runs_required) for s in solvers}
+        vals = {s: _success_mean(good[:runs_required], METRIC_FIELDS[metric])
+                if good and not short else float("inf")
+                for s in solvers for good, short in [table.quota(prob, s, runs_required)]}
         best = min(vals.values())
         if not np.isfinite(best):
             log.warning("problem %s unsolved by every solver; excluded from profile", prob)

@@ -62,7 +62,7 @@ def _build_parser():
     p_suite.set_defaults(handler=_cmd_bench_suite, solvers=bench.SOLVERS)
 
     p_prof = sub.add_parser("profile", help="Dolan-More profile from a runs CSV")
-    p_prof.add_argument("--metric", choices=("iterations", "time"), required=True)
+    p_prof.add_argument("--metric", choices=bench.METRIC_FIELDS, required=True)
     p_prof.add_argument("--in", dest="input", required=True)
     p_prof.add_argument("--out", required=True)
     p_prof.add_argument("--svg", default=None)
@@ -137,6 +137,7 @@ def main(argv=None):
                 bench.solver_call(solver, args.q0)
         if "runs" in args:
             bench.check_counts(runs_required=args.runs, attempt_cap=args.attempt_cap)
+            bench.check_counts(0, master_seed=args.seed)
         if "problem" in args:
             args.problem = problem = get_problem(args.problem)
             if len(args.x0) != problem.dimension:

@@ -226,23 +226,19 @@ def _beta_monitors(M, jac_eq):
 
 class _SqpRun:
     """One SQP run in the shared driver: the primal-dual iterate, the l1
-    penalty, with (f, h, g) at x held once known."""
+    penalty, and f, h and g at x, each None until known."""
     record = SqpTraceRecord
 
     def __init__(self, problem, schedule):
         self.problem = problem
         self.objective = problem.objective
         self.schedule = schedule
-        self.x = problem.x0.astype(float).copy()
-        self.u = problem.u0.astype(float).copy()
-        self.v = problem.v0.astype(float).copy()
+        self.x = problem.x0.astype(float)
+        self.u = problem.u0.astype(float)
+        self.v = problem.v0.astype(float)
         self.mu_pen = 1.0
-        self.held = None  # (f, h, g) at x, once known
+        self.f_x = self.h_x = self.g_x = None
         self.at_x = None  # derivatives and KKT residual at x, from stop()
-
-    @property
-    def f_x(self):
-        return self.held[0] if self.held is not None else None
 
     def _values(self, pt):
         prob = self.problem
@@ -257,9 +253,9 @@ class _SqpRun:
     def stop(self, config):
         prob, x, u, v = self.problem, self.x, self.u, self.v
         m, p, n = prob.n_eq, prob.n_ineq, x.shape[0]
-        if self.held is None:
-            self.held = self._values(x)
-        fval, hx, gx = self.held
+        if self.f_x is None:
+            self.f_x, self.h_x, self.g_x = self._values(x)
+        fval, hx, gx = self.f_x, self.h_x, self.g_x
         g_obj = prob.gradient(x)
         Jh = checked_jacobian(prob.jac_h(x), m, x) if m else np.zeros((0, n))
         Jg = checked_jacobian(prob.jac_g(x), p, x) if p else np.zeros((0, n))
@@ -280,9 +276,9 @@ class _SqpRun:
     def step(self, k):
         prob, x, u, v = self.problem, self.x, self.u, self.v
         m, p = prob.n_eq, prob.n_ineq
-        fval, hx, gx = self.held
+        q_k, self.schedule = self.schedule.q_current, next_q(self.schedule)
+        fval, hx, gx = self.f_x, self.h_x, self.g_x
         g_obj, Jh, Jg, grad_lag, residual = self.at_x
-        q_k = self.schedule.q_current
         qh = q_hessian_lagrangian(prob.gradient, x, q_k, jac_h=prob.jac_h, u=u,
                                   jac_g=prob.jac_g, v=v, g0=grad_lag)
         mod = psd_modify(qh.matrix, _sqp_delta(qh.matrix) if m or p else None)
@@ -296,7 +292,7 @@ class _SqpRun:
         phi0 = _penalized(fval, violation, mu_pen)
         slope = float(g_obj @ d) - mu_pen * violation
 
-        accepted = None  # (f, h, g) at the last merit trial
+        accepted = (None, None, None)  # (f, h, g) at the last merit trial
         if float(np.max(np.abs(d), initial=0.0)) <= 1e-14 * max(1.0, float(np.max(np.abs(x)))):
             alpha = 1.0  # multiplier-only update; x barely moves, so re-evaluate
         else:
@@ -315,10 +311,9 @@ class _SqpRun:
                                 beta1_observed=beta1, beta2_observed=beta2,
                                 beta3_observed=beta3, merit_penalty=mu_pen)
         self.x = x + alpha * d
-        self.held = accepted
+        self.f_x, self.h_x, self.g_x = accepted
         self.u = u + alpha * (lam_new - u)
         self.v = v + alpha * (mu_new - v)
-        self.schedule = next_q(self.schedule)
         return record
 
 

@@ -137,6 +137,10 @@ class _PastDeadline(Exception):
     """The time cap passed before an objective evaluation."""
 
 
+#: the errors, in a step or in the final f, that end a run as numeric_failure
+NUMERIC_ERRORS = (ArithmeticError, GradientShapeError, np.linalg.LinAlgError)
+
+
 def drive(run, config, callback):
     """The iteration loop every solver shares.
 
@@ -146,10 +150,11 @@ def drive(run, config, callback):
     ``run.stop(config)`` for a status, then checks ``max_iterations`` and the
     time cap, then calls ``run.step(k)``, which moves ``run.x`` and returns
     the iteration's ``run.record``, kept as a row of the ``Trace``.  An
-    exception from either ends the run with a status.  ``run.objective`` is
-    wrapped to check the time cap first, so a run past it ends as
-    ``time_cap`` at its last accepted iterate, in a line search too.
-    ``f_final`` is the carried f, or one fresh evaluation (NaN if it raises).
+    exception from either ends the run with a status (``numeric_failure``
+    for ``NUMERIC_ERRORS``) or surfaces.  ``run.objective`` is wrapped to
+    check the time cap first, so a run past it ends as ``time_cap`` at its
+    last accepted iterate, in a line search too.  ``f_final`` is the carried
+    f, or one fresh evaluation, NaN if that raises one of ``NUMERIC_ERRORS``.
     """
     config = config if config is not None else SolverConfig()
     t0 = time.perf_counter()
@@ -179,7 +184,7 @@ def drive(run, config, callback):
             status = STATUS_LINE_SEARCH_FAILURE
         except QPError:
             status = STATUS_QP_FAILURE
-        except (ArithmeticError, GradientShapeError, np.linalg.LinAlgError):
+        except NUMERIC_ERRORS:
             status = STATUS_NUMERIC_FAILURE
         if status is not None:
             break
@@ -190,7 +195,7 @@ def drive(run, config, callback):
     if f_final is None:
         try:
             f_final = float(objective(run.x))
-        except Exception:
+        except NUMERIC_ERRORS:
             f_final = float("nan")
     return SolveResult(status, run.x, f_final, k, time.perf_counter() - t0,
                        Trace(run.record, values))
@@ -261,31 +266,29 @@ def solve_qls(problem, x0, config=None, schedule=None, callback=None):
     the modification (no explicit inverse).  The schedule starts at q_0 and
     advances once per iteration.
     """
-    state = {"schedule": schedule if schedule is not None else DEFAULT_SCHEDULE}
+    schedule = schedule if schedule is not None else DEFAULT_SCHEDULE
     grad = problem.gradient
 
     def direction(x, g):
-        sched = state["schedule"]
-        state["schedule"] = next_q(sched)
-        qh = q_hessian(grad, x, sched.q_current, g0=g)
+        nonlocal schedule
+        q_k, schedule = schedule.q_current, next_q(schedule)
+        qh = q_hessian(grad, x, q_k, g0=g)
         mod = psd_modify(qh.matrix)
-        p = mod.solve(-g)
-        return p, sched.q_current, _spd_condition(mod.modified_matrix), qh.fallback_count
+        return mod.solve(-g), q_k, _spd_condition(mod.modified_matrix), qh.fallback_count
 
     return drive(_DescentRun(problem, x0, direction), config, callback)
 
 
 def solve_bfgs(problem, x0, config=None, callback=None):
     """BFGS baseline under the same step, stop test and tracing as ``solve_qls``."""
-    n = np.asarray(x0).shape[0]
-    state = {"B": np.eye(n), "x": None, "g": None}
+    B = np.eye(np.asarray(x0).shape[0])
+    x_prev = g_prev = None
 
     def direction(x, g):
-        if state["x"] is not None:
-            state["B"] = bfgs_update(state["B"], x - state["x"], g - state["g"])
-        state["x"] = x.copy()
-        state["g"] = g.copy()
-        B = state["B"]
+        nonlocal B, x_prev, g_prev
+        if x_prev is not None:
+            B = bfgs_update(B, x - x_prev, g - g_prev)
+        x_prev, g_prev = x.copy(), g.copy()  # a gradient callback may reuse its buffer
         return np.linalg.solve(B, -g), None, _spd_condition(B), 0
 
     return drive(_DescentRun(problem, x0, direction), config, callback)

@@ -94,6 +94,13 @@ class TestPerformanceProfile:
         with pytest.raises(ValueError):
             performance_profile(t, "iterations", runs_required=runs_required)
 
+    def test_unknown_metric_rejected(self):
+        with pytest.raises(ValueError, match="unknown metric 'gradient_evals'"):
+            performance_profile(hand_table(), "gradient_evals")
+
+    def test_empty_table_has_no_curves(self):
+        assert performance_profile(BenchmarkTable(), "iterations") == []
+
     def test_time_metric(self):
         t = BenchmarkTable()
         t.rows += [row("p1", "s1", 1, secs=2.0), row("p1", "s2", 1, secs=4.0)]
@@ -174,6 +181,18 @@ class TestSuiteBenchmark:
         # table; a fractional cap failed inside range() with a TypeError
         with pytest.raises(ValueError):
             run_suite_benchmark(**counts)
+
+    def test_seeds_do_not_alias_modulo_2_to_the_32(self):
+        # the master seed used to be masked to 32 bits, so both drew one start
+        prob = get_problem("branin")
+        assert not np.array_equal(bench.suite_start(prob, "q1", 42, 0),
+                                  bench.suite_start(prob, "q1", 42 + 2**32, 0))
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, float("nan")], ids=str)
+    def test_seed_must_be_whole_and_nonnegative(self, seed):
+        # -1 used to draw the starts of seed 2**32 - 1
+        with pytest.raises(ValueError, match="master_seed must be a whole number of at least 0"):
+            run_suite_benchmark(master_seed=seed)
 
     def test_quadratics_converge_fast(self):
         suite = [p for p in standard_suite() if p.name in ("sphere", "sumsquares",
@@ -288,6 +307,12 @@ class TestEmit:
         assert text.startswith("<svg")
         assert text.count("<polyline") == 2
         assert "s1" in text and "s2" in text
+
+    def test_unsupported_object_rejected_before_writing(self, tmp_path):
+        path = tmp_path / "x.csv"
+        with pytest.raises(TypeError, match="cannot serialize dict"):
+            bench.emit({"rows": []}, "csv", str(path))
+        assert not path.exists()
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):

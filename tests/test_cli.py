@@ -74,7 +74,7 @@ SPHERE = ["solve", "--problem", "sphere", "--solver", "q1", "--x0", "1,1,1,1,1,1
     ["bench", "suite", "--time-cap", "0"], ["bench", "suite", "--time-cap", "-1"],
     ["bench", "suite", "--eps", "nan"], ["bench", "suite", "--q0", "1.5"],
     ["bench", "suite", "--runs", "0"], ["bench", "suite", "--attempt-cap", "0"],
-    ["bench", "suite", "--max-iter", "-1"],
+    ["bench", "suite", "--max-iter", "-1"], ["bench", "suite", "--seed", "-1"],
     ["profile", "--metric", "iterations", "--in", "/nonexistent/runs.csv", "--out", "p.csv"],
     SPHERE + ["--trace", "/nonexistent/trace.csv"],
     ["bench", "fc", "--out", "/nonexistent/fc.csv"],
@@ -138,6 +138,24 @@ def test_bench_fc_csv_carries_the_printed_means(tmp_path, capsys):
     for shown, line in zip(printed, lines[1:]):
         c, bfgs, q4 = (float(v) for v in line.split(",")[:3])
         assert shown == f"c={c:g}: bfgs={bfgs:.2f} q4={q4:.2f}"
+
+
+def test_bench_fc_failed_runs_exit_3(monkeypatch, capsys):
+    # no default fc run fails, so here every run is judged a failure
+    monkeypatch.setattr(bench, "is_success", lambda problem, result: False)
+    assert main(["bench", "fc", "--solvers", "bfgs"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "100 failed runs\n"
+    assert captured.out.count(": bfgs=nan\n") == 10
+
+
+def test_console_script_exits_with_the_command_status(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["qlinesearch", "solve", "--problem", "sphere",
+                                      "--solver", "bfgs", "--x0", "1,0,0,0,0,0,0,0"])
+    with pytest.raises(SystemExit) as err:
+        cli.console_main()
+    assert err.value.code == 0
+    assert capsys.readouterr().out.startswith("status=converged ")
 
 
 def test_bench_suite_and_profile(tmp_path, capsys):

@@ -102,6 +102,11 @@ class TestLdlFactor:
         with pytest.raises(ValueError):
             ldl_factor(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3,)], ids=str)
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            ldl_factor(np.ones(shape))
+
     def test_solve_matches_dense(self):
         rng = np.random.default_rng(31)
         for _ in range(50):

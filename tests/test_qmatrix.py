@@ -93,6 +93,16 @@ class TestQHessian:
             q_hessian(grad, np.array([1.0, 1.0]), 0.5)
         assert err.value.point is not None
 
+    def test_overflowing_q_difference_is_numeric_error(self):
+        # every gradient value is finite, but (1e308 - -1e308) / 0.1 is not
+        def grad(x):
+            return np.array([1e308 if x[0] == 1.0 else -1e308, 0.0])
+
+        with np.errstate(over="ignore"), pytest.raises(NumericError) as err:
+            q_hessian(grad, np.array([1.0, 1.0]), 0.9)
+        assert str(err.value) == "non-finite q-Hessian entry"
+        assert np.array_equal(err.value.point, [1.0, 1.0])
+
 
 class TestQHessianLagrangian:
     def test_linear_lagrangian_gradient(self):

@@ -394,6 +394,12 @@ class TestConstrainedProblem:
         with pytest.raises(ValueError, match="g and jac_g are given exactly when n_ineq > 0"):
             ConstrainedProblem(**kwargs)
 
+    def test_fewer_equalities_than_variables_required(self):
+        # with m = n the null space of J_h, on which beta1 is read, is empty
+        kwargs = dict(self.CIRCLE, h=lambda x: x - 1.0, jac_h=lambda x: np.eye(2), n_eq=2)
+        with pytest.raises(ValueError, match="fewer equality constraints than variables"):
+            ConstrainedProblem(**kwargs)
+
     def test_matching_counts_accepted(self):
         assert solve_qsqp(ConstrainedProblem(**self.CIRCLE, **self.BALL)).status == \
             STATUS_CONVERGED
@@ -569,6 +575,21 @@ class TestSolveQsqp:
         r = solve_qsqp(prob)
         assert r.status == STATUS_NUMERIC_FAILURE
         assert r.iterations == 0 and np.array_equal(r.x_final, prob.x0)
+
+    @pytest.mark.parametrize("callbacks", [
+        dict(objective=lambda x: float("nan")),
+        dict(h=lambda x: np.array([np.nan, 0.0])),
+        dict(g=lambda x: np.array([np.inf])),
+    ], ids=["f-nan", "h-nan", "g-inf"])
+    def test_non_finite_value_at_start_is_numeric_failure(self, callbacks):
+        # f, h and g at x are checked before any QP; the run keeps the f it holds
+        prob = self.two_plane_problem(**callbacks)
+        r = solve_qsqp(prob)
+        assert r.status == STATUS_NUMERIC_FAILURE
+        assert r.iterations == 0 and r.trace == []
+        assert np.array_equal(r.x_final, prob.x0)
+        f0 = prob.objective(prob.x0)
+        assert np.isnan(r.f_final) if np.isnan(f0) else r.f_final == f0
 
     def test_zero_iterations_from_optimal_triple(self):
         r = solve_qsqp(circle_problem(x0=(-1.0, -1.0), u0=0.5))

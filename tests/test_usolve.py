@@ -12,7 +12,8 @@ from qlinesearch.usolve import (STATUS_CONVERGED, STATUS_DIVERGED,
                                 STATUS_LINE_SEARCH_FAILURE,
                                 STATUS_MAX_ITERATIONS, STATUS_NUMERIC_FAILURE,
                                 STATUS_TIME_CAP, SolverConfig, _DescentRun,
-                                bfgs_update, drive, solve_bfgs, solve_qls)
+                                _spd_condition, bfgs_update, drive, solve_bfgs,
+                                solve_qls)
 
 FC_STARTS = [np.array([0.5, y]) for y in np.arange(0.1, 2.0, 0.2)]
 
@@ -52,6 +53,12 @@ class TestBfgsUpdate:
             if out is not B:
                 np.testing.assert_allclose(out @ s, y, atol=1e-10)
                 assert np.array_equal(out, out.T)
+
+
+@pytest.mark.parametrize("M", [np.diag([1.0, 0.0]), np.diag([1.0, -2.0])],
+                         ids=["singular", "indefinite"])
+def test_condition_number_is_inf_unless_positive_definite(M):
+    assert _spd_condition(M) == np.inf
 
 
 class TestSolveQls:
@@ -411,6 +418,55 @@ class TestSharedStep:
         assert (r.trace[0].alpha, r.trace[0].trials) == (0.5, 2)
         assert np.array_equal(r.x_final, [0.5, 0.5])
         assert r.f_final == 0.5
+
+    # runs that end before any step, so the final f is the only one evaluated
+    ENDS_AT_START = [(solve_qls, lambda x: np.zeros(2), None, STATUS_CONVERGED),
+                     (solve_bfgs, lambda x: np.zeros(2), None, STATUS_CONVERGED),
+                     (solve_bfgs, lambda x: 2.0 * x, SolverConfig(max_iterations=0),
+                      STATUS_MAX_ITERATIONS)]
+    ENDS_AT_START_IDS = ["qls-zero-gradient", "bfgs-zero-gradient", "bfgs-no-iterations"]
+
+    @pytest.mark.parametrize("solve, gradient, config", [case[:3] for case in ENDS_AT_START],
+                             ids=ENDS_AT_START_IDS)
+    def test_other_errors_from_the_final_objective_surface(self, solve, gradient, config):
+        # as they do in a step; this used to end the run with f_final NaN
+        def objective(x):
+            raise TypeError("bug in the callback")
+
+        with pytest.raises(TypeError, match="bug in the callback"):
+            solve(self.bowl(objective=objective, gradient=gradient), self.X0, config=config)
+
+    @pytest.mark.parametrize("solve, gradient, config, status", ENDS_AT_START,
+                             ids=ENDS_AT_START_IDS)
+    def test_arithmetic_error_from_the_final_objective_is_nan(self, solve, gradient, config,
+                                                              status):
+        def objective(x):
+            raise OverflowError("objective overflow")
+
+        r = solve(self.bowl(objective=objective, gradient=gradient), self.X0, config=config)
+        assert r.status == status
+        assert r.iterations == 0 and r.trace == []
+        assert np.array_equal(r.x_final, self.X0) and np.isnan(r.f_final)
+
+    @pytest.mark.parametrize("solve", [solve_bfgs, solve_qls])
+    def test_non_finite_objective_at_start_is_numeric_failure(self, solve):
+        # the step checks f(x0) before any trial; the run keeps that f
+        prob, counts = counted(self.bowl(objective=lambda x: float("nan")))
+        r = solve(prob, self.X0)
+        assert r.status == STATUS_NUMERIC_FAILURE
+        assert r.iterations == 0 and r.trace == []
+        assert np.array_equal(r.x_final, self.X0) and np.isnan(r.f_final)
+        assert counts["f"] == 1
+
+    def test_non_finite_slope_is_numeric_failure(self):
+        # a direction with an infinite entry has slope g.p = -inf
+        prob, counts = counted(self.bowl())
+        run = _DescentRun(prob, self.X0, lambda x, g: (np.array([-np.inf, 0.0]), None, 1.0, 0))
+        r = drive(run, SolverConfig(), None)
+        assert r.status == STATUS_NUMERIC_FAILURE
+        assert r.iterations == 0 and r.trace == []
+        assert np.array_equal(r.x_final, self.X0) and r.f_final == 2.0
+        assert counts == {"f": 1, "g": 1}
 
     @pytest.mark.parametrize("solve", [solve_bfgs, solve_qls])
     def test_arithmetic_error_in_a_trial_is_numeric_failure(self, solve):
