@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import numbers
 import zlib
 from dataclasses import dataclass, field
 
@@ -129,15 +130,14 @@ def _run_row(problem, solver, run_index, seed, x0, config, q0):
         elapsed_seconds=result.elapsed_seconds, start_point=x0)
 
 
-def run_fc_benchmark(c_values=None, q0=DEFAULT_SCHEDULE.q0, solvers=SOLVERS, config=None,
-                     y_values=None):
+def run_fc_benchmark(c_values=DEFAULT_C_VALUES, q0=DEFAULT_SCHEDULE.q0, solvers=SOLVERS,
+                     config=None, y_values=DEFAULT_Y_VALUES):
     """Sweep the fc family: each of ``solvers`` from the starts (c, y).
 
     Returns a run-level BenchmarkTable; aggregate with ``fc_summary``.
     Individual failures are recorded (success=False), never raised.
+    ``y_values``, read once per (c, solver), must be a sequence.
     """
-    c_values = DEFAULT_C_VALUES if c_values is None else tuple(c_values)
-    y_values = DEFAULT_Y_VALUES if y_values is None else tuple(y_values)
     table = BenchmarkTable()
     for c in c_values:
         problem = make_fc(c)
@@ -184,9 +184,9 @@ def suite_start(problem, solver, master_seed, run_index):
 
 
 def check_counts(least=1, **counts):
-    """Raise ValueError unless each count is None (no quota) or a whole number >= ``least``."""
+    """Raise ValueError unless each count is None (no quota) or an integer >= ``least``."""
     for name, value in counts.items():
-        if value is not None and not (value >= least and value % 1 == 0):
+        if value is not None and not (isinstance(value, numbers.Integral) and value >= least):
             raise ValueError(f"{name} must be a whole number of at least {least}, got {value!r}")
 
 
@@ -243,8 +243,6 @@ def performance_profile(table, metric="iterations", runs_required=None):
     if metric not in METRIC_FIELDS:
         raise ValueError(f"unknown metric {metric!r}")
     check_counts(runs_required=runs_required)
-    if not table.rows:
-        return []
     problems, solvers = table.problems(), table.solvers()
     ratios = {}
     counted = []

@@ -11,8 +11,9 @@ the rounding of lam + tau.  Its smallest eigenvalue is not bounded by delta,
 because L is not orthogonal: it can fall far below delta.  When no block
 eigenvalue is below delta, nothing is shifted and E is exactly zero.
 
-Everything here is dense and sized for small n (the solvers use n <= ~20);
-clarity over blocking.
+Everything here is dense and sized for small n (every benchmark workload
+has n <= 10, and SQP's Schur complements are at most 3x3); clarity over
+blocking.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ _EPS = float(np.finfo(float).eps)
 def default_delta(A):
     """Eigenvalue floor used when none is supplied: sqrt(eps) * max(1, max |a_ij|)."""
     A = np.asarray(A, dtype=float)
-    scale = float(np.max(np.abs(A))) if A.size else 0.0
+    scale = float(np.max(np.abs(A), initial=0.0))
     return math.sqrt(_EPS) * max(1.0, scale)
 
 
@@ -41,8 +42,8 @@ def _check_symmetric(A):
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix contains non-finite entries")
-    scale = float(np.max(np.abs(A))) if A.size else 0.0
-    asym = float(np.max(np.abs(A - A.T))) if A.size else 0.0
+    scale = float(np.max(np.abs(A), initial=0.0))
+    asym = float(np.max(np.abs(A - A.T), initial=0.0))
     if asym > 1e-10 * max(scale, 1e-300):
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
     return 0.5 * (A + A.T), scale
@@ -180,13 +181,13 @@ def ldl_factor(A):
         if size == 1:
             # d == 0 only in a zero column, which has nothing to eliminate; a
             # zero column with d != 0 still updates W, whose zeros may flip sign.
+            # At the last pivot the slices below k are empty.
             d = W[k, k]
-            if k + 1 < n:
-                colv = W[k + 1:, k]
-                if d != 0.0:
-                    colv = colv / d
-                    W[k + 1:, k + 1:] -= np.outer(colv, W[k + 1:, k])
-                L[k + 1:, k] = colv
+            colv = W[k + 1:, k]
+            if d != 0.0:
+                colv = colv / d
+                W[k + 1:, k + 1:] -= np.outer(colv, W[k + 1:, k])
+            L[k + 1:, k] = colv
             lam[k] = d * scale
             blocks.append(np.array([[lam[k]]]))
             Q[k, k] = 1.0

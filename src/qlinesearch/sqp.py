@@ -129,19 +129,19 @@ def _penalized(f_val, violation, mu):
 
 def _violation(h_vals, g_vals):
     total = 0.0
-    if h_vals is not None and len(h_vals) > 0:
+    if h_vals is not None:
         total += float(np.sum(np.abs(h_vals)))
-    if g_vals is not None and len(g_vals) > 0:
+    if g_vals is not None:
         total += float(np.sum(np.maximum(0.0, g_vals)))
     return total
 
 
-def qp_active_set(B, grad, eq=None, ineq=None):
+def qp_active_set(B, grad, eq=((), ()), ineq=((), ())):
     """Minimize g.d + d.B.d/2 subject to A_eq d = b_eq and A_in d <= b_in.
 
     B must be positive definite, so the minimizer is unique.  It is given
     as a factorization: anything with ``.solve``, such as ``psd_modify``'s
-    result.
+    result.  ``eq`` and ``ineq`` are (A, b) pairs, each empty by default.
 
     The dual active-set method of Goldfarb & Idnani (1983; Nocedal & Wright
     2006, 16.8) starts at the equality-constrained minimizer, so it needs no
@@ -156,8 +156,7 @@ def qp_active_set(B, grad, eq=None, ineq=None):
     """
     grad = np.asarray(grad, dtype=float)
     n = grad.shape[0]
-    A_eq, b_eq = eq if eq is not None else ((), ())
-    A_in, b_in = ineq if ineq is not None else ((), ())
+    (A_eq, b_eq), (A_in, b_in) = eq, ineq
     A_eq, A_in = _rows(A_eq, n), _rows(A_in, n)
     b_eq = np.asarray(b_eq, dtype=float).reshape(-1)
     b_in = np.asarray(b_in, dtype=float).reshape(-1)
@@ -317,7 +316,7 @@ class _SqpRun:
         return record
 
 
-def solve_qsqp(problem, config=None, schedule=None, callback=None):
+def solve_qsqp(problem, config=None, schedule=DEFAULT_SCHEDULE, callback=None):
     """q-line-search SQP on a ConstrainedProblem.
 
     With no constraints at all the iterate sequence coincides exactly with
@@ -326,5 +325,4 @@ def solve_qsqp(problem, config=None, schedule=None, callback=None):
     objective and constraint values at a new iterate are carried over from
     the accepted merit trial; ``config.f_floor`` is not used.
     """
-    schedule = schedule if schedule is not None else DEFAULT_SCHEDULE
     return drive(_SqpRun(problem, schedule), config, callback)

@@ -259,14 +259,13 @@ class _DescentRun:
         return record
 
 
-def solve_qls(problem, x0, config=None, schedule=None, callback=None):
+def solve_qls(problem, x0, config=None, schedule=DEFAULT_SCHEDULE, callback=None):
     """q-line-search: modified q-Hessian direction plus Armijo backtracking.
 
     The direction solves B_q p = -grad(f) through the factorization computed by
     the modification (no explicit inverse).  The schedule starts at q_0 and
     advances once per iteration.
     """
-    schedule = schedule if schedule is not None else DEFAULT_SCHEDULE
     grad = problem.gradient
 
     def direction(x, g):

@@ -86,11 +86,11 @@ class TestPerformanceProfile:
         with pytest.raises(ValueError):
             performance_profile(t, "iterations", runs_required=0)
 
-    @pytest.mark.parametrize("runs_required", [1.5, float("nan")])
+    @pytest.mark.parametrize("runs_required", [1.5, float("nan"), 2.0])
     def test_quota_not_whole_rejected(self, runs_required):
-        # either used to end in a TypeError from slicing the cell's successes
+        # each used to end in a TypeError from slicing the cell's two successes
         t = BenchmarkTable()
-        t.rows += [row("p1", "s1", 1)]
+        t.rows += [row("p1", "s1", 1), row("p1", "s1", 3, run_index=1)]
         with pytest.raises(ValueError):
             performance_profile(t, "iterations", runs_required=runs_required)
 
@@ -175,10 +175,10 @@ class TestSuiteBenchmark:
     @pytest.mark.parametrize("counts", [{"runs_required": 0}, {"attempt_cap": 0},
                                         {"runs_required": -1},
                                         {"runs_required": float("nan")},
-                                        {"attempt_cap": 2.5}], ids=str)
+                                        {"attempt_cap": 2.5}, {"attempt_cap": 2.0}], ids=str)
     def test_counts_below_one_rejected(self, counts):
         # either count at 0 (or NaN) used to run nothing and return an empty
-        # table; a fractional cap failed inside range() with a TypeError
+        # table; a float cap, whole or not, failed inside range() with a TypeError
         with pytest.raises(ValueError):
             run_suite_benchmark(**counts)
 
@@ -188,9 +188,10 @@ class TestSuiteBenchmark:
         assert not np.array_equal(bench.suite_start(prob, "q1", 42, 0),
                                   bench.suite_start(prob, "q1", 42 + 2**32, 0))
 
-    @pytest.mark.parametrize("seed", [-1, 2.5, float("nan")], ids=str)
+    @pytest.mark.parametrize("seed", [-1, 2.5, float("nan"), 42.0], ids=str)
     def test_seed_must_be_whole_and_nonnegative(self, seed):
-        # -1 used to draw the starts of seed 2**32 - 1
+        # -1 used to draw the starts of seed 2**32 - 1; 42.0 failed inside
+        # SeedSequence with a TypeError
         with pytest.raises(ValueError, match="master_seed must be a whole number of at least 0"):
             run_suite_benchmark(master_seed=seed)
 

@@ -102,6 +102,16 @@ class TestLdlFactor:
         with pytest.raises(ValueError):
             ldl_factor(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("d", [0.0, -2.0])
+    def test_one_by_one_is_its_own_last_pivot(self, d):
+        # the last 1x1 pivot has nothing below it to eliminate, zero or not
+        b = ldl_factor([[d]])
+        assert b.permutation.tolist() == [0]
+        np.testing.assert_array_equal(b.lower_unit_triangular, [[1.0]])
+        np.testing.assert_array_equal(b.blocks, [[[d]]])
+        np.testing.assert_array_equal(b.block_eigenvectors, [[1.0]])
+        assert b.block_eigenvalues.tolist() == [d]
+
     @pytest.mark.parametrize("shape", [(2, 3), (3,)], ids=str)
     def test_rejects_non_square(self, shape):
         with pytest.raises(ValueError, match="expected a square matrix"):

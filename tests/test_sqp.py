@@ -83,6 +83,9 @@ class TestMeritL1:
     def test_equality_violation(self):
         assert merit_l1(1.0, np.array([0.5]), None, 10.0) == pytest.approx(6.0)
 
+    def test_no_constraint_values_add_nothing(self):
+        assert merit_l1(2.5, np.zeros(0), None, 10.0) == 2.5
+
     def test_only_violated_inequalities_count(self):
         assert merit_l1(0.0, None, np.array([-1.0, 2.0]), 2.0) == pytest.approx(4.0)
 
@@ -103,6 +106,14 @@ class TestQpActiveSet:
         d, lam = kkt_solve(B, g, A, rhs)
         np.testing.assert_array_equal(sol.d_x, d)
         np.testing.assert_array_equal(sol.d_u, lam)
+        assert sol.active_set == ()
+
+    def test_no_constraints_is_the_newton_step(self):
+        B = ldl_factor(np.array([[2.0, 0.5], [0.5, 1.0]]))
+        g = np.array([1.0, -3.0])
+        sol = qp_active_set(B, g)
+        np.testing.assert_array_equal(sol.d_x, B.solve(-g))
+        assert sol.d_u.shape == sol.d_v.shape == (0,)
         assert sol.active_set == ()
 
     def test_active_bound(self):

@@ -9,8 +9,9 @@ solves agree to the last bit print the same three lines, so a change that
 must keep the iterates bitwise is checked by running this on both trees.
 
 * ``fc``: the default ``bench.run_fc_benchmark()``.
-* ``suite``: ``bench.run_suite_benchmark`` at master seed 42, 10 runs per
-  cell and an attempt cap of 12 (the suite-seeded workload's sweep).
+* ``suite``: ``bench.run_suite_benchmark`` at ``perfbench.workloads``'
+  ``DEFAULT_SEED``, ``SUITE_RUNS_REQUIRED`` and ``SUITE_ATTEMPT_CAP`` (42,
+  10 and 12: the suite-seeded workload's reference sweep).
 * ``sqp``: ``solve_qsqp`` on the instances of
   ``perfbench.workloads.make_sqp_instances`` drawn from its default seed.
 
@@ -32,7 +33,8 @@ import numpy as np  # noqa: E402
 
 from perfbench.spans import Meter  # noqa: E402
 from perfbench.workloads import (DEFAULT_SEED, SQP_CONFIG, SQP_CORE_INSTANCES,  # noqa: E402
-                                 counted_gradient, counted_objective, make_sqp_instances)
+                                 SUITE_ATTEMPT_CAP, SUITE_RUNS_REQUIRED, counted_gradient,
+                                 counted_objective, make_sqp_instances)
 from qlinesearch import bench  # noqa: E402
 from qlinesearch.sqp import solve_qsqp  # noqa: E402
 
@@ -90,7 +92,8 @@ def main():
     parts = {
         "fc": lambda: _sweep_digest(bench.run_fc_benchmark),
         "suite": lambda: _sweep_digest(lambda: bench.run_suite_benchmark(
-            master_seed=42, runs_required=10, attempt_cap=12)),
+            master_seed=DEFAULT_SEED, runs_required=SUITE_RUNS_REQUIRED,
+            attempt_cap=SUITE_ATTEMPT_CAP)),
         "sqp": _sqp_digest,
     }
     for name, part in parts.items():
