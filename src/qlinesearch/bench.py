@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-import numbers
 import zlib
 from dataclasses import dataclass, field
 
@@ -19,8 +18,8 @@ import numpy as np
 
 from .problems import make_fc, standard_suite
 from .qcalc import QSchedule
-from .usolve import (DEFAULT_SCHEDULE, STATUS_CONVERGED, SolverConfig, Trace, solve_bfgs,
-                     solve_qls)
+from .usolve import (DEFAULT_SCHEDULE, STATUS_CONVERGED, SolverConfig, Trace, check_counts,
+                     solve_bfgs, solve_qls)
 
 log = logging.getLogger(__name__)
 
@@ -183,13 +182,6 @@ def suite_start(problem, solver, master_seed, run_index):
     return box.center + box.side * (rng.random(problem.dimension) - 0.5)
 
 
-def check_counts(least=1, **counts):
-    """Raise ValueError unless each count is None (no quota) or an integer >= ``least``."""
-    for name, value in counts.items():
-        if value is not None and not (isinstance(value, numbers.Integral) and value >= least):
-            raise ValueError(f"{name} must be a whole number of at least {least}, got {value!r}")
-
-
 def run_suite_benchmark(suite=None, solvers=SOLVERS, master_seed=SUITE_SEED,
                         runs_required=SUITE_RUNS_REQUIRED, attempt_cap=SUITE_ATTEMPT_CAP,
                         config=None, q0=DEFAULT_SCHEDULE.q0):
@@ -216,14 +208,14 @@ def run_suite_benchmark(suite=None, solvers=SOLVERS, master_seed=SUITE_SEED,
         floored = dataclasses.replace(
             config, f_floor=problem.known_min_value - SUCCESS_VALUE_GAP)
         for solver in solvers:
-            cell = BenchmarkTable()
+            successes = 0
             for attempt in range(attempt_cap):
-                if not cell.quota(problem.name, solver, runs_required)[1]:
+                if successes == runs_required:
                     break
                 x0 = suite_start(problem, solver, master_seed, attempt)
-                cell.rows.append(_run_row(problem, solver, attempt, master_seed, x0,
-                                          floored, q0))
-            table.rows += cell.rows
+                table.rows.append(_run_row(problem, solver, attempt, master_seed, x0,
+                                           floored, q0))
+                successes += table.rows[-1].success
     return table
 
 
@@ -242,7 +234,8 @@ def performance_profile(table, metric="iterations", runs_required=None):
     """
     if metric not in METRIC_FIELDS:
         raise ValueError(f"unknown metric {metric!r}")
-    check_counts(runs_required=runs_required)
+    if runs_required is not None:
+        check_counts(runs_required=runs_required)
     problems, solvers = table.problems(), table.solvers()
     ratios = {}
     counted = []
@@ -372,10 +365,10 @@ def _profiles_svg(curves):
     plot_w = width - 2 * margin
     plot_h = height - 2 * margin
     max_tau = max((t for c in curves for t, _ in c.points), default=1.0)
-    log_max = max(np.log2(max_tau), 1e-9)
+    log_max = max(np.log2(max_tau), 1.0)  # at least one doubling, so tau = 2 is on the canvas
 
     def sx(tau):
-        return margin + plot_w * (np.log2(max(tau, 1.0)) / log_max if log_max > 0 else 0.0)
+        return margin + plot_w * np.log2(max(tau, 1.0)) / log_max
 
     def sy(frac):
         return height - margin - plot_h * frac

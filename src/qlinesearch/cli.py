@@ -17,7 +17,7 @@ from dataclasses import fields
 
 from . import bench
 from .problems import get_problem
-from .usolve import DEFAULT_SCHEDULE, STATUS_CONVERGED, SolverConfig
+from .usolve import DEFAULT_SCHEDULE, STATUS_CONVERGED, SolverConfig, check_counts
 
 
 def _parse_list(kind):
@@ -136,8 +136,8 @@ def main(argv=None):
             for solver in [args.solver] if "solver" in args else args.solvers or [""]:
                 bench.solver_call(solver, args.q0)
         if "runs" in args:
-            bench.check_counts(runs_required=args.runs, attempt_cap=args.attempt_cap)
-            bench.check_counts(0, master_seed=args.seed)
+            check_counts(runs_required=args.runs, attempt_cap=args.attempt_cap)
+            check_counts(0, master_seed=args.seed)
         if "problem" in args:
             args.problem = problem = get_problem(args.problem)
             if len(args.x0) != problem.dimension:

@@ -138,9 +138,12 @@ def next_q(schedule):
 
     For k >= 1 the new value is 1 - q_k^gamma / k; the k = 0 -> 1 transition
     carries q_0 forward unchanged (the formula's divisor would be zero there).
+    A new value that rounds to 1 is no q: NumericError (``numeric_failure``).
     """
     if schedule.k == 0:
         q_new = schedule.q_current
     else:
         q_new = 1.0 - schedule.q_current ** schedule.gamma / schedule.k
+        if q_new == 1.0:
+            raise NumericError(f"q_{schedule.k + 1} = 1 - q_k^gamma / k rounds to 1")
     return QSchedule(schedule.q0, schedule.gamma, k=schedule.k + 1, q_current=q_new)

@@ -13,6 +13,7 @@ the q-Hessian surrogate; BFGS carries the classical rank-two update forward.
 from __future__ import annotations
 
 import functools
+import numbers
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
@@ -39,6 +40,13 @@ STATUS_DIVERGED = "diverged"
 DEFAULT_SCHEDULE = QSchedule(0.9, 1)
 
 
+def check_counts(least=1, **counts):
+    """Raise ValueError unless each count is an integer >= ``least``."""
+    for name, value in counts.items():
+        if not (isinstance(value, numbers.Integral) and value >= least):
+            raise ValueError(f"{name} must be a whole number of at least {least}, got {value!r}")
+
+
 @dataclass
 class SolverConfig:
     grad_tolerance: float = 1e-5
@@ -55,8 +63,7 @@ class SolverConfig:
             raise ValueError("gradient tolerance must be positive")
         if not self.time_cap_seconds > 0.0:
             raise ValueError("time cap must be positive")
-        if not (self.max_iterations >= 0 and self.max_iterations % 1 == 0):
-            raise ValueError("iteration cap must be a nonnegative integer")
+        check_counts(0, max_iterations=self.max_iterations)
         if np.isnan(self.f_floor):
             raise ValueError("objective floor must not be NaN")
 
@@ -146,15 +153,16 @@ def drive(run, config, callback):
 
     ``run`` holds the iterate ``x``, the objective there as ``f_x`` (None
     until known) and the callable ``objective``; ``config`` (None for
-    ``SolverConfig()``) is held here alone.  Each pass asks
-    ``run.stop(config)`` for a status, then checks ``max_iterations`` and the
-    time cap, then calls ``run.step(k)``, which moves ``run.x`` and returns
-    the iteration's ``run.record``, kept as a row of the ``Trace``.  An
-    exception from either ends the run with a status (``numeric_failure``
-    for ``NUMERIC_ERRORS``) or surfaces.  ``run.objective`` is wrapped to
-    check the time cap first, so a run past it ends as ``time_cap`` at its
-    last accepted iterate, in a line search too.  ``f_final`` is the carried
-    f, or one fresh evaluation, NaN if that raises one of ``NUMERIC_ERRORS``.
+    ``SolverConfig()``) is held here alone.  Each pass has
+    ``run.stop(config)`` evaluate the iterate and return a status or None,
+    then checks ``max_iterations`` and the time cap, then calls
+    ``run.step(k)``, which only moves ``run.x`` and returns the iteration's
+    ``run.record``, kept as a row of the ``Trace``.  An exception from either ends the run
+    with a status (``numeric_failure`` for ``NUMERIC_ERRORS``), at its last
+    accepted iterate, or surfaces.  ``run.objective`` is wrapped to check the
+    time cap first, in a line search too.  ``f_final`` is the carried f, or,
+    when the cap passed or f raised before any was carried, one fresh
+    evaluation, NaN if that raises one of ``NUMERIC_ERRORS``.
     """
     config = config if config is not None else SolverConfig()
     t0 = time.perf_counter()
@@ -205,9 +213,9 @@ class _DescentRun:
     """One unconstrained run: x, f and grad f at x, and the direction rule
     direction(x, g) -> (p, q_k, condition number, fallback count).
 
-    Each step pays one objective evaluation per line-search trial and one
-    gradient evaluation at the accepted point; f at the new iterate is the
-    accepted trial's value (the same expression f(x + alpha p)).
+    As in SQP, ``stop`` evaluates f (unless carried) and then grad f at x;
+    each step only moves x, paying one objective evaluation per trial and
+    carrying f from the accepted one (the same expression f(x + alpha p)).
     """
     record = IterationRecord
 
@@ -220,25 +228,19 @@ class _DescentRun:
         self.g = self.gnorm = None  # grad f at x and its norm, from stop()
 
     def stop(self, config):
-        if self.g is None:
-            try:
-                self.g = checked_gradient(self.gradient(self.x), self.x)
-            except (NumericError, GradientShapeError):
-                self.f_x = float("nan")  # no f is evaluated at an unusable start
-                raise
+        if self.f_x is None:
+            self.f_x = float(self.objective(self.x))
+        self.g = checked_gradient(self.gradient(self.x), self.x)
         self.gnorm = float(np.linalg.norm(self.g))
         if self.gnorm < config.grad_tolerance:
             return STATUS_CONVERGED
-        if self.f_x is not None and self.f_x < config.f_floor:
+        if self.f_x < config.f_floor:
             return STATUS_DIVERGED
         return None
 
     def step(self, k):
-        x, g, gnorm = self.x, self.g, self.gnorm
+        x, f0, g, gnorm = self.x, self.f_x, self.g, self.gnorm
         p, q_k, cond, fallbacks = self.direction(x, g)
-        if self.f_x is None:
-            self.f_x = float(self.objective(x))
-        f0 = self.f_x
         slope = float(g @ p)
         if not np.isfinite(slope):
             raise NumericError("non-finite directional derivative at alpha = 0")
@@ -250,12 +252,11 @@ class _DescentRun:
         x_new = x + step.alpha * p
         if np.array_equal(x_new, x):
             raise LineSearchError(f"accepted step alpha = {step.alpha:.3g} leaves x unchanged")
-        g_new = checked_gradient(self.gradient(x_new), x_new)
         record = IterationRecord(k=k, f_value=f0, grad_norm=gnorm, alpha=step.alpha,
                                  q_k=q_k, cos_theta=-slope / (gnorm * float(np.linalg.norm(p))),
                                  condition_number=cond, fallback_count=fallbacks,
                                  trials=step.trials)
-        self.x, self.f_x, self.g = x_new, step.value, g_new
+        self.x, self.f_x = x_new, step.value
         return record
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -175,7 +176,9 @@ class TestSuiteBenchmark:
     @pytest.mark.parametrize("counts", [{"runs_required": 0}, {"attempt_cap": 0},
                                         {"runs_required": -1},
                                         {"runs_required": float("nan")},
-                                        {"attempt_cap": 2.5}, {"attempt_cap": 2.0}], ids=str)
+                                        {"attempt_cap": 2.5}, {"attempt_cap": 2.0},
+                                        {"runs_required": None}, {"attempt_cap": None}],
+                             ids=str)
     def test_counts_below_one_rejected(self, counts):
         # either count at 0 (or NaN) used to run nothing and return an empty
         # table; a float cap, whole or not, failed inside range() with a TypeError
@@ -188,7 +191,7 @@ class TestSuiteBenchmark:
         assert not np.array_equal(bench.suite_start(prob, "q1", 42, 0),
                                   bench.suite_start(prob, "q1", 42 + 2**32, 0))
 
-    @pytest.mark.parametrize("seed", [-1, 2.5, float("nan"), 42.0], ids=str)
+    @pytest.mark.parametrize("seed", [-1, 2.5, float("nan"), 42.0, None], ids=str)
     def test_seed_must_be_whole_and_nonnegative(self, seed):
         # -1 used to draw the starts of seed 2**32 - 1; 42.0 failed inside
         # SeedSequence with a TypeError
@@ -308,6 +311,17 @@ class TestEmit:
         assert text.startswith("<svg")
         assert text.count("<polyline") == 2
         assert "s1" in text and "s2" in text
+
+    @pytest.mark.parametrize("iterations", [(1, 1), (2, 3)], ids=["all-tie", "max-tau-1.5"])
+    def test_svg_coordinates_lie_on_the_canvas(self, iterations, tmp_path):
+        # below max tau = 2 the tau = 2 grid line used to be drawn off the
+        # 640-wide canvas: at x = 520000000060.00 on a tie, about 949 at 1.5
+        t = BenchmarkTable()
+        t.rows += [row("p1", "s1", iterations[0]), row("p1", "s2", iterations[1])]
+        path = tmp_path / "prof.svg"
+        bench.emit(performance_profile(t, "iterations"), "svg", str(path))
+        xs = [float(v) for v in re.findall(r' x[12]?="([^"]+)"', path.read_text())]
+        assert xs and all(0.0 <= x <= 640.0 for x in xs)
 
     def test_unsupported_object_rejected_before_writing(self, tmp_path):
         path = tmp_path / "x.csv"

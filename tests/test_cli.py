@@ -50,6 +50,14 @@ def test_solve_nonconverged_exits_3(capsys):
     assert code == 3
 
 
+def test_solve_schedule_reaching_one_exits_3(capsys):
+    # q_2 = 1 - 0.5^60 rounds to 1; this used to end in a traceback
+    code = main(["solve", "--problem", "branin", "--solver", "q60", "--q0", "0.5",
+                 "--x0", "2.5,3.0"])
+    assert code == 3
+    assert capsys.readouterr().out.startswith("status=numeric_failure iterations=1 ")
+
+
 def test_invalid_arguments_exit_2():
     with pytest.raises(SystemExit) as err:
         main(["solve", "--problem", "sphere"])  # missing required flags

@@ -109,6 +109,12 @@ class TestQSchedule:
         s = QSchedule(0.5, 2, k=2, q_current=0.5)
         assert next_q(s).q_current == pytest.approx(0.875, abs=1e-15)
 
+    def test_value_rounding_to_one_is_numeric_error(self):
+        # 1 - 0.5^60 is 1.0 in floating point: no q, and a solve's numeric
+        # failure rather than QSchedule's ValueError
+        with pytest.raises(NumericError, match="rounds to 1"):
+            next_q(QSchedule(0.5, 60, k=1))
+
     def test_first_transition_keeps_q0(self):
         s = QSchedule(0.9, 2)
         s1 = next_q(s)

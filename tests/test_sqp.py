@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qlinesearch import psdfactor, sqp
 from qlinesearch.errors import QPError
-from qlinesearch.problems import Problem
+from qlinesearch.problems import Problem, get_problem
 from qlinesearch.psdfactor import ldl_factor, psd_modify
 from qlinesearch.qcalc import QSchedule
 from qlinesearch.sqp import (ConstrainedProblem, kkt_solve, merit_l1,
@@ -601,6 +601,16 @@ class TestSolveQsqp:
         assert np.array_equal(r.x_final, prob.x0)
         f0 = prob.objective(prob.x0)
         assert np.isnan(r.f_final) if np.isnan(f0) else r.f_final == f0
+
+    def test_schedule_reaching_one_is_numeric_failure(self):
+        # q_2 = 1 - 0.5^60 rounds to 1 in the second step, which used to end
+        # in QSchedule's ValueError; the run ends at its first iterate
+        branin = get_problem("branin")
+        prob = ConstrainedProblem(branin.objective, branin.gradient, np.array([2.5, 3.0]))
+        r = solve_qsqp(prob, schedule=QSchedule(0.5, 60))
+        one = solve_qsqp(prob, config=SolverConfig(max_iterations=1), schedule=QSchedule(0.5, 60))
+        assert r.status == STATUS_NUMERIC_FAILURE and r.iterations == 1
+        assert np.array_equal(r.x_final, one.x_final) and r.f_final == one.f_final
 
     def test_zero_iterations_from_optimal_triple(self):
         r = solve_qsqp(circle_problem(x0=(-1.0, -1.0), u0=0.5))

@@ -124,6 +124,18 @@ class TestSolveQls:
         r = solve_qls(bad, np.array([1.0]))
         assert r.status == STATUS_NUMERIC_FAILURE
 
+    @pytest.mark.parametrize("schedule", [QSchedule(0.5, 60), QSchedule(1e-17, 1)],
+                             ids=["q0.5-gamma60", "q1e-17-gamma1"])
+    def test_schedule_reaching_one_is_numeric_failure(self, schedule):
+        # q_2 = 1 - q_1^gamma / 1 rounds to 1 in the second step, which used
+        # to end in QSchedule's ValueError; the run ends at its first iterate
+        branin = get_problem("branin")
+        r = solve_qls(branin, [2.5, 3.0], schedule=schedule)
+        one = solve_qls(branin, [2.5, 3.0], config=SolverConfig(max_iterations=1),
+                        schedule=schedule)
+        assert r.status == STATUS_NUMERIC_FAILURE and r.iterations == 1
+        assert np.array_equal(r.x_final, one.x_final) and r.f_final == one.f_final
+
     def test_superlinear_error_ratios(self):
         # quartic-plus-quadratic bowl: the surrogate converges to the true
         # Hessian near the minimum, so late error ratios collapse.  A tight
@@ -202,6 +214,12 @@ def counted(problem):
     return dataclasses.replace(problem, objective=objective, gradient=gradient), counts
 
 
+def solve_sqp(problem, x0, config=None):
+    """solve_qsqp on ``problem`` with no constraints, called as the
+    unconstrained solvers are."""
+    return solve_qsqp(ConstrainedProblem(problem.objective, problem.gradient, x0), config=config)
+
+
 class TestEvaluationAccounting:
     """Each evaluation a solve pays is one the iterates need: f once at the
     start and once per line-search trial, the gradient once at the start,
@@ -275,6 +293,7 @@ class TestDivergenceGuard:
         pytest.param("time_cap_seconds", float("nan"), id="time_cap_seconds"),
         pytest.param("max_iterations", -5, id="max_iterations"),
         pytest.param("max_iterations", 1.5, id="max_iterations_fraction"),
+        pytest.param("max_iterations", 2.0, id="max_iterations_whole_float"),
         pytest.param("max_iterations", float("nan"), id="max_iterations_nan"),
         pytest.param("max_iterations", float("inf"), id="max_iterations_inf")])
     def test_nan_tolerance_and_time_cap_rejected(self, field, value):
@@ -364,40 +383,56 @@ class TestSharedStep:
         assert np.array_equal(r.x_final, self.X0) and r.f_final == 1.0
         assert counts["f"] <= 6
 
-    @pytest.mark.parametrize("solve", [solve_bfgs, solve_qls])
+    @pytest.mark.parametrize("solve", [solve_bfgs, solve_qls, solve_sqp])
     def test_nan_gradient_at_accepted_point(self, solve):
-        # both solvers accept x = 0 first (BFGS after one halving); a
-        # gradient that is NaN only there ends the run at the previous
-        # iterate with its f
+        # every solver accepts x = 0 first (BFGS after one halving); a
+        # gradient that is NaN only there ends the run at that accepted
+        # iterate, with the f its line search carried
         prob = self.bowl(gradient=lambda x: 2.0 * x if np.any(x) else np.full(2, np.nan))
         r = solve(prob, self.X0)
         assert r.status == STATUS_NUMERIC_FAILURE
-        assert r.iterations == 0 and r.trace == []
-        assert np.array_equal(r.x_final, self.X0)
-        assert r.f_final == 2.0
+        assert r.iterations == 1 and len(r.trace) == 1
+        assert np.array_equal(r.x_final, [0.0, 0.0])
+        assert r.f_final == 0.0
 
-    @pytest.mark.parametrize("solve", [solve_bfgs, solve_qls])
+    @pytest.mark.parametrize("solve", [solve_bfgs, solve_qls, solve_sqp])
     def test_wrong_shaped_gradient_at_start(self, solve):
         # a 2-D problem whose gradient returns three entries cannot start;
-        # as with a non-finite gradient, no f is paid and f_final is NaN
+        # f is evaluated before the gradient, so f_final is f(x0)
         branin = get_problem("branin")
         prob, counts = counted(dataclasses.replace(
             branin, gradient=lambda x: np.append(branin.gradient(x), 0.0)))
         r = solve(prob, np.array([3.0, 2.5]))
         assert r.status == STATUS_NUMERIC_FAILURE
         assert r.iterations == 0 and r.trace == []
-        assert np.array_equal(r.x_final, [3.0, 2.5]) and np.isnan(r.f_final)
-        assert counts == {"f": 0, "g": 1}
+        assert np.array_equal(r.x_final, [3.0, 2.5])
+        assert r.f_final == branin.objective(np.array([3.0, 2.5])) == 0.5065217799344683
+        assert counts == {"f": 1, "g": 1}
 
-    @pytest.mark.parametrize("solve", [solve_bfgs, solve_qls])
+    @pytest.mark.parametrize("solve", [solve_bfgs, solve_qls, solve_sqp])
     def test_wrong_shaped_gradient_at_accepted_point(self, solve):
-        # as in the NaN case above: the run ends at the previous iterate
+        # as in the NaN case above: the run ends at the accepted iterate
         prob = self.bowl(gradient=lambda x: 2.0 * x if np.any(x) else np.zeros(3))
         r = solve(prob, self.X0)
         assert r.status == STATUS_NUMERIC_FAILURE
+        assert r.iterations == 1 and len(r.trace) == 1
+        assert np.array_equal(r.x_final, [0.0, 0.0])
+        assert r.f_final == 0.0
+
+    @pytest.mark.parametrize("solve", [solve_bfgs, solve_qls, solve_sqp])
+    def test_time_cap_checked_before_each_iteration(self, solve):
+        # f(x0) is paid well within the 250 ms cap; the gradient then sleeps
+        # past it, so the check before the first step ends the run
+        def gradient(x):
+            time.sleep(0.3)
+            return 2.0 * x
+
+        prob, counts = counted(self.bowl(gradient=gradient))
+        r = solve(prob, self.X0, config=SolverConfig(time_cap_seconds=0.25))
+        assert r.status == STATUS_TIME_CAP
         assert r.iterations == 0 and r.trace == []
-        assert np.array_equal(r.x_final, self.X0)
-        assert r.f_final == 2.0
+        assert np.array_equal(r.x_final, self.X0) and r.f_final == 2.0
+        assert counts == {"f": 1, "g": 1}
 
     def test_other_value_errors_surface(self):
         def gradient(x):
@@ -419,15 +454,15 @@ class TestSharedStep:
         assert np.array_equal(r.x_final, [0.5, 0.5])
         assert r.f_final == 0.5
 
-    # runs that end before any step, so the final f is the only one evaluated
-    ENDS_AT_START = [(solve_qls, lambda x: np.zeros(2), None, STATUS_CONVERGED),
-                     (solve_bfgs, lambda x: np.zeros(2), None, STATUS_CONVERGED),
-                     (solve_bfgs, lambda x: 2.0 * x, SolverConfig(max_iterations=0),
-                      STATUS_MAX_ITERATIONS)]
-    ENDS_AT_START_IDS = ["qls-zero-gradient", "bfgs-zero-gradient", "bfgs-no-iterations"]
+    # runs that would end before any step, were f(x0) not to raise
+    ENDS_AT_START = [(solve_qls, lambda x: np.zeros(2), None),
+                     (solve_bfgs, lambda x: np.zeros(2), None),
+                     (solve_bfgs, lambda x: 2.0 * x, SolverConfig(max_iterations=0)),
+                     (solve_sqp, lambda x: np.zeros(2), None)]
+    ENDS_AT_START_IDS = ["qls-zero-gradient", "bfgs-zero-gradient", "bfgs-no-iterations",
+                         "sqp-zero-gradient"]
 
-    @pytest.mark.parametrize("solve, gradient, config", [case[:3] for case in ENDS_AT_START],
-                             ids=ENDS_AT_START_IDS)
+    @pytest.mark.parametrize("solve, gradient, config", ENDS_AT_START, ids=ENDS_AT_START_IDS)
     def test_other_errors_from_the_final_objective_surface(self, solve, gradient, config):
         # as they do in a step; this used to end the run with f_final NaN
         def objective(x):
@@ -436,15 +471,15 @@ class TestSharedStep:
         with pytest.raises(TypeError, match="bug in the callback"):
             solve(self.bowl(objective=objective, gradient=gradient), self.X0, config=config)
 
-    @pytest.mark.parametrize("solve, gradient, config, status", ENDS_AT_START,
-                             ids=ENDS_AT_START_IDS)
-    def test_arithmetic_error_from_the_final_objective_is_nan(self, solve, gradient, config,
-                                                              status):
+    @pytest.mark.parametrize("solve, gradient, config", ENDS_AT_START, ids=ENDS_AT_START_IDS)
+    def test_arithmetic_error_from_the_final_objective_is_nan(self, solve, gradient, config):
+        # the stop test evaluates f(x0) first, so the error ends the run; the
+        # final f, evaluated afresh, raises it again and reads NaN
         def objective(x):
             raise OverflowError("objective overflow")
 
         r = solve(self.bowl(objective=objective, gradient=gradient), self.X0, config=config)
-        assert r.status == status
+        assert r.status == STATUS_NUMERIC_FAILURE
         assert r.iterations == 0 and r.trace == []
         assert np.array_equal(r.x_final, self.X0) and np.isnan(r.f_final)
 
