@@ -40,9 +40,9 @@ def _check_symmetric(A):
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix contains non-finite entries")
     scale = float(np.max(np.abs(A), initial=0.0))
+    if not np.isfinite(scale):  # max |a_ij| is NaN or inf exactly when an entry is
+        raise ValueError("matrix contains non-finite entries")
     asym = float(np.max(np.abs(A - A.T), initial=0.0))
     if asym > 1e-10 * max(scale, 1e-300):
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")

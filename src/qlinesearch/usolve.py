@@ -53,7 +53,7 @@ class SolverConfig:
     max_iterations: int = 10_000
     time_cap_seconds: float = 100.0
     #: unconstrained solvers stop with STATUS_DIVERGED once an accepted step
-    #: lands below this objective value (Armijo steps never raise f again);
+    #: lands at a finite f below this value (Armijo steps never raise f again);
     #: the SQP solver, whose steps decrease a merit function instead, ignores it
     f_floor: float = float("-inf")
 
@@ -144,7 +144,7 @@ class _PastDeadline(Exception):
     """The time cap passed before an objective evaluation."""
 
 
-#: the errors, in a step or in the final f, that end a run as numeric_failure
+#: the errors, in a stop test or a step, that end a run as numeric_failure
 NUMERIC_ERRORS = (ArithmeticError, GradientShapeError, np.linalg.LinAlgError)
 
 
@@ -160,9 +160,8 @@ def drive(run, config, callback):
     ``run.record``, kept as a row of the ``Trace``.  An exception from either ends the run
     with a status (``numeric_failure`` for ``NUMERIC_ERRORS``), at its last
     accepted iterate, or surfaces.  ``run.objective`` is wrapped to check the
-    time cap first, in a line search too.  ``f_final`` is the carried f, or,
-    when the cap passed or f raised before any was carried, one fresh
-    evaluation, NaN if that raises one of ``NUMERIC_ERRORS``.
+    time cap first, in a line search too.  ``f_final`` is the f the run
+    holds, NaN when it holds none: ``drive`` never calls f itself.
     """
     config = config if config is not None else SolverConfig()
     t0 = time.perf_counter()
@@ -199,12 +198,7 @@ def drive(run, config, callback):
         k += 1
         if callback is not None:
             callback(run.x.copy())
-    f_final = run.f_x
-    if f_final is None:
-        try:
-            f_final = float(objective(run.x))
-        except NUMERIC_ERRORS:
-            f_final = float("nan")
+    f_final = run.f_x if run.f_x is not None else float("nan")
     return SolveResult(status, run.x, f_final, k, time.perf_counter() - t0,
                        Trace(run.record, values))
 
@@ -213,9 +207,10 @@ class _DescentRun:
     """One unconstrained run: x, f and grad f at x, and the direction rule
     direction(x, g) -> (p, q_k, condition number, fallback count).
 
-    As in SQP, ``stop`` evaluates f (unless carried) and then grad f at x;
-    each step only moves x, paying one objective evaluation per trial and
-    carrying f from the accepted one (the same expression f(x + alpha p)).
+    As in SQP, ``stop`` evaluates f (unless carried) and then grad f at x,
+    and ends the run on a non-finite f before any other test; each step only
+    moves x, paying one objective evaluation per trial and carrying f from
+    the accepted one (the same expression f(x + alpha p)).
     """
     record = IterationRecord
 
@@ -231,6 +226,8 @@ class _DescentRun:
         if self.f_x is None:
             self.f_x = float(self.objective(self.x))
         self.g = checked_gradient(self.gradient(self.x), self.x)
+        if not np.isfinite(self.f_x):
+            raise NumericError("non-finite objective")
         self.gnorm = float(np.linalg.norm(self.g))
         if self.gnorm < config.grad_tolerance:
             return STATUS_CONVERGED
@@ -246,8 +243,6 @@ class _DescentRun:
             raise NumericError("non-finite directional derivative at alpha = 0")
         if slope >= 0.0:
             raise DescentDirectionError(f"not a descent direction (slope {slope:.6g} >= 0)")
-        if not np.isfinite(f0):
-            raise NumericError("non-finite objective at alpha = 0")
         step = backtracking_step(lambda a: float(self.objective(x + a * p)), f0, slope)
         x_new = x + step.alpha * p
         if np.array_equal(x_new, x):

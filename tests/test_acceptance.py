@@ -576,3 +576,67 @@ def test_criterion_14_constrained_rate_from_the_schedule(monkeypatch):
     _report(14, f"constrained rate from the schedule: error ratios "
                 f"{['%.3f' % t for t in ratios]}, frozen q {['%.3f' % t for t in frozen]}", ok)
     assert ok
+
+
+def test_criterion_15_rate_under_an_active_inequality(monkeypatch):
+    """The constrained rate holds on the dual active-set path too.
+
+    The quartic sum (x - s)^4 + (x - s)^2 (s = 10, n = 4) under the ball
+    ||x||^2 <= 324 has its minimizer on the sphere at x* = 9 1, where the
+    ball's multiplier is v* = 1/3.  Far from the origin the q-shift
+    (1 - q) |x_i| is large, so a fixed q leaves the step far from Newton's.
+    From x* + (0.7, 0, 0.4, -0.1) with q0 = 0.9 and gamma = 2 the run
+    converged in 19 iterations: the last six error ratios measured 0.388,
+    0.370, 0.352, 0.337, 0.322, 0.309 and the projected Dennis-More ratios
+    (criterion 14's) 9.31 to 6.56.  With ``sqp.next_q`` frozen at q0 it took
+    22 iterations at a steady 0.489 and 14.04: linear.  Every step of the
+    tail is a unit step, and the QP holds the ball in its active set.
+    """
+    s, n = 10.0, 4
+    xstar, vstar = np.full(n, 9.0), 1.0 / 3.0
+    prob = ConstrainedProblem(
+        objective=lambda x: float(np.sum((x - s) ** 4 + (x - s) ** 2)),
+        gradient=lambda x: 4.0 * (x - s) ** 3 + 2.0 * (x - s),
+        x0=xstar + np.array([0.7, 0.0, 0.4, -0.1]),
+        g=lambda x: np.array([x @ x - 324.0]),
+        jac_g=lambda x: 2.0 * x[None, :], n_ineq=1)
+    assert np.array_equal(prob.g(xstar), [0.0])
+    assert np.array_equal(prob.gradient(xstar) + vstar * prob.jac_g(xstar)[0], np.zeros(n))
+    # of the Lagrangian f + v* g at x
+    hessian = lambda x: np.diag(12.0 * (x - s) ** 2 + 2.0 + 2.0 * vstar)
+    Z = np.linalg.svd(prob.jac_g(xstar))[2][1:].T
+
+    def tail():
+        xs, matrices, active_sets = [], [], []
+
+        def modify(A, delta=None):
+            mod = psd_modify(A, delta)
+            matrices.append(mod.modified_matrix)
+            return mod
+
+        def qp(*args, **kwargs):
+            result = qp_active_set(*args, **kwargs)
+            active_sets.append(result.active_set)
+            return result
+        monkeypatch.setattr(sqp, "psd_modify", modify)
+        monkeypatch.setattr(sqp, "qp_active_set", qp)
+        r = solve_qsqp(prob, config=SolverConfig(grad_tolerance=1e-6),
+                       schedule=QSchedule(0.9, 2), callback=xs.append)
+        assert r.status == "converged"
+        points = [prob.x0] + xs
+        errs = [np.linalg.norm(x - xstar) for x in points]
+        ratios = [b / a for a, b in zip(errs, errs[1:])]
+        dm = _projected_dennis_more_ratios(hessian, Z, points, matrices)
+        assert all(t.alpha == 1.0 for t in r.trace[-6:])
+        assert all(active == (0,) for active in active_sets[-6:])
+        return ratios[-6:], dm[-6:]
+
+    ratios, dm = tail()
+    monkeypatch.setattr(sqp, "next_q", lambda schedule: schedule)
+    frozen, frozen_dm = tail()
+    falls = lambda seq: all(b < a for a, b in zip(seq, seq[1:]))
+    ok = (falls(ratios) and falls(dm) and ratios[-1] < 0.4 and dm[-1] < 10.0
+          and all(t >= 0.48 for t in frozen) and all(t >= 13.5 for t in frozen_dm))
+    _report(15, f"rate under an active inequality: error ratios "
+                f"{['%.3f' % t for t in ratios]}, frozen q {['%.3f' % t for t in frozen]}", ok)
+    assert ok

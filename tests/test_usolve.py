@@ -474,7 +474,7 @@ class TestSharedStep:
     @pytest.mark.parametrize("solve, gradient, config", ENDS_AT_START, ids=ENDS_AT_START_IDS)
     def test_arithmetic_error_from_the_final_objective_is_nan(self, solve, gradient, config):
         # the stop test evaluates f(x0) first, so the error ends the run; the
-        # final f, evaluated afresh, raises it again and reads NaN
+        # run holds no f, so the final f reads NaN
         def objective(x):
             raise OverflowError("objective overflow")
 
@@ -483,15 +483,39 @@ class TestSharedStep:
         assert r.iterations == 0 and r.trace == []
         assert np.array_equal(r.x_final, self.X0) and np.isnan(r.f_final)
 
-    @pytest.mark.parametrize("solve", [solve_bfgs, solve_qls])
+    @pytest.mark.parametrize("solve", [solve_bfgs, solve_qls, solve_sqp])
     def test_non_finite_objective_at_start_is_numeric_failure(self, solve):
-        # the step checks f(x0) before any trial; the run keeps that f
+        # the stop test checks f(x0) right after the gradient, so no
+        # q-Hessian or direction is paid for; the run keeps that f
         prob, counts = counted(self.bowl(objective=lambda x: float("nan")))
         r = solve(prob, self.X0)
         assert r.status == STATUS_NUMERIC_FAILURE
         assert r.iterations == 0 and r.trace == []
         assert np.array_equal(r.x_final, self.X0) and np.isnan(r.f_final)
         assert counts["f"] == 1
+        assert counts["g"] == 1
+
+    @pytest.mark.parametrize("solve", [solve_bfgs, solve_qls, solve_sqp])
+    def test_non_finite_objective_is_checked_before_convergence(self, solve):
+        # a zero gradient at a point where f is NaN is no minimizer
+        prob, counts = counted(self.bowl(objective=lambda x: float("nan"),
+                                         gradient=lambda x: np.zeros(2)))
+        r = solve(prob, self.X0)
+        assert r.status == STATUS_NUMERIC_FAILURE
+        assert r.iterations == 0 and r.trace == []
+        assert np.array_equal(r.x_final, self.X0) and np.isnan(r.f_final)
+        assert counts == {"f": 1, "g": 1}
+
+    @pytest.mark.parametrize("solve", [solve_bfgs, solve_qls, solve_sqp])
+    def test_time_cap_before_the_first_objective_calls_no_f(self, solve):
+        # the cap passes before f(x0) is paid; nothing evaluates f past it,
+        # so the run holds no f and reports NaN
+        prob, counts = counted(self.bowl())
+        r = solve(prob, self.X0, config=SolverConfig(time_cap_seconds=1e-9))
+        assert r.status == STATUS_TIME_CAP
+        assert r.iterations == 0 and r.trace == []
+        assert np.array_equal(r.x_final, self.X0) and np.isnan(r.f_final)
+        assert counts == {"f": 0, "g": 0}
 
     def test_non_finite_slope_is_numeric_failure(self):
         # a direction with an infinite entry has slope g.p = -inf
