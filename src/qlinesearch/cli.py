@@ -20,9 +20,9 @@ from .problems import get_problem
 from .usolve import DEFAULT_SCHEDULE, STATUS_CONVERGED, SolverConfig, check_counts
 
 
-def _parse_list(kind):
-    """An argparse type: comma-separated values, each parsed by ``kind``."""
-    return lambda text: [kind(v) for v in text.split(",") if v.strip() != ""]
+def _parse_list(text):
+    """An argparse type: the comma-separated items, empty ones kept for ``main`` to reject."""
+    return text.split(",")
 
 
 def _build_parser():
@@ -36,7 +36,7 @@ def _build_parser():
 
     p_solve = sub.add_parser("solve", parents=[solving], help="run one solver on one problem")
     p_solve.add_argument("--problem", required=True, help="registry name (e.g. sphere, fc_c0.5)")
-    p_solve.add_argument("--x0", required=True, type=_parse_list(float), help="x1,x2,...")
+    p_solve.add_argument("--x0", required=True, type=_parse_list, help="x1,x2,...")
     p_solve.add_argument("--solver", required=True, help="bfgs or q<gamma> (e.g. q2)")
     p_solve.add_argument("--max-iter", dest="max_iterations", type=int, metavar="MAX_ITER")
     p_solve.add_argument("--trace", default=None, help="write per-iteration CSV here")
@@ -46,7 +46,7 @@ def _build_parser():
     bench_sub = p_bench.add_subparsers(dest="bench_kind", required=True)
 
     p_fc = bench_sub.add_parser("fc", parents=[solving], help="fc family sweep (fixed starts)")
-    p_fc.add_argument("--solvers", type=_parse_list(str), default=bench.SOLVERS, help="bfgs,q2,...")
+    p_fc.add_argument("--solvers", type=_parse_list, default=bench.SOLVERS, help="bfgs,q2,...")
     p_fc.add_argument("--out", default=None, help="summary CSV path")
     p_fc.add_argument("--runs-out", default=None, help="optional per-run CSV path")
     p_fc.set_defaults(handler=_cmd_bench_fc)
@@ -132,14 +132,15 @@ def main(argv=None):
     try:  # the library's own checks are the only rule for a valid value
         args.config = SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)
                                       if getattr(args, f.name, None) is not None})
-        if "q0" in args:  # each solver the command runs (none is the unknown ""), and q0
-            for solver in [args.solver] if "solver" in args else args.solvers or [""]:
+        if "q0" in args:  # each solver the command runs, and q0
+            for solver in [args.solver] if "solver" in args else args.solvers:
                 bench.solver_call(solver, args.q0)
         if "runs" in args:
             check_counts(runs_required=args.runs, attempt_cap=args.attempt_cap)
             check_counts(0, master_seed=args.seed)
         if "problem" in args:
             args.problem = problem = get_problem(args.problem)
+            args.x0 = [float(v) for v in args.x0]
             if len(args.x0) != problem.dimension:
                 raise ValueError(f"{problem.name} expects dimension {problem.dimension}, "
                                  f"got x0 of length {len(args.x0)}")

@@ -111,7 +111,8 @@ def q_hessian_lagrangian(grad_f, x, q, jac_h=None, u=None, jac_g=None, v=None, g
 
     ``jac_h``/``jac_g`` return the (m, n) / (p, n) constraint Jacobians, m
     and p the lengths of ``u`` and ``v``, and are called only when their
-    multipliers are nonzero; each value is checked by ``checked_jacobian``.
+    multipliers are nonzero; each value is checked by ``checked_jacobian``,
+    and each ``grad_f`` value by ``checked_gradient``.
     With zero (or absent) multipliers the result is identical to
     ``q_hessian`` of the objective at the same point and q.  ``g0``, the
     Lagrangian gradient at ``x`` when the caller holds it, is passed through
@@ -122,8 +123,8 @@ def q_hessian_lagrangian(grad_f, x, q, jac_h=None, u=None, jac_g=None, v=None, g
     def jacobian(jac, multipliers, pt):
         return None if multipliers is None else checked_jacobian(jac(pt), len(multipliers), pt)
 
-    def grad_lagrangian(pt):
-        return lagrangian_gradient(grad_f(pt), jacobian(jac_h, u, pt), u,
+    def grad_lagrangian(pt):  # grad f is checked before the terms could broadcast it
+        return lagrangian_gradient(checked_gradient(grad_f(pt), pt), jacobian(jac_h, u, pt), u,
                                    jacobian(jac_g, v, pt), v)
 
     return q_hessian(grad_lagrangian, x, q, g0=g0)

@@ -41,9 +41,9 @@ DEFAULT_SCHEDULE = QSchedule(0.9, 1)
 
 
 def check_counts(least=1, **counts):
-    """Raise ValueError unless each count is an integer >= ``least``."""
+    """Raise ValueError unless each count is an integer >= ``least``, not a bool."""
     for name, value in counts.items():
-        if not (isinstance(value, numbers.Integral) and value >= least):
+        if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
             raise ValueError(f"{name} must be a whole number of at least {least}, got {value!r}")
 
 

@@ -87,7 +87,7 @@ class TestPerformanceProfile:
         with pytest.raises(ValueError):
             performance_profile(t, "iterations", runs_required=0)
 
-    @pytest.mark.parametrize("runs_required", [1.5, float("nan"), 2.0])
+    @pytest.mark.parametrize("runs_required", [1.5, float("nan"), 2.0, True])
     def test_quota_not_whole_rejected(self, runs_required):
         # each used to end in a TypeError from slicing the cell's two successes
         t = BenchmarkTable()
@@ -177,7 +177,8 @@ class TestSuiteBenchmark:
                                         {"runs_required": -1},
                                         {"runs_required": float("nan")},
                                         {"attempt_cap": 2.5}, {"attempt_cap": 2.0},
-                                        {"runs_required": None}, {"attempt_cap": None}],
+                                        {"runs_required": None}, {"attempt_cap": None},
+                                        {"runs_required": True}, {"attempt_cap": True}],
                              ids=str)
     def test_counts_below_one_rejected(self, counts):
         # either count at 0 (or NaN) used to run nothing and return an empty
@@ -191,7 +192,7 @@ class TestSuiteBenchmark:
         assert not np.array_equal(bench.suite_start(prob, "q1", 42, 0),
                                   bench.suite_start(prob, "q1", 42 + 2**32, 0))
 
-    @pytest.mark.parametrize("seed", [-1, 2.5, float("nan"), 42.0, None], ids=str)
+    @pytest.mark.parametrize("seed", [-1, 2.5, float("nan"), 42.0, None, False], ids=str)
     def test_seed_must_be_whole_and_nonnegative(self, seed):
         # -1 used to draw the starts of seed 2**32 - 1; 42.0 failed inside
         # SeedSequence with a TypeError

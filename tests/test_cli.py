@@ -68,6 +68,7 @@ def test_invalid_arguments_exit_2():
 
 
 SPHERE = ["solve", "--problem", "sphere", "--solver", "q1", "--x0", "1,1,1,1,1,1,1,1"]
+BRANIN = ["solve", "--problem", "branin", "--solver", "bfgs"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -78,6 +79,9 @@ SPHERE = ["solve", "--problem", "sphere", "--solver", "q1", "--x0", "1,1,1,1,1,1
     ["bench", "fc", "--q0", "1"], ["bench", "fc", "--solvers", "bfgs,q0"],
     ["bench", "fc", "--solvers", "q1,q01"],
     ["bench", "fc", "--solvers", "bfgs,qls"], ["bench", "fc", "--solvers", ","],
+    # an empty item of a comma list used to be dropped: x0 = (3, 2.5) was solved
+    BRANIN + ["--x0", "3,,2.5"], BRANIN + ["--x0", "3,2.5,"],
+    ["bench", "fc", "--solvers", "bfgs,,q1"], ["bench", "fc", "--solvers", "bfgs,q1,"],
     ["bench", "fc", "--eps", "-0.5"],
     ["bench", "suite", "--time-cap", "0"], ["bench", "suite", "--time-cap", "-1"],
     ["bench", "suite", "--eps", "nan"], ["bench", "suite", "--q0", "1.5"],

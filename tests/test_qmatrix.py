@@ -141,6 +141,17 @@ class TestQHessianLagrangian:
             q_hessian_lagrangian(lambda x: x, np.array([2.0, -1.0, 0.5]), 0.5,
                                  jac_h=jac_h, u=np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_wrong_shape_gradient_at_a_shifted_point_raises(self, size):
+        # grad f is right only at x; J_h^T u used to be added to it unchecked,
+        # so a (1,) value broadcast into a wrong matrix and a (3,) value
+        # raised numpy's broadcast ValueError
+        x = np.array([0.7, -1.2])
+        grad_f = lambda pt: pt.copy() if np.array_equal(pt, x) else np.ones(size)
+        jac_h = lambda pt: np.array([[2.0 * pt[0], 2.0 * pt[1]]])
+        with pytest.raises(GradientShapeError, match=rf"gradient returned shape \({size},\)"):
+            q_hessian_lagrangian(grad_f, x, 0.5, jac_h=jac_h, u=np.array([0.5]))
+
 
 # Coordinates are exactly zero or at least 0.1 away from it, so which rows
 # fall back is known.

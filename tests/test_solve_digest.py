@@ -1,33 +1,81 @@
-"""tools/solve_digest.py, the bitwise check of the sweeps, keeps running."""
+"""tools/solve_digest.py digests the sweeps repeatably and reports moved
+reference rows and per-seed totals right."""
 
+import dataclasses
 import hashlib
-import importlib.util
-import sys
-from pathlib import Path
+
+import pytest
 
 from qlinesearch import bench
+from qlinesearch.problems import standard_suite
 
-SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "solve_digest.py"
+
+@pytest.fixture
+def tool(load_tool):
+    return load_tool("solve_digest")
 
 
-def test_sweep_digest_is_repeatable(monkeypatch):
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends its tree's paths
-    spec = importlib.util.spec_from_file_location("solve_digest", SCRIPT)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+def test_sweep_digest_is_repeatable(tool):
     sweep = lambda: bench.run_fc_benchmark(c_values=(0.5,), y_values=(0.9,))  # noqa: E731
-    first, second = tool._sweep_digest(sweep), tool._sweep_digest(sweep)
+    (first, rows), (second, _) = tool._bench_sweep(sweep, "grid"), tool._bench_sweep(sweep, "grid")
     assert first == second and len(first) == 64
     assert first != hashlib.sha256().hexdigest()  # the sweep's solves were folded in
+    assert [r.key for r in rows] == [f"grid:fc_c0.5:{s}:0" for s in bench.SOLVERS]
 
 
-def test_sqp_digest_is_repeatable(monkeypatch):
+def test_sqp_digest_is_repeatable(tool):
     # the SQP part reads perfbench.workloads' instances, config and counted problems
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    spec = importlib.util.spec_from_file_location("solve_digest", SCRIPT)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    monkeypatch.setattr(tool, "SQP_CORE_INSTANCES", 3)
-    first, second = tool._sqp_digest(), tool._sqp_digest()
+    (first, rows), (second, _) = tool._sqp_sweep(3), tool._sqp_sweep(3)
     assert first == second and len(first) == 64
     assert first != hashlib.sha256().hexdigest()  # the instances' solves were folded in
+    assert rows == tool.verify.load_reference("sqp-constrained")[:3]
+
+
+def test_fc_slice_matches_its_reference_rows(tool):
+    rows = tool.workloads._table_rows(
+        bench.run_fc_benchmark(c_values=(0.5,), y_values=bench.DEFAULT_Y_VALUES[:2]), "grid")
+    keys = {r.key for r in rows}
+    reference = [r for r in tool.verify.load_reference("fc-grid") if r.key in keys]
+    assert len(rows) == len(reference) == 8
+    assert tool.diff_lines("fc-grid", rows, reference) == [
+        "fc-grid: 0 of 8 rows moved, 0 success flips, net iterations +0"]
+
+
+def test_moved_rows_give_before_and_after(tool):
+    rows = tool.workloads._table_rows(
+        bench.run_fc_benchmark(c_values=(0.5,), y_values=bench.DEFAULT_Y_VALUES[:1]), "grid")
+    keys = {r.key for r in rows}
+    reference = [r for r in tool.verify.load_reference("fc-grid") if r.key in keys]
+    first, second, third, fourth = rows
+    moved = [dataclasses.replace(first, iterations=first.iterations + 3),
+             dataclasses.replace(second, success=False, iterations=None),
+             dataclasses.replace(third, start="0.5;0.2")]
+    lines = tool.diff_lines("fc-grid", moved, reference)
+    assert lines == [
+        f"  {first.key}: true {first.iterations} -> true {first.iterations + 3}",
+        f"  {second.key}: true {second.iterations} -> false -",
+        f"  {third.key}: true {third.iterations} -> true {third.iterations}, "
+        f"start 0.5;0.1 -> 0.5;0.2",
+        f"  {fourth.key}: true {fourth.iterations} -> missing",
+        "fc-grid: 4 of 4 rows moved, 2 success flips, net iterations +3"]
+
+
+def test_sqp_totals_over_a_slice(tool):
+    # the first instances come from the default seed, so the reference covers them
+    converged, iterations, gevals, capped = tool.sqp_totals(1, count=3)
+    reference = tool.verify.load_reference("sqp-constrained")[:3]
+    assert all(r.success for r in reference) and capped == []
+    assert converged == 3 and iterations == sum(r.iterations for r in reference)
+    assert gevals > iterations
+
+
+def test_suite_totals_over_a_slice(tool):
+    # at the default seed the stored reference holds the same sweep's rows;
+    # all four of bohachevsky's cells stay short there
+    suite = [p for p in standard_suite() if p.name == "bohachevsky"]
+    successes, rows, short = tool.suite_totals(tool.workloads.DEFAULT_SEED, suite=suite)
+    reference = [r for r in tool.verify.load_reference("suite-seeded")
+                 if ":bohachevsky:" in r.key]
+    assert (successes, rows) == (sum(r.success for r in reference), len(reference)) == (19, 48)
+    assert short == ["bohachevsky/bfgs 4", "bohachevsky/q1 4", "bohachevsky/q2 5",
+                     "bohachevsky/q3 6"]

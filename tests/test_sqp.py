@@ -29,6 +29,16 @@ def circle_problem(x0=(-0.5, -1.5), u0=0.0):
         n_eq=1)
 
 
+def cycling_kkt_solve(B, grad, rows, rhs):
+    """A ``kkt_solve`` under which two violated unit rows of A_in replace
+    each other in W forever: adding row a gives z = -a, each pinned
+    multiplier falling at unit rate, and every other solve gives d = 0 with
+    unit multipliers."""
+    if np.count_nonzero(grad) == 1 and np.max(grad) == 1.0:  # adding a unit row
+        return -grad, -np.ones(rows.shape[0])
+    return np.zeros(grad.shape[0]), np.ones(rows.shape[0])
+
+
 def kkt_residual(B, grad, A_eq, rhs, d, lam):
     r1 = B @ d + grad + (A_eq.T @ lam if A_eq.size else 0.0)
     r2 = A_eq @ d - rhs if A_eq.size else np.zeros(0)
@@ -197,6 +207,14 @@ class TestQpActiveSet:
         assert sol.active_set == (1,)
         directions = [rows.tolist() for grad, rows in calls if np.array_equal(grad, A_in[1])]
         assert directions == [[[-2.0, -2.0]], []]
+
+    def test_cycling_working_set_raises(self, monkeypatch):
+        # d0 <= -4 and d1 <= -4, both violated at d = 0; the stand-in
+        # drops the row of W each time the other is added, for good
+        monkeypatch.setattr(sqp, "kkt_solve", cycling_kkt_solve)
+        with pytest.raises(QPError, match="did not terminate"):
+            qp_active_set(ldl_factor(np.eye(2)), np.zeros(2),
+                          ineq=(np.eye(2), np.array([-4.0, -4.0])))
 
 
 # Equality rows number at most 4 (the benchmark's working sets have at most
@@ -432,6 +450,16 @@ class TestSolveQsqp:
         assert r.status == STATUS_QP_FAILURE
         assert r.iterations == 0 and np.array_equal(r.x_final, prob.x0)
 
+    def test_cycling_qp_is_qp_failure(self, monkeypatch):
+        # x0 <= -4 and x1 <= -4, both violated at the start
+        monkeypatch.setattr(sqp, "kkt_solve", cycling_kkt_solve)
+        prob = ConstrainedProblem(
+            objective=lambda x: float(x @ x), gradient=lambda x: 2.0 * x - [1.0, 2.0],
+            x0=np.zeros(2), g=lambda x: x + 4.0, jac_g=lambda x: np.eye(2), n_ineq=2)
+        r = solve_qsqp(prob)
+        assert r.status == STATUS_QP_FAILURE
+        assert r.iterations == 0 and np.array_equal(r.x_final, prob.x0)
+
     def test_one_factorization_of_b_per_iteration(self, monkeypatch):
         # every QP pass solves on psd_modify's factorization of B: besides
         # it, only Schur complements of at most m + p rows, and no phase-1
@@ -553,6 +581,18 @@ class TestSolveQsqp:
         assert r.iterations == 0 and r.trace == []
         assert np.array_equal(r.x_final, prob.x0)
         assert r.f_final == float(prob.x0 @ prob.x0)
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_wrong_shape_gradient_at_a_shifted_point_is_numeric_failure(self, size):
+        # with u0 != 0 the Lagrangian q-Hessian used to add J_h^T u to an
+        # unchecked grad f: a (1,) value took one step on a wrong matrix, and
+        # a (3,) value escaped as numpy's ValueError
+        prob = circle_problem(u0=0.5)
+        x0 = prob.x0.copy()
+        prob.gradient = lambda x: np.ones(2) if np.array_equal(x, x0) else np.ones(size)
+        r = solve_qsqp(prob)
+        assert r.status == STATUS_NUMERIC_FAILURE
+        assert r.iterations == 0 and r.trace == [] and np.array_equal(r.x_final, x0)
 
     @staticmethod
     def two_plane_problem(**callbacks):

@@ -295,7 +295,8 @@ class TestDivergenceGuard:
         pytest.param("max_iterations", 1.5, id="max_iterations_fraction"),
         pytest.param("max_iterations", 2.0, id="max_iterations_whole_float"),
         pytest.param("max_iterations", float("nan"), id="max_iterations_nan"),
-        pytest.param("max_iterations", float("inf"), id="max_iterations_inf")])
+        pytest.param("max_iterations", float("inf"), id="max_iterations_inf"),
+        pytest.param("max_iterations", True, id="max_iterations_bool")])
     def test_nan_tolerance_and_time_cap_rejected(self, field, value):
         # "nan <= 0" is False: a NaN tolerance turned a run that lands on the
         # minimizer into line_search_failure, and a NaN time cap was no cap;

@@ -1,22 +1,33 @@
-"""Print a bitwise digest of three solve sweeps, one line per part.
+"""Run the three default-seed sweeps once; print their digests, the
+reference rows they move, and per-seed totals.
 
-    python tools/solve_digest.py
+    python tools/solve_digest.py [SEED ...]
 
-Each solve adds to its part's SHA-256 its status, the bytes of ``x_final``,
-``f_final``, its iteration count, every field of every trace record and the
-objective, gradient and constraint evaluations it made.  Two trees whose
-solves agree to the last bit print the same three lines, so a change that
-must keep the iterates bitwise is checked by running this on both trees.
+The sweeps are the fixed parts of the benchmark's workloads: ``fc``
+(``fc-grid``), the default ``bench.run_fc_benchmark()``; ``suite``
+(``suite-seeded``), ``bench.run_suite_benchmark`` at ``perfbench.workloads``'
+``DEFAULT_SEED``, ``SUITE_RUNS_REQUIRED`` and ``SUITE_ATTEMPT_CAP`` (42, 10
+and 12); ``sqp`` (``sqp-constrained``), ``solve_qsqp`` on the first
+``SQP_CORE_INSTANCES`` of ``perfbench.workloads.make_sqp_instances``.
 
-* ``fc``: the default ``bench.run_fc_benchmark()``.
-* ``suite``: ``bench.run_suite_benchmark`` at ``perfbench.workloads``'
-  ``DEFAULT_SEED``, ``SUITE_RUNS_REQUIRED`` and ``SUITE_ATTEMPT_CAP`` (42,
-  10 and 12: the suite-seeded workload's reference sweep).
-* ``sqp``: ``solve_qsqp`` on the instances of
-  ``perfbench.workloads.make_sqp_instances`` drawn from its default seed.
+The first three lines give one SHA-256 per sweep, over each solve's status,
+``x_final`` bytes, ``f_final``, iteration count, trace record fields and
+objective, gradient and constraint evaluations: two trees whose solves agree
+to the last bit print the same three lines.  Then each sweep's contract rows
+(those ``tests/test_benchmark_contract.py`` checks) are compared by key with
+``perfbench/reference/<workload>.csv``: each moved row as its key with its
+success and iterations, before -> after (``-`` for a failed row), and its
+start if that moved too; then per workload the rows moved, the success
+flips and the net change in iterations over rows that succeed on both sides.
 
-The library is imported from this tree's ``src`` and the callbacks are
-counted by ``perfbench``'s wrappers, which this script only reads.
+For each SEED, the suite sweep at that master seed gives its successful rows
+and its cells short of the quota, and the ``sqp-constrained`` instances
+drawn from it (the first ``SQP_CORE_INSTANCES`` always from the default
+seed) give converged / iterations / gradient evaluations of ``solve_qsqp``
+and the instances that end at ``max_iterations``.
+
+The library is imported from this tree's ``src``; ``perfbench``, whose
+wrappers count the callbacks, is only read.
 """
 
 import contextlib
@@ -31,12 +42,11 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 import numpy as np  # noqa: E402
 
+from perfbench import verify, workloads  # noqa: E402
 from perfbench.spans import Meter  # noqa: E402
-from perfbench.workloads import (DEFAULT_SEED, SQP_CONFIG, SQP_CORE_INSTANCES,  # noqa: E402
-                                 SUITE_ATTEMPT_CAP, SUITE_RUNS_REQUIRED, counted_gradient,
-                                 counted_objective, make_sqp_instances)
 from qlinesearch import bench  # noqa: E402
 from qlinesearch.sqp import solve_qsqp  # noqa: E402
+from qlinesearch.usolve import STATUS_CONVERGED, STATUS_MAX_ITERATIONS  # noqa: E402
 
 
 def _add(digest, result, counts):
@@ -59,8 +69,8 @@ def _digested_bench_solves(digest):
         def run(problem, x0, **kwargs):
             meter = Meter()
             counted = dataclasses.replace(
-                problem, objective=counted_objective(problem.objective, meter),
-                gradient=counted_gradient(problem.gradient, meter))
+                problem, objective=workloads.counted_objective(problem.objective, meter),
+                gradient=workloads.counted_gradient(problem.gradient, meter))
             result = solve(counted, x0, **kwargs)
             _add(digest, result, meter.snapshot())
             return result
@@ -73,32 +83,116 @@ def _digested_bench_solves(digest):
         bench.solve_qls, bench.solve_bfgs = originals
 
 
-def _sweep_digest(sweep):
+def _bench_sweep(sweep, prefix):
+    """(digest, contract rows keyed under ``prefix``) of a ``bench`` sweep."""
     digest = hashlib.sha256()
     with _digested_bench_solves(digest):
-        sweep()
-    return digest.hexdigest()
+        table = sweep()
+    return digest.hexdigest(), workloads._table_rows(table, prefix)
 
 
-def _sqp_digest():
-    digest = hashlib.sha256()
-    for inst in make_sqp_instances(DEFAULT_SEED, count=SQP_CORE_INSTANCES):
+def _suite_table(seed, suite=None):
+    return bench.run_suite_benchmark(suite=suite, master_seed=seed,
+                                     runs_required=workloads.SUITE_RUNS_REQUIRED,
+                                     attempt_cap=workloads.SUITE_ATTEMPT_CAP)
+
+
+def _sqp_results(seed, count):
+    """(instance, result, meter of its callbacks) for each SQP instance."""
+    for inst in workloads.make_sqp_instances(seed, count=count):
         meter = Meter()
-        _add(digest, solve_qsqp(inst.problem(meter), config=SQP_CONFIG), meter.snapshot())
-    return digest.hexdigest()
+        yield inst, solve_qsqp(inst.problem(meter), config=workloads.SQP_CONFIG), meter
 
 
-def main():
-    parts = {
-        "fc": lambda: _sweep_digest(bench.run_fc_benchmark),
-        "suite": lambda: _sweep_digest(lambda: bench.run_suite_benchmark(
-            master_seed=DEFAULT_SEED, runs_required=SUITE_RUNS_REQUIRED,
-            attempt_cap=SUITE_ATTEMPT_CAP)),
-        "sqp": _sqp_digest,
-    }
-    for name, part in parts.items():
-        print(f"{name} {part()}")
+def _sqp_sweep(count):
+    """(digest, contract rows) of the first ``count`` default-seed instances."""
+    digest, rows = hashlib.sha256(), []
+    for inst, result, meter in _sqp_results(workloads.DEFAULT_SEED, count):
+        _add(digest, result, meter.snapshot())
+        rows.append(verify.contract_row(inst.key, inst.x0, result.status == STATUS_CONVERGED,
+                                        result.iterations))
+    return digest.hexdigest(), rows
+
+
+#: each workload's default-seed sweep: its digest's name, and the run that
+#: returns (digest, contract rows)
+SWEEPS = {
+    "fc-grid": ("fc", lambda: _bench_sweep(bench.run_fc_benchmark, "grid")),
+    "suite-seeded": ("suite", lambda: _bench_sweep(
+        lambda: _suite_table(workloads.DEFAULT_SEED), f"0:{workloads.DEFAULT_SEED}")),
+    "sqp-constrained": ("sqp", lambda: _sqp_sweep(workloads.SQP_CORE_INSTANCES)),
+}
+
+
+def moved_rows(rows, reference):
+    """(key, before, after) for each key whose row differs, in reference
+    order and then this tree's; a row missing on one side is None there."""
+    got = {r.key: r for r in rows}
+    want = {r.key: r for r in reference}
+    keys = list(want) + [k for k in got if k not in want]
+    return [(k, want.get(k), got.get(k)) for k in keys if want.get(k) != got.get(k)]
+
+
+def _cell(row):
+    if row is None:
+        return "missing"
+    iterations = "-" if row.iterations is None else row.iterations
+    return f"{str(row.success).lower()} {iterations}"
+
+
+def diff_lines(name, rows, reference):
+    """The moved rows of one workload, then its summary line."""
+    moved = moved_rows(rows, reference)
+    lines = [f"  {key}: {_cell(before)} -> {_cell(after)}"
+             + (f", start {before.start} -> {after.start}"
+                if before and after and before.start != after.start else "")
+             for key, before, after in moved]
+    flips = sum(1 for _, b, a in moved if b is None or a is None or b.success != a.success)
+    net = sum(a.iterations - b.iterations for _, b, a in moved
+              if b is not None and a is not None and b.success and a.success)
+    lines.append(f"{name}: {len(moved)} of {len(reference)} rows moved, "
+                 f"{flips} success flips, net iterations {net:+d}")
+    return lines
+
+
+def sqp_totals(seed, count=workloads.SQP_INSTANCES):
+    """(converged, iterations, gradient evaluations, keys at max_iterations)."""
+    converged = iterations = gevals = 0
+    capped = []
+    for inst, result, meter in _sqp_results(seed, count):
+        converged += result.status == STATUS_CONVERGED
+        iterations += result.iterations
+        gevals += meter.gevals
+        if result.status == STATUS_MAX_ITERATIONS:
+            capped.append(inst.key)
+    return converged, iterations, gevals, capped
+
+
+def suite_totals(seed, suite=None):
+    """(successful rows, rows, short cells as "problem/solver successes")
+    of the suite sweep at master seed ``seed``."""
+    table = _suite_table(seed, suite)
+    short = [f"{p}/{s} {k}" for p, s, k in table.short_cells(workloads.SUITE_RUNS_REQUIRED)]
+    return sum(r.success for r in table.rows), len(table.rows), short
+
+
+def main(argv):
+    seeds = [int(a) for a in argv]
+    rows = {}
+    for name, (part, sweep) in SWEEPS.items():
+        digest, rows[name] = sweep()
+        print(f"{part} {digest}", flush=True)
+    for name, got in rows.items():
+        print("\n".join(diff_lines(name, got, verify.load_reference(name))))
+    for seed in seeds:
+        successes, total, short = suite_totals(seed)
+        print(f"suite seed {seed}: {successes} of {total} rows succeed; "
+              f"short cells: {', '.join(short) or 'none'}")
+        converged, iterations, gevals, capped = sqp_totals(seed)
+        print(f"sqp seed {seed}: {converged} / {iterations} / {gevals} "
+              f"(converged / iterations / gevals of {workloads.SQP_INSTANCES}); "
+              f"at max_iterations: {', '.join(capped) or 'none'}")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -10,7 +10,7 @@ none of whose lines ran.  A compound statement counts as run when any line
 of its body did.  Docstrings, ``global`` and ``nonlocal`` compile to no
 code, so they are not counted.  Code that tests run in child processes is
 not seen.  The tracer makes the suite about twice as slow.  The exit status
-is pytest's.
+is pytest's when that is nonzero, else 1 if any statement is listed, else 0.
 """
 
 import ast
@@ -78,12 +78,14 @@ def main():
     os.environ["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     status, ran = _run_traced(["-q", "--continue-on-collection-errors"])
+    listed = False
     for path in sorted(PACKAGE.glob("*.py")):
         lines = path.read_text(encoding="utf-8").splitlines()
         for first, last in _function_statements(ast.parse("\n".join(lines))):
             if not any((str(path), n) in ran for n in range(first, last + 1)):
                 print(f"{path.relative_to(ROOT)}:{first}: {lines[first - 1].strip()}")
-    return int(status)
+                listed = True
+    return int(status) or int(listed)
 
 
 if __name__ == "__main__":
