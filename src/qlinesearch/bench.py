@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .problems import make_fc, standard_suite
-from .qcalc import QSchedule
-from .usolve import (DEFAULT_SCHEDULE, STATUS_CONVERGED, SolverConfig, Trace, check_counts,
-                     solve_bfgs, solve_qls)
+from .qcalc import QSchedule, check_counts
+from .usolve import DEFAULT_SCHEDULE, STATUS_CONVERGED, SolverConfig, Trace, solve_bfgs, solve_qls
 
 log = logging.getLogger(__name__)
 
@@ -108,16 +107,22 @@ def is_success(problem, result):
 
 def solver_call(solver, q0=DEFAULT_SCHEDULE.q0):
     """The solve of a runs-CSV solver name, a function of (problem, x0, config):
-    ``bfgs``, or ``q<gamma>`` for solve_qls under QSchedule(q0, gamma), each
-    looked up in this module when it runs.  Raises ValueError for any other
-    name (``q01`` too: a run has one name), and for a q0 outside (0, 1)."""
+    ``bfgs``, or ``q<gamma>`` for solve_qls under QSchedule(q0, gamma), each looked
+    up in this module when it runs, with config.f_floor (config None: SolverConfig())
+    replaced by known_min_value - SUCCESS_VALUE_GAP, below which no run succeeds.
+    Raises ValueError for any other name (``q01`` too), and for a q0 outside (0, 1)."""
     gamma = solver[1:] if solver[:1] == "q" else ""
     if solver != "bfgs" and not (gamma.isdecimal() and gamma == str(int(gamma))):
         raise ValueError(f"unknown solver {solver!r}; a solver is bfgs or q<gamma>")
     schedule = QSchedule(q0, int(gamma) if gamma else DEFAULT_SCHEDULE.gamma)
-    if solver == "bfgs":
-        return lambda problem, x0, config: solve_bfgs(problem, x0, config=config)
-    return lambda problem, x0, config: solve_qls(problem, x0, config=config, schedule=schedule)
+
+    def call(problem, x0, config):
+        config = dataclasses.replace(config if config is not None else SolverConfig(),
+                                     f_floor=problem.known_min_value - SUCCESS_VALUE_GAP)
+        if solver == "bfgs":
+            return solve_bfgs(problem, x0, config=config)
+        return solve_qls(problem, x0, config=config, schedule=schedule)
+    return call
 
 
 def _run_row(problem, solver, run_index, seed, x0, config, q0):
@@ -192,12 +197,6 @@ def run_suite_benchmark(suite=None, solvers=SOLVERS, master_seed=SUITE_SEED,
     ``runs_required`` successes or ``attempt_cap`` attempts.  Every attempt
     is recorded as a row, with ``master_seed`` as its seed; a cell left
     short of the quota is named by ``BenchmarkTable.short_cells``.
-
-    Each problem's runs get the objective floor ``known_min_value -
-    SUCCESS_VALUE_GAP`` (overriding ``config.f_floor``): a run that descends
-    below it can no longer succeed on value, so it stops as diverged instead
-    of using up its iteration budget.  Start points, success flags and the
-    iterations of successful runs are the same as without the floor.
     """
     check_counts(runs_required=runs_required, attempt_cap=attempt_cap)
     check_counts(0, master_seed=master_seed)
@@ -205,16 +204,13 @@ def run_suite_benchmark(suite=None, solvers=SOLVERS, master_seed=SUITE_SEED,
     config = config if config is not None else SolverConfig(max_iterations=SUITE_MAX_ITERATIONS)
     table = BenchmarkTable()
     for problem in suite:
-        floored = dataclasses.replace(
-            config, f_floor=problem.known_min_value - SUCCESS_VALUE_GAP)
         for solver in solvers:
             successes = 0
             for attempt in range(attempt_cap):
                 if successes == runs_required:
                     break
                 x0 = suite_start(problem, solver, master_seed, attempt)
-                table.rows.append(_run_row(problem, solver, attempt, master_seed, x0,
-                                           floored, q0))
+                table.rows.append(_run_row(problem, solver, attempt, master_seed, x0, config, q0))
                 successes += table.rows[-1].success
     return table
 
@@ -262,12 +258,18 @@ def performance_profile(table, metric="iterations", runs_required=None):
 # serialization
 # ---------------------------------------------------------------------------
 
+def _bool_cell(s):
+    if s not in ("true", "false"):  # "True" or "yes" would otherwise read as false
+        raise ValueError(f"a true/false cell reads {s!r}")
+    return s == "true"
+
+
 #: the text of a CSV cell and its parse, by the annotation of the cell's field;
 #: a float is written as a Python float's repr, which parses back bit for bit
 _CELLS = {
     "str": (str, str),
     "int": (str, int),
-    "bool": (lambda v: "true" if v else "false", lambda s: s == "true"),
+    "bool": (lambda v: "true" if v else "false", _bool_cell),
     "float": (lambda v: repr(float(v)), float),
     "Optional[float]": (lambda v: "" if v is None else repr(float(v)),
                         lambda s: None if s == "" else float(s)),

@@ -17,7 +17,8 @@ from dataclasses import fields
 
 from . import bench
 from .problems import get_problem
-from .usolve import DEFAULT_SCHEDULE, STATUS_CONVERGED, SolverConfig, check_counts
+from .qcalc import check_counts
+from .usolve import DEFAULT_SCHEDULE, STATUS_CONVERGED, SolverConfig
 
 
 def _parse_list(text):

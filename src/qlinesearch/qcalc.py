@@ -11,6 +11,7 @@ x_i = 0, where the scaled coordinate carries no information.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,13 @@ _EPS = float(np.finfo(float).eps)
 # Relative half-width of the band around x_i = 0 that triggers the classical
 # fallback: dividing by (1-q)*x_i below this is pure cancellation noise.
 ZERO_BAND = 1e-12
+
+
+def check_counts(least=1, **counts):
+    """Raise ValueError unless each count is an integer >= ``least``, not a bool."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
+            raise ValueError(f"{name} must be a whole number of at least {least}, got {value!r}")
 
 
 def _check_q(q):
@@ -124,11 +132,8 @@ class QSchedule:
 
     def __post_init__(self):
         object.__setattr__(self, "q0", _check_q(self.q0))
-        if int(self.gamma) != self.gamma or self.gamma < 1:
-            raise ValueError(f"gamma must be a positive integer, got {self.gamma!r}")
-        object.__setattr__(self, "gamma", int(self.gamma))
-        if self.k < 0:
-            raise ValueError("iteration counter must be nonnegative")
+        check_counts(gamma=self.gamma)
+        check_counts(0, k=self.k)
         q = self.q0 if self.q_current is None else _check_q(self.q_current)
         object.__setattr__(self, "q_current", q)
 

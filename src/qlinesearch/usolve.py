@@ -13,7 +13,6 @@ the q-Hessian surrogate; BFGS carries the classical rank-two update forward.
 from __future__ import annotations
 
 import functools
-import numbers
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
@@ -25,7 +24,7 @@ from .errors import (DescentDirectionError, GradientShapeError, LineSearchError,
                      NumericError, QPError)
 from .linesearch import backtracking_step
 from .psdfactor import psd_modify
-from .qcalc import QSchedule, next_q
+from .qcalc import QSchedule, check_counts, next_q
 from .qmatrix import checked_gradient, q_hessian
 
 STATUS_CONVERGED = "converged"
@@ -38,13 +37,6 @@ STATUS_DIVERGED = "diverged"
 
 #: the q schedule QLS and SQP run when given none
 DEFAULT_SCHEDULE = QSchedule(0.9, 1)
-
-
-def check_counts(least=1, **counts):
-    """Raise ValueError unless each count is an integer >= ``least``, not a bool."""
-    for name, value in counts.items():
-        if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
-            raise ValueError(f"{name} must be a whole number of at least {least}, got {value!r}")
 
 
 @dataclass

@@ -87,6 +87,69 @@ def _oracle_bfgs_iterations(x0):
     raise AssertionError(f"oracle BFGS did not converge from {x0}")
 
 
+def _oracle_q_iterations(c, x0, gamma):
+    """Iterations of the q-line-search on fc_c (c > 0) from x0, written out.
+
+    fc with the |x|/c coefficient on the side of x = c away from (1, 1); the
+    q-Hessian row i is (g(x) - g(x with x_i scaled by q)) / ((1 - q) x_i),
+    symmetrized; a 2x2 Bunch-Kaufman pivot choice with every block eigenvalue
+    floored at sqrt(eps) max(1, max |a_ij|); Armijo with c1 = 1e-4 halving from
+    alpha = 1; q_0 = q_1 = 0.9 and q_{k+1} = 1 - q_k^gamma / k; stop at
+    ||g||_2 < 1e-5.  Nothing from the package is used (docs/fc_q.md).
+    """
+    def rosen_side(x):
+        return x[0] >= c if c <= 1.0 else x[0] <= c
+
+    def f(x):
+        if rosen_side(x):
+            return 0.05 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2 + c
+        return (abs(x[0]) / c * (1.0 - x[0]) ** 2 + 0.05 * (x[1] - x[0] ** 2) ** 2
+                - (1.0 - c) ** 2 / c * (x[0] - c) + c)
+
+    def grad(x):
+        gy = 0.1 * (x[1] - x[0] ** 2)
+        if rosen_side(x):
+            return np.array([-0.2 * x[0] * (x[1] - x[0] ** 2) - 2.0 * (1.0 - x[0]), gy])
+        sign = 1.0 if x[0] >= 0.0 else -1.0
+        return np.array([sign / c * (1.0 - x[0]) ** 2 - 2.0 * abs(x[0]) / c * (1.0 - x[0])
+                         - (1.0 - c) ** 2 / c - 0.2 * x[0] * (x[1] - x[0] ** 2), gy])
+
+    def modified_newton_step(A, g):
+        delta = np.sqrt(np.finfo(float).eps) * max(1.0, np.abs(A).max())
+        alpha = (1.0 + np.sqrt(17.0)) / 8.0
+        a, b, d = A[0, 0], A[1, 0], A[1, 1]
+        if abs(a) >= alpha * abs(b) or (a != 0.0 and abs(a) * abs(b) >= alpha * b * b):
+            perm = [0, 1]  # 1x1 pivot a
+        elif abs(d) >= alpha * abs(b):
+            perm, a, d = [1, 0], d, a  # 1x1 pivot d, after the interchange
+        else:  # one 2x2 pivot: the blocks' eigenpairs are A's own
+            w, V = np.linalg.eigh(A)
+            return V @ ((V.T @ -g) / (w + np.maximum(delta - w, 0.0)))
+        l = b / a if a != 0.0 else 0.0
+        pivots = np.array([a, d - l * b])
+        pivots = pivots + np.maximum(delta - pivots, 0.0)
+        r = -g[perm]
+        z1 = (r[1] - l * r[0]) / pivots[1]
+        p = np.empty(2)
+        p[perm] = (r[0] / pivots[0] - l * z1, z1)
+        return p
+
+    x, q = np.array(x0, dtype=float), 0.9
+    for k in range(100):
+        g = grad(x)
+        if np.linalg.norm(g) < 1e-5:
+            return k
+        rows = np.array([(g - grad(np.where(np.arange(2) == i, q * x, x))) / ((1.0 - q) * x[i])
+                         for i in range(2)])
+        p = modified_newton_step(0.5 * (rows + rows.T), g)
+        alpha = 1.0
+        while f(x + alpha * p) > f(x) + 1e-4 * alpha * (g @ p):
+            alpha *= 0.5
+        x = x + alpha * p
+        q = q if k == 0 else 1.0 - q ** gamma / k
+    raise AssertionError(f"oracle q{gamma} did not converge on fc_c{c} from {x0}")
+
+
 @pytest.fixture(scope="module")
 def fc_results(recorded_solves):
     """The fc benchmark at the published protocol, with traces captured."""
@@ -156,6 +219,18 @@ def test_criterion_01_fc_iteration_reproduction(fc_results):
                + "; ".join(errata), ok)
     assert fc_results["elapsed"] < 60.0
     assert not bad, "; ".join(bad)
+
+
+def test_fc_q_columns_follow_the_oracle(fc_results):
+    # all 300 q runs of the published grid, start by start (docs/fc_q.md):
+    # criterion 01 checks only the cell means against the +-2 band
+    rows = [r for r in fc_results["table"].rows if r.solver != "bfgs"]
+    got = [(r.problem, r.solver, r.run_index, r.success, r.iterations) for r in rows]
+    want = [(r.problem, r.solver, r.run_index, True,
+             _oracle_q_iterations(r.start_point[0], r.start_point, int(r.solver[1:])))
+            for r in rows]
+    assert len(rows) == 300
+    assert got == want
 
 
 def test_criterion_02_gamma_trend(fc_results):

@@ -287,6 +287,17 @@ class TestEmit:
         with pytest.raises(ValueError, match="unexpected profile header"):
             bench.load_profile_csv(str(path))
 
+    @pytest.mark.parametrize("cell", ["yes", "True", "1", "", "false "])
+    def test_runs_success_cell_is_true_or_false(self, cell, tmp_path):
+        # any other cell used to read as a failure
+        path = tmp_path / "runs.csv"
+        row = "branin,bfgs,0,42,{},5,0.01,1.0;2.0"
+        path.write_text(f"{bench.RUNS_HEADER}\n{row.format('true')}\n{row.format('false')}\n")
+        assert [r.success for r in bench.load_runs_csv(str(path)).rows] == [True, False]
+        path.write_text(f"{bench.RUNS_HEADER}\n{row.format(cell)}\n")
+        with pytest.raises(ValueError, match="true/false"):
+            bench.load_runs_csv(str(path))
+
     def test_empty_curves_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
         bench.emit([], "csv", str(path))
@@ -357,8 +368,9 @@ class TestIsSuccess:
 
 
 class TestDivergenceGuard:
-    """The suite sweep stops runs once f drops below known_min_value -
-    SUCCESS_VALUE_GAP; such runs could not have succeeded anyway."""
+    """Every solve of bench.solver_call, so every suite run, stops once f drops
+    below known_min_value - SUCCESS_VALUE_GAP; such runs could not have
+    succeeded anyway."""
 
     SWEEP = dict(solvers=bench.SOLVERS, master_seed=42, runs_required=3, attempt_cap=8)
 

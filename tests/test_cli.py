@@ -92,9 +92,16 @@ BRANIN = ["solve", "--problem", "branin", "--solver", "bfgs"]
     ["bench", "fc", "--out", "/nonexistent/fc.csv"],
     ["bench", "fc", "--runs-out", "/nonexistent/runs.csv"],
     ["bench", "suite", "--runs", "1", "--attempt-cap", "2", "--out", "/nonexistent/runs.csv"],
+    # a runs CSV whose success cell is neither true nor false, written by the test
+    *(["profile", "--metric", "iterations", "--out", "p.csv", "--in", f"success={cell}"]
+      for cell in ("yes", "True")),
 ], ids=lambda argv: " ".join(argv[:1 + (argv[0] == "bench")] + argv[-2:]))
-def test_invalid_values_exit_2_with_one_error_line(argv, capsys):
+def test_invalid_values_exit_2_with_one_error_line(argv, tmp_path, capsys):
     # the library's own checks reject each value before anything runs
+    if argv[-1].startswith("success="):
+        runs = tmp_path / "runs.csv"
+        runs.write_text(f"{bench.RUNS_HEADER}\nbranin,bfgs,0,42,{argv[-1][8:]},5,0.01,1.0;2.0\n")
+        argv = argv[:-1] + [str(runs)]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -225,25 +232,26 @@ def test_bench_suite_names_each_short_cell_once(tmp_path):
 def test_every_row_replays_through_solve(tmp_path, capsys):
     # each row of a runs CSV names its run: problem, solver and start point
     # are all a solve needs (suite rows add the suite's iteration budget);
-    # one successful suite row per cell
+    # every suite row, failed ones too, since the objective floor is the
+    # solve's own and not the sweep's
     fc, suite = tmp_path / "fc.csv", tmp_path / "suite.csv"
     bench.emit(bench.run_fc_benchmark(c_values=(0.3, 0.5, 1.7), y_values=(0.1, 1.0, 1.9)),
                "csv", str(fc))
     bench.emit(bench.run_suite_benchmark(master_seed=42, runs_required=3, attempt_cap=6),
                "csv", str(suite))
-    firsts = {}
-    for r in bench.load_runs_csv(str(suite)).rows:
-        if r.success:
-            firsts.setdefault((r.problem, r.solver), r)
     replays = [(r, []) for r in bench.load_runs_csv(str(fc)).rows]
-    replays += [(r, ["--max-iter", str(bench.SUITE_MAX_ITERATIONS)]) for r in firsts.values()]
-    assert len(replays) == 36 + 57
+    replays += [(r, ["--max-iter", str(bench.SUITE_MAX_ITERATIONS)])
+                for r in bench.load_runs_csv(str(suite)).rows]
+    assert len(replays) == 36 + 200
+    assert sum(not r.success for r, _ in replays) == 30
     for r, budget in replays:
         argv = ["solve", "--problem", r.problem, "--solver", r.solver,
                 "--x0=" + ",".join(map(repr, r.start_point.tolist())), *budget]
-        assert main(argv) == 0, argv
-        out = capsys.readouterr().out
-        assert out.startswith(f"status=converged iterations={r.iterations} "), (argv, out)
+        code = main(argv)
+        status, iterations = capsys.readouterr().out.split()[:2]
+        assert (iterations, code) == (f"iterations={r.iterations}",
+                                      0 if status == "status=converged" else 3), argv
+        assert status == "status=converged" or not r.success, argv
 
 
 def test_readme_cli_lines_parse():

@@ -131,9 +131,9 @@ class TestQSchedule:
                     assert abs(1.0 - s.q_current) <= 1.0 / (s.k - 1) + 1e-15
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            QSchedule(1.2, 1)
-        with pytest.raises(ValueError):
-            QSchedule(0.5, 0)
-        with pytest.raises(ValueError):
-            QSchedule(0.5, 1, k=-1)
+        # gamma and k are counts: a bool, a float or an infinity is none, even
+        # where it equals a whole number (True ran as gamma = 1, 2.0 as 2)
+        for args in [(1.2, 1), (0.5, 0), (0.5, 1, -1), (0.9, True), (0.9, 2.0),
+                     (0.9, float("inf")), (0.9, 1, 1.5), (0.9, 1, True)]:
+            with pytest.raises(ValueError):
+                QSchedule(*args)
