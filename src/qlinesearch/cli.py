@@ -1,10 +1,10 @@
 """Command-line interface: solve single problems, run benchmarks, build profiles.
 
 A run is named as in the runs CSV: problem ``fc_c0.5``, solver ``bfgs`` or
-``q<gamma>``.  Exit codes: 0 on success, 2 on invalid arguments (among them an
-``--in`` file that does not read as a runs CSV and an output path in a missing
-directory), 3 when runs failed or cells stayed unsolved (partial output is
-still written).
+``q<gamma>``.  Exit codes: 0 on success, 2 on invalid arguments (every rule
+the library's, checked before its first solve; among them an ``--in`` file
+that does not read as a runs CSV) and on an output that cannot be written, 3
+when runs failed or cells stayed unsolved (partial output is still written).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import fields
 
 from . import bench
 from .problems import get_problem
-from .qcalc import check_counts
 from .usolve import DEFAULT_SCHEDULE, STATUS_CONVERGED, SolverConfig
 
 
@@ -85,13 +84,13 @@ def _cmd_solve(args):
 def _cmd_bench_fc(args):
     table = bench.run_fc_benchmark(q0=args.q0, solvers=args.solvers, config=args.config)
     summary = bench.fc_summary(table)
-    for row in summary:
-        iters = " ".join(f"{s}={v:.2f}" for s, v in row.iterations.items())
-        print(f"c={row.c:g}: {iters}")
     if args.out:
         bench.emit(summary, "csv", args.out)
     if args.runs_out:
         bench.emit(table, "csv", args.runs_out)
+    for row in summary:
+        iters = " ".join(f"{s}={v:.2f}" for s, v in row.iterations.items())
+        print(f"c={row.c:g}: {iters}")
     failures = sum(1 for r in table.rows if not r.success)
     if failures:
         print(f"{failures} failed runs", file=sys.stderr)
@@ -102,11 +101,11 @@ def _cmd_bench_suite(args):
     table = bench.run_suite_benchmark(master_seed=args.seed, runs_required=args.runs,
                                       attempt_cap=args.attempt_cap, config=args.config,
                                       solvers=args.solvers, q0=args.q0)
+    if args.out:
+        bench.emit(table, "csv", args.out)
     short = table.short_cells(args.runs)
     for prob, solver, good in short:
         print(f"unsolved cell: {prob}/{solver} ({good}/{args.runs})", file=sys.stderr)
-    if args.out:
-        bench.emit(table, "csv", args.out)
     print(f"{len(table.rows)} runs over {len(table.problems())} problems x "
           f"{len(table.solvers())} solvers; {len(short)} unsolved cells")
     return 3 if short else 0
@@ -133,28 +132,19 @@ def main(argv=None):
     try:  # the library's own checks are the only rule for a valid value
         args.config = SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)
                                       if getattr(args, f.name, None) is not None})
-        if "q0" in args:  # each solver the command runs, and q0
-            for solver in [args.solver] if "solver" in args else args.solvers:
-                bench.solver_call(solver, args.q0)
-        if "runs" in args:
-            check_counts(runs_required=args.runs, attempt_cap=args.attempt_cap)
-            check_counts(0, master_seed=args.seed)
         if "problem" in args:
-            args.problem = problem = get_problem(args.problem)
+            args.problem = get_problem(args.problem)
             args.x0 = [float(v) for v in args.x0]
-            if len(args.x0) != problem.dimension:
-                raise ValueError(f"{problem.name} expects dimension {problem.dimension}, "
-                                 f"got x0 of length {len(args.x0)}")
         for name in ("trace", "out", "runs_out", "svg"):  # the output paths, before any run
             path = getattr(args, name, None)
             if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
                 raise ValueError(f"cannot write {path}: not a file in an existing directory")
         if "input" in args:
             args.table = bench.load_runs_csv(args.input)
+        return args.handler(args)
     except (KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return args.handler(args)
 
 
 def console_main():

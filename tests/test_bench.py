@@ -207,6 +207,41 @@ class TestSuiteBenchmark:
         assert all(r.success and r.iterations <= 3 for r in t.rows)
 
 
+class TestSweepInputs:
+    """Both sweeps build each solver's solve, and so check every input,
+    before their first solve."""
+
+    @pytest.mark.parametrize("sweep, bad", [
+        (run_fc_benchmark, "q1x"),
+        (lambda **kw: run_suite_benchmark(runs_required=2, attempt_cap=3, **kw), "qx"),
+    ], ids=["fc", "suite"])
+    def test_bad_solver_raises_before_the_first_solve(self, sweep, bad, recorded_solves):
+        # the name used to be parsed when its cell came up: after 10 fc and 2 suite solves
+        with recorded_solves() as solves, pytest.raises(ValueError, match="unknown solver"):
+            sweep(solvers=("bfgs", bad))
+        assert solves == []
+
+    @pytest.mark.parametrize("sweep", [
+        lambda: run_fc_benchmark(solvers=("bfgs", "bfgs")),
+        lambda: run_fc_benchmark(c_values=(0.5, 1.3, 0.50)),
+        lambda: run_suite_benchmark(solvers=("q1", "bfgs", "q1")),
+        lambda: run_suite_benchmark(suite=[get_problem("branin"), get_problem("branin")]),
+    ], ids=["fc-solver", "fc-c", "suite-solver", "suite-problem"])
+    def test_a_cell_named_twice_raises_before_the_first_solve(self, sweep, recorded_solves):
+        # each used to run, writing every (problem, solver, run_index) key twice
+        with recorded_solves() as solves, \
+                pytest.raises(ValueError, match="a sweep names each (solver|problem) once"):
+            sweep()
+        assert solves == []
+
+    @pytest.mark.parametrize("solver", ["bfgs", "q2"])
+    @pytest.mark.parametrize("x0", [[1.0, 2.0, 3.0], [1.0], 2.5, [[1.0, 2.0]]], ids=str)
+    def test_solve_rejects_a_start_of_another_dimension(self, solver, x0):
+        # a start of three coordinates used to end numeric_failure
+        with pytest.raises(ValueError, match="branin expects dimension 2, got x0 of shape"):
+            bench.solver_call(solver)(get_problem("branin"), x0, None)
+
+
 class TestEmit:
     def test_runs_round_trip(self, tmp_path):
         suite = [p for p in standard_suite() if p.name == "sphere"]
@@ -297,6 +332,35 @@ class TestEmit:
         path.write_text(f"{bench.RUNS_HEADER}\n{row.format(cell)}\n")
         with pytest.raises(ValueError, match="true/false"):
             bench.load_runs_csv(str(path))
+
+    @pytest.mark.parametrize("bad, where", [
+        ("branin,bfgs,x,42,true,5,0.01,1.0;2.0", "line 4, column run_index: "),
+        ("branin,bfgs,0", "line 4: 3 cells, the header has 8"),
+        ("branin,bfgs,0,42,true,5,0.01,1.0;2.0,", "line 4: 9 cells, the header has 8"),
+        ("branin,bfgs,0,42,true,5,0.01,1.0;", "line 4, column start_point: "),
+        ("branin,bfgs,0,42,true,-3,0.01,1.0;2.0", "line 4, column iterations: count must be"),
+        ("branin,bfgs,0,42,true,2.0,0.01,1.0;2.0", "line 4, column iterations: "),
+        ("branin,bfgs,0,-1,true,5,0.01,1.0;2.0", "line 4, column seed: count must be"),
+        ("branin,bfgs,0,42,true,5,nan,1.0;2.0", "line 4, column elapsed_seconds: "),
+        ("branin,bfgs,0,42,true,5,inf,1.0;2.0", "line 4, column elapsed_seconds: "),
+        ("branin,bfgs,0,42,true,5,0.01,1.0;-inf", "line 4, column start_point: "),
+    ], ids=["run_index=x", "3 cells", "9 cells", "start_point=1.0;", "iterations=-3",
+            "iterations=2.0", "seed=-1", "elapsed_seconds=nan", "elapsed_seconds=inf",
+            "start_point=1.0;-inf"])
+    def test_runs_cell_errors_name_file_line_and_column(self, bad, where, tmp_path):
+        # each used to raise its parser's bare message, or (a negative count,
+        # a non-finite number) to be read as written
+        path = tmp_path / "runs.csv"
+        path.write_text(f"{bench.RUNS_HEADER}\nbranin,bfgs,0,0,true,5,0.01,1.0;2.0\n\n{bad}\n")
+        with pytest.raises(ValueError) as err:
+            bench.load_runs_csv(str(path))
+        assert str(err.value).startswith(f"{path} {where}")
+
+    def test_profile_cell_errors_name_file_line_and_column(self, tmp_path):
+        path = tmp_path / "prof.csv"
+        path.write_text(f"{bench.PROFILE_HEADER}\ns1,1.0,0.5\ns1,nan,1.0\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line 3, column tau: "):
+            bench.load_profile_csv(str(path))
 
     def test_empty_curves_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -95,17 +95,44 @@ BRANIN = ["solve", "--problem", "branin", "--solver", "bfgs"]
     # a runs CSV whose success cell is neither true nor false, written by the test
     *(["profile", "--metric", "iterations", "--out", "p.csv", "--in", f"success={cell}"]
       for cell in ("yes", "True")),
+    # a sweep that names a cell twice
+    ["bench", "fc", "--solvers", "bfgs,bfgs"],
+    # a runs CSV with a cell that does not parse, that no sweep writes, or a
+    # row of 3 cells, on its second row
+    *(["profile", "--metric", metric, "--out", "p.csv", "--in", cell]
+      for metric, cell in [("iterations", "run_index=x"), ("iterations", "start_point=1.0;"),
+                           ("iterations", "row=branin,bfgs,0"), ("time", "elapsed_seconds=nan"),
+                           ("iterations", "iterations=-3")]),
 ], ids=lambda argv: " ".join(argv[:1 + (argv[0] == "bench")] + argv[-2:]))
 def test_invalid_values_exit_2_with_one_error_line(argv, tmp_path, capsys):
     # the library's own checks reject each value before anything runs
-    if argv[-1].startswith("success="):
-        runs = tmp_path / "runs.csv"
-        runs.write_text(f"{bench.RUNS_HEADER}\nbranin,bfgs,0,42,{argv[-1][8:]},5,0.01,1.0;2.0\n")
+    field, _, cell = argv[-1].partition("=")
+    if argv[0] == "profile" and cell:  # a runs CSV of two rows, the second with this cell
+        runs, good = tmp_path / "runs.csv", "branin,bfgs,0,42,true,5,0.01,1.0;2.0"
+        cells = dict(zip(bench.RUNS_HEADER.split(","), good.split(",")))
+        bad = cell if field == "row" else ",".join({**cells, field: cell}.values())
+        runs.write_text(f"{bench.RUNS_HEADER}\n{good}\n{bad}\n")
         argv = argv[:-1] + [str(runs)]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    if argv[0] == "profile" and cell:  # the message says where the bad cell is
+        where = "line 3: 3 cells" if field == "row" else f"line 3, column {field}: "
+        assert f"error: {runs} {where}" in captured.err
+
+
+def test_unwritable_output_exits_2_with_one_error_line(tmp_path, capsys):
+    # a name longer than a file system allows passes main's path check, so
+    # the sweep runs and its write fails
+    out = tmp_path / ("r" * 300 + ".csv")
+    code = main(["bench", "suite", "--seed", "42", "--runs", "1", "--attempt-cap", "1",
+                 "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: cannot write {out}: ")
 
 
 @pytest.mark.parametrize("case", ["header", "out", "out is a directory", "svg"])
