@@ -109,9 +109,9 @@ def is_success(problem, result):
 
 def solver_call(solver, q0=DEFAULT_SCHEDULE.q0):
     """The solve of a runs-CSV solver name, a function of (problem, x0, config):
-    ``bfgs``, or ``q<gamma>`` for solve_qls under QSchedule(q0, gamma), each looked
-    up in this module when it runs, with config.f_floor (config None: SolverConfig())
-    replaced by known_min_value - SUCCESS_VALUE_GAP, below which no run succeeds.
+    ``bfgs``, or ``q<gamma>`` for solve_qls under QSchedule(q0, gamma), with
+    config.f_floor (config None: SolverConfig()) replaced by
+    known_min_value - SUCCESS_VALUE_GAP, below which no run succeeds.
     Raises ValueError for any other name (``q01`` too), and for a q0 outside (0, 1);
     the solve raises it for an x0 that is not a vector of the problem's dimension."""
     gamma = solver[1:] if solver[:1] == "q" else ""
@@ -125,19 +125,23 @@ def solver_call(solver, q0=DEFAULT_SCHEDULE.q0):
                              f"got x0 of shape {np.shape(x0)}")
         config = dataclasses.replace(config if config is not None else SolverConfig(),
                                      f_floor=problem.known_min_value - SUCCESS_VALUE_GAP)
+        # looked up here at each run: perfbench's timed_bench_solvers patches them
+        # around each sweep until a benchmark change moves it to ``wrap`` (ROADMAP item 1)
         if solver == "bfgs":
             return solve_bfgs(problem, x0, config=config)
         return solve_qls(problem, x0, config=config, schedule=schedule)
     return call
 
 
-def _sweep_solves(problems, solvers, q0):
+def _sweep_solves(problems, solvers, q0, wrap):
     """The solve of each of ``solvers`` by name, built before a sweep's first
-    solve; ValueError for a problem or a solver that the sweep names twice."""
+    solve and passed through ``wrap`` if given; ValueError for a problem or a
+    solver that the sweep names twice."""
     for kind, names in (("problem", [p.name for p in problems]), ("solver", list(solvers))):
         if len(set(names)) < len(names):
             raise ValueError(f"a sweep names each {kind} once, got {', '.join(names)}")
-    return {solver: solver_call(solver, q0) for solver in solvers}
+    solves = {solver: solver_call(solver, q0) for solver in solvers}
+    return {s: wrap(s, solve) for s, solve in solves.items()} if wrap is not None else solves
 
 
 def _run_row(problem, solver, solve, run_index, seed, x0, config):
@@ -150,16 +154,19 @@ def _run_row(problem, solver, solve, run_index, seed, x0, config):
 
 
 def run_fc_benchmark(c_values=DEFAULT_C_VALUES, q0=DEFAULT_SCHEDULE.q0, solvers=SOLVERS,
-                     config=None, y_values=DEFAULT_Y_VALUES):
+                     config=None, y_values=DEFAULT_Y_VALUES, wrap=None):
     """Sweep the fc family: each of ``solvers`` from the starts (c, y).
 
     Returns a run-level BenchmarkTable; aggregate with ``fc_summary``.
     Individual failures are recorded (success=False), never raised.
     ``y_values``, read once per (c, solver), must be a sequence.
+    ``wrap(solver, solve)``, if given, is called once per solver before the
+    first solve and returns the function of (problem, x0, config) that runs
+    in place of ``solve``: the way to watch, count or alter a sweep's solves.
     """
     c_values = [float(c) for c in c_values]
     problems = [make_fc(c) for c in c_values]
-    solves = _sweep_solves(problems, solvers, q0)
+    solves = _sweep_solves(problems, solvers, q0, wrap)
     table = BenchmarkTable()
     for c, problem in zip(c_values, problems):
         for solver, solve in solves.items():
@@ -206,7 +213,7 @@ def suite_start(problem, solver, master_seed, run_index):
 
 def run_suite_benchmark(suite=None, solvers=SOLVERS, master_seed=SUITE_SEED,
                         runs_required=SUITE_RUNS_REQUIRED, attempt_cap=SUITE_ATTEMPT_CAP,
-                        config=None, q0=DEFAULT_SCHEDULE.q0):
+                        config=None, q0=DEFAULT_SCHEDULE.q0, wrap=None):
     """Randomized sweep over the test suite.
 
     For each (problem, solver), starts are drawn by ``suite_start``, one RNG
@@ -214,11 +221,12 @@ def run_suite_benchmark(suite=None, solvers=SOLVERS, master_seed=SUITE_SEED,
     ``runs_required`` successes or ``attempt_cap`` attempts.  Every attempt
     is recorded as a row, with ``master_seed`` as its seed; a cell left
     short of the quota is named by ``BenchmarkTable.short_cells``.
+    ``wrap`` is as in ``run_fc_benchmark``.
     """
     check_counts(runs_required=runs_required, attempt_cap=attempt_cap)
     check_counts(0, master_seed=master_seed)
     suite = standard_suite() if suite is None else list(suite)
-    solves = _sweep_solves(suite, solvers, q0)
+    solves = _sweep_solves(suite, solvers, q0, wrap)
     config = config if config is not None else SolverConfig(max_iterations=SUITE_MAX_ITERATIONS)
     table = BenchmarkTable()
     for problem in suite:
@@ -298,14 +306,15 @@ def _finite_cell(s):
 
 #: the text of a CSV cell and its parse, by the annotation of the cell's field;
 #: a float is written as a Python float's repr, which parses back bit for bit.
-#: A cell is read back as a count or a finite number, as every sweep writes it
+#: A number cell is read back only as a count or a finite number, and every
+#: cell only as the text its value is written as
 _CELLS = {
     "str": (str, str),
     "int": (str, _count_cell),
     "bool": (lambda v: "true" if v else "false", _bool_cell),
     "float": (lambda v: repr(float(v)), _finite_cell),
     "Optional[float]": (lambda v: "" if v is None else repr(float(v)),
-                        lambda s: None if s == "" else float(s)),
+                        lambda s: None if s == "" else _finite_cell(s)),
     "np.ndarray": (lambda v: ";".join(map(repr, np.asarray(v, dtype=float).tolist())),
                    lambda s: np.array([_finite_cell(t) for t in s.split(";")])),
 }
@@ -366,9 +375,10 @@ def _csv_lines(obj):
 def _read_csv(path, header, kind, types):
     """The rows after a CSV's header, which must be ``header``, each cell
     parsed by its annotation in ``types``; blank lines are skipped.  A row of
-    another length, or a cell that does not parse, raises ValueError naming
-    the file, the line and the column."""
-    columns = list(zip(header.split(","), _cell_rules(types, 1)))
+    another length, or a cell that does not parse or is not the text its
+    value is written as, raises ValueError naming the file, the line and the
+    column."""
+    columns = list(zip(header.split(","), _cell_rules(types, 1), _cell_rules(types, 0)))
     rows = []
     with open(path, encoding="utf-8") as fh:
         found = fh.readline().strip()
@@ -382,9 +392,11 @@ def _read_csv(path, header, kind, types):
                 raise ValueError(f"{path} line {number}: {len(cells)} cells, "
                                  f"the header has {len(columns)}")
             row = []
-            for (name, parse), cell in zip(columns, cells):
+            for (name, parse, write), cell in zip(columns, cells):
                 try:
                     row.append(parse(cell))
+                    if write(row[-1]) != cell:  # int() and float() also read " +5 ", "1_0"
+                        raise ValueError(f"written as {write(row[-1])!r}, not {cell!r}")
                 except ValueError as exc:
                     raise ValueError(f"{path} line {number}, column {name}: {exc}") from exc
             rows.append(row)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GradientShapeError, NumericError, QPError
+from .errors import GradientShapeError, LineSearchError, NumericError, QPError
 from .linesearch import backtracking_step
 from .psdfactor import default_delta, ldl_factor, psd_modify
 from .qcalc import next_q
@@ -238,6 +238,7 @@ class _SqpRun:
         self.mu_pen = 1.0
         self.f_x = self.h_x = self.g_x = None
         self.at_x = None  # derivatives and KKT residual at x, from stop()
+        self.flat_from = None  # the KKT residual before a step that left the merit unchanged
 
     def _values(self, pt):
         prob = self.problem
@@ -269,6 +270,9 @@ class _SqpRun:
         residual += float(np.linalg.norm(np.minimum(v, -gx)))
         if residual < config.grad_tolerance:
             return STATUS_CONVERGED
+        if self.flat_from is not None and not residual < self.flat_from:
+            # the run cannot move: at its rounding floor, or on a wrong gradient
+            raise LineSearchError("a flat merit step did not lower the KKT residual")
         self.at_x = (g_obj, Jh, Jg, grad_lag, residual)
         return None
 
@@ -292,6 +296,7 @@ class _SqpRun:
         slope = float(g_obj @ d) - mu_pen * violation
 
         accepted = (None, None, None)  # (f, h, g) at the last merit trial
+        self.flat_from = None
         if float(np.max(np.abs(d), initial=0.0)) <= 1e-14 * max(1.0, float(np.max(np.abs(x)))):
             alpha = 1.0  # multiplier-only update; x barely moves, so re-evaluate
         else:
@@ -302,7 +307,10 @@ class _SqpRun:
 
             # no descent check: the slope can round to a tiny positive
             # number on a step that still decreases the merit
-            alpha = backtracking_step(merit, phi0, slope).alpha
+            step = backtracking_step(merit, phi0, slope)
+            alpha = step.alpha
+            if not step.value < phi0:  # a flat step: stop() checks that the residual fell
+                self.flat_from = residual
 
         beta1, beta2, beta3 = _beta_monitors(mod.modified_matrix, Jh)
         record = SqpTraceRecord(k=k, merit_value=phi0, kkt_residual=residual,

@@ -154,9 +154,9 @@ def _oracle_q_iterations(c, x0, gamma):
 def fc_results(recorded_solves):
     """The fc benchmark at the published protocol, with traces captured."""
     t0 = time.perf_counter()
-    with recorded_solves() as solves:
-        table = bench.run_fc_benchmark(
-            q0=0.9, solvers=("bfgs", "q1", "q2", "q3"), config=SolverConfig(grad_tolerance=1e-5))
+    solves = recorded_solves()
+    table = bench.run_fc_benchmark(q0=0.9, solvers=("bfgs", "q1", "q2", "q3"),
+                                   config=SolverConfig(grad_tolerance=1e-5), wrap=solves)
     elapsed = time.perf_counter() - t0
     traces = [(solver, res) for _, solver, res in solves]
     summary = bench.fc_summary(table)
@@ -341,9 +341,9 @@ def test_criterion_07_lemma_monitor(fc_results, recorded_solves):
     # a randomized slice of the suite exercises the monitor off the fc family
     suite = [p for p in q.standard_suite()
              if p.name in ("branin", "hartmann3", "levy", "schwefel")]
-    with recorded_solves() as solves:
-        bench.run_suite_benchmark(suite=suite, solvers=("bfgs", "q1"), master_seed=9,
-                                  runs_required=3, attempt_cap=10)
+    solves = recorded_solves()
+    bench.run_suite_benchmark(suite=suite, solvers=("bfgs", "q1"), master_seed=9,
+                              runs_required=3, attempt_cap=10, wrap=solves)
     traces = [res for _, _, res in solves]
     for res in traces:
         for t in res.trace:

@@ -217,21 +217,23 @@ class TestSweepInputs:
     ], ids=["fc", "suite"])
     def test_bad_solver_raises_before_the_first_solve(self, sweep, bad, recorded_solves):
         # the name used to be parsed when its cell came up: after 10 fc and 2 suite solves
-        with recorded_solves() as solves, pytest.raises(ValueError, match="unknown solver"):
-            sweep(solvers=("bfgs", bad))
+        solves = recorded_solves()
+        with pytest.raises(ValueError, match="unknown solver"):
+            sweep(solvers=("bfgs", bad), wrap=solves)
         assert solves == []
 
     @pytest.mark.parametrize("sweep", [
-        lambda: run_fc_benchmark(solvers=("bfgs", "bfgs")),
-        lambda: run_fc_benchmark(c_values=(0.5, 1.3, 0.50)),
-        lambda: run_suite_benchmark(solvers=("q1", "bfgs", "q1")),
-        lambda: run_suite_benchmark(suite=[get_problem("branin"), get_problem("branin")]),
+        lambda wrap: run_fc_benchmark(solvers=("bfgs", "bfgs"), wrap=wrap),
+        lambda wrap: run_fc_benchmark(c_values=(0.5, 1.3, 0.50), wrap=wrap),
+        lambda wrap: run_suite_benchmark(solvers=("q1", "bfgs", "q1"), wrap=wrap),
+        lambda wrap: run_suite_benchmark(suite=[get_problem("branin"), get_problem("branin")],
+                                         wrap=wrap),
     ], ids=["fc-solver", "fc-c", "suite-solver", "suite-problem"])
     def test_a_cell_named_twice_raises_before_the_first_solve(self, sweep, recorded_solves):
         # each used to run, writing every (problem, solver, run_index) key twice
-        with recorded_solves() as solves, \
-                pytest.raises(ValueError, match="a sweep names each (solver|problem) once"):
-            sweep()
+        solves = recorded_solves()
+        with pytest.raises(ValueError, match="a sweep names each (solver|problem) once"):
+            sweep(solves)
         assert solves == []
 
     @pytest.mark.parametrize("solver", ["bfgs", "q2"])
@@ -240,6 +242,28 @@ class TestSweepInputs:
         # a start of three coordinates used to end numeric_failure
         with pytest.raises(ValueError, match="branin expects dimension 2, got x0 of shape"):
             bench.solver_call(solver)(get_problem("branin"), x0, None)
+
+
+class TestWrap:
+    @pytest.mark.parametrize("sweep", [
+        lambda wrap: run_fc_benchmark(c_values=(0.5, 1.3), y_values=(0.9,), wrap=wrap),
+        lambda wrap: run_suite_benchmark(suite=[get_problem("branin")], master_seed=3,
+                                         runs_required=2, attempt_cap=3, wrap=wrap),
+    ], ids=["fc", "suite"])
+    def test_wrap_gets_each_solver_once_and_only_its_own_sweep(self, sweep):
+        def cells(table):
+            return [(r.problem, r.solver, r.run_index, r.success, r.iterations, *r.start_point)
+                    for r in table.rows]
+        names = []
+
+        def raising(solver, solve):
+            names.append(solver)
+            return lambda problem, x0, config: 1 / 0
+        plain = cells(sweep(None))
+        with pytest.raises(ZeroDivisionError):
+            sweep(raising)
+        assert names == list(bench.SOLVERS)  # each by its runs-CSV name, before any solve
+        assert cells(sweep(None)) == plain
 
 
 class TestEmit:
@@ -344,17 +368,26 @@ class TestEmit:
         ("branin,bfgs,0,42,true,5,nan,1.0;2.0", "line 4, column elapsed_seconds: "),
         ("branin,bfgs,0,42,true,5,inf,1.0;2.0", "line 4, column elapsed_seconds: "),
         ("branin,bfgs,0,42,true,5,0.01,1.0;-inf", "line 4, column start_point: "),
+        ("branin,bfgs,1_0,42,true,5,0.01,1.0;2.0", "line 4, column run_index: "),
+        ("branin,bfgs,0,42,true, +5 ,0.01,1.0;2.0", "line 4, column iterations: "),
+        ("branin,bfgs,0,42,true,5,1_0.5,1.0;2.0", "line 4, column elapsed_seconds: "),
     ], ids=["run_index=x", "3 cells", "9 cells", "start_point=1.0;", "iterations=-3",
             "iterations=2.0", "seed=-1", "elapsed_seconds=nan", "elapsed_seconds=inf",
-            "start_point=1.0;-inf"])
+            "start_point=1.0;-inf", "run_index=1_0", "iterations= +5 ",
+            "elapsed_seconds=1_0.5"])
     def test_runs_cell_errors_name_file_line_and_column(self, bad, where, tmp_path):
         # each used to raise its parser's bare message, or (a negative count,
-        # a non-finite number) to be read as written
+        # a non-finite number, a number in text no sweep writes) to be read
         path = tmp_path / "runs.csv"
         path.write_text(f"{bench.RUNS_HEADER}\nbranin,bfgs,0,0,true,5,0.01,1.0;2.0\n\n{bad}\n")
         with pytest.raises(ValueError) as err:
             bench.load_runs_csv(str(path))
         assert str(err.value).startswith(f"{path} {where}")
+
+    def test_optional_float_cell_is_empty_or_finite(self):
+        parse, = bench._cell_rules(["Optional[float]"], 1)
+        assert parse("") is None and parse("0.9") == 0.9
+        pytest.raises(ValueError, parse, "nan")  # it used to read as nan
 
     def test_profile_cell_errors_name_file_line_and_column(self, tmp_path):
         path = tmp_path / "prof.csv"
@@ -449,22 +482,15 @@ class TestDivergenceGuard:
     @pytest.fixture(scope="class")
     def sweeps(self, recorded_solves):
         suite = [p for p in standard_suite() if p.name in ("schwefel", "branin")]
-        with recorded_solves() as solves:
-            guarded = run_suite_benchmark(suite=suite, **self.SWEEP)
+        solves = recorded_solves()
+        guarded = run_suite_benchmark(suite=suite, wrap=solves, **self.SWEEP)
         statuses = [(p.name, s, r.status) for p, s, r in solves]
-        originals = bench.solve_qls, bench.solve_bfgs
 
-        def unguarded(solve):  # wraps the solvers bench looks up at call time
-            def run(problem, x0, config, **kwargs):
-                config = dataclasses.replace(config, f_floor=float("-inf"))
-                return solve(problem, x0, config=config, **kwargs)
-            return run
+        def unguarded(solver, solve):  # the floor of known_min_value -inf is -inf
+            return lambda problem, x0, config: solve(
+                dataclasses.replace(problem, known_min_value=float("-inf")), x0, config)
 
-        bench.solve_qls, bench.solve_bfgs = map(unguarded, originals)
-        try:
-            free = run_suite_benchmark(suite=suite, **self.SWEEP)
-        finally:
-            bench.solve_qls, bench.solve_bfgs = originals
+        free = run_suite_benchmark(suite=suite, wrap=unguarded, **self.SWEEP)
         return guarded, free, statuses
 
     def test_guard_fires_on_schwefel(self, sweeps):

@@ -16,8 +16,9 @@ def tool(load_tool):
 
 
 def test_sweep_digest_is_repeatable(tool):
-    sweep = lambda: bench.run_fc_benchmark(c_values=(0.5,), y_values=(0.9,))  # noqa: E731
-    (first, rows), (second, _) = tool._bench_sweep(sweep, "grid"), tool._bench_sweep(sweep, "grid")
+    def sweep():
+        return tool._bench_sweep(bench.run_fc_benchmark, "grid", c_values=(0.5,), y_values=(0.9,))
+    (first, rows), (second, _) = sweep(), sweep()
     assert first == second and len(first) == 64
     assert first != hashlib.sha256().hexdigest()  # the sweep's solves were folded in
     assert [r.key for r in rows] == [f"grid:fc_c0.5:{s}:0" for s in bench.SOLVERS]

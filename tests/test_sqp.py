@@ -13,9 +13,9 @@ from qlinesearch.psdfactor import ldl_factor, psd_modify
 from qlinesearch.qcalc import QSchedule
 from qlinesearch.sqp import (ConstrainedProblem, kkt_solve, merit_l1,
                              qp_active_set, solve_qsqp)
-from qlinesearch.usolve import (STATUS_CONVERGED, STATUS_MAX_ITERATIONS,
-                                STATUS_NUMERIC_FAILURE, STATUS_QP_FAILURE, SolverConfig,
-                                solve_qls)
+from qlinesearch.usolve import (STATUS_CONVERGED, STATUS_LINE_SEARCH_FAILURE,
+                                STATUS_MAX_ITERATIONS, STATUS_NUMERIC_FAILURE,
+                                STATUS_QP_FAILURE, SolverConfig, solve_qls)
 
 
 def circle_problem(x0=(-0.5, -1.5), u0=0.0):
@@ -593,6 +593,23 @@ class TestSolveQsqp:
         r = solve_qsqp(prob)
         assert r.status == STATUS_NUMERIC_FAILURE
         assert r.iterations == 0 and r.trace == [] and np.array_equal(r.x_final, x0)
+
+    PLANE = dict(h=lambda x: np.array([x[0] + x[1] - 1.0]),
+                 jac_h=lambda x: np.array([[1.0, 1.0]]), n_eq=1)
+    BALL = dict(g=lambda x: np.array([x @ x - 4.0]), jac_g=lambda x: 2.0 * x[None, :], n_ineq=1)
+
+    @pytest.mark.parametrize("gradient, constraints", [
+        (lambda x: -2.0 * x, PLANE), (lambda x: -2.0 * x, BALL),
+        (lambda x: 2.0 * (x - 10.0), BALL)], ids=["-2x-plane", "-2x-ball", "2(x-10)-ball"])
+    def test_wrong_gradient_is_line_search_failure(self, gradient, constraints):
+        # f = |x|^2 with a gradient that is not its own: the merit search
+        # accepts a step too short to change the merit or the KKT residual;
+        # each run used to take all 300 iterations without moving
+        prob = ConstrainedProblem(objective=lambda x: float(x @ x), gradient=gradient,
+                                  x0=np.array([1.0, -0.5]), **constraints)
+        r = solve_qsqp(prob, config=SolverConfig(max_iterations=300))
+        assert r.status == STATUS_LINE_SEARCH_FAILURE and r.iterations <= 5
+        np.testing.assert_allclose(r.x_final, prob.x0, rtol=0, atol=1e-15)
 
     @staticmethod
     def two_plane_problem(**callbacks):

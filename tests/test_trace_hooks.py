@@ -1,7 +1,8 @@
 """The benchmark's traced run wraps library functions by module attribute
-(``perfbench/layers.py``).  These tests fail when a library change leaves
-one of those attributes unused, breaks a result hook, or feeds the SQP merit
-search into the unconstrained line-search figures."""
+(``perfbench/layers.py``), and its sweeps count and time each solve by
+patching ``bench.solve_qls`` and ``bench.solve_bfgs``.  These tests fail when
+a library change leaves one of those attributes unused, breaks a result hook,
+or feeds the SQP merit search into the unconstrained line-search figures."""
 
 import os
 import sys
@@ -12,9 +13,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if ROOT not in sys.path:
     sys.path.insert(0, ROOT)
 
-from perfbench import layers  # noqa: E402
+from perfbench import layers, workloads  # noqa: E402
 from perfbench.spans import Meter, SpanRecorder  # noqa: E402
-from qlinesearch import get_problem, solve_bfgs, solve_qls  # noqa: E402
+from qlinesearch import bench, get_problem, solve_bfgs, solve_qls  # noqa: E402
 from qlinesearch.sqp import ConstrainedProblem, solve_qsqp  # noqa: E402
 
 
@@ -81,3 +82,14 @@ def test_line_search_spans_count_only_unconstrained_searches():
     assert totals.calls["linesearch.backtracking_step"] == 0
     totals = traced([qls]).totals
     assert totals.calls["linesearch.backtracking_step"] == totals.calls["psdfactor.psd_modify"]
+
+
+def test_timed_bench_solvers_log_and_count_every_sweep_solve():
+    # a library that bound its solvers before a sweep ran would bypass the
+    # patch: perfbench would log no solve and count no evaluation
+    meter, log = Meter(), []
+    with workloads.timed_bench_solvers(meter, log):
+        bench.run_fc_benchmark(c_values=(0.5,), y_values=(0.9,))
+    assert [(family, error) for family, _, _, _, error in log] == \
+        [("bfgs", None)] + [("qls", None)] * 3
+    assert meter.fevals >= 4 and meter.gevals >= 4

@@ -30,7 +30,6 @@ The library is imported from this tree's ``src``; ``perfbench``, whose
 wrappers count the callbacks, is only read.
 """
 
-import contextlib
 import dataclasses
 import hashlib
 import struct
@@ -59,42 +58,29 @@ def _add(digest, result, counts):
     digest.update(struct.pack("<3q", *counts))
 
 
-@contextlib.contextmanager
-def _digested_bench_solves(digest):
-    """Route ``bench``'s solver lookups through counted callbacks and fold
-    every solve of a sweep into ``digest``."""
-    originals = bench.solve_qls, bench.solve_bfgs
+def _bench_sweep(sweep, prefix, **kwargs):
+    """(digest, contract rows keyed under ``prefix``) of ``sweep(**kwargs)``,
+    a ``bench`` sweep whose ``wrap`` hands each solve counted callbacks and
+    folds it into the digest."""
+    digest = hashlib.sha256()
 
-    def wrap(solve):
-        def run(problem, x0, **kwargs):
+    def digested(solver, solve):
+        def run(problem, x0, config):
             meter = Meter()
             counted = dataclasses.replace(
                 problem, objective=workloads.counted_objective(problem.objective, meter),
                 gradient=workloads.counted_gradient(problem.gradient, meter))
-            result = solve(counted, x0, **kwargs)
+            result = solve(counted, x0, config)
             _add(digest, result, meter.snapshot())
             return result
         return run
 
-    bench.solve_qls, bench.solve_bfgs = map(wrap, originals)
-    try:
-        yield
-    finally:
-        bench.solve_qls, bench.solve_bfgs = originals
-
-
-def _bench_sweep(sweep, prefix):
-    """(digest, contract rows keyed under ``prefix``) of a ``bench`` sweep."""
-    digest = hashlib.sha256()
-    with _digested_bench_solves(digest):
-        table = sweep()
+    table = sweep(wrap=digested, **kwargs)
     return digest.hexdigest(), workloads._table_rows(table, prefix)
 
 
-def _suite_table(seed, suite=None):
-    return bench.run_suite_benchmark(suite=suite, master_seed=seed,
-                                     runs_required=workloads.SUITE_RUNS_REQUIRED,
-                                     attempt_cap=workloads.SUITE_ATTEMPT_CAP)
+#: the suite-seeded sweep's protocol, but for its master seed
+SUITE = dict(runs_required=workloads.SUITE_RUNS_REQUIRED, attempt_cap=workloads.SUITE_ATTEMPT_CAP)
 
 
 def _sqp_results(seed, count):
@@ -119,7 +105,8 @@ def _sqp_sweep(count):
 SWEEPS = {
     "fc-grid": ("fc", lambda: _bench_sweep(bench.run_fc_benchmark, "grid")),
     "suite-seeded": ("suite", lambda: _bench_sweep(
-        lambda: _suite_table(workloads.DEFAULT_SEED), f"0:{workloads.DEFAULT_SEED}")),
+        bench.run_suite_benchmark, f"0:{workloads.DEFAULT_SEED}",
+        master_seed=workloads.DEFAULT_SEED, **SUITE)),
     "sqp-constrained": ("sqp", lambda: _sqp_sweep(workloads.SQP_CORE_INSTANCES)),
 }
 
@@ -171,7 +158,7 @@ def sqp_totals(seed, count=workloads.SQP_INSTANCES):
 def suite_totals(seed, suite=None):
     """(successful rows, rows, short cells as "problem/solver successes")
     of the suite sweep at master seed ``seed``."""
-    table = _suite_table(seed, suite)
+    table = bench.run_suite_benchmark(suite=suite, master_seed=seed, **SUITE)
     short = [f"{p}/{s} {k}" for p, s, k in table.short_cells(workloads.SUITE_RUNS_REQUIRED)]
     return sum(r.success for r in table.rows), len(table.rows), short
 
