@@ -57,7 +57,7 @@ def _build_parser():
     p_suite.add_argument("--attempt-cap", type=int, default=bench.SUITE_ATTEMPT_CAP)
     p_suite.add_argument("--time-cap", dest="time_cap_seconds", type=float, metavar="TIME_CAP")
     p_suite.add_argument("--max-iter", dest="max_iterations", type=int, metavar="MAX_ITER",
-                         default=bench.SUITE_MAX_ITERATIONS, help="per-attempt iteration budget")
+                         help="per-attempt iteration budget")
     p_suite.add_argument("--out", default=None, help="per-run CSV path")
     p_suite.set_defaults(handler=_cmd_bench_suite, solvers=bench.SOLVERS)
 

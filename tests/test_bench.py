@@ -265,6 +265,24 @@ class TestWrap:
         assert names == list(bench.SOLVERS)  # each by its runs-CSV name, before any solve
         assert cells(sweep(None)) == plain
 
+    @pytest.mark.parametrize("sweep", [
+        lambda wrap: run_fc_benchmark(c_values=(0.5,), y_values=(0.9,), wrap=wrap),
+        lambda wrap: run_suite_benchmark(suite=[get_problem("branin")], runs_required=1,
+                                         attempt_cap=1, wrap=wrap),
+    ], ids=["fc", "suite"])
+    def test_default_sweep_hands_each_solve_its_config_unchanged(self, sweep):
+        # one iteration budget for every run, SolverConfig()'s through
+        # solver_call: a row replays through ``solve`` with no --max-iter
+        configs = []
+
+        def watch(solver, solve):
+            def run(problem, x0, config):
+                configs.append(config)
+                return solve(problem, x0, config)
+            return run
+        sweep(watch)
+        assert configs == [None] * len(bench.SOLVERS)
+
 
 class TestEmit:
     def test_runs_round_trip(self, tmp_path):
@@ -354,7 +372,7 @@ class TestEmit:
         path.write_text(f"{bench.RUNS_HEADER}\n{row.format('true')}\n{row.format('false')}\n")
         assert [r.success for r in bench.load_runs_csv(str(path)).rows] == [True, False]
         path.write_text(f"{bench.RUNS_HEADER}\n{row.format(cell)}\n")
-        with pytest.raises(ValueError, match="true/false"):
+        with pytest.raises(ValueError, match="column success"):
             bench.load_runs_csv(str(path))
 
     @pytest.mark.parametrize("bad, where", [

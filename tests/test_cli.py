@@ -10,6 +10,8 @@ import pytest
 import qlinesearch
 from qlinesearch import bench, cli
 from qlinesearch.cli import main
+from qlinesearch.problems import standard_suite
+from qlinesearch.usolve import SolverConfig
 
 
 def test_solve_sphere(capsys):
@@ -256,24 +258,37 @@ def test_bench_suite_names_each_short_cell_once(tmp_path):
     assert proc.stdout.rstrip().endswith(f"; {len(short)} unsolved cells")
 
 
+@pytest.mark.parametrize("flags, budget", [
+    ([], SolverConfig().max_iterations), (["--max-iter", "7"], 7)], ids=["default", "7"])
+def test_bench_suite_runs_under_the_solve_budget(flags, budget, monkeypatch, capsys):
+    # without --max-iter a suite run gets SolverConfig()'s budget, as ``solve`` does
+    budgets, sweep = [], bench.run_suite_benchmark
+
+    def watch(solver, solve):
+        def run(problem, x0, config):
+            budgets.append(config.max_iterations)
+            return solve(problem, x0, config)
+        return run
+    monkeypatch.setattr(bench, "run_suite_benchmark", lambda **kw: sweep(wrap=watch, **kw))
+    main(["bench", "suite", "--runs", "1", "--attempt-cap", "1", *flags])
+    assert budgets == [budget] * len(standard_suite()) * len(bench.SOLVERS)
+
+
 def test_every_row_replays_through_solve(tmp_path, capsys):
     # each row of a runs CSV names its run: problem, solver and start point
-    # are all a solve needs (suite rows add the suite's iteration budget);
-    # every suite row, failed ones too, since the objective floor is the
-    # solve's own and not the sweep's
+    # are all a solve needs; every suite row, failed ones too, since the
+    # objective floor is the solve's own and not the sweep's
     fc, suite = tmp_path / "fc.csv", tmp_path / "suite.csv"
     bench.emit(bench.run_fc_benchmark(c_values=(0.3, 0.5, 1.7), y_values=(0.1, 1.0, 1.9)),
                "csv", str(fc))
     bench.emit(bench.run_suite_benchmark(master_seed=42, runs_required=3, attempt_cap=6),
                "csv", str(suite))
-    replays = [(r, []) for r in bench.load_runs_csv(str(fc)).rows]
-    replays += [(r, ["--max-iter", str(bench.SUITE_MAX_ITERATIONS)])
-                for r in bench.load_runs_csv(str(suite)).rows]
+    replays = bench.load_runs_csv(str(fc)).rows + bench.load_runs_csv(str(suite)).rows
     assert len(replays) == 36 + 200
-    assert sum(not r.success for r, _ in replays) == 30
-    for r, budget in replays:
+    assert sum(not r.success for r in replays) == 30
+    for r in replays:
         argv = ["solve", "--problem", r.problem, "--solver", r.solver,
-                "--x0=" + ",".join(map(repr, r.start_point.tolist())), *budget]
+                "--x0=" + ",".join(map(repr, r.start_point.tolist()))]
         code = main(argv)
         status, iterations = capsys.readouterr().out.split()[:2]
         assert (iterations, code) == (f"iterations={r.iterations}",

@@ -74,9 +74,10 @@ def test_suite_totals_over_a_slice(tool):
     # at the default seed the stored reference holds the same sweep's rows;
     # all four of bohachevsky's cells stay short there
     suite = [p for p in standard_suite() if p.name == "bohachevsky"]
-    successes, rows, short = tool.suite_totals(tool.workloads.DEFAULT_SEED, suite=suite)
+    successes, rows, longest, short = tool.suite_totals(tool.workloads.DEFAULT_SEED, suite=suite)
     reference = [r for r in tool.verify.load_reference("suite-seeded")
                  if ":bohachevsky:" in r.key]
     assert (successes, rows) == (sum(r.success for r in reference), len(reference)) == (19, 48)
+    assert longest == 14  # a failed run; the longest successful one takes 8
     assert short == ["bohachevsky/bfgs 4", "bohachevsky/q1 4", "bohachevsky/q2 5",
                      "bohachevsky/q3 6"]

@@ -20,7 +20,8 @@ success and iterations, before -> after (``-`` for a failed row), and its
 start if that moved too; then per workload the rows moved, the success
 flips and the net change in iterations over rows that succeed on both sides.
 
-For each SEED, the suite sweep at that master seed gives its successful rows
+For each SEED, the suite sweep at that master seed gives its successful rows,
+its longest run's iterations (to be checked against any iteration budget)
 and its cells short of the quota, and the ``sqp-constrained`` instances
 drawn from it (the first ``SQP_CORE_INSTANCES`` always from the default
 seed) give converged / iterations / gradient evaluations of ``solve_qsqp``
@@ -156,11 +157,12 @@ def sqp_totals(seed, count=workloads.SQP_INSTANCES):
 
 
 def suite_totals(seed, suite=None):
-    """(successful rows, rows, short cells as "problem/solver successes")
-    of the suite sweep at master seed ``seed``."""
+    """(successful rows, rows, the longest run's iterations, short cells as
+    "problem/solver successes") of the suite sweep at master seed ``seed``."""
     table = bench.run_suite_benchmark(suite=suite, master_seed=seed, **SUITE)
     short = [f"{p}/{s} {k}" for p, s, k in table.short_cells(workloads.SUITE_RUNS_REQUIRED)]
-    return sum(r.success for r in table.rows), len(table.rows), short
+    return (sum(r.success for r in table.rows), len(table.rows),
+            max(r.iterations for r in table.rows), short)
 
 
 def main(argv):
@@ -172,9 +174,9 @@ def main(argv):
     for name, got in rows.items():
         print("\n".join(diff_lines(name, got, verify.load_reference(name))))
     for seed in seeds:
-        successes, total, short = suite_totals(seed)
+        successes, total, longest, short = suite_totals(seed)
         print(f"suite seed {seed}: {successes} of {total} rows succeed; "
-              f"short cells: {', '.join(short) or 'none'}")
+              f"longest run {longest} iterations; short cells: {', '.join(short) or 'none'}")
         converged, iterations, gevals, capped = sqp_totals(seed)
         print(f"sqp seed {seed}: {converged} / {iterations} / {gevals} "
               f"(converged / iterations / gevals of {workloads.SQP_INSTANCES}); "
