@@ -17,8 +17,8 @@ The package provides:
 from .bench import (BenchmarkRow, BenchmarkTable, FcSummaryRow, ProfileCurve,
                     emit, fc_summary, load_profile_csv, load_runs_csv,
                     performance_profile, run_fc_benchmark, run_suite_benchmark)
-from .errors import (DescentDirectionError, GradientShapeError, LineSearchError,
-                     NumericError, QPError)
+from .errors import (CallbackError, DescentDirectionError, GradientShapeError,
+                     LineSearchError, NumericError, QPError)
 from .linesearch import StepResult, backtracking_step
 from .problems import Problem, StartBox, check_gradient, get_problem, make_fc, standard_suite
 from .psdfactor import (FactorizationBundle, PsdModification, default_delta,
@@ -34,7 +34,7 @@ __all__ = [
     "BenchmarkRow", "BenchmarkTable", "FcSummaryRow", "ProfileCurve",
     "emit", "fc_summary", "load_profile_csv", "load_runs_csv",
     "performance_profile", "run_fc_benchmark", "run_suite_benchmark",
-    "DescentDirectionError", "GradientShapeError", "LineSearchError",
+    "CallbackError", "DescentDirectionError", "GradientShapeError", "LineSearchError",
     "NumericError", "QPError",
     "StepResult", "backtracking_step",
     "Problem", "StartBox", "check_gradient", "get_problem", "make_fc",

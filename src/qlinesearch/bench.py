@@ -16,9 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import CallbackError
 from .problems import make_fc, standard_suite
 from .qcalc import QSchedule, check_counts
-from .usolve import DEFAULT_SCHEDULE, STATUS_CONVERGED, SolverConfig, Trace, solve_bfgs, solve_qls
+from .usolve import (DEFAULT_SCHEDULE, NUMERIC_ERRORS, STATUS_CONVERGED, SolverConfig, Trace,
+                     solve_bfgs, solve_qls)
 
 log = logging.getLogger(__name__)
 
@@ -108,11 +110,26 @@ def is_success(problem, result):
     return abs(result.f_final - problem.known_min_value) < SUCCESS_VALUE_GAP
 
 
+def _guarded(callback):
+    """``callback`` raising CallbackError, from the error, for every error but
+    those that end a run as numeric_failure."""
+    def guarded(x):
+        try:
+            return callback(x)
+        except NUMERIC_ERRORS:
+            raise
+        except Exception as exc:
+            raise CallbackError(f"{type(exc).__name__}: {exc}") from exc
+    return guarded
+
+
 def solver_call(solver, q0=DEFAULT_SCHEDULE.q0):
     """The solve of a runs-CSV solver name, a function of (problem, x0, config):
     ``bfgs``, or ``q<gamma>`` for solve_qls under QSchedule(q0, gamma), with
     config.f_floor (config None: SolverConfig()) replaced by
-    known_min_value - SUCCESS_VALUE_GAP, below which no run succeeds.
+    known_min_value - SUCCESS_VALUE_GAP, below which no run succeeds.  An
+    error of the problem's objective or gradient but ``usolve.NUMERIC_ERRORS``
+    ends the run as ``callback_error``, so a sweep records it and goes on.
     Raises ValueError for any other name (``q01`` too), and for a q0 outside (0, 1);
     the solve raises it for an x0 that is not a vector of the problem's dimension."""
     gamma = solver[1:] if solver[:1] == "q" else ""
@@ -126,6 +143,8 @@ def solver_call(solver, q0=DEFAULT_SCHEDULE.q0):
                              f"got x0 of shape {np.shape(x0)}")
         config = dataclasses.replace(config if config is not None else SolverConfig(),
                                      f_floor=problem.known_min_value - SUCCESS_VALUE_GAP)
+        problem = dataclasses.replace(problem, objective=_guarded(problem.objective),
+                                      gradient=_guarded(problem.gradient))
         # looked up here at each run: perfbench's timed_bench_solvers patches them
         # around each sweep until a benchmark change moves it to ``wrap`` (ROADMAP item 1)
         if solver == "bfgs":

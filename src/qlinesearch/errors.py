@@ -17,12 +17,17 @@ class GradientShapeError(ValueError):
     values, (m, n) for their Jacobian."""
 
 
-class DescentDirectionError(ValueError):
-    """The supplied direction is not a descent direction (slope at 0 is >= 0)."""
-
-
 class LineSearchError(RuntimeError):
-    """No step in the backtracking sequence satisfied the sufficient-decrease test."""
+    """A step found no sufficient decrease, or its direction is not one of descent."""
+
+
+#: the former name of a non-descent direction's error, kept for its importers
+DescentDirectionError = LineSearchError
+
+
+class CallbackError(RuntimeError):
+    """A problem's objective or gradient raised an error that does not end a
+    run as numeric_failure; a sweep's solve raises this from it instead."""
 
 
 class QPError(RuntimeError):

@@ -140,13 +140,13 @@ def ldl_factor(A):
     eigenvalues in descending order.  A zero column of the reduced matrix is
     a 1x1 zero pivot with nothing to eliminate.
     """
-    A_sym, size = _check_symmetric(A)
+    A_sym, scale = _check_symmetric(A)
     # Far from unit scale, factor A / 2^e with max |a_ij| near 1: the power
     # of two is exact, and no 2x2 determinant or eigenvector norm under- or
-    # overflows.  B and its eigenvalues are scaled back.
-    e = math.frexp(size)[1]
-    scale = math.ldexp(1.0, e) if abs(e) > 256 else 1.0
-    W = A_sym / scale
+    # overflows.  B and its eigenvalues are multiplied back by it.
+    e = math.frexp(scale)[1]
+    pow2 = math.ldexp(1.0, e) if abs(e) > 256 else 1.0
+    W = A_sym / pow2
     n = W.shape[0]
     perm = np.arange(n)
     L = np.eye(n)
@@ -188,7 +188,7 @@ def ldl_factor(A):
                 colv = colv / d
                 W[k + 1:, k + 1:] -= np.outer(colv, W[k + 1:, k])
             L[k + 1:, k] = colv
-            lam[k] = d * scale
+            lam[k] = d * pow2
             blocks.append(np.array([[lam[k]]]))
             Q[k, k] = 1.0
         else:
@@ -204,7 +204,7 @@ def ldl_factor(A):
             # B = Q diag(lam) Q^T blockwise: the closed-form symmetric 2x2
             # eigensolver, eigenvalues descending.  The pivot search put the
             # nonzero colmax entry at b, so b != 0.
-            blocks.append(np.array([[a, b], [b, c]]) * scale)
+            blocks.append(np.array([[a, b], [b, c]]) * pow2)
             half = 0.5 * (a + c)
             disc = math.hypot(0.5 * (a - c), b)
             l1 = half + disc
@@ -215,8 +215,8 @@ def ldl_factor(A):
             v /= math.sqrt(v @ v)
             Q[k:k + 2, k] = v
             Q[k:k + 2, k + 1] = (-v[1], v[0])
-            lam[k] = l1 * scale
-            lam[k + 1] = (half - disc) * scale
+            lam[k] = l1 * pow2
+            lam[k + 1] = (half - disc) * pow2
         k += size
     return FactorizationBundle(matrix=A_sym,
                                permutation=perm,

@@ -256,10 +256,9 @@ class _SqpRun:
         if self.f_x is None:
             self.f_x, self.h_x, self.g_x = self._values(x)
         fval, hx, gx = self.f_x, self.h_x, self.g_x
-        g_obj = prob.gradient(x)
+        g_obj = checked_gradient(prob.gradient(x), x)
         Jh = checked_jacobian(prob.jac_h(x), m, x) if m else np.zeros((0, n))
         Jg = checked_jacobian(prob.jac_g(x), p, x) if p else np.zeros((0, n))
-        g_obj = checked_gradient(g_obj, x)
         if not (np.isfinite(fval) and np.all(np.isfinite(hx)) and np.all(np.isfinite(gx))):
             raise NumericError("non-finite objective or constraint value", point=x.copy())
         # the same function the q-Hessian's closure calls, so this is bitwise

@@ -20,8 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (DescentDirectionError, GradientShapeError, LineSearchError,
-                     NumericError, QPError)
+from .errors import CallbackError, GradientShapeError, LineSearchError, NumericError, QPError
 from .linesearch import backtracking_step
 from .psdfactor import psd_modify
 from .qcalc import QSchedule, check_counts, next_q
@@ -34,6 +33,7 @@ STATUS_LINE_SEARCH_FAILURE = "line_search_failure"
 STATUS_NUMERIC_FAILURE = "numeric_failure"
 STATUS_QP_FAILURE = "qp_failure"
 STATUS_DIVERGED = "diverged"
+STATUS_CALLBACK_ERROR = "callback_error"
 
 #: the q schedule QLS and SQP run when given none
 DEFAULT_SCHEDULE = QSchedule(0.9, 1)
@@ -150,10 +150,11 @@ def drive(run, config, callback):
     then checks ``max_iterations`` and the time cap, then calls
     ``run.step(k)``, which only moves ``run.x`` and returns the iteration's
     ``run.record``, kept as a row of the ``Trace``.  An exception from either ends the run
-    with a status (``numeric_failure`` for ``NUMERIC_ERRORS``), at its last
-    accepted iterate, or surfaces.  ``run.objective`` is wrapped to check the
-    time cap first, in a line search too.  ``f_final`` is the f the run
-    holds, NaN when it holds none: ``drive`` never calls f itself.
+    with a status (``numeric_failure`` for ``NUMERIC_ERRORS``, ``callback_error``
+    for a ``CallbackError``), at its last accepted iterate, or surfaces.
+    ``run.objective`` is wrapped to check the time cap first, in a line
+    search too.  ``f_final`` is the f the run holds, NaN when it holds none:
+    ``drive`` never calls f itself.
     """
     config = config if config is not None else SolverConfig()
     t0 = time.perf_counter()
@@ -179,12 +180,14 @@ def drive(run, config, callback):
                     values.extend(vars(run.step(k)).values())
         except _PastDeadline:
             status = STATUS_TIME_CAP
-        except (LineSearchError, DescentDirectionError):
+        except LineSearchError:
             status = STATUS_LINE_SEARCH_FAILURE
         except QPError:
             status = STATUS_QP_FAILURE
         except NUMERIC_ERRORS:
             status = STATUS_NUMERIC_FAILURE
+        except CallbackError:
+            status = STATUS_CALLBACK_ERROR
         if status is not None:
             break
         k += 1
@@ -234,7 +237,7 @@ class _DescentRun:
         if not np.isfinite(slope):
             raise NumericError("non-finite directional derivative at alpha = 0")
         if slope >= 0.0:
-            raise DescentDirectionError(f"not a descent direction (slope {slope:.6g} >= 0)")
+            raise LineSearchError(f"not a descent direction (slope {slope:.6g} >= 0)")
         step = backtracking_step(lambda a: float(self.objective(x + a * p)), f0, slope)
         x_new = x + step.alpha * p
         if np.array_equal(x_new, x):

@@ -537,18 +537,17 @@ def test_criterion_13_schwefel_q_cells(monkeypatch):
     not from the minimizer, and Schwefel's minimizer lies 420.97 out in each
     coordinate.  The schedule takes q_2 = 1 - 0.9^gamma (0.1, 0.19, 0.271)
     before q_k climbs to 1, and q_4 = 0.683 for gamma = 1.  On the first ten
-    sweep starts per gamma, under the sweep's floor and iteration cap, every
-    run leaves the basin at step k = 4 for gamma = 1 (q-shift
-    (1 - q_k) max|x_k| = 133) and k = 2 for gamma = 2 and 3 (341 and 307),
-    and ends diverged.  With ``next_q`` frozen at q0 = 0.9 (shift 42), as
-    in criterion 12, all 30 runs succeed.
+    sweep starts per gamma, under the sweep's floor and SolverConfig()'s
+    iteration budget, as in every sweep run, every run leaves the basin at
+    step k = 4 for gamma = 1 (q-shift (1 - q_k) max|x_k| = 133) and k = 2
+    for gamma = 2 and 3 (341 and 307), and ends diverged.  With ``next_q``
+    frozen at q0 = 0.9 (shift 42), as in criterion 12, all 30 runs succeed.
     """
     prob = q.get_problem("schwefel")
     lo, hi = SCHWEFEL_BASIN
     slope = lambda t: float(prob.gradient(np.array([t, t]))[0])
     assert all(slope(b - 0.01) * slope(b + 0.01) < 0 for b in SCHWEFEL_BASIN)
-    config = SolverConfig(max_iterations=bench.SUITE_MAX_ITERATIONS,
-                          f_floor=prob.known_min_value - bench.SUCCESS_VALUE_GAP)
+    config = SolverConfig(f_floor=prob.known_min_value - bench.SUCCESS_VALUE_GAP)
 
     def runs():
         out = []

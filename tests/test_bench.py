@@ -9,7 +9,8 @@ from qlinesearch.bench import (BenchmarkRow, BenchmarkTable, ProfileCurve,
                                fc_summary, is_success, performance_profile,
                                run_fc_benchmark, run_suite_benchmark)
 from qlinesearch.problems import get_problem, standard_suite
-from qlinesearch.usolve import STATUS_DIVERGED, SolverConfig, Trace
+from qlinesearch.usolve import (STATUS_CALLBACK_ERROR, STATUS_DIVERGED, STATUS_NUMERIC_FAILURE,
+                               SolverConfig, Trace)
 
 
 def row(problem, solver, iterations, success=True, run_index=0, secs=0.0):
@@ -282,6 +283,47 @@ class TestWrap:
             return run
         sweep(watch)
         assert configs == [None] * len(bench.SOLVERS)
+
+
+class TestRaisingCallback:
+    """A sweep records a run whose callback raises as a failed row and goes
+    on; an error with a status of its own keeps it."""
+
+    @pytest.mark.parametrize("error, status", [(RuntimeError, STATUS_CALLBACK_ERROR),
+                                               (KeyError, STATUS_CALLBACK_ERROR),
+                                               (OverflowError, STATUS_NUMERIC_FAILURE)])
+    def test_fc_sweep_records_the_run_and_goes_on(self, error, status):
+        results = []
+
+        def raising(solver, solve):
+            def run(problem, x0, config):
+                calls = 0
+
+                def gradient(x):  # the fourth call raises: at k = 1 for QLS, k = 3 for BFGS
+                    nonlocal calls
+                    calls += 1
+                    if calls == 4:
+                        raise error("bug in the callback")
+                    return problem.gradient(x)
+                results.append(solve(dataclasses.replace(problem, gradient=gradient), x0, config))
+                return results[-1]
+            return run
+        table = run_fc_benchmark(c_values=(0.5, 1.3), y_values=(0.9,), wrap=raising)
+        assert len(table.rows) == len(results) == 2 * len(bench.SOLVERS)
+        assert {r.status for r in results} == {status}
+        assert not any(r.success for r in table.rows)
+        assert [r.iterations for r in table.rows] == [r.iterations for r in results]
+        assert {r.iterations for r in table.rows} == {1, 3}
+
+    def test_suite_sweep_records_the_run_and_goes_on(self):
+        def objective(x):
+            raise RuntimeError("bug in the callback")
+        raising = dataclasses.replace(get_problem("branin"), objective=objective)
+        table = run_suite_benchmark(suite=[raising, get_problem("sphere")], runs_required=1,
+                                    attempt_cap=2)
+        assert [(r.problem, r.success, r.iterations) for r in table.rows] == \
+            [("branin", False, 0)] * 2 * len(bench.SOLVERS) + [("sphere", True, 1)] * 4
+        assert table.short_cells(1) == [("branin", s, 0) for s in bench.SOLVERS]
 
 
 class TestEmit:

@@ -81,3 +81,15 @@ def test_suite_totals_over_a_slice(tool):
     assert longest == 14  # a failed run; the longest successful one takes 8
     assert short == ["bohachevsky/bfgs 4", "bohachevsky/q1 4", "bohachevsky/q2 5",
                      "bohachevsky/q3 6"]
+
+
+@pytest.mark.parametrize("iterations, status", [(7, 0), (8, 1)], ids=["still", "moved"])
+def test_exit_status_is_1_when_a_reference_row_moved(tool, monkeypatch, capsys, iterations,
+                                                      status):
+    # one stubbed sweep against a stubbed reference, so no sweep runs
+    reference = [tool.verify.contract_row("grid:fc_c0.5:bfgs:0", (0.5, 0.1), True, 7)]
+    rows = [tool.verify.contract_row("grid:fc_c0.5:bfgs:0", (0.5, 0.1), True, iterations)]
+    monkeypatch.setattr(tool, "SWEEPS", {"fc-grid": ("fc", lambda: ("0" * 64, rows))})
+    monkeypatch.setattr(tool.verify, "load_reference", lambda name: reference)
+    assert tool.main([]) == status
+    assert capsys.readouterr().out.splitlines()[-1].startswith(f"fc-grid: {status} of 1 rows moved")

@@ -28,7 +28,8 @@ seed) give converged / iterations / gradient evaluations of ``solve_qsqp``
 and the instances that end at ``max_iterations``.
 
 The library is imported from this tree's ``src``; ``perfbench``, whose
-wrappers count the callbacks, is only read.
+wrappers count the callbacks, is only read.  The exit status is 1 if any
+reference row moved, else 0.
 """
 
 import dataclasses
@@ -171,8 +172,11 @@ def main(argv):
     for name, (part, sweep) in SWEEPS.items():
         digest, rows[name] = sweep()
         print(f"{part} {digest}", flush=True)
+    moved = False
     for name, got in rows.items():
-        print("\n".join(diff_lines(name, got, verify.load_reference(name))))
+        reference = verify.load_reference(name)
+        moved = moved or bool(moved_rows(got, reference))
+        print("\n".join(diff_lines(name, got, reference)))
     for seed in seeds:
         successes, total, longest, short = suite_totals(seed)
         print(f"suite seed {seed}: {successes} of {total} rows succeed; "
@@ -181,7 +185,8 @@ def main(argv):
         print(f"sqp seed {seed}: {converged} / {iterations} / {gevals} "
               f"(converged / iterations / gevals of {workloads.SQP_INSTANCES}); "
               f"at max_iterations: {', '.join(capped) or 'none'}")
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))
