@@ -23,7 +23,7 @@ from .linesearch import StepResult, backtracking_step
 from .problems import Problem, StartBox, check_gradient, get_problem, make_fc, standard_suite
 from .psdfactor import (FactorizationBundle, PsdModification, default_delta,
                         ldl_factor, psd_modify)
-from .qcalc import QSchedule, next_q, q_derivative_1d, q_partial, q_shift
+from .qcalc import QSchedule, q_derivative_1d, q_partial, q_shift
 from .qmatrix import QHessian, q_hessian, q_hessian_lagrangian
 from .sqp import (ConstrainedProblem, QpSolution, SqpTraceRecord, kkt_solve,
                   merit_l1, qp_active_set, solve_qsqp)
@@ -41,7 +41,7 @@ __all__ = [
     "standard_suite",
     "FactorizationBundle", "PsdModification", "default_delta", "ldl_factor",
     "psd_modify",
-    "QSchedule", "next_q", "q_derivative_1d", "q_partial", "q_shift",
+    "QSchedule", "q_derivative_1d", "q_partial", "q_shift",
     "QHessian", "q_hessian", "q_hessian_lagrangian",
     "ConstrainedProblem", "QpSolution", "SqpTraceRecord", "kkt_solve",
     "merit_l1", "qp_active_set", "solve_qsqp",

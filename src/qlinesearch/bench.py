@@ -157,7 +157,8 @@ def _sweep_solves(problems, solvers, q0, wrap):
     """The solve of each of ``solvers`` by name, built before a sweep's first
     solve and passed through ``wrap`` if given; ValueError for a problem or a
     solver that the sweep names twice."""
-    for kind, names in (("problem", [p.name for p in problems]), ("solver", list(solvers))):
+    solvers = list(solvers)
+    for kind, names in (("problem", [p.name for p in problems]), ("solver", solvers)):
         if len(set(names)) < len(names):
             raise ValueError(f"a sweep names each {kind} once, got {', '.join(names)}")
     solves = {solver: solver_call(solver, q0) for solver in solvers}
@@ -179,12 +180,12 @@ def run_fc_benchmark(c_values=DEFAULT_C_VALUES, q0=DEFAULT_SCHEDULE.q0, solvers=
 
     Returns a run-level BenchmarkTable; aggregate with ``fc_summary``.
     Individual failures are recorded (success=False), never raised.
-    ``y_values``, read once per (c, solver), must be a sequence.
     ``wrap(solver, solve)``, if given, is called once per solver before the
     first solve and returns the function of (problem, x0, config) that runs
     in place of ``solve``: the way to watch, count or alter a sweep's solves.
     """
     c_values = [float(c) for c in c_values]
+    y_values = [float(y) for y in y_values]
     problems = [make_fc(c) for c in c_values]
     solves = _sweep_solves(problems, solvers, q0, wrap)
     table = BenchmarkTable()
@@ -192,7 +193,7 @@ def run_fc_benchmark(c_values=DEFAULT_C_VALUES, q0=DEFAULT_SCHEDULE.q0, solvers=
         for solver, solve in solves.items():
             for run_index, y in enumerate(y_values):
                 table.rows.append(_run_row(problem, solver, solve, run_index, 0,
-                                           np.array([c, float(y)]), config))
+                                           np.array([c, y]), config))
     return table
 
 

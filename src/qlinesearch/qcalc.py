@@ -117,38 +117,27 @@ def q_derivative_1d(f, x, q):
 
 @dataclass(frozen=True)
 class QSchedule:
-    """State of the sequence q_{k+1} = 1 - q_k^gamma / k (k >= 1).
+    """The sequence q_{k+1} = 1 - q_k^gamma / k (k >= 1) from q_0 = ``q0``:
+    iterating a schedule yields q_0, q_1, ... without end, one per iteration.
 
-    The update formula divides by the pre-increment counter k, which is zero
-    at the very first advance; that transition keeps q_1 = q_0 so the first
-    two iterations run at q_0.  Values stay in (0, 1) and approach 1 like
-    1 - O(1/k).
+    The k = 0 -> 1 transition keeps q_1 = q_0 (the formula's divisor would be
+    zero there).  Values stay in (0, 1) and approach 1 like 1 - O(1/k).  q_k
+    is yielded once q_{k+1} is known; a q_{k+1} that rounds to 1 is no q,
+    and the iterator raises NumericError (``numeric_failure``) instead.
     """
 
     q0: float
     gamma: int
-    k: int = 0
-    q_current: float = None
 
     def __post_init__(self):
         object.__setattr__(self, "q0", _check_q(self.q0))
         check_counts(gamma=self.gamma)
-        check_counts(0, k=self.k)
-        q = self.q0 if self.q_current is None else _check_q(self.q_current)
-        object.__setattr__(self, "q_current", q)
 
-
-def next_q(schedule):
-    """Advance the schedule one iteration and return the new state.
-
-    For k >= 1 the new value is 1 - q_k^gamma / k; the k = 0 -> 1 transition
-    carries q_0 forward unchanged (the formula's divisor would be zero there).
-    A new value that rounds to 1 is no q: NumericError (``numeric_failure``).
-    """
-    if schedule.k == 0:
-        q_new = schedule.q_current
-    else:
-        q_new = 1.0 - schedule.q_current ** schedule.gamma / schedule.k
-        if q_new == 1.0:
-            raise NumericError(f"q_{schedule.k + 1} = 1 - q_k^gamma / k rounds to 1")
-    return QSchedule(schedule.q0, schedule.gamma, k=schedule.k + 1, q_current=q_new)
+    def __iter__(self):
+        q, k = self.q0, 0
+        while True:
+            q_next = 1.0 - q ** self.gamma / k if k else q
+            if q_next == 1.0:
+                raise NumericError(f"q_{k + 1} = 1 - q_k^gamma / k rounds to 1")
+            yield q
+            q, k = q_next, k + 1

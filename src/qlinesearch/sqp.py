@@ -19,7 +19,6 @@ import numpy as np
 from .errors import GradientShapeError, LineSearchError, NumericError, QPError
 from .linesearch import backtracking_step
 from .psdfactor import default_delta, ldl_factor, psd_modify
-from .qcalc import next_q
 from .qmatrix import (checked_gradient, checked_jacobian, lagrangian_gradient,
                       q_hessian_lagrangian)
 from .usolve import DEFAULT_SCHEDULE, STATUS_CONVERGED, drive
@@ -231,7 +230,7 @@ class _SqpRun:
     def __init__(self, problem, schedule):
         self.problem = problem
         self.objective = problem.objective
-        self.schedule = schedule
+        self.qs = iter(schedule)  # q_0, q_1, ...: one per step
         self.x = problem.x0.astype(float)
         self.u = problem.u0.astype(float)
         self.v = problem.v0.astype(float)
@@ -278,7 +277,7 @@ class _SqpRun:
     def step(self, k):
         prob, x, u, v = self.problem, self.x, self.u, self.v
         m, p = prob.n_eq, prob.n_ineq
-        q_k, self.schedule = self.schedule.q_current, next_q(self.schedule)
+        q_k = next(self.qs)
         fval, hx, gx = self.f_x, self.h_x, self.g_x
         g_obj, Jh, Jg, grad_lag, residual = self.at_x
         qh = q_hessian_lagrangian(prob.gradient, x, q_k, jac_h=prob.jac_h, u=u,

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import CallbackError, GradientShapeError, LineSearchError, NumericError, QPError
 from .linesearch import backtracking_step
 from .psdfactor import psd_modify
-from .qcalc import QSchedule, check_counts, next_q
+from .qcalc import QSchedule, check_counts
 from .qmatrix import checked_gradient, q_hessian
 
 STATUS_CONVERGED = "converged"
@@ -254,14 +254,14 @@ def solve_qls(problem, x0, config=None, schedule=DEFAULT_SCHEDULE, callback=None
     """q-line-search: modified q-Hessian direction plus Armijo backtracking.
 
     The direction solves B_q p = -grad(f) through the factorization computed by
-    the modification (no explicit inverse).  The schedule starts at q_0 and
-    advances once per iteration.
+    the modification (no explicit inverse).  Each iteration draws the next q
+    of the schedule, from q_0 on.
     """
     grad = problem.gradient
+    qs = iter(schedule)
 
     def direction(x, g):
-        nonlocal schedule
-        q_k, schedule = schedule.q_current, next_q(schedule)
+        q_k = next(qs)
         qh = q_hessian(grad, x, q_k, g0=g)
         mod = psd_modify(qh.matrix)
         return mod.solve(-g), q_k, _spd_condition(mod.modified_matrix), qh.fallback_count

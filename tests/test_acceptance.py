@@ -8,13 +8,14 @@ protocol (q0 = 0.9, eps = 1e-5, Armijo constant 1e-4, backtracking factor
 condition is evaluated (see ``qlinesearch.linesearch``).
 """
 
+import itertools
 import time
 
 import numpy as np
 import pytest
 
 import qlinesearch as q
-from qlinesearch import bench, sqp, usolve
+from qlinesearch import bench, sqp
 from qlinesearch.cli import main as cli_main
 from qlinesearch.psdfactor import psd_modify
 from qlinesearch.qcalc import QSchedule
@@ -490,10 +491,10 @@ def test_criterion_12_rate_from_the_schedule(monkeypatch):
     error the way it does in criterion 06.  From s + 0.7 (n = 4, q0 = 0.9,
     gamma = 2) the error ratios ||x_{k+1} - x*|| / ||x_k - x*|| measured
     0.18, 0.15, 0.13, 0.11, 0.095 over the last five iterations: superlinear,
-    but the ratio falls only like 1 - q_k = O(1/k).  With ``next_q`` frozen
-    at q0 they stay at 0.1525: linear.  The Dennis-More ratios fall with the
-    schedule (0.44 to 0.21 over the same iterations) and stay at 0.36 when
-    it is frozen.
+    but the ratio falls only like 1 - q_k = O(1/k).  With the schedule
+    frozen at q0 they stay at 0.1525: linear.  The Dennis-More ratios fall
+    with the schedule (0.44 to 0.21 over the same iterations) and stay at
+    0.36 when it is frozen.
     """
     s, n = 3.0, 4
     prob = q.Problem(name="shifted quartic", dimension=n,
@@ -515,7 +516,7 @@ def test_criterion_12_rate_from_the_schedule(monkeypatch):
         return ratios[-5:], dm[-5:]
 
     ratios, dm = tail()
-    monkeypatch.setattr(usolve, "next_q", lambda schedule: schedule)
+    monkeypatch.setattr(QSchedule, "__iter__", lambda self: itertools.repeat(self.q0))
     frozen, frozen_dm = tail()
     falls = lambda seq: all(b < a for a, b in zip(seq, seq[1:]))
     ok = (falls(ratios) and falls(dm) and all(t >= 0.15 for t in frozen)
@@ -540,7 +541,7 @@ def test_criterion_13_schwefel_q_cells(monkeypatch):
     sweep starts per gamma, under the sweep's floor and SolverConfig()'s
     iteration budget, as in every sweep run, every run leaves the basin at
     step k = 4 for gamma = 1 (q-shift (1 - q_k) max|x_k| = 133) and k = 2
-    for gamma = 2 and 3 (341 and 307), and ends diverged.  With ``next_q``
+    for gamma = 2 and 3 (341 and 307), and ends diverged.  With the schedule
     frozen at q0 = 0.9 (shift 42), as in criterion 12, all 30 runs succeed.
     """
     prob = q.get_problem("schwefel")
@@ -563,7 +564,7 @@ def test_criterion_13_schwefel_q_cells(monkeypatch):
         return out
 
     scheduled = runs()
-    monkeypatch.setattr(usolve, "next_q", lambda schedule: schedule)
+    monkeypatch.setattr(QSchedule, "__iter__", lambda self: itertools.repeat(self.q0))
     frozen = runs()
     expected = {1: (4, 133), 2: (2, 341), 3: (2, 307)}
     ok = (scheduled == [(g, "diverged", *expected[g], False) for g in (1, 2, 3) for _ in range(10)]
@@ -600,7 +601,7 @@ def test_criterion_14_constrained_rate_from_the_schedule(monkeypatch):
     From x* + (0.7, 0, 0.4, -0.1), off the constraint by 1, with q0 = 0.9
     and gamma = 2, the last eight error ratios measured 0.527, 0.469, 0.427,
     0.390, 0.359, 0.332, 0.308, 0.288 and the projected Dennis-More ratios
-    1.73 to 1.12; with ``sqp.next_q`` frozen at q0 they stay at 0.475 and
+    1.73 to 1.12; with the schedule frozen at q0 they stay at 0.475 and
     1.61: linear.
 
     The run stops at a KKT residual of 1e-6 (error about 2e-7), above the
@@ -642,7 +643,7 @@ def test_criterion_14_constrained_rate_from_the_schedule(monkeypatch):
         return ratios[-8:], dm[-8:]
 
     ratios, dm = tail()
-    monkeypatch.setattr(sqp, "next_q", lambda schedule: schedule)
+    monkeypatch.setattr(QSchedule, "__iter__", lambda self: itertools.repeat(self.q0))
     frozen, frozen_dm = tail()
     falls = lambda seq: all(b < a for a, b in zip(seq, seq[1:]))
     ok = (falls(ratios) and falls(dm) and ratios[-1] < 0.3 and dm[-1] < 1.2
@@ -662,7 +663,7 @@ def test_criterion_15_rate_under_an_active_inequality(monkeypatch):
     From x* + (0.7, 0, 0.4, -0.1) with q0 = 0.9 and gamma = 2 the run
     converged in 19 iterations: the last six error ratios measured 0.388,
     0.370, 0.352, 0.337, 0.322, 0.309 and the projected Dennis-More ratios
-    (criterion 14's) 9.31 to 6.56.  With ``sqp.next_q`` frozen at q0 it took
+    (criterion 14's) 9.31 to 6.56.  With the schedule frozen at q0 it took
     22 iterations at a steady 0.489 and 14.04: linear.  Every step of the
     tail is a unit step, and the QP holds the ball in its active set.
     """
@@ -706,7 +707,7 @@ def test_criterion_15_rate_under_an_active_inequality(monkeypatch):
         return ratios[-6:], dm[-6:]
 
     ratios, dm = tail()
-    monkeypatch.setattr(sqp, "next_q", lambda schedule: schedule)
+    monkeypatch.setattr(QSchedule, "__iter__", lambda self: itertools.repeat(self.q0))
     frozen, frozen_dm = tail()
     falls = lambda seq: all(b < a for a, b in zip(seq, seq[1:]))
     ok = (falls(ratios) and falls(dm) and ratios[-1] < 0.4 and dm[-1] < 10.0

@@ -19,6 +19,12 @@ def row(problem, solver, iterations, success=True, run_index=0, secs=0.0):
                         elapsed_seconds=secs, start_point=np.zeros(2))
 
 
+def cells(table):
+    """A table's rows without their times, in order."""
+    return [(r.problem, r.solver, r.run_index, r.success, r.iterations, *r.start_point)
+            for r in table.rows]
+
+
 def hand_table():
     t = BenchmarkTable()
     t.rows += [row("p1", "s1", 2), row("p1", "s2", 4),
@@ -237,6 +243,19 @@ class TestSweepInputs:
             sweep(solves)
         assert solves == []
 
+    @pytest.mark.parametrize("sweep, inputs", [
+        (lambda **kw: run_fc_benchmark(config=SolverConfig(max_iterations=2), **kw),
+         dict(c_values=(0.5, 1.3), solvers=("bfgs", "q1"), y_values=(0.1, 0.9))),
+        (lambda **kw: run_suite_benchmark(suite=[get_problem("branin")], runs_required=1,
+                                          attempt_cap=2, **kw),
+         dict(solvers=("bfgs", "q2"))),
+    ], ids=["fc", "suite"])
+    def test_one_shot_iterables_run_every_cell(self, sweep, inputs):
+        # a generator of solvers used to be spent by the check for names given
+        # twice, leaving no row; y_values was read again for each (c, solver)
+        once = {name: (v for v in values) for name, values in inputs.items()}
+        assert cells(sweep(**once)) == cells(sweep(**inputs))
+
     @pytest.mark.parametrize("solver", ["bfgs", "q2"])
     @pytest.mark.parametrize("x0", [[1.0, 2.0, 3.0], [1.0], 2.5, [[1.0, 2.0]]], ids=str)
     def test_solve_rejects_a_start_of_another_dimension(self, solver, x0):
@@ -252,9 +271,6 @@ class TestWrap:
                                          runs_required=2, attempt_cap=3, wrap=wrap),
     ], ids=["fc", "suite"])
     def test_wrap_gets_each_solver_once_and_only_its_own_sweep(self, sweep):
-        def cells(table):
-            return [(r.problem, r.solver, r.run_index, r.success, r.iterations, *r.start_point)
-                    for r in table.rows]
         names = []
 
         def raising(solver, solve):
@@ -529,7 +545,10 @@ class TestDivergenceGuard:
     below known_min_value - SUCCESS_VALUE_GAP; such runs could not have
     succeeded anyway."""
 
-    SWEEP = dict(solvers=bench.SOLVERS, master_seed=42, runs_required=3, attempt_cap=8)
+    # 300 iterations, not SolverConfig()'s 10,000: unguarded Schwefel q runs
+    # take up to 7,703 of them, and every assertion here holds at either budget
+    SWEEP = dict(solvers=bench.SOLVERS, master_seed=42, runs_required=3, attempt_cap=8,
+                 config=SolverConfig(max_iterations=300))
 
     def test_floor_lies_below_every_known_minimizer(self):
         # the value branch of is_success fails below the floor by definition;

@@ -307,3 +307,13 @@ def test_readme_cli_lines_parse():
             cli._build_parser().parse_args(argv[1:])
         except SystemExit:
             pytest.fail(f"README line does not parse: {shlex.join(argv)}")
+
+
+def test_readme_python_blocks_run():
+    # an export or a signature renamed in the package but not in README fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = [part.split("```", 1)[0] for part in readme.split("```python\n")[1:]]
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)

@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from qlinesearch.errors import NumericError
-from qlinesearch.qcalc import QSchedule, next_q, q_derivative_1d, q_partial, q_shift
+from qlinesearch.qcalc import QSchedule, q_derivative_1d, q_partial, q_shift
 
 
 class TestQDerivative1d:
@@ -101,39 +103,36 @@ class TestQPartial:
 
 
 class TestQSchedule:
-    def test_next_q_examples(self):
-        s = QSchedule(0.9, 1, k=1, q_current=0.9)
-        assert next_q(s).q_current == pytest.approx(0.1, abs=1e-15)
-        s = QSchedule(0.9, 3, k=1, q_current=0.9)
-        assert next_q(s).q_current == pytest.approx(0.271, abs=1e-15)
-        s = QSchedule(0.5, 2, k=2, q_current=0.5)
-        assert next_q(s).q_current == pytest.approx(0.875, abs=1e-15)
+    def test_schedule_examples(self):
+        assert list(itertools.islice(QSchedule(0.9, 1), 4)) == pytest.approx(
+            [0.9, 0.9, 0.1, 0.95], abs=1e-15)
+        assert list(itertools.islice(QSchedule(0.9, 3), 3))[2] == pytest.approx(0.271, abs=1e-15)
+        assert list(itertools.islice(QSchedule(0.5, 2), 4)) == pytest.approx(
+            [0.5, 0.5, 0.75, 0.71875], abs=1e-15)
 
     def test_value_rounding_to_one_is_numeric_error(self):
-        # 1 - 0.5^60 is 1.0 in floating point: no q, and a solve's numeric
-        # failure rather than QSchedule's ValueError
+        # q_2 = 1 - 0.5^60 is 1.0 in floating point: no q, and a solve's
+        # numeric failure rather than QSchedule's ValueError
+        qs = iter(QSchedule(0.5, 60))
+        assert next(qs) == 0.5
         with pytest.raises(NumericError, match="rounds to 1"):
-            next_q(QSchedule(0.5, 60, k=1))
+            next(qs)
 
     def test_first_transition_keeps_q0(self):
-        s = QSchedule(0.9, 2)
-        s1 = next_q(s)
-        assert s1.k == 1 and s1.q_current == 0.9
+        assert list(itertools.islice(QSchedule(0.9, 2), 2)) == [0.9, 0.9]
 
     def test_stays_in_unit_interval_with_decay_bound(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             s = QSchedule(float(rng.uniform(0.05, 0.95)), int(rng.integers(1, 5)))
-            for _ in range(200):
-                s = next_q(s)
-                assert 0.0 < s.q_current < 1.0
-                if s.k >= 2:
-                    assert abs(1.0 - s.q_current) <= 1.0 / (s.k - 1) + 1e-15
+            for k, q in enumerate(itertools.islice(s, 201)):
+                assert 0.0 < q < 1.0
+                if k >= 2:
+                    assert abs(1.0 - q) <= 1.0 / (k - 1) + 1e-15
 
     def test_validation(self):
-        # gamma and k are counts: a bool, a float or an infinity is none, even
+        # gamma is a count: a bool, a float or an infinity is none, even
         # where it equals a whole number (True ran as gamma = 1, 2.0 as 2)
-        for args in [(1.2, 1), (0.5, 0), (0.5, 1, -1), (0.9, True), (0.9, 2.0),
-                     (0.9, float("inf")), (0.9, 1, 1.5), (0.9, 1, True)]:
+        for args in [(1.2, 1), (0.5, 0), (0.9, True), (0.9, 2.0), (0.9, float("inf"))]:
             with pytest.raises(ValueError):
                 QSchedule(*args)

@@ -15,7 +15,7 @@ from qlinesearch.sqp import (ConstrainedProblem, kkt_solve, merit_l1,
                              qp_active_set, solve_qsqp)
 from qlinesearch.usolve import (STATUS_CONVERGED, STATUS_LINE_SEARCH_FAILURE,
                                 STATUS_MAX_ITERATIONS, STATUS_NUMERIC_FAILURE,
-                                STATUS_QP_FAILURE, SolverConfig, solve_qls)
+                                STATUS_QP_FAILURE, SolverConfig, solve_bfgs, solve_qls)
 
 
 def circle_problem(x0=(-0.5, -1.5), u0=0.0):
@@ -668,6 +668,22 @@ class TestSolveQsqp:
         one = solve_qsqp(prob, config=SolverConfig(max_iterations=1), schedule=QSchedule(0.5, 60))
         assert r.status == STATUS_NUMERIC_FAILURE and r.iterations == 1
         assert np.array_equal(r.x_final, one.x_final) and r.f_final == one.f_final
+
+    @pytest.mark.parametrize("schedule", [QSchedule(0.9, 2), QSchedule(0.5, 3)],
+                             ids=["q0.9-gamma2", "q0.5-gamma3"])
+    @pytest.mark.parametrize("solve, least", [
+        (lambda schedule: solve_qls(get_problem("branin"), [2.5, 3.0], schedule=schedule), 5),
+        (lambda schedule: solve_qsqp(circle_problem(), schedule=schedule), 4),
+    ], ids=["qls-branin", "sqp-circle"])
+    def test_each_iteration_draws_one_q(self, solve, least, schedule):
+        r = solve(schedule)
+        assert r.status == STATUS_CONVERGED and r.iterations >= least
+        assert [t.q_k for t in r.trace] == list(itertools.islice(schedule, len(r.trace)))
+
+    def test_bfgs_records_no_q(self):
+        r = solve_bfgs(get_problem("branin"), [2.5, 3.0])
+        assert r.status == STATUS_CONVERGED and r.trace
+        assert all(t.q_k is None for t in r.trace)
 
     def test_zero_iterations_from_optimal_triple(self):
         r = solve_qsqp(circle_problem(x0=(-1.0, -1.0), u0=0.5))
