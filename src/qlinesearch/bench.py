@@ -69,16 +69,14 @@ class BenchmarkTable:
     def cell(self, problem, solver):
         return [r for r in self.rows if r.problem == problem and r.solver == solver]
 
-    def quota(self, problem, solver, runs_required):
-        """A cell's successful rows, in run order, and whether it is short of
-        ``runs_required`` successes (never, if None): then it is unsolved."""
-        good = [r for r in self.cell(problem, solver) if r.success]
-        return good, runs_required is not None and len(good) < runs_required
+    def successes(self, problem, solver):
+        """A cell's successful rows, in run order."""
+        return [r for r in self.cell(problem, solver) if r.success]
 
     def short_cells(self, runs_required):
         """(problem, solver, successes) of every cell short of the quota."""
-        return [(p, s, len(good)) for p in self.problems() for s in self.solvers()
-                for good, short in [self.quota(p, s, runs_required)] if short]
+        return [(p, s, n) for p in self.problems() for s in self.solvers()
+                if (n := len(self.successes(p, s))) < runs_required]
 
     def problems(self):
         return sorted({r.problem for r in self.rows})
@@ -153,25 +151,31 @@ def solver_call(solver, q0=DEFAULT_SCHEDULE.q0):
     return call
 
 
-def _sweep_solves(problems, solvers, q0, wrap):
-    """The solve of each of ``solvers`` by name, built before a sweep's first
-    solve and passed through ``wrap`` if given; ValueError for a problem or a
-    solver that the sweep names twice."""
+def _sweep(problems, solvers, q0, wrap, config, seed, starts, runs_required=None):
+    """The rows, seed ``seed``, of each solver on each problem from each x0 of
+    ``starts(problem, solver)`` in order, a cell ending at ``runs_required``
+    successes (never, if None).  Each solve is built before the first, and
+    passed through ``wrap`` if given; ValueError for a name given twice."""
     solvers = list(solvers)
     for kind, names in (("problem", [p.name for p in problems]), ("solver", solvers)):
         if len(set(names)) < len(names):
             raise ValueError(f"a sweep names each {kind} once, got {', '.join(names)}")
     solves = {solver: solver_call(solver, q0) for solver in solvers}
-    return {s: wrap(s, solve) for s, solve in solves.items()} if wrap is not None else solves
-
-
-def _run_row(problem, solver, solve, run_index, seed, x0, config):
-    """The row of one solve from ``x0``: the per-run body of both sweeps."""
-    result = solve(problem, x0, config)
-    return BenchmarkRow(
-        problem=problem.name, solver=solver, run_index=run_index, seed=seed,
-        success=is_success(problem, result), iterations=result.iterations,
-        elapsed_seconds=result.elapsed_seconds, start_point=x0)
+    solves = {s: wrap(s, solve) for s, solve in solves.items()} if wrap is not None else solves
+    table = BenchmarkTable()
+    for problem in problems:
+        for solver, solve in solves.items():
+            successes = 0
+            for run_index, x0 in enumerate(starts(problem, solver)):
+                result = solve(problem, x0, config)
+                table.rows.append(BenchmarkRow(
+                    problem=problem.name, solver=solver, run_index=run_index, seed=seed,
+                    success=is_success(problem, result), iterations=result.iterations,
+                    elapsed_seconds=result.elapsed_seconds, start_point=x0))
+                successes += table.rows[-1].success
+                if successes == runs_required:
+                    break
+    return table
 
 
 def run_fc_benchmark(c_values=DEFAULT_C_VALUES, q0=DEFAULT_SCHEDULE.q0, solvers=SOLVERS,
@@ -187,14 +191,9 @@ def run_fc_benchmark(c_values=DEFAULT_C_VALUES, q0=DEFAULT_SCHEDULE.q0, solvers=
     c_values = [float(c) for c in c_values]
     y_values = [float(y) for y in y_values]
     problems = [make_fc(c) for c in c_values]
-    solves = _sweep_solves(problems, solvers, q0, wrap)
-    table = BenchmarkTable()
-    for c, problem in zip(c_values, problems):
-        for solver, solve in solves.items():
-            for run_index, y in enumerate(y_values):
-                table.rows.append(_run_row(problem, solver, solve, run_index, 0,
-                                           np.array([c, y]), config))
-    return table
+    c_of = {problem.name: c for c, problem in zip(c_values, problems)}
+    return _sweep(problems, solvers, q0, wrap, config, 0,
+                  lambda problem, solver: (np.array([c_of[problem.name], y]) for y in y_values))
 
 
 def _success_mean(rows, field_name):
@@ -214,7 +213,7 @@ def fc_summary(table):
     c_of = {r.problem: float(r.start_point[0]) for r in table.rows}
     out = []
     for problem, c in sorted(c_of.items(), key=lambda item: item[1]):
-        good = {s: table.quota(problem, s, None)[0] for s in table.solvers()}
+        good = {s: table.successes(problem, s) for s in table.solvers()}
         out.append(FcSummaryRow(
             c=c, iterations={s: _success_mean(g, "iterations") for s, g in good.items()},
             times={s: _success_mean(g, "elapsed_seconds") for s, g in good.items()}))
@@ -247,19 +246,11 @@ def run_suite_benchmark(suite=None, solvers=SOLVERS, master_seed=SUITE_SEED,
     check_counts(runs_required=runs_required, attempt_cap=attempt_cap)
     check_counts(0, master_seed=master_seed)
     suite = standard_suite() if suite is None else list(suite)
-    solves = _sweep_solves(suite, solvers, q0, wrap)
-    table = BenchmarkTable()
-    for problem in suite:
-        for solver, solve in solves.items():
-            successes = 0
-            for attempt in range(attempt_cap):
-                if successes == runs_required:
-                    break
-                x0 = suite_start(problem, solver, master_seed, attempt)
-                table.rows.append(_run_row(problem, solver, solve, attempt, master_seed, x0,
-                                           config))
-                successes += table.rows[-1].success
-    return table
+    # a generator, so no start is drawn after a cell reaches its quota
+    return _sweep(suite, solvers, q0, wrap, config, master_seed,
+                  lambda problem, solver: (suite_start(problem, solver, master_seed, attempt)
+                                           for attempt in range(attempt_cap)),
+                  runs_required)
 
 
 #: the row field each profile metric averages
@@ -283,9 +274,9 @@ def performance_profile(table, metric="iterations", runs_required=None):
     ratios = {}
     counted = []
     for prob in problems:
-        vals = {s: _success_mean(good[:runs_required], METRIC_FIELDS[metric])
-                if good and not short else float("inf")
-                for s in solvers for good, short in [table.quota(prob, s, runs_required)]}
+        good = {s: table.successes(prob, s) for s in solvers}
+        vals = {s: _success_mean(g[:runs_required], METRIC_FIELDS[metric])
+                if len(g) >= (runs_required or 1) else float("inf") for s, g in good.items()}
         best = min(vals.values())
         if not np.isfinite(best):
             log.warning("problem %s unsolved by every solver; excluded from profile", prob)
