@@ -152,14 +152,19 @@ def solver_call(solver, q0=DEFAULT_SCHEDULE.q0):
 
 
 def _sweep(problems, solvers, q0, wrap, config, seed, starts, runs_required=None):
-    """The rows, seed ``seed``, of each solver on each problem from each x0 of
-    ``starts(problem, solver)`` in order, a cell ending at ``runs_required``
-    successes (never, if None).  Each solve is built before the first, and
-    passed through ``wrap`` if given; ValueError for a name given twice."""
+    """The table of each solver's rows on each problem, with seed ``seed``,
+    from each x0 of ``starts(problem, solver)`` in order, a cell ending at
+    ``runs_required`` successes (never, if None).  Each solve is built
+    before the first, and passed through ``wrap`` if given; ValueError for a
+    name given twice, or a problem name that a runs-CSV cell cannot hold."""
     solvers = list(solvers)
     for kind, names in (("problem", [p.name for p in problems]), ("solver", solvers)):
         if len(set(names)) < len(names):
             raise ValueError(f"a sweep names each {kind} once, got {', '.join(names)}")
+    for problem in problems:
+        # a comma or line break splits the row; _read_csv strips each line
+        if problem.name != problem.name.strip() or set(problem.name) & set(",\n\r"):
+            raise ValueError(f"a runs CSV cannot hold the problem name {problem.name!r}")
     solves = {solver: solver_call(solver, q0) for solver in solvers}
     solves = {s: wrap(s, solve) for s, solve in solves.items()} if wrap is not None else solves
     table = BenchmarkTable()
@@ -190,6 +195,8 @@ def run_fc_benchmark(c_values=DEFAULT_C_VALUES, q0=DEFAULT_SCHEDULE.q0, solvers=
     """
     c_values = [float(c) for c in c_values]
     y_values = [float(y) for y in y_values]
+    if not np.all(np.isfinite(y_values)):
+        raise ValueError(f"every fc start needs a finite y, got {y_values}")
     problems = [make_fc(c) for c in c_values]
     c_of = {problem.name: c for c, problem in zip(c_values, problems)}
     return _sweep(problems, solvers, q0, wrap, config, 0,
@@ -241,11 +248,18 @@ def run_suite_benchmark(suite=None, solvers=SOLVERS, master_seed=SUITE_SEED,
     ``runs_required`` successes or ``attempt_cap`` attempts.  Every attempt
     is recorded as a row, with ``master_seed`` as its seed; a cell left
     short of the quota is named by ``BenchmarkTable.short_cells``.
-    ``wrap`` is as in ``run_fc_benchmark``.
+    ``wrap`` is as in ``run_fc_benchmark``.  Each problem's start box needs
+    a finite center of the problem's dimension and a finite side > 0.
     """
     check_counts(runs_required=runs_required, attempt_cap=attempt_cap)
     check_counts(0, master_seed=master_seed)
     suite = standard_suite() if suite is None else list(suite)
+    for problem in suite:
+        box = problem.start_box
+        if box is None or np.shape(box.center) != (problem.dimension,) or \
+                not (np.all(np.isfinite(box.center)) and 0 < box.side < np.inf):
+            raise ValueError(f"{problem.name} needs a start box with a finite center of "
+                             f"dimension {problem.dimension} and a finite side > 0")
     # a generator, so no start is drawn after a cell reaches its quota
     return _sweep(suite, solvers, q0, wrap, config, master_seed,
                   lambda problem, solver: (suite_start(problem, solver, master_seed, attempt)

@@ -48,6 +48,8 @@ class ConstrainedProblem:
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float)
+        if self.x0.ndim != 1:
+            raise ValueError(f"x0 must be a vector, got shape {self.x0.shape}")
         n = self.x0.shape[0]
         if self.n_eq >= n and self.n_eq > 0:
             raise ValueError("need fewer equality constraints than variables")

@@ -7,8 +7,8 @@ import pytest
 from qlinesearch import bench
 from qlinesearch.bench import (BenchmarkRow, BenchmarkTable, ProfileCurve,
                                fc_summary, is_success, performance_profile,
-                               run_fc_benchmark, run_suite_benchmark)
-from qlinesearch.problems import get_problem, standard_suite
+                               run_fc_benchmark, run_suite_benchmark, suite_start)
+from qlinesearch.problems import Problem, StartBox, get_problem, standard_suite
 from qlinesearch.usolve import (STATUS_CALLBACK_ERROR, STATUS_DIVERGED, STATUS_NUMERIC_FAILURE,
                                SolverConfig, Trace)
 
@@ -242,6 +242,54 @@ class TestSweepInputs:
         with pytest.raises(ValueError, match="a sweep names each (solver|problem) once"):
             sweep(solves)
         assert solves == []
+
+    @pytest.mark.parametrize("box", [None, StartBox(np.zeros(3)),
+                                     StartBox(np.zeros(2), side=float("nan")),
+                                     StartBox(np.zeros(2), side=0.0),
+                                     StartBox(np.array([np.nan, 0.0]))],
+                             ids=["none", "center-of-3", "side-nan", "side-0", "center-nan"])
+    def test_suite_start_box_is_checked_before_the_first_solve(self, box, recorded_solves):
+        # each used to fail after branin's 4 solves (no box: an AttributeError;
+        # a center of 3: numpy's broadcast error), or to record starts that
+        # are NaN or all at the center
+        bowl = Problem("bowl", 2, lambda x: float(x @ x), lambda x: 2.0 * x, [np.zeros(2)], 0.0,
+                       box)
+        solves = recorded_solves()
+        with pytest.raises(ValueError, match="bowl needs a start box"):
+            run_suite_benchmark(suite=[get_problem("branin"), bowl], runs_required=1,
+                                attempt_cap=2, wrap=solves)
+        assert solves == []
+
+    @pytest.mark.parametrize("y", [float("inf"), float("nan")], ids=str)
+    def test_fc_y_must_be_finite(self, y, recorded_solves):
+        # used to record a failed row from (0.5, inf) that load_runs_csv rejects
+        solves = recorded_solves()
+        with pytest.raises(ValueError, match="finite y"):
+            run_fc_benchmark(c_values=(0.5,), y_values=(0.9, y), solvers=("bfgs",), wrap=solves)
+        assert solves == []
+
+    @pytest.mark.parametrize("name", ["bowl,2", " bowl", "bowl\n", "bo\rwl"], ids=repr)
+    def test_problem_name_a_runs_csv_cannot_hold_raises(self, name, recorded_solves):
+        # "bowl,2" used to run and be written as a row of 9 cells under the
+        # header's 8; " bowl" would read back as "bowl"
+        bowl = dataclasses.replace(get_problem("branin"), name=name)
+        solves = recorded_solves()
+        with pytest.raises(ValueError, match="a runs CSV cannot hold the problem name"):
+            run_suite_benchmark(suite=[get_problem("sphere"), bowl], runs_required=1,
+                                attempt_cap=2, wrap=solves)
+        assert solves == []
+
+    def test_no_start_is_drawn_after_a_cell_reaches_its_quota(self, monkeypatch):
+        drawn = []
+
+        def counted(*args):
+            drawn.append(args)
+            return suite_start(*args)
+        monkeypatch.setattr(bench, "suite_start", counted)
+        table = run_suite_benchmark(suite=[get_problem("sphere"), get_problem("schwefel")],
+                                    runs_required=2, attempt_cap=4)
+        assert len(table.cell("sphere", "q1")) == 2  # a cell that stops at its quota
+        assert len(drawn) == len(table.rows)
 
     @pytest.mark.parametrize("sweep, inputs", [
         (lambda **kw: run_fc_benchmark(config=SolverConfig(max_iterations=2), **kw),

@@ -429,6 +429,14 @@ class TestConstrainedProblem:
         with pytest.raises(ValueError, match="fewer equality constraints than variables"):
             ConstrainedProblem(**kwargs)
 
+    @pytest.mark.parametrize("x0", [3.0, [[1.0, 2.0]]], ids=str)
+    def test_x0_must_be_a_vector(self, x0):
+        # 3.0 used to raise an IndexError; [[1.0, 2.0]] gave n = 1 and a
+        # numeric_failure after 0 iterations
+        with pytest.raises(ValueError, match="x0 must be a vector"):
+            ConstrainedProblem(objective=lambda x: float(x @ x), gradient=lambda x: 2.0 * x,
+                               x0=x0)
+
     def test_matching_counts_accepted(self):
         assert solve_qsqp(ConstrainedProblem(**self.CIRCLE, **self.BALL)).status == \
             STATUS_CONVERGED
