@@ -30,23 +30,4 @@ from .sqp import (ConstrainedProblem, QpSolution, SqpTraceRecord, kkt_solve,
 from .usolve import (IterationRecord, SolveResult, SolverConfig, bfgs_update,
                      solve_bfgs, solve_qls)
 
-__all__ = [
-    "BenchmarkRow", "BenchmarkTable", "FcSummaryRow", "ProfileCurve",
-    "emit", "fc_summary", "load_profile_csv", "load_runs_csv",
-    "performance_profile", "run_fc_benchmark", "run_suite_benchmark",
-    "CallbackError", "DescentDirectionError", "GradientShapeError", "LineSearchError",
-    "NumericError", "QPError",
-    "StepResult", "backtracking_step",
-    "Problem", "StartBox", "check_gradient", "get_problem", "make_fc",
-    "standard_suite",
-    "FactorizationBundle", "PsdModification", "default_delta", "ldl_factor",
-    "psd_modify",
-    "QSchedule", "q_derivative_1d", "q_partial", "q_shift",
-    "QHessian", "q_hessian", "q_hessian_lagrangian",
-    "ConstrainedProblem", "QpSolution", "SqpTraceRecord", "kkt_solve",
-    "merit_l1", "qp_active_set", "solve_qsqp",
-    "IterationRecord", "SolveResult", "SolverConfig", "bfgs_update",
-    "solve_bfgs", "solve_qls",
-]
-
 __version__ = "0.1.0"

@@ -136,9 +136,6 @@ def solver_call(solver, q0=DEFAULT_SCHEDULE.q0):
     schedule = QSchedule(q0, int(gamma) if gamma else DEFAULT_SCHEDULE.gamma)
 
     def call(problem, x0, config):
-        if np.shape(x0) != (problem.dimension,):
-            raise ValueError(f"{problem.name} expects dimension {problem.dimension}, "
-                             f"got x0 of shape {np.shape(x0)}")
         config = dataclasses.replace(config if config is not None else SolverConfig(),
                                      f_floor=problem.known_min_value - SUCCESS_VALUE_GAP)
         problem = dataclasses.replace(problem, objective=_guarded(problem.objective),
@@ -158,13 +155,9 @@ def _sweep(problems, solvers, q0, wrap, config, seed, starts, runs_required=None
     before the first, and passed through ``wrap`` if given; ValueError for a
     name given twice, or a problem name that a runs-CSV cell cannot hold."""
     solvers = list(solvers)
-    for kind, names in (("problem", [p.name for p in problems]), ("solver", solvers)):
+    for kind, names in (("problem", [_text_cell(p.name) for p in problems]), ("solver", solvers)):
         if len(set(names)) < len(names):
             raise ValueError(f"a sweep names each {kind} once, got {', '.join(names)}")
-    for problem in problems:
-        # a comma or line break splits the row; _read_csv strips each line
-        if problem.name != problem.name.strip() or set(problem.name) & set(",\n\r"):
-            raise ValueError(f"a runs CSV cannot hold the problem name {problem.name!r}")
     solves = {solver: solver_call(solver, q0) for solver in solvers}
     solves = {s: wrap(s, solve) for s, solve in solves.items()} if wrap is not None else solves
     table = BenchmarkTable()
@@ -310,6 +303,14 @@ def performance_profile(table, metric="iterations", runs_required=None):
 # serialization
 # ---------------------------------------------------------------------------
 
+def _text_cell(v):
+    """The cell of text ``v``; ValueError unless it reads back as ``v``: a
+    comma or line break would split the row, and reading strips each line."""
+    if v != v.strip() or set(v) & set(",\n\r"):
+        raise ValueError(f"a CSV cell cannot hold the text {v!r}")
+    return v
+
+
 def _count_cell(s):
     value = int(s)
     check_counts(0, count=value)  # every int field of a row is a count
@@ -328,7 +329,7 @@ def _finite_cell(s):
 #: A number cell is read back only as a count or a finite number, and every
 #: cell only as the text its value is written as
 _CELLS = {
-    "str": (str, str),
+    "str": (_text_cell, str),
     "int": (str, _count_cell),
     "bool": (lambda v: "true" if v else "false", lambda s: s == "true"),
     "float": (lambda v: repr(float(v)), _finite_cell),

@@ -2,8 +2,11 @@
 
 
 class NumericError(ArithmeticError):
-    """A user callback produced a non-finite value, at ``point`` when known.
-    The solvers end such a run as ``numeric_failure`` and drop the error, so
+    """A number a run cannot go on from, at ``point`` when known: a non-finite
+    value of a callback (f, its gradient, h, g or their Jacobians, or a
+    q-partial or q-Hessian entry built from them), a non-finite slope g.p of
+    an unconstrained step, or a ``QSchedule`` whose next q rounds to 1.  The
+    solvers end such a run as ``numeric_failure`` and drop the error, so
     only direct callers of q_hessian, q_partial and checked_gradient see the point."""
 
     def __init__(self, message, point=None):
@@ -18,7 +21,11 @@ class GradientShapeError(ValueError):
 
 
 class LineSearchError(RuntimeError):
-    """A step found no sufficient decrease, or its direction is not one of descent."""
+    """A step that cannot be taken: no sufficient decrease within the
+    search's halvings, a direction that is not one of descent, an accepted
+    unconstrained step that leaves x unchanged, or an SQP merit step that
+    left the merit unchanged while the KKT residual did not fall.  The
+    solvers end such a run as ``line_search_failure``."""
 
 
 #: the former name of a non-descent direction's error, kept for its importers

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import GradientShapeError, LineSearchError, NumericError, QPError
 from .linesearch import backtracking_step
 from .psdfactor import default_delta, ldl_factor, psd_modify
+from .qcalc import check_counts
 from .qmatrix import (checked_gradient, checked_jacobian, lagrangian_gradient,
                       q_hessian_lagrangian)
 from .usolve import DEFAULT_SCHEDULE, STATUS_CONVERGED, drive
@@ -47,6 +48,7 @@ class ConstrainedProblem:
     n_ineq: int = 0
 
     def __post_init__(self):
+        check_counts(0, n_eq=self.n_eq, n_ineq=self.n_ineq)
         self.x0 = np.asarray(self.x0, dtype=float)
         if self.x0.ndim != 1:
             raise ValueError(f"x0 must be a vector, got shape {self.x0.shape}")
@@ -328,9 +330,11 @@ def solve_qsqp(problem, config=None, schedule=DEFAULT_SCHEDULE, callback=None):
     """q-line-search SQP on a ConstrainedProblem.
 
     With no constraints at all the iterate sequence coincides exactly with
-    ``solve_qls`` on the same objective, config and schedule (the q-Hessian
-    is then modified under the same default eigenvalue floor).  The
+    ``solve_qls`` on the same objective, schedule and config, if the
+    config's ``f_floor`` is -inf (the q-Hessian is then modified under the
+    same default eigenvalue floor).  ``config.f_floor`` is not used, so under
+    a finite floor QLS may stop as ``diverged`` where this run goes on.  The
     objective and constraint values at a new iterate are carried over from
-    the accepted merit trial; ``config.f_floor`` is not used.
+    the accepted merit trial.
     """
     return drive(_SqpRun(problem, schedule), config, callback)

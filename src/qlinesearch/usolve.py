@@ -210,6 +210,9 @@ class _DescentRun:
     record = IterationRecord
 
     def __init__(self, problem, x0, direction):
+        if np.shape(x0) != (problem.dimension,):
+            raise ValueError(f"{problem.name} expects dimension {problem.dimension}, "
+                             f"got x0 of shape {np.shape(x0)}")
         self.objective = problem.objective
         self.gradient = problem.gradient
         self.direction = direction
@@ -271,7 +274,7 @@ def solve_qls(problem, x0, config=None, schedule=DEFAULT_SCHEDULE, callback=None
 
 def solve_bfgs(problem, x0, config=None, callback=None):
     """BFGS baseline under the same step, stop test and tracing as ``solve_qls``."""
-    B = np.eye(np.asarray(x0).shape[0])
+    B = np.eye(problem.dimension)
     x_prev = g_prev = None
 
     def direction(x, g):

@@ -274,7 +274,7 @@ class TestSweepInputs:
         # header's 8; " bowl" would read back as "bowl"
         bowl = dataclasses.replace(get_problem("branin"), name=name)
         solves = recorded_solves()
-        with pytest.raises(ValueError, match="a runs CSV cannot hold the problem name"):
+        with pytest.raises(ValueError, match="a CSV cell cannot hold the text"):
             run_suite_benchmark(suite=[get_problem("sphere"), bowl], runs_required=1,
                                 attempt_cap=2, wrap=solves)
         assert solves == []
@@ -507,6 +507,23 @@ class TestEmit:
         with pytest.raises(ValueError) as err:
             bench.load_runs_csv(str(path))
         assert str(err.value).startswith(f"{path} {where}")
+
+    @pytest.mark.parametrize("name", ["a,b", " a", "a\nb"], ids=repr)
+    def test_text_that_does_not_read_back_is_not_written(self, name, tmp_path):
+        # "a,b" and "a\nb" used to be written to files load_* rejects, and
+        # " a" to read back as "a"
+        path = tmp_path / "out.csv"
+        for obj in (BenchmarkTable([row(name, "s1", 2)]), [ProfileCurve(name, [(1.0, 1.0)])]):
+            with pytest.raises(ValueError, match="a CSV cell cannot hold the text"):
+                bench.emit(obj, "csv", str(path))
+            assert not path.exists()
+
+    def test_runs_text_cell_is_not_padded(self, tmp_path):
+        # it used to load as the solver " bfgs"
+        path = tmp_path / "runs.csv"
+        path.write_text(f"{bench.RUNS_HEADER}\nbranin, bfgs,0,42,true,5,0.01,1.0;2.0\n")
+        with pytest.raises(ValueError, match="line 2, column solver: a CSV cell cannot hold"):
+            bench.load_runs_csv(str(path))
 
     def test_optional_float_cell_is_empty_or_finite(self):
         parse, = bench._cell_rules(["Optional[float]"], 1)

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from qlinesearch import psdfactor, sqp
 from qlinesearch.errors import QPError
-from qlinesearch.problems import Problem, get_problem
+from qlinesearch.problems import Problem, get_problem, make_fc
 from qlinesearch.psdfactor import ldl_factor, psd_modify
 from qlinesearch.qcalc import QSchedule
 from qlinesearch.sqp import (ConstrainedProblem, kkt_solve, merit_l1,
                              qp_active_set, solve_qsqp)
-from qlinesearch.usolve import (STATUS_CONVERGED, STATUS_LINE_SEARCH_FAILURE,
+from qlinesearch.usolve import (STATUS_CONVERGED, STATUS_DIVERGED, STATUS_LINE_SEARCH_FAILURE,
                                 STATUS_MAX_ITERATIONS, STATUS_NUMERIC_FAILURE,
                                 STATUS_QP_FAILURE, SolverConfig, solve_bfgs, solve_qls)
 
@@ -429,6 +429,13 @@ class TestConstrainedProblem:
         with pytest.raises(ValueError, match="fewer equality constraints than variables"):
             ConstrainedProblem(**kwargs)
 
+    @pytest.mark.parametrize("count", [-1, 1.0, True], ids=repr)
+    def test_equality_count_is_a_whole_number(self, count):
+        # -1 used to raise numpy's "negative dimensions are not allowed",
+        # 1.0 and True a TypeError
+        with pytest.raises(ValueError, match="n_eq must be a whole number"):
+            ConstrainedProblem(**dict(self.CIRCLE, n_eq=count))
+
     @pytest.mark.parametrize("x0", [3.0, [[1.0, 2.0]]], ids=str)
     def test_x0_must_be_a_vector(self, x0):
         # 3.0 used to raise an IndexError; [[1.0, 2.0]] gave n = 1 and a
@@ -741,6 +748,19 @@ class TestSolveQsqp:
         iterations = self.assert_parity_with_qls(
             lambda x: float(0.1 * (x @ x)), lambda x: 0.2 * x, np.array([1.0, -0.7, 0.4]))
         assert iterations == 1
+
+    def test_zero_constraints_parity_needs_no_objective_floor(self):
+        # solve_qsqp does not read config.f_floor: with the floor between
+        # f(x_1) and f(x_2), QLS ends diverged at x_2 and SQP runs on as
+        # QLS does without the floor
+        prob, x0 = make_fc(0.5), np.array([0.5, 0.9])
+        free = solve_qls(prob, x0)
+        config = SolverConfig(f_floor=(free.trace[1].f_value + free.trace[2].f_value) / 2)
+        ra = solve_qls(prob, x0, config=config)
+        rb = solve_qsqp(ConstrainedProblem(prob.objective, prob.gradient, x0), config=config)
+        assert (ra.status, ra.iterations) == (STATUS_DIVERGED, 2)
+        assert (rb.status, rb.iterations) == (STATUS_CONVERGED, 5)
+        assert np.array_equal(rb.x_final, free.x_final)
 
     def test_n_plus_one_gradients_per_iteration(self):
         counts = {"f": 0, "g": 0}

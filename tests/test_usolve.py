@@ -410,6 +410,14 @@ class TestSharedStep:
         assert r.f_final == branin.objective(np.array([3.0, 2.5])) == 0.5065217799344683
         assert counts == {"f": 1, "g": 1}
 
+    @pytest.mark.parametrize("x0", [[1.0, 2.0], 2.5, [[1.0] * 8]], ids=["2", "scalar", "1x8"])
+    @pytest.mark.parametrize("solve", [solve_qls, solve_bfgs])
+    def test_start_of_another_dimension_raises(self, solve, x0):
+        # [1, 2] used to be solved as a 2-D sphere, converged at (0, 0);
+        # BFGS raised IndexError on 2.5
+        with pytest.raises(ValueError, match=r"sphere expects dimension 8, got x0 of shape"):
+            solve(get_problem("sphere"), x0)
+
     @pytest.mark.parametrize("solve", [solve_bfgs, solve_qls, solve_sqp])
     def test_wrong_shaped_gradient_at_accepted_point(self, solve):
         # as in the NaN case above: the run ends at the accepted iterate
