@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CallbackError
+from .errors import CallbackError, check_counts
 from .problems import make_fc, standard_suite
-from .qcalc import QSchedule, check_counts
+from .qmatrix import QSchedule
 from .usolve import (DEFAULT_SCHEDULE, NUMERIC_ERRORS, STATUS_CONVERGED, SolverConfig, Trace,
                      solve_bfgs, solve_qls)
 
@@ -444,6 +444,7 @@ _SVG_COLORS = ("#1b6ca8", "#c23b22", "#2e8540", "#8031a7", "#b8860b", "#444444")
 
 
 def _profiles_svg(curves):
+    from xml.sax.saxutils import escape  # here, not at the top: it imports urllib.request (~30 ms)
     width, height, margin = 640, 440, 60
     plot_w = width - 2 * margin
     plot_h = height - 2 * margin
@@ -498,6 +499,6 @@ def _profiles_svg(curves):
         parts.append(f'<line x1="{width - margin - 110}" y1="{ly - 4}" '
                      f'x2="{width - margin - 86}" y2="{ly - 4}" stroke="{color}" stroke-width="1.8"/>')
         parts.append(f'<text x="{width - margin - 80}" y="{ly}" font-size="12" '
-                     f'font-family="sans-serif">{curve.solver}</text>')
+                     f'font-family="sans-serif">{escape(curve.solver)}</text>')
     parts.append("</svg>")
     return parts

@@ -59,7 +59,7 @@ def _build_parser():
     p_suite.add_argument("--max-iter", dest="max_iterations", type=int, metavar="MAX_ITER",
                          help="per-attempt iteration budget")
     p_suite.add_argument("--out", default=None, help="per-run CSV path")
-    p_suite.set_defaults(handler=_cmd_bench_suite, solvers=bench.SOLVERS)
+    p_suite.set_defaults(handler=_cmd_bench_suite)
 
     p_prof = sub.add_parser("profile", help="Dolan-More profile from a runs CSV")
     p_prof.add_argument("--metric", choices=bench.METRIC_FIELDS, required=True)
@@ -99,8 +99,7 @@ def _cmd_bench_fc(args):
 
 def _cmd_bench_suite(args):
     table = bench.run_suite_benchmark(master_seed=args.seed, runs_required=args.runs,
-                                      attempt_cap=args.attempt_cap, config=args.config,
-                                      solvers=args.solvers, q0=args.q0)
+                                      attempt_cap=args.attempt_cap, config=args.config, q0=args.q0)
     if args.out:
         bench.emit(table, "csv", args.out)
     short = table.short_cells(args.runs)

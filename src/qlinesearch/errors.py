@@ -1,4 +1,13 @@
-"""Exception types shared across the solvers."""
+"""Exception types shared across the solvers, and the package's count rule."""
+
+import numbers
+
+
+def check_counts(least=1, **counts):
+    """Raise ValueError unless each count is an integer >= ``least``, not a bool."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
+            raise ValueError(f"{name} must be a whole number of at least {least}, got {value!r}")
 
 
 class NumericError(ArithmeticError):

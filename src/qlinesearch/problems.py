@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcalc import central_difference
+from .qmatrix import central_difference
 
 _PI = math.pi
 

@@ -16,13 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GradientShapeError, LineSearchError, NumericError, QPError
-from .linesearch import backtracking_step
+from .errors import GradientShapeError, LineSearchError, NumericError, QPError, check_counts
 from .psdfactor import default_delta, ldl_factor, psd_modify
-from .qcalc import check_counts
 from .qmatrix import (checked_gradient, checked_jacobian, lagrangian_gradient,
                       q_hessian_lagrangian)
-from .usolve import DEFAULT_SCHEDULE, STATUS_CONVERGED, drive
+from .usolve import DEFAULT_SCHEDULE, STATUS_CONVERGED, backtracking_step, drive
 
 
 @dataclass

@@ -8,6 +8,8 @@ config.  Both unconstrained solvers stop on the gradient norm and the
 objective floor and emit the same per-iteration trace.  The q solver
 rebuilds its positive definite matrix from scratch every iteration out of
 the q-Hessian surrogate; BFGS carries the classical rank-two update forward.
+Every step, SQP's merit step included, is Armijo backtracking (Nocedal &
+Wright 2006, Alg. 3.1) with the paper's c1 = 1e-4, halving from alpha = 1.
 """
 
 from __future__ import annotations
@@ -20,11 +22,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CallbackError, GradientShapeError, LineSearchError, NumericError, QPError
-from .linesearch import backtracking_step
+from .errors import (CallbackError, GradientShapeError, LineSearchError, NumericError, QPError,
+                     check_counts)
 from .psdfactor import psd_modify
-from .qcalc import QSchedule, check_counts
-from .qmatrix import checked_gradient, q_hessian
+from .qmatrix import QSchedule, checked_gradient, q_hessian
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERATIONS = "max_iterations"
@@ -130,6 +131,41 @@ def bfgs_update(B, s, y):
     v = B @ s
     sBs = float(s @ v)
     return B - np.outer(v, v) / sBs + np.outer(y, y) / sy
+
+
+C1 = 1e-4
+ALPHA0 = 1.0
+BACKTRACK_FACTOR = 0.5
+MAX_HALVINGS = 60
+
+
+@dataclass
+class StepResult:
+    alpha: float
+    trials: int
+    value: float  # phi(alpha), the last trial's value
+
+
+def backtracking_step(phi, phi0, slope):
+    """Largest alpha in {ALPHA0 * BACKTRACK_FACTOR^j} with
+    phi(alpha) <= phi0 + C1 alpha slope.
+
+    ``phi(a)`` is the function along the ray, ``phi0`` its value at 0 and
+    ``slope`` its derivative there.  Raises ``LineSearchError`` when no trial
+    within MAX_HALVINGS halvings passes, after MAX_HALVINGS + 1 trials.
+
+    The inputs are not checked.  The unconstrained solvers require a finite
+    phi0 and a negative slope; the SQP merit search does not, as its l1
+    slope can round to a tiny positive number on a step that still
+    decreases the merit.  A non-finite trial value fails the test.
+    """
+    alpha = ALPHA0
+    for trial in range(1, MAX_HALVINGS + 2):
+        value = phi(alpha)
+        if value <= phi0 + C1 * alpha * slope:
+            return StepResult(alpha=alpha, trials=trial, value=value)
+        alpha *= BACKTRACK_FACTOR
+    raise LineSearchError(f"Armijo condition not satisfied within {MAX_HALVINGS} halvings")
 
 
 class _PastDeadline(Exception):

@@ -5,7 +5,7 @@ iteration-count table for the fc family is reproduced cell by cell; the
 q-solver variants and the BFGS baseline run under the exact experiment
 protocol (q0 = 0.9, eps = 1e-5, Armijo constant 1e-4, backtracking factor
 0.5 from unit steps).  The line search is Armijo only: no curvature
-condition is evaluated (see ``qlinesearch.linesearch``).
+condition is evaluated (see ``qlinesearch.usolve.backtracking_step``).
 """
 
 import itertools
@@ -18,8 +18,7 @@ import qlinesearch as q
 from qlinesearch import bench, sqp
 from qlinesearch.cli import main as cli_main
 from qlinesearch.psdfactor import psd_modify
-from qlinesearch.qcalc import QSchedule
-from qlinesearch.qmatrix import q_hessian
+from qlinesearch.qmatrix import QSchedule, q_hessian
 from qlinesearch.sqp import ConstrainedProblem, qp_active_set, solve_qsqp
 from qlinesearch.usolve import SolverConfig, solve_bfgs, solve_qls
 

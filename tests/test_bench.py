@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -561,6 +562,12 @@ class TestEmit:
         assert text.startswith("<svg")
         assert text.count("<polyline") == 2
         assert "s1" in text and "s2" in text
+
+    def test_svg_escapes_solver_names(self, tmp_path):
+        path = tmp_path / "prof.svg"
+        bench.emit([ProfileCurve("q<1&", [(1.0, 1.0)])], "svg", str(path))
+        texts = [e.text for e in ET.parse(path).getroot().iter("{http://www.w3.org/2000/svg}text")]
+        assert texts[-1] == "q<1&"
 
     @pytest.mark.parametrize("iterations", [(1, 1), (2, 3)], ids=["all-tie", "max-tau-1.5"])
     def test_svg_coordinates_lie_on_the_canvas(self, iterations, tmp_path):

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from qlinesearch.errors import LineSearchError
-from qlinesearch.linesearch import (ALPHA0, BACKTRACK_FACTOR, C1, MAX_HALVINGS,
-                                    backtracking_step)
+from qlinesearch.usolve import ALPHA0, BACKTRACK_FACTOR, C1, MAX_HALVINGS, backtracking_step
 
 
 def test_full_step_accepted_on_linear_decrease():

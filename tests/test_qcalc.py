@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qlinesearch.errors import NumericError
-from qlinesearch.qcalc import QSchedule, q_derivative_1d, q_partial, q_shift
+from qlinesearch.qmatrix import QSchedule, q_derivative_1d, q_partial, q_shift
 
 
 class TestQDerivative1d:

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qlinesearch import qcalc, qmatrix
+from qlinesearch import qmatrix
 from qlinesearch.errors import GradientShapeError, NumericError
-from qlinesearch.qcalc import q_partial
-from qlinesearch.qmatrix import q_hessian, q_hessian_lagrangian
+from qlinesearch.qmatrix import q_hessian, q_hessian_lagrangian, q_partial
 
 
 def quadratic_gradient(Q, b):
@@ -53,15 +52,14 @@ class TestQHessian:
         assert calls["n"] == n + 1
 
     def test_q_checked_once(self, monkeypatch):
-        # the rows shift through qcalc's unchecked helper, not q_shift
+        # the rows shift through _shifted, not q_shift
         checks = []
 
         def counting(q):
             checks.append(q)
             return original(q)
 
-        original = qcalc._check_q
-        monkeypatch.setattr(qcalc, "_check_q", counting)
+        original = qmatrix._check_q
         monkeypatch.setattr(qmatrix, "_check_q", counting)
         q_hessian(lambda x: 2.0 * x, np.arange(1.0, 6.0), 0.7)
         assert checks == [0.7]

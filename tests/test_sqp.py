@@ -10,7 +10,7 @@ from qlinesearch import psdfactor, sqp
 from qlinesearch.errors import QPError
 from qlinesearch.problems import Problem, get_problem, make_fc
 from qlinesearch.psdfactor import ldl_factor, psd_modify
-from qlinesearch.qcalc import QSchedule
+from qlinesearch.qmatrix import QSchedule
 from qlinesearch.sqp import (ConstrainedProblem, kkt_solve, merit_l1,
                              qp_active_set, solve_qsqp)
 from qlinesearch.usolve import (STATUS_CONVERGED, STATUS_DIVERGED, STATUS_LINE_SEARCH_FAILURE,

@@ -4,11 +4,10 @@ import time
 import numpy as np
 import pytest
 
-from qlinesearch.linesearch import MAX_HALVINGS
 from qlinesearch.problems import Problem, get_problem, make_fc
-from qlinesearch.qcalc import QSchedule
+from qlinesearch.qmatrix import QSchedule
 from qlinesearch.sqp import ConstrainedProblem, solve_qsqp
-from qlinesearch.usolve import (STATUS_CONVERGED, STATUS_DIVERGED,
+from qlinesearch.usolve import (MAX_HALVINGS, STATUS_CONVERGED, STATUS_DIVERGED,
                                 STATUS_LINE_SEARCH_FAILURE,
                                 STATUS_MAX_ITERATIONS, STATUS_NUMERIC_FAILURE,
                                 STATUS_TIME_CAP, SolverConfig, _DescentRun,
