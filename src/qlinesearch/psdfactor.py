@@ -156,15 +156,11 @@ def ldl_factor(A):
     k = 0
     while k < n:
         absakk = abs(W[k, k])
-        if k + 1 < n:
-            col = np.abs(W[k + 1:, k])
-            imax = k + 1 + int(np.argmax(col))
-            colmax = float(col[imax - k - 1])
-        else:
-            imax = k
-            colmax = 0.0
+        col = np.abs(W[k + 1:, k])
+        colmax = float(col.max(initial=0.0))
         size = 1
         if absakk < _ALPHA * colmax:
+            imax = k + 1 + int(np.argmax(col))
             # rowmax: largest off-diagonal magnitude in row imax of the
             # trailing submatrix, read from the lower triangle (colmax > 0
             # here, so imax > k and the part left of the diagonal is nonempty).

@@ -38,14 +38,6 @@ def _check_q(q):
     return q
 
 
-def default_fd_step(scale=1.0):
-    """Central-difference step used on the zero-coordinate branch.
-
-    Cube root of machine epsilon, scaled by max(1, |scale|).
-    """
-    return _EPS ** (1.0 / 3.0) * max(1.0, abs(float(scale)))
-
-
 def central_difference(g, x, i, h):
     """(g(x + h e_i) - g(x - h e_i)) / 2h at the float array ``x``, calling g
     at x + h e_i first."""
@@ -91,7 +83,8 @@ def q_difference(g, x, i, q, gx=None):
     """
     xi = float(x[i])
     if abs(xi) <= ZERO_BAND * max(1.0, float(abs(x).max())):
-        return central_difference(g, x, i, default_fd_step(xi)), True
+        # step: cube root of machine epsilon, scaled by max(1, |x_i|)
+        return central_difference(g, x, i, _EPS ** (1.0 / 3.0) * max(1.0, abs(xi))), True
     if gx is None:
         gx = g(x)
     return (gx - g(_shifted(x, i, q))) / ((1.0 - q) * xi), False

@@ -99,7 +99,7 @@ class Trace(Sequence):
         return self.record(*[read(v) for read, v in
                              zip(_field_reads(self.record), self._rows[i].tolist())])
 
-    def __eq__(self, other):  # equal to any sequence of equal records, as a list is
+    def __eq__(self, other):  # equal to any sequence of equal records, a list or a tuple
         return isinstance(other, Sequence) and list(self) == list(other)
 
 

@@ -10,6 +10,7 @@ condition is evaluated (see ``qlinesearch.usolve.backtracking_step``).
 
 import itertools
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -450,8 +451,8 @@ def test_criterion_10_profile_correctness(suite_csvs):
 
 
 def test_criterion_11_determinism(suite_csvs):
-    a = open(suite_csvs["paths"][0], encoding="utf-8").read().splitlines()
-    b = open(suite_csvs["paths"][1], encoding="utf-8").read().splitlines()
+    a = Path(suite_csvs["paths"][0]).read_text(encoding="utf-8").splitlines()
+    b = Path(suite_csvs["paths"][1]).read_text(encoding="utf-8").splitlines()
     assert len(a) == len(b)
     header = a[0].split(",")
     time_col = header.index("elapsed_seconds")
