@@ -224,9 +224,8 @@ def suite_start(problem, solver, master_seed, run_index):
     """The start of suite run ``run_index`` of ``solver`` on ``problem``,
     drawn from the box around a known minimizer by its own RNG substream."""
     # crc32 keys are stable across platforms and runs, unlike hash()
-    rng = np.random.default_rng(
-        np.random.SeedSequence([master_seed, zlib.crc32(problem.name.encode()),
-                                zlib.crc32(solver.encode()), run_index]))
+    rng = np.random.default_rng([master_seed, zlib.crc32(problem.name.encode()),
+                                 zlib.crc32(solver.encode()), run_index])
     box = problem.start_box
     return box.center + box.side * (rng.random(problem.dimension) - 0.5)
 

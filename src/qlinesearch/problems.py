@@ -2,10 +2,10 @@
 
 Formulas follow the usual virtual-library definitions.  Every problem carries
 an analytic gradient, the full set of global minimizers (symmetric minima all
-listed), the minimum value, and a unit start box centered on a minimizer for
-drawing random initial guesses.  Minimizer coordinates without a closed form
-were refined to machine precision offline (Newton on the analytic gradient)
-and are frozen below.
+listed), the minimum value, and a unit start box centered on the first
+minimizer for drawing random initial guesses.  Minimizer coordinates without
+a closed form were refined to machine precision offline (Newton on the
+analytic gradient) and are frozen below.
 """
 
 from __future__ import annotations
@@ -114,14 +114,9 @@ def make_fc(c):
         gx = rosen_gx(xx, yy) if on_rosen_side(xx) else modified_gx(xx, yy)
         return np.array([gx, gy])
 
-    xstar = np.array([1.0, 1.0])
     # exact where {c:g} would round c, so that get_problem(name) is this problem
     label = f"{c:g}" if float(f"{c:g}") == c else repr(c)
-    return Problem(name=f"fc_c{label}", dimension=2,
-                   objective=objective, gradient=gradient,
-                   known_minimizers=[xstar],
-                   known_min_value=c,
-                   start_box=StartBox(center=xstar.copy()))
+    return _problem(f"fc_c{label}", objective, gradient, [np.array([1.0, 1.0])])
 
 
 # ---------------------------------------------------------------------------
@@ -165,13 +160,6 @@ def _branin_grad(x):
     return np.array([2.0 * inner * (-2.0 * _BRANIN_B * x[0] + _BRANIN_C)
                      - 10.0 * (1.0 - _BRANIN_T) * np.sin(x[0]),
                      2.0 * inner])
-
-
-def _branin_minimizers():
-    pts = []
-    for xs in (-_PI, _PI, 3.0 * _PI):
-        pts.append(np.array([xs, _BRANIN_B * xs ** 2 - _BRANIN_C * xs + 6.0]))
-    return pts
 
 
 def _crossintray(x):
@@ -328,9 +316,10 @@ def _zakharov_grad(x):
     return 2.0 * x + (2.0 * s + 4.0 * s ** 3) * 0.5 * i
 
 
-def _problem(name, dim, obj, grad, minimizers):
+def _problem(name, obj, grad, minimizers):
+    """Dimension, minimum value and start-box center all come from the first minimizer."""
     mins = [np.asarray(m, dtype=float) for m in minimizers]
-    return Problem(name=name, dimension=dim, objective=obj, gradient=grad,
+    return Problem(name=name, dimension=mins[0].shape[0], objective=obj, gradient=grad,
                    known_minimizers=mins,
                    known_min_value=float(obj(mins[0])),
                    start_box=StartBox(center=mins[0].copy()))
@@ -338,29 +327,28 @@ def _problem(name, dim, obj, grad, minimizers):
 
 def standard_suite():
     """The 15-problem low-dimensional test set."""
-    ct = _CROSS_T
-    sw = _SCHWEFEL_XSTAR
-    st = _STYBTANG_XSTAR
     return [
-        _problem("bohachevsky", 2, _bohachevsky, _bohachevsky_grad, [np.zeros(2)]),
-        _problem("branin", 2, _branin, _branin_grad, _branin_minimizers()),
-        _problem("crossintray", 2, _crossintray, _crossintray_grad,
-                 [np.array([sx * ct, sy * ct]) for sx in (1, -1) for sy in (1, -1)]),
-        _problem("dixonprice", 2, _dixonprice, _dixonprice_grad,
+        _problem("bohachevsky", _bohachevsky, _bohachevsky_grad, [np.zeros(2)]),
+        _problem("branin", _branin, _branin_grad,
+                 [np.array([xs, _BRANIN_B * xs ** 2 - _BRANIN_C * xs + 6.0])
+                  for xs in (-_PI, _PI, 3.0 * _PI)]),
+        _problem("crossintray", _crossintray, _crossintray_grad,
+                 [np.array([sx * _CROSS_T, sy * _CROSS_T]) for sx in (1, -1) for sy in (1, -1)]),
+        _problem("dixonprice", _dixonprice, _dixonprice_grad,
                  [np.array([1.0, 2.0 ** -0.5]), np.array([1.0, -(2.0 ** -0.5)])]),
-        _problem("easom", 2, _easom, _easom_grad, [np.array([_PI, _PI])]),
-        _problem("griewank", 4, _griewank, _griewank_grad, [np.zeros(4)]),
-        _problem("hartmann3", 3, _hartmann3, _hartmann3_grad, [_HART_XSTAR.copy()]),
-        _problem("levy", 4, _levy, _levy_grad, [np.ones(4)]),
-        _problem("mccormick", 2, _mccormick, _mccormick_grad, [_MCCORMICK_XSTAR.copy()]),
-        _problem("rotatedhyperellipsoid", 4, *_weighted_squares(lambda x: _index(x)[::-1]),
+        _problem("easom", _easom, _easom_grad, [np.array([_PI, _PI])]),
+        _problem("griewank", _griewank, _griewank_grad, [np.zeros(4)]),
+        _problem("hartmann3", _hartmann3, _hartmann3_grad, [_HART_XSTAR.copy()]),
+        _problem("levy", _levy, _levy_grad, [np.ones(4)]),
+        _problem("mccormick", _mccormick, _mccormick_grad, [_MCCORMICK_XSTAR.copy()]),
+        _problem("rotatedhyperellipsoid", *_weighted_squares(lambda x: _index(x)[::-1]),
                  [np.zeros(4)]),
-        _problem("schwefel", 2, _schwefel, _schwefel_grad, [np.full(2, sw)]),
-        _problem("sphere", 8, *_weighted_squares(lambda x: 1.0), [np.zeros(8)]),
-        _problem("styblinskitang", 4, _styblinski_tang, _styblinski_tang_grad,
-                 [np.full(4, st)]),
-        _problem("sumsquares", 10, *_weighted_squares(_index), [np.zeros(10)]),
-        _problem("zakharov", 2, _zakharov, _zakharov_grad, [np.zeros(2)]),
+        _problem("schwefel", _schwefel, _schwefel_grad, [np.full(2, _SCHWEFEL_XSTAR)]),
+        _problem("sphere", *_weighted_squares(lambda x: 1.0), [np.zeros(8)]),
+        _problem("styblinskitang", _styblinski_tang, _styblinski_tang_grad,
+                 [np.full(4, _STYBTANG_XSTAR)]),
+        _problem("sumsquares", *_weighted_squares(_index), [np.zeros(10)]),
+        _problem("zakharov", _zakharov, _zakharov_grad, [np.zeros(2)]),
     ]
 
 

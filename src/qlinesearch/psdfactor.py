@@ -160,7 +160,7 @@ def ldl_factor(A):
         colmax = float(col.max(initial=0.0))
         size = 1
         if absakk < _ALPHA * colmax:
-            imax = k + 1 + int(np.argmax(col))
+            imax = k + 1 + int(col.argmax())
             # rowmax: largest off-diagonal magnitude in row imax of the
             # trailing submatrix, read from the lower triangle (colmax > 0
             # here, so imax > k and the part left of the diagonal is nonempty).

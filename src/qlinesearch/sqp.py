@@ -170,7 +170,7 @@ def qp_active_set(B, grad, eq=((), ()), ineq=((), ())):
         if q < 0:
             viol = A_in @ d - b_in
             viol[W] = -np.inf
-            q = int(np.argmax(viol)) if p else -1
+            q = int(viol.argmax()) if p else -1
             if q < 0 or viol[q] <= tol:
                 d_v = np.zeros(p)
                 d_v[W] = np.maximum(mult[m:], 0.0)

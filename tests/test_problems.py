@@ -212,3 +212,17 @@ class TestSuite:
                                    [420.9687, 420.9687], atol=1e-4)
         np.testing.assert_allclose(suite["dixonprice"].known_minimizers[0],
                                    [1.0, 0.70710678], atol=1e-8)
+
+
+def test_every_problem_is_built_from_its_first_minimizer():
+    # the builder reads dimension, minimum value and start-box center from
+    # the first listed minimizer; fc's value there is exactly c
+    fc = {c: make_fc(c) for c in FC_VALUES + NEGATIVE_C + [3.0, 1.0 / 3.0]}
+    for prob in standard_suite() + list(fc.values()):
+        first = prob.known_minimizers[0]
+        assert all(m.shape == (prob.dimension,) for m in prob.known_minimizers), prob.name
+        np.testing.assert_array_equal(prob.start_box.center, first)
+        assert prob.start_box.center is not first, prob.name
+        assert prob.start_box.side == 1.0, prob.name
+    for c, prob in fc.items():
+        assert prob.known_min_value == c, prob.name
