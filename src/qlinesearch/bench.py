@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import operator
 import zlib
 from dataclasses import dataclass, field
 
@@ -220,14 +221,65 @@ def fc_summary(table):
     return out
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _seed_hash(const, mult):
+    """SeedSequence's word hash, its constant advancing by ``mult`` per call."""
+    def hashed(value):
+        nonlocal const
+        value ^= const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+    return hashed
+
+
+def _pcg64_uniforms(key, n):
+    """NumPy's ``default_rng(key).random(n)`` as a list, bit for bit, for a
+    list of whole numbers >= 0, without loading NumPy's random module (6 MB).
+    The key's 32-bit words seed NumPy's SeedSequence (NEP 19), whose state
+    seeds PCG64 (O'Neill 2014, XSL-RR output); a uniform is 53 output bits."""
+    words = []
+    for entry in map(operator.index, key):
+        if entry < 0:
+            raise ValueError(f"expected non-negative integer, got {entry}")
+        words += [entry >> s & _M32 for s in range(0, max(entry.bit_length(), 1), 32)]
+    hashmix = _seed_hash(0x43B0D7E5, 0x931E8875)
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    state = list(map(_seed_hash(0x8B51F9DD, 0x58F38DED), pool * 2))  # generate_state
+    u = [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]  # as 4 little-endian uint64
+    inc = ((u[2] << 64 | u[3]) << 1 | 1) & _M128
+    mult = 0x2360ED051FC65DA44385DF649FCCF645
+    x = ((inc + (u[0] << 64 | u[1])) * mult + inc) & _M128
+    out = []
+    for _ in range(n):
+        x = (x * mult + inc) & _M128
+        word, rot = (x >> 64 ^ x) & _M64, x >> 122
+        out.append((((word >> rot | word << 64 - rot) & _M64) >> 11) * 2.0 ** -53)
+    return out
+
+
 def suite_start(problem, solver, master_seed, run_index):
     """The start of suite run ``run_index`` of ``solver`` on ``problem``,
     drawn from the box around a known minimizer by its own RNG substream."""
     # crc32 keys are stable across platforms and runs, unlike hash()
-    rng = np.random.default_rng([master_seed, zlib.crc32(problem.name.encode()),
-                                 zlib.crc32(solver.encode()), run_index])
+    u = _pcg64_uniforms([master_seed, zlib.crc32(problem.name.encode()),
+                         zlib.crc32(solver.encode()), run_index], problem.dimension)
     box = problem.start_box
-    return box.center + box.side * (rng.random(problem.dimension) - 0.5)
+    return box.center + box.side * (np.array(u) - 0.5)
 
 
 def run_suite_benchmark(suite=None, solvers=SOLVERS, master_seed=SUITE_SEED,

@@ -3,11 +3,13 @@
 One Hypothesis profile for every property test in the suite: derandomized,
 so every run draws the same examples, and without an example database, so
 no run replays what an earlier one stored.  The ``recorded_solves`` fixture
-watches the solves of a ``bench`` sweep through its ``wrap``, and
-``load_tool`` imports a script of ``tools/``.
+watches the solves of a ``bench`` sweep through its ``wrap``,
+``load_tool`` imports a script of ``tools/``, and ``child_env`` is the
+environment of a child Python process.
 """
 
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
@@ -51,3 +53,14 @@ def load_tool(monkeypatch):
         spec.loader.exec_module(module)
         return module
     return load
+
+
+@pytest.fixture(scope="session")
+def child_env():
+    """The environment under which a child Python process imports the same
+    qlinesearch package this process tests, whether it came from an install
+    or from pytest's pythonpath setting."""
+    import qlinesearch
+    root = os.path.dirname(os.path.dirname(os.path.abspath(qlinesearch.__file__)))
+    path = os.pathsep.join(p for p in (root, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path)

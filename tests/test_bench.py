@@ -1,9 +1,14 @@
 import dataclasses
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qlinesearch import bench
 from qlinesearch.bench import (BenchmarkRow, BenchmarkTable, ProfileCurve,
@@ -202,8 +207,8 @@ class TestSuiteBenchmark:
 
     @pytest.mark.parametrize("seed", [-1, 2.5, float("nan"), 42.0, None, False], ids=str)
     def test_seed_must_be_whole_and_nonnegative(self, seed):
-        # -1 used to draw the starts of seed 2**32 - 1; 42.0 failed inside
-        # SeedSequence with a TypeError
+        # -1 used to draw the starts of seed 2**32 - 1; 42.0 failed in the
+        # first start's draw with a TypeError
         with pytest.raises(ValueError, match="master_seed must be a whole number of at least 0"):
             run_suite_benchmark(master_seed=seed)
 
@@ -213,6 +218,52 @@ class TestSuiteBenchmark:
         t = run_suite_benchmark(suite=suite, solvers=("q1",), master_seed=5,
                                 runs_required=5, attempt_cap=10)
         assert all(r.success and r.iterations <= 3 for r in t.rows)
+
+
+class TestSuiteStart:
+    """A suite start is NumPy's PCG64 stream for its key, drawn without
+    numpy.random.  These tests compare it with numpy.random under the NumPy
+    installed, so a runs CSV written under any supported NumPy replays."""
+
+    @given(st.lists(st.integers(0, 2**100 - 1), min_size=1, max_size=8), st.integers(1, 10))
+    def test_uniforms_are_numpys_stream(self, key, n):
+        assert np.array(bench._pcg64_uniforms(key, n)).tobytes() == \
+            np.random.default_rng(key).random(n).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**32 + 42], ids=str)
+    def test_every_suite_start_is_numpys(self, seed):
+        for problem in standard_suite():
+            box = problem.start_box
+            for solver in bench.SOLVERS:
+                for run_index in (0, 11, 199):
+                    key = [seed, zlib.crc32(problem.name.encode()),
+                           zlib.crc32(solver.encode()), run_index]
+                    u = np.random.default_rng(key).random(problem.dimension)
+                    assert suite_start(problem, solver, seed, run_index).tobytes() == \
+                        (box.center + box.side * (u - 0.5)).tobytes()
+
+    @pytest.mark.parametrize("seed, error", [(-1, ValueError), (42.0, TypeError)],
+                             ids=["negative", "float"])
+    def test_direct_call_raises_as_numpy_does(self, seed, error):
+        # default_rng raises the same type for the same key
+        with pytest.raises(error):
+            suite_start(get_problem("branin"), "q1", seed, 0)
+
+    def test_a_sweep_leaves_numpy_random_unloaded(self, child_env):
+        # a child process, so that no other test has loaded numpy.random
+        code = ("import sys, numpy\n"
+                "from qlinesearch.bench import run_suite_benchmark\n"
+                "from qlinesearch.problems import get_problem\n"
+                "with_numpy = 'numpy.random' in sys.modules\n"
+                "run_suite_benchmark(suite=[get_problem('branin')], runs_required=1,"
+                " attempt_cap=1)\n"
+                "print(with_numpy, 'numpy.random' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env=child_env, check=True)
+        with_numpy, after_sweep = proc.stdout.split()
+        if with_numpy == "True":
+            pytest.skip("this NumPy (before 2.0) loads numpy.random on import")
+        assert after_sweep == "False"
 
 
 class TestSweepInputs:

@@ -1,4 +1,3 @@
-import os
 import shlex
 import subprocess
 import sys
@@ -7,7 +6,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import qlinesearch
 from qlinesearch import bench, cli
 from qlinesearch.cli import main
 from qlinesearch.problems import standard_suite
@@ -225,31 +223,25 @@ def test_bench_suite_and_profile(tmp_path, capsys):
     assert svg.read_text().startswith("<svg")
 
 
-def test_module_entry_point():
-    # the child process imports the same package this process tests, whether
-    # it came from an install or from pytest's pythonpath setting
-    root = os.path.dirname(os.path.dirname(os.path.abspath(qlinesearch.__file__)))
-    path = os.pathsep.join(p for p in (root, os.environ.get("PYTHONPATH")) if p)
+def test_module_entry_point(child_env):
     proc = subprocess.run([sys.executable, "-m", "qlinesearch", "solve",
                            "--problem", "sphere", "--solver", "bfgs",
                            "--x0", "1,0,0,0,0,0,0,0"],
                           capture_output=True, text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=path))
+                          env=child_env)
     assert proc.returncode == 0
     assert "status=converged" in proc.stdout
 
 
-def test_bench_suite_names_each_short_cell_once(tmp_path):
+def test_bench_suite_names_each_short_cell_once(tmp_path, child_env):
     # a child process, so that stderr is everything the command writes
     # there, log records included
     runs = tmp_path / "runs.csv"
-    root = os.path.dirname(os.path.dirname(os.path.abspath(qlinesearch.__file__)))
-    path = os.pathsep.join(p for p in (root, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "qlinesearch", "bench", "suite",
                            "--seed", "3", "--runs", "2", "--attempt-cap", "2",
                            "--out", str(runs)],
                           capture_output=True, text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=path))
+                          env=child_env)
     table = bench.load_runs_csv(str(runs))
     short = [(p, s, n) for p in table.problems() for s in table.solvers()
              if (n := sum(r.success for r in table.cell(p, s))) < 2]
