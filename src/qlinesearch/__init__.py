@@ -11,7 +11,9 @@ The package provides:
 * ``sqp`` -- the SQP extension for equality/inequality constraints,
 * ``problems`` -- the fc family and the 15-problem test suite,
 * ``bench`` -- reproducible benchmark sweeps and Dolan-More performance
-  profiles (CSV/SVG), also exposed through the ``qlinesearch`` CLI.
+  profiles (CSV/SVG),
+* ``errors`` -- the exception types and the package's count rule,
+* ``cli`` -- the ``qlinesearch`` command line over ``bench`` and the solvers.
 """
 
 from .bench import (BenchmarkRow, BenchmarkTable, FcSummaryRow, ProfileCurve,

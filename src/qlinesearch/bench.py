@@ -39,12 +39,7 @@ SUCCESS_DISTANCE = 1e-3
 SUCCESS_VALUE_GAP = 1e-6
 
 #: perfbench's SQP iteration budget, kept here under this name only because
-#: perfbench/workloads.py builds SQP_CONFIG from it (a rename waits for a
-#: benchmark change); no sweep reads it.  It cuts off slow convergers: under
-#: SolverConfig()'s 10,000, solve_qsqp converges on sqp-constrained instance
-#: 126:hartmann3:eq+ball (a fixed instance at every seed) after 5,450
-#: iterations and 21,801 gradient evaluations, on 216 (seed 1) after 358 and
-#: on 576 (seed 2) after 4,009; only 276 (seed 1) still ends at 10,000
+#: perfbench/workloads.py builds SQP_CONFIG from it; no sweep reads it
 SUITE_MAX_ITERATIONS = 300
 
 

@@ -5,7 +5,8 @@ so every run draws the same examples, and without an example database, so
 no run replays what an earlier one stored.  The ``recorded_solves`` fixture
 watches the solves of a ``bench`` sweep through its ``wrap``,
 ``load_tool`` imports a script of ``tools/``, and ``child_env`` is the
-environment of a child Python process.
+environment of a child Python process.  ``circle`` is the constrained test
+problem that several modules share.
 """
 
 import importlib.util
@@ -13,12 +14,25 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
 settings.register_profile("qlinesearch", max_examples=100, deadline=None,
                           derandomize=True, database=None)
 settings.load_profile("qlinesearch")
+
+
+def circle(**fields):
+    """The keyword arguments of ``ConstrainedProblem`` for min x0 + x1 on the
+    circle |x|^2 = 2 from (-0.5, -1.5), solved at (-1, -1); ``fields`` replace
+    or add any of them."""
+    return {"objective": lambda x: float(x[0] + x[1]),
+            "gradient": lambda x: np.array([1.0, 1.0]),
+            "x0": np.array([-0.5, -1.5]),
+            "h": lambda x: np.array([x[0] ** 2 + x[1] ** 2 - 2.0]),
+            "jac_h": lambda x: np.array([[2.0 * x[0], 2.0 * x[1]]]),
+            "n_eq": 1, **fields}
 
 
 class _SolveLog(list):

@@ -9,6 +9,7 @@ condition is evaluated (see ``qlinesearch.usolve.backtracking_step``).
 """
 
 import itertools
+import re
 import time
 from pathlib import Path
 
@@ -22,6 +23,8 @@ from qlinesearch.psdfactor import psd_modify
 from qlinesearch.qmatrix import QSchedule, q_hessian
 from qlinesearch.sqp import ConstrainedProblem, qp_active_set, solve_qsqp
 from qlinesearch.usolve import SolverConfig, solve_bfgs, solve_qls
+
+from conftest import circle
 
 # published mean iteration counts: c -> (bfgs, q1, q2, q3)
 PUBLISHED_FC_ITERATIONS = {
@@ -234,6 +237,25 @@ def test_fc_q_columns_follow_the_oracle(fc_results):
     assert got == want
 
 
+def test_readme_results_table(fc_results):
+    # README's fc table: c, then each solver's published and reproduced mean;
+    # a reproduced mean is of ten whole counts, so one decimal is exact
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Results\n", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        if re.match(r"\| \d", line):
+            c, *cells = [cell.strip() for cell in line.strip("|").split("|")]
+            table[c] = cells
+    assert {c: [cell.split()[0] for cell in cells[0::2]] for c, cells in table.items()} == \
+        {f"{c:.1f}": [f"{m:.1f}" for m in means] for c, means in PUBLISHED_FC_ITERATIONS.items()}
+    assert {c: cells[1::2] for c, cells in table.items()} == \
+        {f"{c:.1f}": [f"{m:.1f}" for m in fc_results["means"][c]] for c in PUBLISHED_FC_ITERATIONS}
+    # the erratum cells, and only they, link their analysis
+    assert {(float(c), SOLVER_ORDER[i]) for c, cells in table.items()
+            for i, cell in enumerate(cells[0::2]) if "(docs/fc_c05.md)" in cell} == FC_ERRATA
+
+
 def test_criterion_02_gamma_trend(fc_results):
     hits = sum(1 for c in PUBLISHED_FC_ITERATIONS
                if fc_results["means"][c][3] <= fc_results["means"][c][1] + 0.5)
@@ -380,14 +402,7 @@ def test_criterion_08_gradient_checks():
 
 
 def test_criterion_09_sqp():
-    circle = ConstrainedProblem(
-        objective=lambda x: float(x[0] + x[1]),
-        gradient=lambda x: np.array([1.0, 1.0]),
-        x0=np.array([-0.5, -1.5]),
-        h=lambda x: np.array([x[0] ** 2 + x[1] ** 2 - 2.0]),
-        jac_h=lambda x: np.array([[2.0 * x[0], 2.0 * x[1]]]),
-        n_eq=1)
-    r = solve_qsqp(circle)
+    r = solve_qsqp(ConstrainedProblem(**circle()))
     assert r.status == "converged"
     assert r.iterations <= 30
     np.testing.assert_allclose(r.x_final, [-1.0, -1.0], atol=1e-5)

@@ -17,16 +17,11 @@ from qlinesearch.usolve import (STATUS_CONVERGED, STATUS_DIVERGED, STATUS_LINE_S
                                 STATUS_MAX_ITERATIONS, STATUS_NUMERIC_FAILURE,
                                 STATUS_QP_FAILURE, SolverConfig, solve_bfgs, solve_qls)
 
+from conftest import circle
+
 
 def circle_problem(x0=(-0.5, -1.5), u0=0.0):
-    return ConstrainedProblem(
-        objective=lambda x: float(x[0] + x[1]),
-        gradient=lambda x: np.array([1.0, 1.0]),
-        x0=np.array(x0, dtype=float),
-        h=lambda x: np.array([x[0] ** 2 + x[1] ** 2 - 2.0]),
-        jac_h=lambda x: np.array([[2.0 * x[0], 2.0 * x[1]]]),
-        u0=np.array([u0]),
-        n_eq=1)
+    return ConstrainedProblem(**circle(x0=np.array(x0, dtype=float), u0=np.array([u0])))
 
 
 def cycling_kkt_solve(B, grad, rows, rhs):
@@ -401,10 +396,7 @@ class TestQpProperties:
 
 
 class TestConstrainedProblem:
-    CIRCLE = dict(objective=lambda x: float(x[0] + x[1]), gradient=lambda x: np.ones(2),
-                  x0=np.array([-0.5, -1.5]),
-                  h=lambda x: np.array([x[0] ** 2 + x[1] ** 2 - 2.0]),
-                  jac_h=lambda x: np.array([[2.0 * x[0], 2.0 * x[1]]]), n_eq=1)
+    CIRCLE = circle()
     BALL = dict(g=lambda x: np.array([x @ x - 4.0]), jac_g=lambda x: np.atleast_2d(2.0 * x),
                 n_ineq=1)
 
@@ -774,10 +766,7 @@ class TestSolveQsqp:
             return np.array([1.0, 1.0])
 
         xs = []
-        prob = ConstrainedProblem(
-            objective=objective, gradient=gradient, x0=np.array([-0.5, -1.5]),
-            h=lambda x: np.array([x[0] ** 2 + x[1] ** 2 - 2.0]),
-            jac_h=lambda x: np.array([[2.0 * x[0], 2.0 * x[1]]]), n_eq=1)
+        prob = ConstrainedProblem(**circle(objective=objective, gradient=gradient))
         r = solve_qsqp(prob, callback=lambda x: xs.append(x))
         assert r.status == STATUS_CONVERGED
         # no iterate has a coordinate in the q-Hessian's zero band

@@ -12,15 +12,14 @@ from qlinesearch.problems import Problem, get_problem, make_fc
 from qlinesearch.sqp import ConstrainedProblem, SqpTraceRecord, solve_qsqp
 from qlinesearch.usolve import IterationRecord, SolverConfig, Trace, solve_bfgs, solve_qls
 
+from conftest import circle
+
 INT_FIELDS = {"k", "fallback_count", "trials"}
 
 
 def circle_run(config=None):
     # min x0 + x1 on the circle |x|^2 = 2: a few SQP iterations, some backtracked
-    return solve_qsqp(ConstrainedProblem(
-        objective=lambda x: float(x[0] + x[1]), gradient=lambda x: np.array([1.0, 1.0]),
-        x0=np.array([-0.5, -1.5]), h=lambda x: np.array([x[0] ** 2 + x[1] ** 2 - 2.0]),
-        jac_h=lambda x: np.array([[2.0 * x[0], 2.0 * x[1]]]), n_eq=1), config=config)
+    return solve_qsqp(ConstrainedProblem(**circle()), config=config)
 
 
 def linear_run(method, config):

@@ -18,15 +18,7 @@ from perfbench.spans import Meter, SpanRecorder  # noqa: E402
 from qlinesearch import bench, get_problem, solve_bfgs, solve_qls  # noqa: E402
 from qlinesearch.sqp import ConstrainedProblem, solve_qsqp  # noqa: E402
 
-
-def circle():
-    return ConstrainedProblem(
-        objective=lambda x: float(x[0] + x[1]),
-        gradient=lambda x: np.array([1.0, 1.0]),
-        x0=np.array([-0.5, -1.5]),
-        h=lambda x: np.array([x[0] ** 2 + x[1] ** 2 - 2.0]),
-        jac_h=lambda x: np.array([[2.0 * x[0], 2.0 * x[1]]]),
-        n_eq=1)
+from conftest import circle  # noqa: E402
 
 
 def traced(solves):
@@ -54,7 +46,7 @@ def bfgs():
 
 
 def sqp():
-    assert solve_qsqp(circle()).status == "converged"
+    assert solve_qsqp(ConstrainedProblem(**circle())).status == "converged"
 
 
 def test_every_patched_attribute_is_reached(monkeypatch):
