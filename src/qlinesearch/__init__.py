@@ -19,8 +19,7 @@ The package provides:
 from .bench import (BenchmarkRow, BenchmarkTable, FcSummaryRow, ProfileCurve,
                     emit, fc_summary, load_profile_csv, load_runs_csv,
                     performance_profile, run_fc_benchmark, run_suite_benchmark)
-from .errors import (CallbackError, DescentDirectionError, GradientShapeError,
-                     LineSearchError, NumericError, QPError)
+from .errors import CallbackError, GradientShapeError, LineSearchError, NumericError, QPError
 from .problems import Problem, StartBox, check_gradient, get_problem, make_fc, standard_suite
 from .psdfactor import (FactorizationBundle, PsdModification, default_delta,
                         ldl_factor, psd_modify)

@@ -37,7 +37,8 @@ class LineSearchError(RuntimeError):
     solvers end such a run as ``line_search_failure``."""
 
 
-#: the former name of a non-descent direction's error, kept for its importers
+#: the former name of a non-descent direction's error, kept for perfbench,
+#: which imports it from here; the package does not export it
 DescentDirectionError = LineSearchError
 
 

@@ -1,8 +1,11 @@
 """Shared test setup.
 
-One Hypothesis profile for every property test in the suite: derandomized,
-so every run draws the same examples, and without an example database, so
-no run replays what an earlier one stored.  The ``recorded_solves`` fixture
+The randomized tests of the layers (q-Hessian, factorization and
+modification, QP step) are Hypothesis properties under one profile:
+derandomized, so every run draws the same examples, and without an example
+database, so no run replays what an earlier one stored.  Their strategies
+draw dimensions up to ``MAX_N``.  A seeded loop is left only where no
+property states its claim.  The ``recorded_solves`` fixture
 watches the solves of a ``bench`` sweep through its ``wrap``,
 ``load_tool`` imports a script of ``tools/``, and ``child_env`` is the
 environment of a child Python process.  ``circle`` is the constrained test
@@ -21,6 +24,10 @@ from hypothesis import settings
 settings.register_profile("qlinesearch", max_examples=100, deadline=None,
                           derandomize=True, database=None)
 settings.load_profile("qlinesearch")
+
+#: the largest dimension any benchmark workload sends to a layer (the suite's
+#: sumsquares, n = 10), where the layer properties' strategies stop
+MAX_N = 10
 
 
 def circle(**fields):
