@@ -5,11 +5,18 @@ modification, QP step) are Hypothesis properties under one profile:
 derandomized, so every run draws the same examples, and without an example
 database, so no run replays what an earlier one stored.  Their strategies
 draw dimensions up to ``MAX_N``.  A seeded loop is left only where no
-property states its claim.  The ``recorded_solves`` fixture
-watches the solves of a ``bench`` sweep through its ``wrap``,
-``load_tool`` imports a script of ``tools/``, and ``child_env`` is the
-environment of a child Python process.  ``circle`` is the constrained test
-problem that several modules share.
+property states its claim.
+
+``SOLVES`` is the table of the three solvers, each called as ``solve_qls``
+is; SQP solves the problem through a ``ConstrainedProblem`` without
+constraints.  Each claim about whole solver runs is checked once: by the
+acceptance criterion that states it, or else by one test over the entries
+of ``SOLVES`` that can reach it, so a new solver is one more entry.
+
+The ``recorded_solves`` fixture watches the solves of a ``bench`` sweep
+through its ``wrap``, ``load_tool`` imports a script of ``tools/``, and
+``child_env`` is the environment of a child Python process.  ``circle`` is
+the constrained test problem that several modules share.
 """
 
 import importlib.util
@@ -21,6 +28,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from qlinesearch.sqp import ConstrainedProblem, solve_qsqp
+from qlinesearch.usolve import DEFAULT_SCHEDULE, solve_bfgs, solve_qls
+
 settings.register_profile("qlinesearch", max_examples=100, deadline=None,
                           derandomize=True, database=None)
 settings.load_profile("qlinesearch")
@@ -28,6 +38,17 @@ settings.load_profile("qlinesearch")
 #: the largest dimension any benchmark workload sends to a layer (the suite's
 #: sumsquares, n = 10), where the layer properties' strategies stop
 MAX_N = 10
+
+
+def solve_sqp(problem, x0, config=None, schedule=DEFAULT_SCHEDULE, callback=None):
+    """``solve_qsqp`` on ``problem`` with no constraints, called as
+    ``solve_qls`` is."""
+    return solve_qsqp(ConstrainedProblem(problem.objective, problem.gradient, x0),
+                      config=config, schedule=schedule, callback=callback)
+
+
+#: each solver by name, called as solve(problem, x0, config=None, ...)
+SOLVES = {"qls": solve_qls, "bfgs": solve_bfgs, "sqp": solve_sqp}
 
 
 def circle(**fields):

@@ -349,7 +349,7 @@ def test_criterion_06_superlinear_signature():
     errs = [np.linalg.norm(np.ones(4))] + [np.linalg.norm(x) for x in xs]
     ratios = [b / a for a, b in zip(errs, errs[1:]) if a > 0]
     tail = ratios[-3:]
-    ok = r.status == "converged" and len(ratios) >= 3 and all(t < 0.1 for t in tail)
+    ok = r.status == "converged" and len(ratios) >= 4 and all(t < 0.1 for t in tail)
     _report(6, f"superlinear signature: final ratios {['%.1e' % t for t in tail]}", ok)
     assert ok
 

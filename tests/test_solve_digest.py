@@ -1,8 +1,10 @@
-"""tools/solve_digest.py digests the sweeps repeatably and reports moved
-reference rows and per-seed totals right."""
+"""tools/solve_digest.py names its kernels, digests the sweeps repeatably and
+reports moved reference rows and per-seed totals right."""
 
+import ctypes.util
 import dataclasses
 import hashlib
+import re
 
 import pytest
 
@@ -13,6 +15,13 @@ from qlinesearch.problems import standard_suite
 @pytest.fixture
 def tool(load_tool):
     return load_tool("solve_digest")
+
+
+def test_kernel_line_names_the_blas_core_and_the_simd_targets(tool, tmp_path):
+    assert re.fullmatch(r"kernels: openblas \S+; numpy simd( \w+)+", tool.kernel_line())
+    # a library without a core-name symbol, and one that does not load
+    libraries = [ctypes.util.find_library("c"), tmp_path / "missing.so"]
+    assert tool.openblas_core(libraries) == "unknown"
 
 
 def test_sweep_digest_is_repeatable(tool):
@@ -92,4 +101,6 @@ def test_exit_status_is_1_when_a_reference_row_moved(tool, monkeypatch, capsys, 
     monkeypatch.setattr(tool, "SWEEPS", {"fc-grid": ("fc", lambda: ("0" * 64, rows))})
     monkeypatch.setattr(tool.verify, "load_reference", lambda name: reference)
     assert tool.main([]) == status
-    assert capsys.readouterr().out.splitlines()[-1].startswith(f"fc-grid: {status} of 1 rows moved")
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == tool.kernel_line() and out[1] == "fc " + "0" * 64
+    assert out[-1].startswith(f"fc-grid: {status} of 1 rows moved")

@@ -12,7 +12,7 @@ from qlinesearch.problems import Problem, get_problem, make_fc
 from qlinesearch.sqp import ConstrainedProblem, SqpTraceRecord, solve_qsqp
 from qlinesearch.usolve import IterationRecord, SolverConfig, Trace, solve_bfgs, solve_qls
 
-from conftest import circle
+from conftest import SOLVES, circle
 
 INT_FIELDS = {"k", "fallback_count", "trials"}
 
@@ -22,15 +22,11 @@ def circle_run(config=None):
     return solve_qsqp(ConstrainedProblem(**circle()), config=config)
 
 
-def linear_run(method, config):
-    # f = x0 has no minimizer and a unit gradient: every run uses its iteration cap
-    objective, gradient = (lambda x: float(x[0])), (lambda x: np.array([1.0, 0.0]))
-    if method == "sqp":
-        return solve_qsqp(ConstrainedProblem(objective=objective, gradient=gradient,
-                                             x0=np.ones(2)), config=config)
-    problem = Problem(name="linear", dimension=2, objective=objective, gradient=gradient,
-                      known_minimizers=[], known_min_value=-np.inf)
-    return (solve_qls if method == "qls" else solve_bfgs)(problem, np.ones(2), config=config)
+# f = x0 has no minimizer and a unit gradient: every run from (1, 1) uses its
+# iteration cap
+LINEAR = Problem(name="linear", dimension=2, objective=lambda x: float(x[0]),
+                 gradient=lambda x: np.array([1.0, 0.0]), known_minimizers=[],
+                 known_min_value=-np.inf)
 
 
 RUNS = {
@@ -73,9 +69,9 @@ def test_fields_read_back_with_their_types(method):
                 assert type(value) is float
 
 
-@pytest.mark.parametrize("method", ["qls", "bfgs", "sqp"])
+@pytest.mark.parametrize("method", sorted(SOLVES))
 def test_run_without_iterations_has_an_empty_trace(method):
-    r = linear_run(method, SolverConfig(max_iterations=0))
+    r = SOLVES[method](LINEAR, np.ones(2), config=SolverConfig(max_iterations=0))
     assert r.iterations == 0 and len(r.trace) == 0 and r.trace == [] and list(r.trace) == []
 
 
@@ -104,16 +100,11 @@ def test_emit_writes_a_trace_by_its_record_fields(method, record, tmp_path):
         assert (row[header.index("q_k")] == "") == (method == "bfgs")
 
 
-@pytest.mark.parametrize("method", ["qls", "bfgs", "sqp"])
+@pytest.mark.parametrize("method", sorted(SOLVES))
 def test_emit_writes_a_header_only_for_a_stationary_start(method, tmp_path):
     sphere = get_problem("sphere")
-    x0 = np.zeros(sphere.dimension)
-    if method == "sqp":
-        r = solve_qsqp(ConstrainedProblem(objective=sphere.objective,
-                                          gradient=sphere.gradient, x0=x0))
-    else:
-        r = (solve_qls if method == "qls" else solve_bfgs)(sphere, x0)
-    assert r.status == "converged" and r.iterations == 0
+    r = SOLVES[method](sphere, np.zeros(sphere.dimension))
+    assert r.status == "converged" and r.iterations == 0 and r.trace == []
     header, rows = written_trace(r.trace, tmp_path)
     assert header == [f.name for f in fields(r.trace.record)] and rows == []
 
@@ -123,17 +114,18 @@ def test_emit_rejects_a_trace_as_svg(tmp_path):
         bench.emit(RUNS["qls"]().trace, "svg", str(tmp_path / "trace.svg"))
 
 
-@pytest.mark.parametrize("method", ["qls", "bfgs", "sqp"])
+@pytest.mark.parametrize("method", sorted(SOLVES))
 def test_trace_memory_is_its_float64_rows(method):
     # at most 16 B per field per iteration, plus 1 KiB for the containers; a
     # list of dataclasses of Python floats took about 260-290 B per iteration
     config = SolverConfig(max_iterations=300)
-    linear_run(method, config)  # first calls allocate what later solves reuse
+    # first calls allocate what later solves reuse
+    SOLVES[method](LINEAR, np.ones(2), config=config)
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        trace = linear_run(method, config).trace
+        trace = SOLVES[method](LINEAR, np.ones(2), config=config).trace
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:

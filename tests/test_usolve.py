@@ -7,7 +7,6 @@ import pytest
 from qlinesearch.errors import LineSearchError
 from qlinesearch.problems import Problem, get_problem, make_fc
 from qlinesearch.qmatrix import QSchedule
-from qlinesearch.sqp import ConstrainedProblem, solve_qsqp
 from qlinesearch.usolve import (ALPHA0, BACKTRACK_FACTOR, C1, MAX_HALVINGS, STATUS_CONVERGED,
                                 STATUS_DIVERGED, STATUS_LINE_SEARCH_FAILURE,
                                 STATUS_MAX_ITERATIONS, STATUS_NUMERIC_FAILURE,
@@ -15,7 +14,7 @@ from qlinesearch.usolve import (ALPHA0, BACKTRACK_FACTOR, C1, MAX_HALVINGS, STAT
                                 _spd_condition, backtracking_step, bfgs_update, drive,
                                 solve_bfgs, solve_qls)
 
-FC_STARTS = [np.array([0.5, y]) for y in np.arange(0.1, 2.0, 0.2)]
+from conftest import MAX_N, SOLVES, solve_sqp
 
 
 def quadratic_problem(n=2):
@@ -44,7 +43,7 @@ class TestBfgsUpdate:
     def test_secant_property(self):
         rng = np.random.default_rng(19)
         for _ in range(50):
-            n = int(rng.integers(2, 8))
+            n = int(rng.integers(2, MAX_N + 1))
             M = rng.uniform(-1, 1, (n, n))
             B = M @ M.T + np.eye(n)
             s = rng.uniform(-1, 1, n)
@@ -70,21 +69,6 @@ class TestSolveQls:
         np.testing.assert_allclose(r.x_final, [0.0, 0.0], atol=1e-12)
         assert r.trace[0].alpha == 1.0
 
-    def test_zero_iterations_at_optimum(self):
-        r = solve_qls(quadratic_problem(), np.zeros(2))
-        assert r.status == STATUS_CONVERGED
-        assert r.iterations == 0
-        assert r.trace == []
-
-    def test_fc_mean_iterations_in_published_range(self):
-        fc = make_fc(0.5)
-        its = []
-        for x0 in FC_STARTS:
-            r = solve_qls(fc, x0, schedule=QSchedule(0.9, 1))
-            assert r.status == STATUS_CONVERGED
-            its.append(r.iterations)
-        assert 3.0 <= np.mean(its) <= 7.0
-
     def test_trace_fields_populated(self):
         fc = make_fc(0.7)
         r = solve_qls(fc, np.array([0.7, 0.3]), schedule=QSchedule(0.9, 2))
@@ -101,58 +85,17 @@ class TestSolveQls:
         fs = [t.f_value for t in r.trace] + [r.f_final]
         assert all(b < a for a, b in zip(fs, fs[1:]))
 
-    def test_lemma_monitor_on_trace(self):
-        for gamma in (1, 2, 3):
-            for c in (0.1, 0.9, 1.9):
-                fc = make_fc(c)
-                r = solve_qls(fc, np.array([c, 1.1]), schedule=QSchedule(0.9, gamma))
-                for t in r.trace:
-                    assert t.cos_theta >= 1.0 / t.condition_number - 1e-10
-
-    def test_max_iterations_status(self):
-        fc = make_fc(0.5)
-        r = solve_qls(fc, np.array([0.5, 1.9]),
-                      config=SolverConfig(max_iterations=1))
-        assert r.status == STATUS_MAX_ITERATIONS
-        assert r.iterations == 1
-
-    def test_numeric_failure_status(self):
-        bad = Problem(name="bad", dimension=1,
-                      objective=lambda x: float(x[0] ** 2),
-                      gradient=lambda x: np.array([np.nan]),
-                      known_minimizers=[np.zeros(1)], known_min_value=0.0)
-        r = solve_qls(bad, np.array([1.0]))
-        assert r.status == STATUS_NUMERIC_FAILURE
-
     @pytest.mark.parametrize("schedule", [QSchedule(0.5, 60), QSchedule(1e-17, 1)],
                              ids=["q0.5-gamma60", "q1e-17-gamma1"])
-    def test_schedule_reaching_one_is_numeric_failure(self, schedule):
+    @pytest.mark.parametrize("solve", [solve_qls, solve_sqp])
+    def test_schedule_reaching_one_is_numeric_failure(self, solve, schedule):
         # q_2 = 1 - q_1^gamma / 1 rounds to 1 in the second step, which used
         # to end in QSchedule's ValueError; the run ends at its first iterate
         branin = get_problem("branin")
-        r = solve_qls(branin, [2.5, 3.0], schedule=schedule)
-        one = solve_qls(branin, [2.5, 3.0], config=SolverConfig(max_iterations=1),
-                        schedule=schedule)
+        r = solve(branin, [2.5, 3.0], schedule=schedule)
+        one = solve(branin, [2.5, 3.0], config=SolverConfig(max_iterations=1), schedule=schedule)
         assert r.status == STATUS_NUMERIC_FAILURE and r.iterations == 1
         assert np.array_equal(r.x_final, one.x_final) and r.f_final == one.f_final
-
-    def test_superlinear_error_ratios(self):
-        # quartic-plus-quadratic bowl: the surrogate converges to the true
-        # Hessian near the minimum, so late error ratios collapse.  A tight
-        # tolerance gives the run enough iterations to reach the asymptotic
-        # regime before stopping.
-        prob = Problem(name="quartic", dimension=4,
-                       objective=lambda x: float(np.sum(x ** 4 + x ** 2)),
-                       gradient=lambda x: 4.0 * x ** 3 + 2.0 * x,
-                       known_minimizers=[np.zeros(4)], known_min_value=0.0)
-        xs = []
-        r = solve_qls(prob, np.ones(4), config=SolverConfig(grad_tolerance=1e-8),
-                      schedule=QSchedule(0.9, 2), callback=lambda x: xs.append(x))
-        assert r.status == STATUS_CONVERGED
-        errs = [np.linalg.norm(np.ones(4))] + [np.linalg.norm(x) for x in xs]
-        ratios = [b / a for a, b in zip(errs, errs[1:]) if a > 0]
-        assert len(ratios) >= 4
-        assert all(rho < 0.1 for rho in ratios[-3:])
 
 
 class TestSolveBfgs:
@@ -167,36 +110,12 @@ class TestSolveBfgs:
         cos = -(step @ g0) / (np.linalg.norm(step) * np.linalg.norm(g0))
         assert cos == pytest.approx(1.0, abs=1e-12)
 
-    def test_fc_mean_iterations_in_published_range(self):
-        fc = make_fc(0.5)
-        its = []
-        for x0 in FC_STARTS:
-            r = solve_bfgs(fc, x0)
-            assert r.status == STATUS_CONVERGED
-            its.append(r.iterations)
-        assert 6.0 <= np.mean(its) <= 13.0
-
     def test_trace_has_no_q(self):
         fc = make_fc(0.5)
         r = solve_bfgs(fc, np.array([0.5, 0.7]))
+        assert r.status == STATUS_CONVERGED and r.trace
         assert all(t.q_k is None for t in r.trace)
         assert all(t.fallback_count == 0 for t in r.trace)
-
-    def test_monitor_inequality(self):
-        fc = make_fc(1.5)
-        r = solve_bfgs(fc, np.array([1.5, 0.5]))
-        for t in r.trace:
-            assert t.cos_theta > 0.0
-            assert t.cos_theta >= 1.0 / t.condition_number - 1e-10
-
-    def test_time_cap_status(self):
-        slow = Problem(name="slow", dimension=2,
-                       objective=lambda x: float((x @ x) ** 2 + x @ x),
-                       gradient=lambda x: (4.0 * (x @ x) + 2.0) * x,
-                       known_minimizers=[np.zeros(2)], known_min_value=0.0)
-        r = solve_bfgs(slow, np.array([50.0, -30.0]),
-                       config=SolverConfig(time_cap_seconds=1e-9))
-        assert r.status == "time_cap"
 
 
 def counted(problem):
@@ -212,12 +131,6 @@ def counted(problem):
         return problem.gradient(x)
 
     return dataclasses.replace(problem, objective=objective, gradient=gradient), counts
-
-
-def solve_sqp(problem, x0, config=None):
-    """solve_qsqp on ``problem`` with no constraints, called as the
-    unconstrained solvers are."""
-    return solve_qsqp(ConstrainedProblem(problem.objective, problem.gradient, x0), config=config)
 
 
 class TestEvaluationAccounting:
@@ -340,8 +253,8 @@ def one_dim_problem(gradient):
 
 
 class TestSharedStep:
-    """The step both unconstrained solvers share: preconditions of the
-    Armijo search, faults at trial and accepted points, zero-length steps."""
+    """The step the solvers share: preconditions of the Armijo search,
+    faults at trial and accepted points, zero-length steps."""
 
     X0 = np.array([1.0, 1.0])
 
@@ -364,7 +277,7 @@ class TestSharedStep:
         assert np.array_equal(r.x_final, self.X0) and r.f_final == 2.0
         assert counts == {"f": 1, "g": 1}
 
-    @pytest.mark.parametrize("method", ["qls", "bfgs", "sqp"])
+    @pytest.mark.parametrize("method", sorted(SOLVES))
     def test_time_cap_holds_between_line_search_trials(self, method):
         # f takes 10 ms and never decreases, so no Armijo trial passes; the
         # 50 ms cap must end the search long before its 61 trials
@@ -373,18 +286,13 @@ class TestSharedStep:
             return 1.0
 
         prob, counts = counted(self.bowl(objective=objective, gradient=lambda x: np.ones(2)))
-        config = SolverConfig(time_cap_seconds=0.05)
-        if method == "sqp":
-            r = solve_qsqp(ConstrainedProblem(prob.objective, prob.gradient, self.X0),
-                           config=config)
-        else:
-            r = {"qls": solve_qls, "bfgs": solve_bfgs}[method](prob, self.X0, config=config)
+        r = SOLVES[method](prob, self.X0, config=SolverConfig(time_cap_seconds=0.05))
         assert r.status == STATUS_TIME_CAP
         assert r.iterations == 0 and r.trace == []
         assert np.array_equal(r.x_final, self.X0) and r.f_final == 1.0
         assert counts["f"] <= 6
 
-    @pytest.mark.parametrize("solve", [solve_bfgs, solve_qls, solve_sqp])
+    @pytest.mark.parametrize("solve", SOLVES.values())
     def test_nan_gradient_at_accepted_point(self, solve):
         # every solver accepts x = 0 first (BFGS after one halving); a
         # gradient that is NaN only there ends the run at that accepted
@@ -396,13 +304,15 @@ class TestSharedStep:
         assert np.array_equal(r.x_final, [0.0, 0.0])
         assert r.f_final == 0.0
 
-    @pytest.mark.parametrize("solve", [solve_bfgs, solve_qls, solve_sqp])
-    def test_wrong_shaped_gradient_at_start(self, solve):
-        # a 2-D problem whose gradient returns three entries cannot start;
-        # f is evaluated before the gradient, so f_final is f(x0)
+    @pytest.mark.parametrize("bad", [lambda g: np.append(g, 0.0),
+                                     lambda g: np.full_like(g, np.nan)], ids=["wrong-shape", "nan"])
+    @pytest.mark.parametrize("solve", SOLVES.values())
+    def test_unusable_gradient_at_start(self, solve, bad):
+        # a 2-D problem whose gradient returns three entries, or NaN, cannot
+        # start; f is evaluated before the gradient, so f_final is f(x0)
         branin = get_problem("branin")
         prob, counts = counted(dataclasses.replace(
-            branin, gradient=lambda x: np.append(branin.gradient(x), 0.0)))
+            branin, gradient=lambda x: bad(branin.gradient(x))))
         r = solve(prob, np.array([3.0, 2.5]))
         assert r.status == STATUS_NUMERIC_FAILURE
         assert r.iterations == 0 and r.trace == []
@@ -418,7 +328,7 @@ class TestSharedStep:
         with pytest.raises(ValueError, match=r"sphere expects dimension 8, got x0 of shape"):
             solve(get_problem("sphere"), x0)
 
-    @pytest.mark.parametrize("solve", [solve_bfgs, solve_qls, solve_sqp])
+    @pytest.mark.parametrize("solve", SOLVES.values())
     def test_wrong_shaped_gradient_at_accepted_point(self, solve):
         # as in the NaN case above: the run ends at the accepted iterate
         prob = self.bowl(gradient=lambda x: 2.0 * x if np.any(x) else np.zeros(3))
@@ -428,7 +338,7 @@ class TestSharedStep:
         assert np.array_equal(r.x_final, [0.0, 0.0])
         assert r.f_final == 0.0
 
-    @pytest.mark.parametrize("solve", [solve_bfgs, solve_qls, solve_sqp])
+    @pytest.mark.parametrize("solve", SOLVES.values())
     def test_time_cap_checked_before_each_iteration(self, solve):
         # f(x0) is paid well within the 250 ms cap; the gradient then sleeps
         # past it, so the check before the first step ends the run
@@ -450,16 +360,19 @@ class TestSharedStep:
         with pytest.raises(ValueError, match="bug in the callback"):
             solve_qls(self.bowl(gradient=gradient), self.X0)
 
-    @pytest.mark.parametrize("solve", [solve_bfgs, solve_qls])
+    @pytest.mark.parametrize("solve", SOLVES.values())
     def test_nan_objective_on_first_trial_is_skipped(self, solve):
-        # QLS's unit step lands on the origin, where f is NaN; the search
-        # backtracks to alpha = 1/2 and carries f from that trial
+        # the q-Newton unit step of QLS and SQP lands on the origin, where f
+        # is NaN; the search backtracks to alpha = 1/2 and carries f from
+        # that trial
         prob = self.bowl(objective=lambda x: float(x @ x) if np.any(x) else float("nan"))
         if solve is solve_bfgs:  # BFGS's first trial is -grad, two units long
             prob = dataclasses.replace(prob, gradient=lambda x: x)
         r = solve(prob, self.X0, config=SolverConfig(max_iterations=1))
         assert r.status == STATUS_MAX_ITERATIONS
-        assert (r.trace[0].alpha, r.trace[0].trials) == (0.5, 2)
+        assert r.iterations == len(r.trace) == 1
+        assert r.trace[0].alpha == 0.5
+        assert getattr(r.trace[0], "trials", 2) == 2  # an SQP record counts no trials
         assert np.array_equal(r.x_final, [0.5, 0.5])
         assert r.f_final == 0.5
 
@@ -492,7 +405,7 @@ class TestSharedStep:
         assert r.iterations == 0 and r.trace == []
         assert np.array_equal(r.x_final, self.X0) and np.isnan(r.f_final)
 
-    @pytest.mark.parametrize("solve", [solve_bfgs, solve_qls, solve_sqp])
+    @pytest.mark.parametrize("solve", SOLVES.values())
     def test_non_finite_objective_at_start_is_numeric_failure(self, solve):
         # the stop test checks f(x0) right after the gradient, so no
         # q-Hessian or direction is paid for; the run keeps that f
@@ -504,7 +417,7 @@ class TestSharedStep:
         assert counts["f"] == 1
         assert counts["g"] == 1
 
-    @pytest.mark.parametrize("solve", [solve_bfgs, solve_qls, solve_sqp])
+    @pytest.mark.parametrize("solve", SOLVES.values())
     def test_non_finite_objective_is_checked_before_convergence(self, solve):
         # a zero gradient at a point where f is NaN is no minimizer
         prob, counts = counted(self.bowl(objective=lambda x: float("nan"),
@@ -515,7 +428,7 @@ class TestSharedStep:
         assert np.array_equal(r.x_final, self.X0) and np.isnan(r.f_final)
         assert counts == {"f": 1, "g": 1}
 
-    @pytest.mark.parametrize("solve", [solve_bfgs, solve_qls, solve_sqp])
+    @pytest.mark.parametrize("solve", SOLVES.values())
     def test_time_cap_before_the_first_objective_calls_no_f(self, solve):
         # the cap passes before f(x0) is paid; nothing evaluates f past it,
         # so the run holds no f and reports NaN
@@ -536,7 +449,7 @@ class TestSharedStep:
         assert np.array_equal(r.x_final, self.X0) and r.f_final == 2.0
         assert counts == {"f": 1, "g": 1}
 
-    @pytest.mark.parametrize("solve", [solve_bfgs, solve_qls])
+    @pytest.mark.parametrize("solve", SOLVES.values())
     def test_arithmetic_error_in_a_trial_is_numeric_failure(self, solve):
         def objective(x):
             if not np.array_equal(x, self.X0):
@@ -621,7 +534,7 @@ def test_accepted_alpha_is_largest_in_sequence():
 def test_newton_step_on_convex_quadratic_takes_unit_alpha():
     rng = np.random.default_rng(13)
     for _ in range(25):
-        n = int(rng.integers(1, 7))
+        n = int(rng.integers(1, MAX_N + 1))
         M = rng.uniform(-1, 1, (n, n))
         Q = M @ M.T + np.eye(n)
         x = rng.uniform(-2, 2, n)

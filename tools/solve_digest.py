@@ -1,5 +1,5 @@
-"""Run the three default-seed sweeps once; print their digests, the
-reference rows they move, and per-seed totals.
+"""Run the three default-seed sweeps once; print the kernels they ran on,
+their digests, the reference rows they move, and per-seed totals.
 
     python tools/solve_digest.py [SEED ...]
 
@@ -10,15 +10,19 @@ The sweeps are the fixed parts of the benchmark's workloads: ``fc``
 and 12); ``sqp`` (``sqp-constrained``), ``solve_qsqp`` on the first
 ``SQP_CORE_INSTANCES`` of ``perfbench.workloads.make_sqp_instances``.
 
-The first three lines give one SHA-256 per sweep, over each solve's status,
+The first line names the kernels that the last bits depend on: the core
+OpenBLAS picked for this CPU (``unknown`` when no library numpy bundles
+names one) and numpy's dispatched SIMD targets that this CPU has.  The next
+three lines give one SHA-256 per sweep, over each solve's status,
 ``x_final`` bytes, ``f_final``, iteration count, trace record fields and
 objective, gradient and constraint evaluations: two trees whose solves agree
-to the last bit print the same three lines.  Then each sweep's contract rows
-(those ``tests/test_benchmark_contract.py`` checks) are compared by key with
-``perfbench/reference/<workload>.csv``: each moved row as its key with its
-success and iterations, before -> after (``-`` for a failed row), and its
-start if that moved too; then per workload the rows moved, the success
-flips and the net change in iterations over rows that succeed on both sides.
+to the last bit on the same kernels print the same three lines.  Then each
+sweep's contract rows (those ``tests/test_benchmark_contract.py`` checks)
+are compared by key with ``perfbench/reference/<workload>.csv``: each moved
+row as its key with its success and iterations, before -> after (``-`` for
+a failed row), and its start if that moved too; then per workload the rows
+moved, the success flips and the net change in iterations over rows that
+succeed on both sides.
 
 For each SEED, the suite sweep at that master seed gives its successful rows,
 its longest run's iterations (to be checked against any iteration budget)
@@ -32,6 +36,7 @@ wrappers count the callbacks, is only read.  The exit status is 1 if any
 reference row moved, else 0.
 """
 
+import ctypes
 import dataclasses
 import hashlib
 import struct
@@ -48,6 +53,45 @@ from perfbench.spans import Meter  # noqa: E402
 from qlinesearch import bench  # noqa: E402
 from qlinesearch.sqp import solve_qsqp  # noqa: E402
 from qlinesearch.usolve import STATUS_CONVERGED, STATUS_MAX_ITERATIONS  # noqa: E402
+
+
+#: the OpenBLAS functions that return its core's name: that of numpy 2's
+#: scipy-openblas wheels, then that of older wheels' openblas64_
+CORENAME_SYMBOLS = ("scipy_openblas_get_corename64_", "openblas_get_corename64_")
+
+
+def openblas_core(libraries=None):
+    """The core OpenBLAS picked for this CPU, named by the first of
+    ``libraries`` (default: those bundled with numpy) that exports one of
+    ``CORENAME_SYMBOLS``, or ``unknown``."""
+    if libraries is None:
+        here = Path(np.__file__).parent
+        libraries = sorted([*(here.parent / "numpy.libs").glob("*openblas*"),
+                            *(here / ".dylibs").glob("*openblas*")])
+    for library in libraries:
+        try:
+            dll = ctypes.CDLL(str(library))
+        except OSError:
+            continue
+        for symbol in CORENAME_SYMBOLS:
+            corename = getattr(dll, symbol, None)
+            if corename is not None:
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return corename().decode()
+    return "unknown"
+
+
+def simd_targets():
+    """numpy's dispatched SIMD targets that this CPU has, in numpy's order."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1
+        from numpy.core import _multiarray_umath as umath
+    return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+
+
+def kernel_line():
+    return f"kernels: openblas {openblas_core()}; numpy simd {' '.join(simd_targets()) or 'none'}"
 
 
 def _add(digest, result, counts):
@@ -168,6 +212,7 @@ def suite_totals(seed, suite=None):
 
 def main(argv):
     seeds = [int(a) for a in argv]
+    print(kernel_line(), flush=True)
     rows = {}
     for name, (part, sweep) in SWEEPS.items():
         digest, rows[name] = sweep()
