@@ -11,7 +11,7 @@ analytic gradient) and are frozen below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -11,7 +11,12 @@ property states its claim.
 is; SQP solves the problem through a ``ConstrainedProblem`` without
 constraints.  Each claim about whole solver runs is checked once: by the
 acceptance criterion that states it, or else by one test over the entries
-of ``SOLVES`` that can reach it, so a new solver is one more entry.
+of ``SOLVES`` that can reach it, so a new solver is one more entry.  The
+same holds above the solvers: each claim about the problems, the sweeps,
+the CSV files, the CLI and the scripts of ``tools/`` is checked by one test,
+the acceptance criterion that states it where there is one.  A test whose
+claim another states with a bound no looser, on inputs that include its
+own, is not kept beside it.
 
 The ``recorded_solves`` fixture watches the solves of a ``bench`` sweep
 through its ``wrap``, ``load_tool`` imports a script of ``tools/``, and

@@ -456,6 +456,8 @@ def test_criterion_10_profile_correctness(suite_csvs):
               bench.performance_profile(t, "iterations")}
     assert curves["s1"][1.0] == 0.5
     assert curves["s1"][2.0] == 1.0
+    assert curves["s2"][1.0] == 0.5
+    assert curves["s2"][2.0] == 1.0
     # nondecreasing on the real benchmark output
     table = bench.load_runs_csv(suite_csvs["paths"][0])
     for metric in ("iterations", "time"):

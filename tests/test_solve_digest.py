@@ -1,5 +1,6 @@
-"""tools/solve_digest.py names its kernels, digests the sweeps repeatably and
-reports moved reference rows and per-seed totals right."""
+"""tools/solve_digest.py names its kernels, digests the sweeps repeatably,
+reports moved reference rows and per-seed totals right, and rejects a bad
+SEED before any sweep runs."""
 
 import ctypes.util
 import dataclasses
@@ -39,16 +40,6 @@ def test_sqp_digest_is_repeatable(tool):
     assert first == second and len(first) == 64
     assert first != hashlib.sha256().hexdigest()  # the instances' solves were folded in
     assert rows == tool.verify.load_reference("sqp-constrained")[:3]
-
-
-def test_fc_slice_matches_its_reference_rows(tool):
-    rows = tool.workloads._table_rows(
-        bench.run_fc_benchmark(c_values=(0.5,), y_values=bench.DEFAULT_Y_VALUES[:2]), "grid")
-    keys = {r.key for r in rows}
-    reference = [r for r in tool.verify.load_reference("fc-grid") if r.key in keys]
-    assert len(rows) == len(reference) == 8
-    assert tool.diff_lines("fc-grid", rows, reference) == [
-        "fc-grid: 0 of 8 rows moved, 0 success flips, net iterations +0"]
 
 
 def test_moved_rows_give_before_and_after(tool):
@@ -92,9 +83,12 @@ def test_suite_totals_over_a_slice(tool):
                      "bohachevsky/q3 6"]
 
 
-@pytest.mark.parametrize("iterations, status", [(7, 0), (8, 1)], ids=["still", "moved"])
+@pytest.mark.parametrize("iterations, status, summary", [
+    (7, 0, "fc-grid: 0 of 1 rows moved, 0 success flips, net iterations +0"),
+    (8, 1, "fc-grid: 1 of 1 rows moved, 0 success flips, net iterations +1"),
+], ids=["still", "moved"])
 def test_exit_status_is_1_when_a_reference_row_moved(tool, monkeypatch, capsys, iterations,
-                                                      status):
+                                                      status, summary):
     # one stubbed sweep against a stubbed reference, so no sweep runs
     reference = [tool.verify.contract_row("grid:fc_c0.5:bfgs:0", (0.5, 0.1), True, 7)]
     rows = [tool.verify.contract_row("grid:fc_c0.5:bfgs:0", (0.5, 0.1), True, iterations)]
@@ -103,4 +97,18 @@ def test_exit_status_is_1_when_a_reference_row_moved(tool, monkeypatch, capsys, 
     assert tool.main([]) == status
     out = capsys.readouterr().out.splitlines()
     assert out[0] == tool.kernel_line() and out[1] == "fc " + "0" * 64
-    assert out[-1].startswith(f"fc-grid: {status} of 1 rows moved")
+    assert out[-1] == summary
+
+
+@pytest.mark.parametrize("seed", ["x", "-1", "1.5"])
+def test_a_bad_seed_exits_2_before_any_sweep(tool, monkeypatch, capsys, seed):
+    # "x" used to end in a traceback, and "-1" to fail after all three
+    # sweeps, both with the status of a moved row
+    def unrun():
+        raise AssertionError("a sweep ran")
+    monkeypatch.setattr(tool, "SWEEPS", {"fc-grid": ("fc", unrun)})
+    assert tool.main(["1", seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: SEED must be a whole number of at least 0, got ")

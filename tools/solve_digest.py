@@ -32,8 +32,10 @@ seed) give converged / iterations / gradient evaluations of ``solve_qsqp``
 and the instances that end at ``max_iterations``.
 
 The library is imported from this tree's ``src``; ``perfbench``, whose
-wrappers count the callbacks, is only read.  The exit status is 1 if any
-reference row moved, else 0.
+wrappers count the callbacks, is only read.  Every SEED is checked before
+anything runs or prints: one that is not a whole number of at least 0 gives
+one ``error:`` line on stderr and exit status 2.  Otherwise the exit status
+is 1 if any reference row moved, else 0.
 """
 
 import ctypes
@@ -51,6 +53,7 @@ import numpy as np  # noqa: E402
 from perfbench import verify, workloads  # noqa: E402
 from perfbench.spans import Meter  # noqa: E402
 from qlinesearch import bench  # noqa: E402
+from qlinesearch.errors import check_counts  # noqa: E402
 from qlinesearch.sqp import solve_qsqp  # noqa: E402
 from qlinesearch.usolve import STATUS_CONVERGED, STATUS_MAX_ITERATIONS  # noqa: E402
 
@@ -210,8 +213,22 @@ def suite_totals(seed, suite=None):
             max(r.iterations for r in table.rows), short)
 
 
+def _seed(text):
+    """``text`` as a master seed, or ValueError by the package's count rule."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = text
+    check_counts(0, SEED=seed)
+    return seed
+
+
 def main(argv):
-    seeds = [int(a) for a in argv]
+    try:
+        seeds = [_seed(a) for a in argv]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(kernel_line(), flush=True)
     rows = {}
     for name, (part, sweep) in SWEEPS.items():
