@@ -14,9 +14,13 @@ acceptance criterion that states it, or else by one test over the entries
 of ``SOLVES`` that can reach it, so a new solver is one more entry.  The
 same holds above the solvers: each claim about the problems, the sweeps,
 the CSV files, the CLI and the scripts of ``tools/`` is checked by one test,
-the acceptance criterion that states it where there is one.  A test whose
-claim another states with a bound no looser, on inputs that include its
-own, is not kept beside it.
+the acceptance criterion that states it where there is one.  So do hand
+examples and parity runs: where a criterion states one, the criterion keeps
+it, with every assert that a unit test of the same input made.  Randomized
+layer claims are the properties' alone, criterion 05's included, so that
+criterion keeps only its hand examples.  A test whose claim another states
+with a bound no looser, on inputs that include its own, is not kept beside
+it.
 
 The ``recorded_solves`` fixture watches the solves of a ``bench`` sweep
 through its ``wrap``, ``load_tool`` imports a script of ``tools/``, and

@@ -306,36 +306,19 @@ def test_criterion_04_quadratic_exactness():
 
 
 def test_criterion_05_psd_modification_suite():
-    rng = np.random.default_rng(103)
-    for _ in range(1000):
-        n = int(rng.integers(1, 11))
-        M = rng.uniform(-1, 1, (n, n))
-        A = 0.5 * (M + M.T)
-        bundle = q.ldl_factor(A)
-        P = np.eye(n)[bundle.permutation]
-        rec = (bundle.lower_unit_triangular @ bundle.block_diagonal()
-               @ bundle.lower_unit_triangular.T)
-        assert np.max(np.abs(P @ A @ P.T - rec)) <= 1e-8 * max(np.max(np.abs(A)), 1e-30)
-        ew = np.linalg.eigvalsh(A)
-        assert np.sum(ew > 0) == np.sum(bundle.block_eigenvalues > 0)
-        assert np.sum(ew < 0) == np.sum(bundle.block_eigenvalues < 0)
-        mod = q.psd_modify(A)
-        np.linalg.cholesky(mod.modified_matrix)
-        assert np.linalg.eigvalsh(mod.modified_matrix)[0] > 0.0
-        if np.all(bundle.block_eigenvalues >= mod.delta):
-            assert mod.modification_frobenius == 0.0
-        else:
-            assert mod.modification_frobenius > 0.0
-    # hand examples at 1e-12
+    # hand examples at 1e-12; the randomized claims (reassembly, inertia,
+    # Cholesky of A + E, E = 0 exactly when nothing is shifted) are
+    # tests/test_psdfactor.py's TestFactorProperties, for n <= 10
     m1 = q.psd_modify(np.eye(2), 0.01)
     assert m1.modification_frobenius == 0.0
-    np.testing.assert_allclose(m1.modified_matrix, np.eye(2), atol=1e-12)
+    np.testing.assert_array_equal(m1.modified_matrix, np.eye(2))
     m2 = q.psd_modify(np.diag([1.0, -1.0]), 0.01)
     np.testing.assert_allclose(m2.modified_matrix, np.diag([1.0, 0.01]), atol=1e-12)
     m3 = q.psd_modify(np.array([[0.0, 1.0], [1.0, 0.0]]), 0.5)
     np.testing.assert_allclose(m3.modified_matrix, [[0.75, 0.25], [0.25, 0.75]],
                                atol=1e-12)
-    _report(5, "1000-matrix factorization/modification suite and hand examples", True)
+    _report(5, "PSD modification hand examples: identity unshifted, "
+               "diag(1, -1) and the antidiagonal shifted to delta", True)
 
 
 def test_criterion_06_superlinear_signature():
@@ -380,7 +363,7 @@ def test_criterion_08_gradient_checks():
     rng = np.random.default_rng(107)
     worst = 0.0
 
-    def check(problem, avoid=None):
+    def check(problem, avoid=None, beyond=()):
         nonlocal worst
         count = 0
         while count < 20:
@@ -390,14 +373,21 @@ def test_criterion_08_gradient_checks():
                 continue
             worst = max(worst, q.check_gradient(problem, x, 1e-6))
             count += 1
+        for x in beyond:
+            worst = max(worst, q.check_gradient(problem, x, 1e-6))
 
     for problem in q.standard_suite():
         check(problem)
-    for c in PUBLISHED_FC_ITERATIONS:
-        check(q.make_fc(c),
+    for c in (*PUBLISHED_FC_ITERATIONS, -0.1, -0.5, -1.0, -2.0):
+        # the start box around (1, 1) holds no point of a c < 0 modified
+        # branch, (-inf, c], so these c are also checked on x in [c - 3, c - 0.05]
+        beyond = [np.array([c - rng.uniform(0.05, 3.0), rng.uniform(-2.0, 3.0)])
+                  for _ in range(20 if c < 0 else 0)]
+        check(q.make_fc(c), beyond=beyond,
               avoid=lambda x, c=c: abs(x[0] - c) < 1e-2 or abs(x[0]) < 1e-2)
     ok = worst < 1e-5
-    _report(8, f"gradient checks on suite and fc family: worst error {worst:.2e}", ok)
+    _report(8, f"gradient checks on suite and fc family, negative c included: "
+               f"worst error {worst:.2e}", ok)
     assert ok
 
 
@@ -406,17 +396,19 @@ def test_criterion_09_sqp():
     assert r.status == "converged"
     assert r.iterations <= 30
     np.testing.assert_allclose(r.x_final, [-1.0, -1.0], atol=1e-5)
+    assert r.trace[-1].kkt_residual < 1e-3
     merits = [t.merit_value for t in r.trace]
     assert all(b < a for a, b in zip(merits, merits[1:]))
 
     # zero-constraint runs coincide with the unconstrained solver bitwise,
     # iterate for iterate; the 0.1|x|^2 bowl has curvature below 1, where an
-    # eigenvalue floor meant for constrained runs would change the steps
+    # eigenvalue floor meant for constrained runs would shorten every step,
+    # and the q-Newton step solves it at once
     bowls = [("quartic", lambda x: float(np.sum(x ** 4 + x ** 2)),
               lambda x: 4.0 * x ** 3 + 2.0 * x, np.array([1.0, -0.7, 0.4, 1.3])),
              ("shallow", lambda x: float(0.1 * (x @ x)), lambda x: 0.2 * x,
               np.array([1.0, -0.7, 0.4]))]
-    parity = []
+    parity = {}
     for name, objective, gradient, x0 in bowls:
         prob = q.Problem(name=name, dimension=x0.shape[0], objective=objective,
                          gradient=gradient, known_minimizers=[np.zeros(x0.shape[0])],
@@ -427,21 +419,27 @@ def test_criterion_09_sqp():
         rb = solve_qsqp(ConstrainedProblem(objective=objective, gradient=gradient, x0=x0),
                         schedule=QSchedule(0.9, 2), callback=lambda x: xs_b.append(x))
         assert ra.status == rb.status == "converged"
-        assert ra.iterations == rb.iterations and len(xs_a) == len(xs_b) >= 1
+        assert ra.iterations == rb.iterations == len(xs_a) == len(xs_b) >= 1
         assert all(np.array_equal(a, b) for a, b in zip(xs_a, xs_b))
-        parity.append(f"{name} {ra.iterations}")
+        assert ra.f_final == rb.f_final
+        parity[name] = ra.iterations
+    assert parity["quartic"] >= 3
+    assert parity["shallow"] == 1
 
-    # active-set hand examples
+    # active-set hand examples: the bound is active, then inactive
     s1 = qp_active_set(q.ldl_factor(np.eye(2)), np.array([1.0, 0.0]),
                        ineq=(np.array([[-1.0, 0.0]]), np.array([0.0])))
     np.testing.assert_allclose(s1.d_x, [0.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(s1.d_v, [1.0], atol=1e-12)
+    assert s1.active_set == (0,)
     s2 = qp_active_set(q.ldl_factor(np.eye(2)), np.array([-1.0, 0.0]),
                        ineq=(np.array([[-1.0, 0.0]]), np.array([0.0])))
     np.testing.assert_allclose(s2.d_x, [1.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(s2.d_v, [0.0], atol=1e-12)
+    assert s2.active_set == ()
     _report(9, f"SQP battery: circle in {r.iterations} iterations, merit monotone, "
-               f"bitwise parity ({', '.join(parity)} iterations), QP hand examples", True)
+               f"bitwise parity (quartic {parity['quartic']}, shallow {parity['shallow']} "
+               f"iterations), QP hand examples", True)
 
 
 def test_criterion_10_profile_correctness(suite_csvs):

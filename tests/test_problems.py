@@ -9,19 +9,6 @@ FC_VALUES = [round(0.1 + 0.2 * i, 1) for i in range(10)]
 NEGATIVE_C = [-0.1, -0.5, -1.0, -2.0]
 
 
-def interior_points(problem, rng, count=20):
-    """Random start-box points, resampled away from fc's kink lines."""
-    pts = []
-    is_fc = problem.name.startswith("fc_")
-    c = float(problem.name[4:]) if is_fc else None
-    while len(pts) < count:
-        x = problem.start_box.center + problem.start_box.side * (rng.random(problem.dimension) - 0.5)
-        if is_fc and (abs(x[0] - c) < 1e-2 or abs(x[0]) < 1e-2):
-            continue
-        pts.append(x)
-    return pts
-
-
 class TestFc:
     def test_minimum_value(self):
         for c in FC_VALUES:
@@ -89,17 +76,6 @@ class TestFc:
                 make_fc(c)
         with pytest.raises(ValueError):
             get_problem("fc_cnan")
-
-    def test_gradient_checks(self):
-        rng = np.random.default_rng(7)
-        for c in FC_VALUES + NEGATIVE_C:
-            prob = make_fc(c)
-            # the start box around (1, 1) holds no point of a c < 0 modified
-            # branch, so these c are also checked on x in [c - 3, c - 0.05]
-            beyond = [np.array([c - rng.uniform(0.05, 3.0), rng.uniform(-2.0, 3.0)])
-                      for _ in range(20 if c < 0 else 0)]
-            for x in interior_points(prob, rng) + beyond:
-                assert check_gradient(prob, x, 1e-6) < 1e-5
 
     def test_gradient_check_on_modified_branch(self):
         prob = make_fc(0.5)

@@ -154,22 +154,6 @@ class TestBlockSpectral:
 
 
 class TestPsdModify:
-    def test_identity_untouched(self):
-        A = np.eye(4)
-        mod = psd_modify(A, 0.01)
-        assert mod.modification_frobenius == 0.0
-        assert np.array_equal(mod.modified_matrix, A)
-
-    def test_indefinite_diagonal(self):
-        mod = psd_modify(np.diag([1.0, -1.0]), 0.01)
-        np.testing.assert_allclose(mod.modified_matrix, np.diag([1.0, 0.01]),
-                                   atol=1e-12)
-
-    def test_antidiagonal_hand_example(self):
-        mod = psd_modify(np.array([[0.0, 1.0], [1.0, 0.0]]), 0.5)
-        np.testing.assert_allclose(mod.modified_matrix,
-                                   [[0.75, 0.25], [0.25, 0.75]], atol=1e-12)
-
     def test_delta_validation(self):
         # a NaN delta shifted nothing: an indefinite "modification"
         for delta in (-1.0, 0.0, float("nan"), float("inf")):
