@@ -21,7 +21,7 @@ from .errors import CallbackError, check_counts
 from .problems import make_fc, standard_suite
 from .qmatrix import QSchedule
 from .usolve import (DEFAULT_SCHEDULE, NUMERIC_ERRORS, STATUS_CONVERGED, SolverConfig, Trace,
-                     solve_bfgs, solve_qls)
+                     _norm, solve_bfgs, solve_qls)
 
 log = logging.getLogger(__name__)
 
@@ -98,10 +98,8 @@ def is_success(problem, result):
     """Converged and close to some known global minimizer (distance or gap)."""
     if result.status != STATUS_CONVERGED:
         return False
-    for m in problem.known_minimizers:
-        if float(np.linalg.norm(result.x_final - m)) < SUCCESS_DISTANCE:
-            return True
-    return abs(result.f_final - problem.known_min_value) < SUCCESS_VALUE_GAP
+    return (any(_norm(result.x_final - m) < SUCCESS_DISTANCE for m in problem.known_minimizers)
+            or abs(result.f_final - problem.known_min_value) < SUCCESS_VALUE_GAP)
 
 
 def _guarded(callback):
@@ -184,7 +182,7 @@ def run_fc_benchmark(c_values=DEFAULT_C_VALUES, q0=DEFAULT_SCHEDULE.q0, solvers=
     """
     c_values = [float(c) for c in c_values]
     y_values = [float(y) for y in y_values]
-    if not np.all(np.isfinite(y_values)):
+    if not np.isfinite(y_values).all():
         raise ValueError(f"every fc start needs a finite y, got {y_values}")
     problems = [make_fc(c) for c in c_values]
     c_of = {problem.name: c for c, problem in zip(c_values, problems)}
@@ -296,7 +294,7 @@ def run_suite_benchmark(suite=None, solvers=SOLVERS, master_seed=SUITE_SEED,
     for problem in suite:
         box = problem.start_box
         if box is None or np.shape(box.center) != (problem.dimension,) or \
-                not (np.all(np.isfinite(box.center)) and 0 < box.side < np.inf):
+                not (np.isfinite(box.center).all() and 0 < box.side < np.inf):
             raise ValueError(f"{problem.name} needs a start box with a finite center of "
                              f"dimension {problem.dimension} and a finite side > 0")
     # a generator, so no start is drawn after a cell reaches its quota

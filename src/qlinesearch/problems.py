@@ -131,7 +131,7 @@ def _index(x):
 def _weighted_squares(weights):
     """Objective sum_i w_i x_i^2 and gradient 2 w * x, with w = ``weights(x)``:
     sphere (w = 1), sumsquares (w = i) and rotated hyper-ellipsoid (w = n + 1 - i)."""
-    return (lambda x: float(np.sum(weights(x) * x ** 2)),
+    return (lambda x: float((weights(x) * x ** 2).sum()),
             lambda x: 2.0 * weights(x) * x)
 
 
@@ -212,16 +212,16 @@ def _easom_grad(x):
 
 def _griewank(x):
     i = _index(x)
-    return float(np.sum(x ** 2) / 4000.0 - np.prod(np.cos(x / np.sqrt(i))) + 1.0)
+    return float((x ** 2).sum() / 4000.0 - np.cos(x / np.sqrt(i)).prod() + 1.0)
 
 
 def _griewank_grad(x):
     i = _index(x)
     cosv = np.cos(x / np.sqrt(i))
-    prod = np.prod(cosv)
+    prod = cosv.prod()
     g = x / 2000.0
     for j in range(x.shape[0]):
-        rest = prod / cosv[j] if cosv[j] != 0.0 else np.prod(np.delete(cosv, j))
+        rest = prod / cosv[j] if cosv[j] != 0.0 else np.delete(cosv, j).prod()
         g[j] += rest * np.sin(x[j] / np.sqrt(i[j])) / np.sqrt(i[j])
     return g
 
@@ -239,19 +239,19 @@ _HART_XSTAR = np.array([0.11458887665506896, 0.5556488946169301, 0.8525469846866
 
 
 def _hartmann3(x):
-    inner = np.sum(_HART_A * (x - _HART_P) ** 2, axis=1)
-    return float(-np.sum(_HART_ALPHA * np.exp(-inner)))
+    inner = (_HART_A * (x - _HART_P) ** 2).sum(axis=1)
+    return float(-(_HART_ALPHA * np.exp(-inner)).sum())
 
 
 def _hartmann3_grad(x):
-    inner = np.sum(_HART_A * (x - _HART_P) ** 2, axis=1)
+    inner = (_HART_A * (x - _HART_P) ** 2).sum(axis=1)
     e = _HART_ALPHA * np.exp(-inner)
-    return np.sum(e[:, None] * 2.0 * _HART_A * (x - _HART_P), axis=0)
+    return (e[:, None] * 2.0 * _HART_A * (x - _HART_P)).sum(axis=0)
 
 
 def _levy(x):
     w = 1.0 + (x - 1.0) / 4.0
-    mid = np.sum((w[:-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(_PI * w[:-1] + 1.0) ** 2))
+    mid = ((w[:-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(_PI * w[:-1] + 1.0) ** 2)).sum()
     last = (w[-1] - 1.0) ** 2 * (1.0 + np.sin(2.0 * _PI * w[-1]) ** 2)
     return float(np.sin(_PI * w[0]) ** 2 + mid + last)
 
@@ -285,7 +285,7 @@ _SCHWEFEL_XSTAR = 420.968746359982
 
 
 def _schwefel(x):
-    return float(418.9829 * x.shape[0] - np.sum(x * np.sin(np.sqrt(np.abs(x)))))
+    return float(418.9829 * x.shape[0] - (x * np.sin(np.sqrt(np.abs(x)))).sum())
 
 
 def _schwefel_grad(x):
@@ -298,7 +298,7 @@ _STYBTANG_XSTAR = -2.903534027771177
 
 
 def _styblinski_tang(x):
-    return float(0.5 * np.sum(x ** 4 - 16.0 * x ** 2 + 5.0 * x))
+    return float(0.5 * (x ** 4 - 16.0 * x ** 2 + 5.0 * x).sum())
 
 
 def _styblinski_tang_grad(x):
@@ -306,13 +306,13 @@ def _styblinski_tang_grad(x):
 
 
 def _zakharov(x):
-    s = float(np.sum(0.5 * _index(x) * x))
-    return float(np.sum(x ** 2) + s ** 2 + s ** 4)
+    s = float((0.5 * _index(x) * x).sum())
+    return float((x ** 2).sum() + s ** 2 + s ** 4)
 
 
 def _zakharov_grad(x):
     i = _index(x)
-    s = float(np.sum(0.5 * i * x))
+    s = float((0.5 * i * x).sum())
     return 2.0 * x + (2.0 * s + 4.0 * s ** 3) * 0.5 * i
 
 

@@ -30,8 +30,7 @@ _EPS = float(np.finfo(float).eps)
 
 def default_delta(A):
     """Eigenvalue floor used when none is supplied: sqrt(eps) * max(1, max |a_ij|)."""
-    A = np.asarray(A, dtype=float)
-    scale = float(np.max(np.abs(A), initial=0.0))
+    scale = float(np.abs(np.asarray(A, dtype=float)).max(initial=0.0))
     return math.sqrt(_EPS) * max(1.0, scale)
 
 
@@ -40,10 +39,10 @@ def _check_symmetric(A):
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    scale = float(np.max(np.abs(A), initial=0.0))
+    scale = float(np.abs(A).max(initial=0.0))
     if not np.isfinite(scale):  # max |a_ij| is NaN or inf exactly when an entry is
         raise ValueError("matrix contains non-finite entries")
-    asym = float(np.max(np.abs(A - A.T), initial=0.0))
+    asym = float(np.abs(A - A.T).max(initial=0.0))
     if asym > 1e-10 * max(scale, 1e-300):
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
     return 0.5 * (A + A.T), scale
@@ -94,11 +93,10 @@ class FactorizationBundle:
         Raises ``numpy.linalg.LinAlgError`` when a block eigenvalue vanishes
         next to the largest one: |lam_i| <= n * eps * max |lam|.
         """
-        lam = self.block_eigenvalues
-        tiny = lam.size * _EPS * float(np.max(np.abs(lam), initial=0.0))
-        if np.any(np.abs(lam) <= tiny):
+        mags = np.abs(self.block_eigenvalues)
+        if (mags <= mags.size * _EPS * float(mags.max(initial=0.0))).any():
             raise np.linalg.LinAlgError("singular block in symmetric indefinite solve")
-        return _factored_solve(self, lam, rhs)
+        return _factored_solve(self, self.block_eigenvalues, rhs)
 
 
 def _factored_solve(bundle, eigenvalues, rhs):
@@ -182,7 +180,7 @@ def ldl_factor(A):
             colv = W[k + 1:, k]
             if d != 0.0:
                 colv = colv / d
-                W[k + 1:, k + 1:] -= np.outer(colv, W[k + 1:, k])
+                W[k + 1:, k + 1:] -= colv[:, None] * W[k + 1:, k]
             L[k + 1:, k] = colv
             lam[k] = d * pow2
             blocks.append(np.array([[lam[k]]]))
@@ -243,14 +241,14 @@ class PsdModification:
 
     @functools.cached_property
     def modified_matrix(self):
-        if not np.any(self.shifts > 0.0):
+        if not (self.shifts > 0.0).any():
             return self.bundle.matrix
         M = _reassemble(self.bundle, self.bundle.block_eigenvalues + self.shifts)
         return 0.5 * (M + M.T)
 
     @functools.cached_property
     def modification_frobenius(self):
-        if not np.any(self.shifts > 0.0):
+        if not (self.shifts > 0.0).any():
             return 0.0
         return float(np.linalg.norm(_reassemble(self.bundle, self.shifts), "fro"))
 

@@ -147,7 +147,7 @@ class QHessian:
 def _checked(a, shape, x, what):
     if a.shape != shape:
         raise GradientShapeError(f"{what} returned shape {a.shape}, expected {shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NumericError(f"non-finite {what} evaluation", point=np.asarray(x, dtype=float).copy())
     return a
 
@@ -190,7 +190,7 @@ def q_hessian(gradient, x, q, g0=None):
         if central:
             fallback += n
     matrix = 0.5 * (rows + rows.T)
-    if not np.all(np.isfinite(matrix)):
+    if not np.isfinite(matrix).all():
         raise NumericError("non-finite q-Hessian entry", point=x.copy())
     return QHessian(matrix=matrix, fallback_count=fallback)
 

@@ -20,7 +20,7 @@ from .errors import GradientShapeError, LineSearchError, NumericError, QPError, 
 from .psdfactor import default_delta, ldl_factor, psd_modify
 from .qmatrix import (checked_gradient, checked_jacobian, lagrangian_gradient,
                       q_hessian_lagrangian)
-from .usolve import DEFAULT_SCHEDULE, STATUS_CONVERGED, backtracking_step, drive
+from .usolve import DEFAULT_SCHEDULE, STATUS_CONVERGED, _norm, backtracking_step, drive
 
 
 @dataclass
@@ -76,6 +76,18 @@ class QpSolution:
 
 @dataclass
 class SqpTraceRecord:
+    """Iteration k of SQP: x moves by alpha d, and u and v by alpha toward
+    the QP's multipliers.
+
+    ``merit_value`` is the l1 merit at x_k under the step's penalty
+    ``merit_penalty``, and ``kkt_residual`` the KKT residual at (x_k, u_k,
+    v_k).  ``alpha`` is the accepted step length and ``q_k`` the step's q.
+    B is the modified q-Hessian of the Lagrangian that the QP solved with:
+    ``beta1_observed`` is the least eigenvalue of B on J_h's null space, B's
+    least eigenvalue without equalities; ``beta2_observed`` is max |lambda(B)|
+    and ``beta3_observed`` is 1 / min |lambda(B)|, inf when that is 0.
+    """
+
     k: int
     merit_value: float
     kkt_residual: float
@@ -131,9 +143,9 @@ def _penalized(f_val, violation, mu):
 def _violation(h_vals, g_vals):
     total = 0.0
     if h_vals is not None:
-        total += float(np.sum(np.abs(h_vals)))
+        total += float(np.abs(h_vals).sum())
     if g_vals is not None:
-        total += float(np.sum(np.maximum(0.0, g_vals)))
+        total += float(np.maximum(0.0, g_vals).sum())
     return total
 
 
@@ -162,7 +174,7 @@ def qp_active_set(B, grad, eq=((), ()), ineq=((), ())):
     b_eq = np.asarray(b_eq, dtype=float).reshape(-1)
     b_in = np.asarray(b_in, dtype=float).reshape(-1)
     m, p = A_eq.shape[0], A_in.shape[0]
-    tol = 1e-9 * (1.0 + float(np.max(np.abs(b_in), initial=0.0)))
+    tol = 1e-9 * (1.0 + float(np.abs(b_in).max(initial=0.0)))
     W = []
     q = -1  # the inequality being added, or -1 between additions
     d, mult = kkt_solve(B, grad, A_eq, b_eq)
@@ -186,7 +198,7 @@ def qp_active_set(B, grad, eq=((), ()), ineq=((), ())):
                 t1, drop = -mult[m + j] / r[m + j], j
         # full step: unbounded when a_q lies in the span of the rows
         t2, curvature = np.inf, -float(a_q @ z)
-        if curvature > 0.0 and np.max(np.abs(a_q + rows.T @ r)) > 1e-9 * np.max(np.abs(a_q)):
+        if curvature > 0.0 and np.abs(a_q + rows.T @ r).max() > 1e-9 * np.abs(a_q).max():
             t2 = (float(a_q @ d) - b_in[q]) / curvature
         if t2 <= t1:
             if t2 == np.inf:
@@ -212,15 +224,16 @@ def _sqp_delta(A):
 
 def _beta_monitors(M, jac_eq):
     w = np.linalg.eigvalsh(M)
-    beta2 = float(np.max(np.abs(w)))
-    beta3 = float(1.0 / np.min(np.abs(w))) if np.min(np.abs(w)) > 0 else np.inf
+    mags = np.abs(w)
+    beta2, least = float(mags.max()), mags.min()
+    beta3 = float(1.0 / least) if least > 0 else np.inf
     if jac_eq.shape[0] == 0:  # the null space is everything: beta1 is M's least eigenvalue
-        return float(np.min(w)), beta2, beta3
+        return float(w.min()), beta2, beta3
     # ConstrainedProblem keeps m < n: a nonempty J_h has singular values, and
     # its null space Z, the columns of vt past J_h's rank, is never empty.
     _, s, vt = np.linalg.svd(jac_eq)
-    Z = vt[int(np.sum(s > s[0] * 1e-12)):].T
-    beta1 = float(np.min(np.linalg.eigvalsh(Z.T @ M @ Z)))
+    Z = vt[int((s > s[0] * 1e-12).sum()):].T
+    beta1 = float(np.linalg.eigvalsh(Z.T @ M @ Z).min())
     return beta1, beta2, beta3
 
 
@@ -260,14 +273,12 @@ class _SqpRun:
         g_obj = checked_gradient(prob.gradient(x), x)
         Jh = checked_jacobian(prob.jac_h(x), m, x) if m else np.zeros((0, n))
         Jg = checked_jacobian(prob.jac_g(x), p, x) if p else np.zeros((0, n))
-        if not (np.isfinite(fval) and np.all(np.isfinite(hx)) and np.all(np.isfinite(gx))):
+        if not (np.isfinite(fval) and np.isfinite(hx).all() and np.isfinite(gx).all()):
             raise NumericError("non-finite objective or constraint value", point=x.copy())
         # the same function the q-Hessian's closure calls, so this is bitwise
         # the gradient it would evaluate at x
         grad_lag = lagrangian_gradient(g_obj, Jh, u, Jg, v)
-        residual = float(np.linalg.norm(grad_lag))
-        residual += float(np.linalg.norm(hx))
-        residual += float(np.linalg.norm(np.minimum(v, -gx)))
+        residual = _norm(grad_lag) + _norm(hx) + _norm(np.minimum(v, -gx))
         if residual < config.grad_tolerance:
             return STATUS_CONVERGED
         if self.flat_from is not None and not residual < self.flat_from:
@@ -289,7 +300,7 @@ class _SqpRun:
         qp = qp_active_set(mod, g_obj, eq=(Jh, -hx), ineq=(Jg, -gx))
         d, lam_new, mu_new = qp.d_x, qp.d_u, qp.d_v
 
-        mult_norm = float(np.max(np.abs(np.concatenate([lam_new, mu_new])), initial=0.0))
+        mult_norm = float(np.abs(np.concatenate([lam_new, mu_new])).max(initial=0.0))
         mu_pen = self.mu_pen = max(self.mu_pen, mult_norm + 1.0)
         violation = _violation(hx, gx)
         phi0 = _penalized(fval, violation, mu_pen)
@@ -297,7 +308,7 @@ class _SqpRun:
 
         accepted = (None, None, None)  # (f, h, g) at the last merit trial
         self.flat_from = None
-        if float(np.max(np.abs(d), initial=0.0)) <= 1e-14 * max(1.0, float(np.max(np.abs(x)))):
+        if float(np.abs(d).max(initial=0.0)) <= 1e-14 * max(1.0, float(np.abs(x).max())):
             alpha = 1.0  # multiplier-only update; x barely moves, so re-evaluate
         else:
             def merit(a):

@@ -63,6 +63,18 @@ class SolverConfig:
 
 @dataclass
 class IterationRecord:
+    """Iteration k of QLS or BFGS, the step x_{k+1} = x_k + alpha p.
+
+    ``f_value`` and ``grad_norm`` are f and ||g|| at x_k, g = grad f(x_k).
+    ``alpha`` is the accepted step length and ``trials`` the line search's
+    trials, one objective evaluation each.  ``q_k`` is the step's q (None
+    for BFGS).  ``cos_theta`` is -g.p / (||g|| ||p||).  ``condition_number``
+    is the 2-norm condition number of the matrix the direction solved with,
+    A + E for QLS and B for BFGS; it is inf when that matrix is not positive
+    definite.  ``fallback_count`` counts the q-Hessian entries that came from
+    the zero band's central difference, n per such row (0 for BFGS).
+    """
+
     k: int
     f_value: float
     grad_norm: float
@@ -71,7 +83,7 @@ class IterationRecord:
     cos_theta: float
     condition_number: float
     fallback_count: int
-    trials: int  # line-search trials, one objective evaluation each
+    trials: int
 
 
 @functools.cache
@@ -113,24 +125,28 @@ class SolveResult:
     trace: Sequence  # a Trace, from drive
 
 
+def _norm(v):
+    """``np.linalg.norm(v)`` of a float vector, bit for bit: norm dots the
+    ravelled v, and on a strided view v.dot(v) can differ in the last bit."""
+    v = v.ravel()
+    return float(np.sqrt(v.dot(v)))
+
+
 def _spd_condition(M):
     w = np.linalg.eigvalsh(M)
-    if w[0] <= 0.0:
-        return np.inf
-    return float(w[-1] / w[0])
+    return np.inf if w[0] <= 0.0 else float(w[-1] / w[0])
 
 
 def bfgs_update(B, s, y):
     """Rank-two BFGS update of B; skipped (B returned unchanged) unless y.s is
     safely positive, which keeps B positive definite."""
-    s = np.asarray(s, dtype=float)
-    y = np.asarray(y, dtype=float)
+    s, y = np.asarray(s, dtype=float), np.asarray(y, dtype=float)
     sy = float(y @ s)
-    if sy <= 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+    if sy <= 1e-10 * _norm(s) * _norm(y):
         return B
     v = B @ s
     sBs = float(s @ v)
-    return B - np.outer(v, v) / sBs + np.outer(y, y) / sy
+    return B - v[:, None] * v / sBs + y[:, None] * y / sy
 
 
 C1 = 1e-4
@@ -262,7 +278,7 @@ class _DescentRun:
         self.g = checked_gradient(self.gradient(self.x), self.x)
         if not np.isfinite(self.f_x):
             raise NumericError("non-finite objective")
-        self.gnorm = float(np.linalg.norm(self.g))
+        self.gnorm = _norm(self.g)
         if self.gnorm < config.grad_tolerance:
             return STATUS_CONVERGED
         if self.f_x < config.f_floor:
@@ -282,7 +298,7 @@ class _DescentRun:
         if np.array_equal(x_new, x):
             raise LineSearchError(f"accepted step alpha = {step.alpha:.3g} leaves x unchanged")
         record = IterationRecord(k=k, f_value=f0, grad_norm=gnorm, alpha=step.alpha,
-                                 q_k=q_k, cos_theta=-slope / (gnorm * float(np.linalg.norm(p))),
+                                 q_k=q_k, cos_theta=-slope / (gnorm * _norm(p)),
                                  condition_number=cond, fallback_count=fallbacks,
                                  trials=step.trials)
         self.x, self.f_x = x_new, step.value

@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qlinesearch.errors import LineSearchError
 from qlinesearch.problems import Problem, get_problem, make_fc
@@ -10,7 +12,7 @@ from qlinesearch.qmatrix import QSchedule
 from qlinesearch.usolve import (ALPHA0, BACKTRACK_FACTOR, C1, MAX_HALVINGS, STATUS_CONVERGED,
                                 STATUS_DIVERGED, STATUS_LINE_SEARCH_FAILURE,
                                 STATUS_MAX_ITERATIONS, STATUS_NUMERIC_FAILURE,
-                                STATUS_TIME_CAP, SolverConfig, _DescentRun,
+                                STATUS_TIME_CAP, SolverConfig, _DescentRun, _norm,
                                 _spd_condition, backtracking_step, bfgs_update, drive,
                                 solve_bfgs, solve_qls)
 
@@ -52,6 +54,42 @@ class TestBfgsUpdate:
             if out is not B:
                 np.testing.assert_allclose(out @ s, y, atol=1e-10)
                 assert np.array_equal(out, out.T)
+
+
+@st.composite
+def float_matrices(draw):
+    """An n x k float matrix, n and k up to MAX_N, with any float64 entries."""
+    n, k = draw(st.integers(1, MAX_N)), draw(st.integers(1, MAX_N))
+    return np.reshape(draw(st.lists(st.floats(), min_size=n * k, max_size=n * k)), (n, k))
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+class TestReductionForms:
+    """The array-method forms that the library reduces with give the bits of
+    numpy's function forms, on contiguous vectors (a matrix's rows) and on
+    strided views (its columns), NaN and inf included."""
+
+    @given(float_matrices())
+    def test_method_forms_match_function_forms(self, M):
+        with np.errstate(all="ignore"):
+            for v in (*M, *M.T):
+                w = v[::-1]
+                for method, function in (
+                        (v.max(), np.max(v)), (v.min(), np.min(v)),
+                        (v.max(initial=0.0), np.max(v, initial=0.0)),
+                        (v.min(initial=0.0), np.min(v, initial=0.0)),
+                        (v.sum(), np.sum(v)), (v.prod(), np.prod(v)),
+                        ((v > 0.0).all(), np.all(v > 0.0)), ((v > 0.0).any(), np.any(v > 0.0)),
+                        (np.isfinite(v).all(), np.all(np.isfinite(v))),
+                        (v[:, None] * w, np.outer(v, w)),
+                        (_norm(v), float(np.linalg.norm(v)))):
+                    assert _bits(method) == _bits(function)
+            for axis in (0, 1):
+                assert _bits(M.sum(axis=axis)) == _bits(np.sum(M, axis=axis))
 
 
 @pytest.mark.parametrize("M", [np.diag([1.0, 0.0]), np.diag([1.0, -2.0])],
