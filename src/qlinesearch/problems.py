@@ -30,6 +30,9 @@ class StartBox:
 
 @dataclass
 class Problem:
+    """A test problem.  f never falls below ``lower_bound`` at any float x (-inf:
+    none known), so the line search tries no step whose Armijo target is lower."""
+
     name: str
     dimension: int
     objective: callable
@@ -37,6 +40,7 @@ class Problem:
     known_minimizers: list
     known_min_value: float
     start_box: StartBox = None
+    lower_bound: float = -math.inf
 
 
 def check_gradient(problem, x, step=1e-6):
@@ -116,7 +120,7 @@ def make_fc(c):
 
     # exact where {c:g} would round c, so that get_problem(name) is this problem
     label = f"{c:g}" if float(f"{c:g}") == c else repr(c)
-    return _problem(f"fc_c{label}", objective, gradient, [np.array([1.0, 1.0])])
+    return _problem(f"fc_c{label}", objective, gradient, [np.array([1.0, 1.0])], bounded=c > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -316,13 +320,16 @@ def _zakharov_grad(x):
     return 2.0 * x + (2.0 * s + 4.0 * s ** 3) * 0.5 * i
 
 
-def _problem(name, obj, grad, minimizers):
-    """Dimension, minimum value and start-box center all come from the first minimizer."""
+def _problem(name, obj, grad, minimizers, bounded=True):
+    """Dimension, minimum value and start-box center all come from the first minimizer.
+    A ``bounded`` f is at least that value everywhere; its ``lower_bound`` is 1e-9
+    relative lower, as f near a minimizer can round a few ulps below the value."""
     mins = [np.asarray(m, dtype=float) for m in minimizers]
+    f_min = float(obj(mins[0]))
     return Problem(name=name, dimension=mins[0].shape[0], objective=obj, gradient=grad,
-                   known_minimizers=mins,
-                   known_min_value=float(obj(mins[0])),
-                   start_box=StartBox(center=mins[0].copy()))
+                   known_minimizers=mins, known_min_value=f_min,
+                   start_box=StartBox(center=mins[0].copy()),
+                   lower_bound=f_min - 1e-9 * max(1.0, abs(f_min)) if bounded else -math.inf)
 
 
 def standard_suite():
@@ -333,17 +340,20 @@ def standard_suite():
                  [np.array([xs, _BRANIN_B * xs ** 2 - _BRANIN_C * xs + 6.0])
                   for xs in (-_PI, _PI, 3.0 * _PI)]),
         _problem("crossintray", _crossintray, _crossintray_grad,
-                 [np.array([sx * _CROSS_T, sy * _CROSS_T]) for sx in (1, -1) for sy in (1, -1)]),
+                 [np.array([sx * _CROSS_T, sy * _CROSS_T]) for sx in (1, -1) for sy in (1, -1)],
+                 bounded=False),
         _problem("dixonprice", _dixonprice, _dixonprice_grad,
                  [np.array([1.0, 2.0 ** -0.5]), np.array([1.0, -(2.0 ** -0.5)])]),
         _problem("easom", _easom, _easom_grad, [np.array([_PI, _PI])]),
         _problem("griewank", _griewank, _griewank_grad, [np.zeros(4)]),
         _problem("hartmann3", _hartmann3, _hartmann3_grad, [_HART_XSTAR.copy()]),
         _problem("levy", _levy, _levy_grad, [np.ones(4)]),
-        _problem("mccormick", _mccormick, _mccormick_grad, [_MCCORMICK_XSTAR.copy()]),
+        _problem("mccormick", _mccormick, _mccormick_grad, [_MCCORMICK_XSTAR.copy()],
+                 bounded=False),
         _problem("rotatedhyperellipsoid", *_weighted_squares(lambda x: _index(x)[::-1]),
                  [np.zeros(4)]),
-        _problem("schwefel", _schwefel, _schwefel_grad, [np.full(2, _SCHWEFEL_XSTAR)]),
+        _problem("schwefel", _schwefel, _schwefel_grad, [np.full(2, _SCHWEFEL_XSTAR)],
+                 bounded=False),
         _problem("sphere", *_weighted_squares(lambda x: 1.0), [np.zeros(8)]),
         _problem("styblinskitang", _styblinski_tang, _styblinski_tang_grad,
                  [np.full(4, _STYBTANG_XSTAR)]),

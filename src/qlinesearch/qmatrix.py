@@ -158,14 +158,13 @@ def checked_gradient(g, x):
     Raises ``GradientShapeError`` on a wrong shape and ``NumericError`` on a
     non-finite entry, so every solver rejects a bad gradient the same way.
     """
-    return _checked(np.asarray(g, dtype=float), (np.shape(x)[0],), x, "gradient")
+    return _checked(np.asarray(g, dtype=float), (len(x),), x, "gradient")
 
 
 def checked_jacobian(J, rows, x):
     """``J``, a constraint Jacobian value at ``x``, as a float (rows, n) array;
     a 1-D value is one row.  Raises as ``checked_gradient`` does."""
-    return _checked(np.atleast_2d(np.asarray(J, dtype=float)), (rows, np.shape(x)[0]), x,
-                    "Jacobian")
+    return _checked(np.atleast_2d(np.asarray(J, dtype=float)), (rows, len(x)), x, "Jacobian")
 
 
 def q_hessian(gradient, x, q, g0=None):

@@ -67,7 +67,8 @@ class IterationRecord:
 
     ``f_value`` and ``grad_norm`` are f and ||g|| at x_k, g = grad f(x_k).
     ``alpha`` is the accepted step length and ``trials`` the line search's
-    trials, one objective evaluation each.  ``q_k`` is the step's q (None
+    trials, one objective evaluation each (an alpha whose target lies below
+    ``Problem.lower_bound`` is not tried).  ``q_k`` is the step's q (None
     for BFGS).  ``cos_theta`` is -g.p / (||g|| ||p||).  ``condition_number``
     is the 2-norm condition number of the matrix the direction solved with,
     A + E for QLS and B for BFGS; it is inf when that matrix is not positive
@@ -158,28 +159,32 @@ MAX_HALVINGS = 60
 @dataclass
 class StepResult:
     alpha: float
-    trials: int
+    trials: int  # phi's evaluations, which an alpha skipped below the bound is not
     value: float  # phi(alpha), the last trial's value
 
 
-def backtracking_step(phi, phi0, slope):
+def backtracking_step(phi, phi0, slope, lower_bound=float("-inf")):
     """Largest alpha in {ALPHA0 * BACKTRACK_FACTOR^j} with
     phi(alpha) <= phi0 + C1 alpha slope.
 
     ``phi(a)`` is the function along the ray, ``phi0`` its value at 0 and
-    ``slope`` its derivative there.  Raises ``LineSearchError`` when no trial
-    within MAX_HALVINGS halvings passes, after MAX_HALVINGS + 1 trials.
+    ``slope`` its derivative there.  An alpha whose target lies below
+    ``lower_bound``, a value phi never falls below, cannot pass and is not
+    tried.  Raises ``LineSearchError`` when no alpha within MAX_HALVINGS
+    halvings passes, after at most MAX_HALVINGS + 1 trials.
 
     The inputs are not checked.  The unconstrained solvers require a finite
     phi0 and a negative slope; the SQP merit search does not, as its l1
     slope can round to a tiny positive number on a step that still
     decreases the merit.  A non-finite trial value fails the test.
     """
-    alpha = ALPHA0
-    for trial in range(1, MAX_HALVINGS + 2):
-        value = phi(alpha)
-        if value <= phi0 + C1 * alpha * slope:
-            return StepResult(alpha=alpha, trials=trial, value=value)
+    alpha, trials = ALPHA0, 0
+    for _ in range(MAX_HALVINGS + 1):
+        target = phi0 + C1 * alpha * slope
+        if not target < lower_bound:  # below it, no phi value passes; NaN is tried
+            trials += 1
+            if (value := phi(alpha)) <= target:
+                return StepResult(alpha=alpha, trials=trials, value=value)
         alpha *= BACKTRACK_FACTOR
     raise LineSearchError(f"Armijo condition not satisfied within {MAX_HALVINGS} halvings")
 
@@ -267,6 +272,7 @@ class _DescentRun:
                              f"got x0 of shape {np.shape(x0)}")
         self.objective = problem.objective
         self.gradient = problem.gradient
+        self.lower_bound = problem.lower_bound
         self.direction = direction
         self.x = np.asarray(x0, dtype=float).copy()
         self.f_x = None
@@ -293,7 +299,8 @@ class _DescentRun:
             raise NumericError("non-finite directional derivative at alpha = 0")
         if slope >= 0.0:
             raise LineSearchError(f"not a descent direction (slope {slope:.6g} >= 0)")
-        step = backtracking_step(lambda a: float(self.objective(x + a * p)), f0, slope)
+        step = backtracking_step(lambda a: float(self.objective(x + a * p)), f0, slope,
+                                 self.lower_bound)
         x_new = x + step.alpha * p
         if np.array_equal(x_new, x):
             raise LineSearchError(f"accepted step alpha = {step.alpha:.3g} leaves x unchanged")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qlinesearch.problems import (SUITE_NAMES, check_gradient, get_problem,
                                   make_fc, standard_suite)
@@ -191,3 +193,45 @@ def test_every_problem_is_built_from_its_first_minimizer():
         assert prob.start_box.side == 1.0, prob.name
     for c, prob in fc.items():
         assert prob.known_min_value == c, prob.name
+
+
+#: the problems whose f falls without bound outside the start box, each with
+#: one point below its minimum value
+UNBOUNDED = {"crossintray": [1770.3, 1770.3], "mccormick": [-100.0, -100.0],
+             "schwefel": [254243.0, 254243.0]}
+BOUNDED = [p.name for p in standard_suite() if p.name not in UNBOUNDED] + ["fc"]
+
+
+class TestLowerBound:
+    """``Problem.lower_bound``: f never falls below it, and it is -inf only
+    where f has no bound."""
+
+    def test_bound_is_the_minimum_less_its_margin(self):
+        for prob in standard_suite() + [make_fc(c) for c in FC_VALUES]:
+            if prob.name in UNBOUNDED:
+                assert prob.lower_bound == float("-inf"), prob.name
+            else:
+                margin = 1e-9 * max(1.0, abs(prob.known_min_value))
+                assert prob.lower_bound == prob.known_min_value - margin, prob.name
+        # fc's f >= c holds term by term only for c > 0 (test_global_lower_bound)
+        assert all(make_fc(c).lower_bound == float("-inf") for c in NEGATIVE_C)
+
+    @pytest.mark.parametrize("name", sorted(UNBOUNDED))
+    def test_unbounded_problems_fall_below_their_minimum(self, name):
+        prob = get_problem(name)
+        with np.errstate(all="ignore"):
+            assert prob.objective(np.array(UNBOUNDED[name])) < prob.known_min_value
+
+    @pytest.mark.parametrize("name", BOUNDED)
+    @given(st.data())
+    def test_f_never_falls_below_the_bound(self, name, data):
+        # x off the start-box center (a minimizer) by up to 10^e per
+        # coordinate: far outside the unit box for e up to 4, and for e down
+        # to -12 where f rounds below its minimum value; fc at any c > 0
+        prob = make_fc(data.draw(st.floats(1e-3, 1e3))) if name == "fc" else get_problem(name)
+        scale = 10.0 ** data.draw(st.integers(-12, 4))
+        offset = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=prob.dimension,
+                                    max_size=prob.dimension))
+        with np.errstate(all="ignore"):
+            f = prob.objective(prob.start_box.center + scale * np.array(offset))
+        assert f >= prob.lower_bound > float("-inf")

@@ -147,6 +147,13 @@ class TestQHessianLagrangian:
             q_hessian_lagrangian(grad_f, x, 0.5, jac_h=jac_h, u=np.array([0.5]))
 
 
+@pytest.mark.parametrize("x", [[0.7, -1.2], np.array([0.7, -1.2])], ids=["list", "array"])
+def test_checked_gradient_expects_the_length_of_x(x):
+    np.testing.assert_array_equal(qmatrix.checked_gradient([1.0, 2.0], x), [1.0, 2.0])
+    with pytest.raises(GradientShapeError, match=r"expected \(2,\)"):
+        qmatrix.checked_gradient([1.0, 2.0, 3.0], x)
+
+
 # Coordinates are exactly zero or at least 0.1 away from it, so which rows
 # fall back is known.
 _coordinate = st.one_of(st.just(0.0), st.floats(0.1, 5.0), st.floats(-5.0, -0.1))

@@ -205,6 +205,16 @@ class TestEvaluationAccounting:
         assert any(t.trials > 1 for t in r.trace)
         assert all(t.alpha == 0.5 ** (t.trials - 1) for t in r.trace)
 
+    def test_bounded_run_skips_trials_below_the_bound(self):
+        # fc_c0.5 is bounded below, and QLS's first step from START halves its
+        # direction 25 times: the Armijo targets of the longest steps lie
+        # below the bound, so those trials are not evaluated
+        prob, counts = counted(make_fc(0.5))
+        r = solve_qls(prob, TestDivergenceGuard.START)
+        assert r.status == STATUS_CONVERGED
+        assert counts["f"] == 1 + sum(t.trials for t in r.trace)
+        assert any(t.alpha < 0.5 ** (t.trials - 1) for t in r.trace)
+
     def test_converged_at_start_pays_one_of_each(self):
         prob, counts = counted(quadratic_problem())
         r = solve_qls(prob, np.zeros(2))
@@ -592,3 +602,34 @@ def test_nan_trials_are_skipped():
     res = backtracking_step(phi, 1.0, -1.0)
     assert res.alpha == 0.25
     assert res.trials == 3
+
+
+@given(st.floats(-1e6, 1e6), st.floats(0.0, 1e3), st.floats(-1e9, -1e-6),
+       st.floats(0.0, 1e3), st.floats(-1e3, 1e3))
+def test_lower_bound_skips_only_trials_that_cannot_pass(bound, gap, slope, w, k):
+    # phi >= bound everywhere (bound plus a nonnegative term rounds to no
+    # less than bound), so a target below the bound cannot be met: the
+    # search with the bound ends as the one without it, evaluating phi only
+    # where the target is at least the bound
+    calls = []
+
+    def phi(a):
+        calls.append(a)
+        return bound + abs(gap * np.cos(w * a) + k * a)
+
+    phi0 = phi(0.0)
+
+    def search(lower_bound):
+        calls.clear()
+        try:
+            return backtracking_step(phi, phi0, slope, lower_bound)
+        except LineSearchError:
+            return None
+
+    free = search(float("-inf"))
+    assert len(calls) == (MAX_HALVINGS + 1 if free is None else free.trials)
+    bounded = search(bound)
+    assert all(phi0 + C1 * a * slope >= bound for a in calls)
+    assert (bounded is None) == (free is None)
+    if free is not None:
+        assert (bounded.alpha, bounded.value, bounded.trials) == (free.alpha, free.value, len(calls))
