@@ -10,6 +10,7 @@ a given master seed regardless of execution order).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 import operator
 import zlib
@@ -123,22 +124,21 @@ def solver_call(solver, q0=DEFAULT_SCHEDULE.q0):
     error of the problem's objective or gradient but ``usolve.NUMERIC_ERRORS``
     ends the run as ``callback_error``, so a sweep records it and goes on.
     Raises ValueError for any other name (``q01`` too), and for a q0 outside (0, 1);
-    the solve raises it for an x0 that is not a vector of the problem's dimension."""
+    the solve raises it for an x0 that is not a vector of the problem's dimension.
+    The solve is bound when solver_call is called, so a patch of
+    ``bench.solve_qls`` or ``bench.solve_bfgs`` around a whole sweep is seen."""
     gamma = solver[1:] if solver[:1] == "q" else ""
     if solver != "bfgs" and not (gamma.isdecimal() and gamma == str(int(gamma))):
         raise ValueError(f"unknown solver {solver!r}; a solver is bfgs or q<gamma>")
     schedule = QSchedule(q0, int(gamma) if gamma else DEFAULT_SCHEDULE.gamma)
+    solve = solve_bfgs if solver == "bfgs" else functools.partial(solve_qls, schedule=schedule)
 
     def call(problem, x0, config):
         config = dataclasses.replace(config if config is not None else SolverConfig(),
                                      f_floor=problem.known_min_value - SUCCESS_VALUE_GAP)
         problem = dataclasses.replace(problem, objective=_guarded(problem.objective),
                                       gradient=_guarded(problem.gradient))
-        # looked up here at each run: perfbench's timed_bench_solvers patches them
-        # around each sweep until a benchmark change moves it to ``wrap`` (ROADMAP item 1)
-        if solver == "bfgs":
-            return solve_bfgs(problem, x0, config=config)
-        return solve_qls(problem, x0, config=config, schedule=schedule)
+        return solve(problem, x0, config=config)
     return call
 
 

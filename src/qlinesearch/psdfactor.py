@@ -124,7 +124,7 @@ def _reassemble(bundle, eigenvalues):
     L = bundle.lower_unit_triangular
     perm = bundle.permutation
     out = np.empty((perm.shape[0], perm.shape[0]))
-    out[np.ix_(perm, perm)] = L @ (Q @ np.diag(eigenvalues) @ Q.T) @ L.T
+    out[np.ix_(perm, perm)] = L @ ((Q * eigenvalues) @ Q.T) @ L.T
     return out
 
 

@@ -223,17 +223,16 @@ def _sqp_delta(A):
 
 
 def _beta_monitors(M, jac_eq):
-    w = np.linalg.eigvalsh(M)
-    mags = np.abs(w)
-    beta2, least = float(mags.max()), mags.min()
+    w = np.linalg.eigvalsh(M)  # ascending, so the largest |w_i| is at one end
+    beta2, least = float(max(w[-1], -w[0])), np.abs(w).min()
     beta3 = float(1.0 / least) if least > 0 else np.inf
     if jac_eq.shape[0] == 0:  # the null space is everything: beta1 is M's least eigenvalue
-        return float(w.min()), beta2, beta3
+        return float(w[0]), beta2, beta3
     # ConstrainedProblem keeps m < n: a nonempty J_h has singular values, and
     # its null space Z, the columns of vt past J_h's rank, is never empty.
     _, s, vt = np.linalg.svd(jac_eq)
     Z = vt[int((s > s[0] * 1e-12).sum()):].T
-    beta1 = float(np.linalg.eigvalsh(Z.T @ M @ Z).min())
+    beta1 = float(np.linalg.eigvalsh(Z.T @ M @ Z)[0])
     return beta1, beta2, beta3
 
 

@@ -647,3 +647,39 @@ class TestDivergenceGuard:
             else:
                 assert ra.iterations <= rb.iterations
         assert sum(r.iterations for r in a) < sum(r.iterations for r in b)
+
+
+class TestLowerBoundSkip:
+    """The line search skips only the trials that ``Problem.lower_bound``
+    shows cannot pass, so no iterate of a benchmark sweep depends on it."""
+
+    SWEEPS = {"fc": lambda wrap: run_fc_benchmark(wrap=wrap),
+              "suite": lambda wrap: run_suite_benchmark(master_seed=42, runs_required=3,
+                                                        attempt_cap=6, wrap=wrap)}
+
+    @staticmethod
+    def solves(sweep, unbounded):
+        """(solve without its trials, trials per record) of each solve of
+        ``sweep``, with every problem's lower_bound -inf if ``unbounded``: a
+        search that skips nothing."""
+        results = []
+
+        def wrap(solver, solve):
+            def run(problem, x0, config):
+                if unbounded:
+                    problem = dataclasses.replace(problem, lower_bound=float("-inf"))
+                results.append(solve(problem, x0, config))
+                return results[-1]
+            return run
+        sweep(wrap)
+        return [(repr((r.status, r.x_final.tobytes(), r.f_final, r.iterations,
+                       [{**vars(record), "trials": None} for record in r.trace])),
+                 [record.trials for record in r.trace]) for r in results]
+
+    def test_skip_moves_no_iterate_sweep_wide(self):
+        for name, sweep in self.SWEEPS.items():
+            bounded, free = self.solves(sweep, False), self.solves(sweep, True)
+            assert [key for key, _ in bounded] == [key for key, _ in free], name
+            assert all(t <= u for (_, a), (_, b) in zip(bounded, free) for t, u in zip(a, b))
+            skipped = sum(sum(b) - sum(a) for (_, a), (_, b) in zip(bounded, free))
+            assert skipped > 0, name

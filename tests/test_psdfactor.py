@@ -279,6 +279,10 @@ class TestFactorProperties:
         # of A + E is not bounded by delta, because L is not orthogonal
         eps = np.finfo(float).eps
         assert np.all(shifted >= mod.delta - eps * (mod.delta + np.abs(lam)))
+        # _reassemble scales Q's columns where Q @ diag(e) @ Q^T would be formed
+        Q = mod.bundle.block_eigenvectors
+        for e in (shifted, mod.shifts):
+            assert np.array_equal((Q * e) @ Q.T, Q @ np.diag(e) @ Q.T)
         # ||E||_F is built on first read from the factors; it agrees with the
         # dense difference (A + E) - A, is zero exactly when nothing is
         # shifted, and then A comes back bitwise

@@ -77,8 +77,10 @@ def test_line_search_spans_count_only_unconstrained_searches():
 
 
 def test_timed_bench_solvers_log_and_count_every_sweep_solve():
-    # a library that bound its solvers before a sweep ran would bypass the
-    # patch: perfbench would log no solve and count no evaluation
+    # bench.solver_call binds bench.solve_qls or bench.solve_bfgs when called,
+    # and a sweep builds each solve before the first, inside the patch: a
+    # library that bound them before the sweep ran would bypass it, and
+    # perfbench would log no solve and count no evaluation
     meter, log = Meter(), []
     with workloads.timed_bench_solvers(meter, log):
         bench.run_fc_benchmark(c_values=(0.5,), y_values=(0.9,))
