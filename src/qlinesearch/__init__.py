@@ -6,8 +6,8 @@ The package provides:
   symmetrized q-Hessian surrogates (objective and Lagrangian),
 * ``psdfactor`` -- Bunch-Kaufman factorization and eigenvalue-shift PSD
   modification,
-* ``usolve`` -- the iteration driver, Armijo backtracking, the q-line-search
-  solver and a BFGS baseline,
+* ``usolve`` -- the iteration driver, Armijo backtracking, the descent run
+  ``solve_descent`` and its two matrix rules: q-line-search and a BFGS baseline,
 * ``sqp`` -- the SQP extension for equality/inequality constraints,
 * ``problems`` -- the fc family and the 15-problem test suite,
 * ``bench`` -- reproducible benchmark sweeps and Dolan-More performance
@@ -28,6 +28,6 @@ from .qmatrix import (QHessian, QSchedule, q_derivative_1d, q_hessian, q_hessian
 from .sqp import (ConstrainedProblem, QpSolution, SqpTraceRecord, kkt_solve,
                   merit_l1, qp_active_set, solve_qsqp)
 from .usolve import (IterationRecord, SolveResult, SolverConfig, StepResult, backtracking_step,
-                     bfgs_update, solve_bfgs, solve_qls)
+                     bfgs_update, solve_bfgs, solve_descent, solve_qls)
 
 __version__ = "0.1.0"

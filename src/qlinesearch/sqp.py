@@ -343,6 +343,7 @@ def solve_qsqp(problem, config=None, schedule=DEFAULT_SCHEDULE, callback=None):
     same default eigenvalue floor).  ``config.f_floor`` is not used, so under
     a finite floor QLS may stop as ``diverged`` where this run goes on.  The
     objective and constraint values at a new iterate are carried over from
-    the accepted merit trial.
+    the accepted merit trial.  ``schedule`` is as in ``solve_qls``: any
+    iterable of q in (0, 1), drawn once per iteration from q_0 on.
     """
     return drive(_SqpRun(problem, schedule), config, callback)

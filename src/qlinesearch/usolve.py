@@ -4,10 +4,10 @@ Both solvers, and the SQP solver in ``sqp``, run in one iteration driver,
 ``drive``, which owns the config, the iteration and time caps, the mapping
 of errors to statuses, the ``Trace``, the callback and ``f_final``; each
 solver supplies only a step and a stop test, which ``drive`` hands the
-config.  Both unconstrained solvers stop on the gradient norm and the
-objective floor and emit the same per-iteration trace.  The q solver
-rebuilds its positive definite matrix from scratch every iteration out of
-the q-Hessian surrogate; BFGS carries the classical rank-two update forward.
+config.  Both unconstrained solvers are matrix rules on ``solve_descent``,
+which stops on the gradient norm and the objective floor, takes the condition
+number of the M each rule returns and emits the same per-iteration trace.
+QLS rebuilds M every iteration from the q-Hessian; BFGS updates it by rank two.
 Every step, SQP's merit step included, is Armijo backtracking (Nocedal &
 Wright 2006, Alg. 3.1) with the paper's c1 = 1e-4, halving from alpha = 1.
 """
@@ -70,10 +70,10 @@ class IterationRecord:
     trials, one objective evaluation each (an alpha whose target lies below
     ``Problem.lower_bound`` is not tried).  ``q_k`` is the step's q (None
     for BFGS).  ``cos_theta`` is -g.p / (||g|| ||p||).  ``condition_number``
-    is the 2-norm condition number of the matrix the direction solved with,
-    A + E for QLS and B for BFGS; it is inf when that matrix is not positive
-    definite.  ``fallback_count`` counts the q-Hessian entries that came from
-    the zero band's central difference, n per such row (0 for BFGS).
+    is the 2-norm condition number of the M that the direction rule returns
+    (A + E for QLS, B for BFGS); it is inf when M is not positive definite.
+    ``fallback_count`` counts the q-Hessian entries that came from the zero
+    band's central difference, n per such row (0 for BFGS).
     """
 
     k: int
@@ -256,14 +256,7 @@ def drive(run, config, callback):
 
 
 class _DescentRun:
-    """One unconstrained run: x, f and grad f at x, and the direction rule
-    direction(x, g) -> (p, q_k, condition number, fallback count).
-
-    As in SQP, ``stop`` evaluates f (unless carried) and then grad f at x,
-    and ends the run on a non-finite f before any other test; each step only
-    moves x, paying one objective evaluation per trial and carrying f from
-    the accepted one (the same expression f(x + alpha p)).
-    """
+    """One run of ``solve_descent``: x, f and grad f at x, and the rule."""
     record = IterationRecord
 
     def __init__(self, problem, x0, direction):
@@ -293,7 +286,8 @@ class _DescentRun:
 
     def step(self, k):
         x, f0, g, gnorm = self.x, self.f_x, self.g, self.gnorm
-        p, q_k, cond, fallbacks = self.direction(x, g)
+        p, q_k, M, fallbacks = self.direction(x, g)
+        cond = _spd_condition(M)
         slope = float(g @ p)
         if not np.isfinite(slope):
             raise NumericError("non-finite directional derivative at alpha = 0")
@@ -312,12 +306,27 @@ class _DescentRun:
         return record
 
 
+def solve_descent(problem, x0, direction, config=None, callback=None):
+    """Armijo backtracking along the rule's p: the descent run of QLS and BFGS.
+
+    ``direction(x, g)``, g = grad f(x), returns ``(p, q_k, M, fallback_count)``,
+    p solving M p = -g; it runs once per iteration.  The run takes M's
+    condition number as soon as the rule returns (inf unless M is positive
+    definite) and records ``q_k`` and ``fallback_count`` as given (None and 0
+    for a rule with no q).  Each pass evaluates f (unless carried) and then
+    grad f at x, and ends the run on a non-finite f before any other test;
+    each step only moves x, paying one objective evaluation per trial and carrying f
+    from the accepted one.  A p with g.p >= 0 fails the line search before any trial.
+    """
+    return drive(_DescentRun(problem, x0, direction), config, callback)
+
+
 def solve_qls(problem, x0, config=None, schedule=DEFAULT_SCHEDULE, callback=None):
     """q-line-search: modified q-Hessian direction plus Armijo backtracking.
 
     The direction solves B_q p = -grad(f) through the factorization computed by
-    the modification (no explicit inverse).  Each iteration draws the next q
-    of the schedule, from q_0 on.
+    the modification (no explicit inverse).  ``schedule`` is any iterable of q
+    in (0, 1), a ``QSchedule`` say, drawn once per iteration from q_0 on.
     """
     grad = problem.gradient
     qs = iter(schedule)
@@ -326,9 +335,9 @@ def solve_qls(problem, x0, config=None, schedule=DEFAULT_SCHEDULE, callback=None
         q_k = next(qs)
         qh = q_hessian(grad, x, q_k, g0=g)
         mod = psd_modify(qh.matrix)
-        return mod.solve(-g), q_k, _spd_condition(mod.modified_matrix), qh.fallback_count
+        return mod.solve(-g), q_k, mod.modified_matrix, qh.fallback_count
 
-    return drive(_DescentRun(problem, x0, direction), config, callback)
+    return solve_descent(problem, x0, direction, config, callback)
 
 
 def solve_bfgs(problem, x0, config=None, callback=None):
@@ -341,6 +350,6 @@ def solve_bfgs(problem, x0, config=None, callback=None):
         if x_prev is not None:
             B = bfgs_update(B, x - x_prev, g - g_prev)
         x_prev, g_prev = x.copy(), g.copy()  # a gradient callback may reuse its buffer
-        return np.linalg.solve(B, -g), None, _spd_condition(B), 0
+        return np.linalg.solve(B, -g), None, B, 0
 
-    return drive(_DescentRun(problem, x0, direction), config, callback)
+    return solve_descent(problem, x0, direction, config, callback)

@@ -498,7 +498,7 @@ def _dennis_more_ratios(gradient, hessian, points, trace):
     return ratios
 
 
-def test_criterion_12_rate_from_the_schedule(monkeypatch):
+def test_criterion_12_rate_from_the_schedule():
     """The q_k -> 1 schedule is what makes QLS superlinear.
 
     The quartic sum (x - s)^4 + (x - s)^2 has its minimizer at s = 3, away
@@ -519,10 +519,10 @@ def test_criterion_12_rate_from_the_schedule(monkeypatch):
     hessian = lambda x: np.diag(12.0 * (x - s) ** 2 + 2.0)
     x0 = np.full(n, s + 0.7)
 
-    def tail():
+    def tail(schedule):
         xs = []
         r = solve_qls(prob, x0, config=SolverConfig(grad_tolerance=1e-10),
-                      schedule=QSchedule(0.9, 2), callback=lambda x: xs.append(x))
+                      schedule=schedule, callback=lambda x: xs.append(x))
         assert r.status == "converged"
         points = [x0] + xs
         errs = [np.linalg.norm(x - s) for x in points]
@@ -530,9 +530,8 @@ def test_criterion_12_rate_from_the_schedule(monkeypatch):
         dm = _dennis_more_ratios(prob.gradient, hessian, points, r.trace)
         return ratios[-5:], dm[-5:]
 
-    ratios, dm = tail()
-    monkeypatch.setattr(QSchedule, "__iter__", lambda self: itertools.repeat(self.q0))
-    frozen, frozen_dm = tail()
+    ratios, dm = tail(QSchedule(0.9, 2))
+    frozen, frozen_dm = tail(itertools.repeat(0.9))
     falls = lambda seq: all(b < a for a, b in zip(seq, seq[1:]))
     ok = (falls(ratios) and falls(dm) and all(t >= 0.15 for t in frozen)
           and all(t >= 0.3 for t in frozen_dm) and dm[-1] < 0.3)
@@ -546,7 +545,7 @@ def test_criterion_12_rate_from_the_schedule(monkeypatch):
 SCHWEFEL_BASIN = (302.525, 559.149)
 
 
-def test_criterion_13_schwefel_q_cells(monkeypatch):
+def test_criterion_13_schwefel_q_cells():
     """Why the seed-42 suite leaves Schwefel's q cells unsolved.
 
     The q-shift (1 - q_k) |x_i| scales with the distance from the origin,
@@ -565,12 +564,12 @@ def test_criterion_13_schwefel_q_cells(monkeypatch):
     assert all(slope(b - 0.01) * slope(b + 0.01) < 0 for b in SCHWEFEL_BASIN)
     config = SolverConfig(f_floor=prob.known_min_value - bench.SUCCESS_VALUE_GAP)
 
-    def runs():
+    def runs(schedule):
         out = []
         for gamma in (1, 2, 3):
             for i in range(10):
                 xs = [bench.suite_start(prob, f"q{gamma}", 42, i)]
-                r = solve_qls(prob, xs[0], config=config, schedule=QSchedule(0.9, gamma),
+                r = solve_qls(prob, xs[0], config=config, schedule=schedule(gamma),
                               callback=xs.append)
                 k = next((j for j, x in enumerate(xs[1:]) if np.any((x <= lo) | (x >= hi))),
                          None)
@@ -578,9 +577,8 @@ def test_criterion_13_schwefel_q_cells(monkeypatch):
                 out.append((gamma, r.status, k, shift, bench.is_success(prob, r)))
         return out
 
-    scheduled = runs()
-    monkeypatch.setattr(QSchedule, "__iter__", lambda self: itertools.repeat(self.q0))
-    frozen = runs()
+    scheduled = runs(lambda gamma: QSchedule(0.9, gamma))
+    frozen = runs(lambda gamma: itertools.repeat(0.9))
     expected = {1: (4, 133), 2: (2, 341), 3: (2, 307)}
     ok = (scheduled == [(g, "diverged", *expected[g], False) for g in (1, 2, 3) for _ in range(10)]
           and all(status == "converged" and k is None and good
@@ -639,7 +637,7 @@ def test_criterion_14_constrained_rate_from_the_schedule(monkeypatch):
     hessian = lambda x: np.diag(12.0 * (x - s) ** 2 + 2.0)  # of L too: h is linear
     Z = np.linalg.svd(prob.jac_h(xstar))[2][1:].T
 
-    def tail():
+    def tail(schedule):
         xs, matrices = [], []
 
         def modify(A, delta=None):
@@ -648,7 +646,7 @@ def test_criterion_14_constrained_rate_from_the_schedule(monkeypatch):
             return mod
         monkeypatch.setattr(sqp, "psd_modify", modify)
         r = solve_qsqp(prob, config=SolverConfig(grad_tolerance=1e-6),
-                       schedule=QSchedule(0.9, 2), callback=xs.append)
+                       schedule=schedule, callback=xs.append)
         assert r.status == "converged"
         points = [prob.x0] + xs
         errs = [np.linalg.norm(x - xstar) for x in points]
@@ -657,9 +655,8 @@ def test_criterion_14_constrained_rate_from_the_schedule(monkeypatch):
         assert all(t.alpha == 1.0 for t in r.trace[-8:])
         return ratios[-8:], dm[-8:]
 
-    ratios, dm = tail()
-    monkeypatch.setattr(QSchedule, "__iter__", lambda self: itertools.repeat(self.q0))
-    frozen, frozen_dm = tail()
+    ratios, dm = tail(QSchedule(0.9, 2))
+    frozen, frozen_dm = tail(itertools.repeat(0.9))
     falls = lambda seq: all(b < a for a, b in zip(seq, seq[1:]))
     ok = (falls(ratios) and falls(dm) and ratios[-1] < 0.3 and dm[-1] < 1.2
           and all(t >= 0.45 for t in frozen) and all(t >= 1.5 for t in frozen_dm))
@@ -696,7 +693,7 @@ def test_criterion_15_rate_under_an_active_inequality(monkeypatch):
     hessian = lambda x: np.diag(12.0 * (x - s) ** 2 + 2.0 + 2.0 * vstar)
     Z = np.linalg.svd(prob.jac_g(xstar))[2][1:].T
 
-    def tail():
+    def tail(schedule):
         xs, matrices, active_sets = [], [], []
 
         def modify(A, delta=None):
@@ -711,7 +708,7 @@ def test_criterion_15_rate_under_an_active_inequality(monkeypatch):
         monkeypatch.setattr(sqp, "psd_modify", modify)
         monkeypatch.setattr(sqp, "qp_active_set", qp)
         r = solve_qsqp(prob, config=SolverConfig(grad_tolerance=1e-6),
-                       schedule=QSchedule(0.9, 2), callback=xs.append)
+                       schedule=schedule, callback=xs.append)
         assert r.status == "converged"
         points = [prob.x0] + xs
         errs = [np.linalg.norm(x - xstar) for x in points]
@@ -721,9 +718,8 @@ def test_criterion_15_rate_under_an_active_inequality(monkeypatch):
         assert all(active == (0,) for active in active_sets[-6:])
         return ratios[-6:], dm[-6:]
 
-    ratios, dm = tail()
-    monkeypatch.setattr(QSchedule, "__iter__", lambda self: itertools.repeat(self.q0))
-    frozen, frozen_dm = tail()
+    ratios, dm = tail(QSchedule(0.9, 2))
+    frozen, frozen_dm = tail(itertools.repeat(0.9))
     falls = lambda seq: all(b < a for a, b in zip(seq, seq[1:]))
     ok = (falls(ratios) and falls(dm) and ratios[-1] < 0.4 and dm[-1] < 10.0
           and all(t >= 0.48 for t in frozen) and all(t >= 13.5 for t in frozen_dm))

@@ -1,8 +1,10 @@
+import ast
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qlinesearch import bench, cli
@@ -271,10 +273,27 @@ def test_readme_cli_lines_parse():
 
 
 def test_readme_python_blocks_run():
-    # an export or a signature renamed in the package but not in README fails here
+    # an export or a signature renamed in the package but not in README fails
+    # here, and so does a result that a comment states; the blocks run in
+    # order in one namespace, and each bare expression's value is kept under
+    # its source text
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     blocks = [part.split("```", 1)[0] for part in readme.split("```python\n")[1:]]
-    assert len(blocks) == 2
-    namespace = {}
+    assert len(blocks) == 3
+    namespace, values = {}, {}
     for block in blocks:
-        exec(compile(block, "README.md", "exec"), namespace)
+        for node in ast.parse(block).body:
+            if isinstance(node, ast.Expr):
+                expression = compile(ast.Expression(node.value), "README.md", "eval")
+                values[ast.unparse(node.value)] = eval(expression, namespace)
+            else:
+                exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    fc = namespace["fc"]
+    assert [m.tolist() for m in fc.known_minimizers] == [[1.0, 1.0]] and fc.known_min_value == 0.5
+    circle = values["q.solve_qsqp(circle)"]
+    assert circle.status == "converged" and np.allclose(circle.x_final, [-1.0, -1.0])
+    assert abs(circle.f_final + 2.0) < 1e-8
+    assert len(namespace["results"]) == 40
+    steepest = values["q.solve_descent(problem, np.array([2.5, 3.0]), steepest)"]
+    assert steepest.status == "converged" and steepest.iterations == 35
+    assert namespace["result"].iterations == 5

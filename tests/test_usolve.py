@@ -12,9 +12,9 @@ from qlinesearch.qmatrix import QSchedule
 from qlinesearch.usolve import (ALPHA0, BACKTRACK_FACTOR, C1, MAX_HALVINGS, STATUS_CONVERGED,
                                 STATUS_DIVERGED, STATUS_LINE_SEARCH_FAILURE,
                                 STATUS_MAX_ITERATIONS, STATUS_NUMERIC_FAILURE,
-                                STATUS_TIME_CAP, SolverConfig, _DescentRun, _norm,
-                                _spd_condition, backtracking_step, bfgs_update, drive,
-                                solve_bfgs, solve_qls)
+                                STATUS_TIME_CAP, SolverConfig, _norm, _spd_condition,
+                                backtracking_step, bfgs_update, solve_bfgs, solve_descent,
+                                solve_qls)
 
 from conftest import MAX_N, SOLVES, solve_sqp
 
@@ -317,9 +317,7 @@ class TestSharedStep:
         # the search checks no slope; the solver step rejects p with g.p >= 0
         # before any trial is evaluated
         prob, counts = counted(self.bowl())
-        config = SolverConfig()
-        run = _DescentRun(prob, self.X0, lambda x, g: (g, None, 1.0, 0))
-        r = drive(run, config, None)
+        r = solve_descent(prob, self.X0, lambda x, g: (g, None, np.eye(2), 0))
         assert r.status == STATUS_LINE_SEARCH_FAILURE
         assert r.iterations == 0
         assert np.array_equal(r.x_final, self.X0) and r.f_final == 2.0
@@ -490,12 +488,26 @@ class TestSharedStep:
     def test_non_finite_slope_is_numeric_failure(self):
         # a direction with an infinite entry has slope g.p = -inf
         prob, counts = counted(self.bowl())
-        run = _DescentRun(prob, self.X0, lambda x, g: (np.array([-np.inf, 0.0]), None, 1.0, 0))
-        r = drive(run, SolverConfig(), None)
+        r = solve_descent(prob, self.X0,
+                          lambda x, g: (np.array([-np.inf, 0.0]), None, np.eye(2), 0))
         assert r.status == STATUS_NUMERIC_FAILURE
         assert r.iterations == 0 and r.trace == []
         assert np.array_equal(r.x_final, self.X0) and r.f_final == 2.0
         assert counts == {"f": 1, "g": 1}
+
+    @pytest.mark.parametrize("M, kappa, status",
+                             [(np.diag([2.0, 4.0]), 2.0, STATUS_CONVERGED),
+                              (np.diag([2.0, -4.0]), np.inf, STATUS_LINE_SEARCH_FAILURE)],
+                             ids=["positive-definite", "indefinite"])
+    def test_record_carries_what_the_rule_returns(self, M, kappa, status):
+        # the run takes the condition number of the rule's M, inf unless M is
+        # positive definite, and records its q_k and fallback count as given;
+        # the indefinite M turns p uphill after one step
+        r = solve_descent(self.bowl(), self.X0, lambda x, g: (np.linalg.solve(M, -g), 0.5, M, 3))
+        assert r.status == status and r.trace and len(r.trace) == r.iterations
+        assert _spd_condition(M) == kappa
+        assert all(t.condition_number == kappa for t in r.trace)
+        assert all(t.q_k == 0.5 and t.fallback_count == 3 for t in r.trace)
 
     @pytest.mark.parametrize("solve", SOLVES.values())
     def test_arithmetic_error_in_a_trial_is_numeric_failure(self, solve):
