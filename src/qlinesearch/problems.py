@@ -78,29 +78,10 @@ def make_fc(c):
     if not 0.0 < abs(c) < math.inf:  # "not" also rejects NaN
         raise ValueError(f"fc requires a finite nonzero parameter c, got {c!r}")
 
-    def rosen(xx, yy):
-        return 0.05 * (yy - xx * xx) ** 2 + (1.0 - xx) ** 2 + c
-
-    def rosen_gx(xx, yy):
-        return -0.2 * xx * (yy - xx * xx) - 2.0 * (1.0 - xx)
-
     # coefficient |x|/c keeps the branch bounded below for c > 0; for c < 0
     # the joint at x = c < 0 requires the plain x/c
     def coef(xx):
         return abs(xx) / c if c > 0.0 else xx / c
-
-    def coef_prime(xx):
-        if c > 0.0:
-            return (1.0 if xx >= 0.0 else -1.0) / c
-        return 1.0 / c
-
-    def modified(xx, yy):
-        return (coef(xx) * (1.0 - xx) ** 2 + 0.05 * (yy - xx * xx) ** 2
-                - ((1.0 - c) ** 2 / c) * (xx - c) + c)
-
-    def modified_gx(xx, yy):
-        return (coef_prime(xx) * (1.0 - xx) ** 2 - 2.0 * coef(xx) * (1.0 - xx)
-                - (1.0 - c) ** 2 / c - 0.2 * xx * (yy - xx * xx))
 
     # the Rosenbrock branch sits on the side of x = c containing x = 1
     def on_rosen_side(xx):
@@ -109,13 +90,20 @@ def make_fc(c):
     def objective(x):
         xx, yy = float(x[0]), float(x[1])
         if on_rosen_side(xx):
-            return rosen(xx, yy)
-        return modified(xx, yy)
+            return 0.05 * (yy - xx * xx) ** 2 + (1.0 - xx) ** 2 + c
+        return (coef(xx) * (1.0 - xx) ** 2 + 0.05 * (yy - xx * xx) ** 2
+                - ((1.0 - c) ** 2 / c) * (xx - c) + c)
 
     def gradient(x):
         xx, yy = float(x[0]), float(x[1])
         gy = 0.1 * (yy - xx * xx)
-        gx = rosen_gx(xx, yy) if on_rosen_side(xx) else modified_gx(xx, yy)
+        if on_rosen_side(xx):
+            gx = -0.2 * xx * (yy - xx * xx) - 2.0 * (1.0 - xx)
+        else:
+            # coef's slope: sign(x)/c for |x|/c (+1/c at x = 0), 1/c for x/c
+            slope = (1.0 if xx >= 0.0 else -1.0) / c if c > 0.0 else 1.0 / c
+            gx = (slope * (1.0 - xx) ** 2 - 2.0 * coef(xx) * (1.0 - xx)
+                  - (1.0 - c) ** 2 / c - 0.2 * xx * (yy - xx * xx))
         return np.array([gx, gy])
 
     # exact where {c:g} would round c, so that get_problem(name) is this problem

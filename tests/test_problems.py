@@ -1,3 +1,6 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,6 +12,8 @@ from qlinesearch.problems import (SUITE_NAMES, check_gradient, get_problem,
 FC_VALUES = [round(0.1 + 0.2 * i, 1) for i in range(10)]
 #: c < 0 puts the modified branch, with coefficient x/c, on (-inf, c]
 NEGATIVE_C = [-0.1, -0.5, -1.0, -2.0]
+#: SHA-256 of the bytes of fc's f and grad f at TestFc's off-grid points
+FC_BITS = "9f4b95324aef19cfc4078cc489d79dcf05e36771de939782b59bfdf6f2164d6c"
 
 
 class TestFc:
@@ -83,6 +88,22 @@ class TestFc:
         prob = make_fc(0.5)
         assert check_gradient(prob, np.array([0.3, 0.7]), 1e-6) < 1e-5
         assert check_gradient(prob, np.array([1.2, 0.7]), 1e-6) < 1e-5
+
+    def test_bits_pinned_off_the_benchmark_grid(self):
+        # The solve digest pins fc only along the default sweep's trajectories
+        # (c > 0).  This pins every bit of f and grad f on both branches, on
+        # both sides of x = c, at x = 0, at x = c and at x < 0, for c < 0,
+        # c < 1, c = 1 and c > 1, so a reassociated expression fails here.
+        # fc computes in Python floats: the digest does not depend on NumPy.
+        digest = hashlib.sha256()
+        for c in (-0.5, 0.3, 1.0, 1.7):
+            prob = make_fc(c)
+            for xx in (c - 0.25, c, c + 0.25, 0.0, -1.5, 1.0):
+                for yy in (-0.7, 2.3):
+                    x = np.array([xx, yy])
+                    digest.update(struct.pack("<d", prob.objective(x)))
+                    digest.update(np.asarray(prob.gradient(x), dtype="<f8").tobytes())
+        assert digest.hexdigest() == FC_BITS
 
 
 class TestSuite:
