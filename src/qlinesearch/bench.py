@@ -103,50 +103,46 @@ def is_success(problem, result):
             or abs(result.f_final - problem.known_min_value) < SUCCESS_VALUE_GAP)
 
 
-def _guarded(callback):
-    """``callback`` raising CallbackError, from the error, for every error but
-    those that end a run as numeric_failure."""
-    def guarded(x):
-        try:
-            return callback(x)
-        except NUMERIC_ERRORS:
-            raise
-        except Exception as exc:
-            raise CallbackError(f"{type(exc).__name__}: {exc}") from exc
-    return guarded
+def sweep_rules(problem, config):
+    """``problem`` and ``config`` (None: SolverConfig()) as a sweep or ``qlinesearch solve``
+    runs them: config.f_floor is known_min_value - SUCCESS_VALUE_GAP, below which no run
+    succeeds, and an error of the objective or gradient but ``usolve.NUMERIC_ERRORS`` raises
+    CallbackError, so the run ends as ``callback_error`` and a sweep records it and goes on."""
+    def guarded(callback):
+        def call(x):
+            try:
+                return callback(x)
+            except NUMERIC_ERRORS:
+                raise
+            except Exception as exc:
+                raise CallbackError(f"{type(exc).__name__}: {exc}") from exc
+        return call
+    floor = problem.known_min_value - SUCCESS_VALUE_GAP
+    return (dataclasses.replace(problem, objective=guarded(problem.objective),
+                                gradient=guarded(problem.gradient)),
+            dataclasses.replace(config if config is not None else SolverConfig(), f_floor=floor))
 
 
 def solver_call(solver, q0=DEFAULT_SCHEDULE.q0):
     """The solve of a runs-CSV solver name, a function of (problem, x0, config):
-    ``bfgs``, or ``q<gamma>`` for solve_qls under QSchedule(q0, gamma), with
-    config.f_floor (config None: SolverConfig()) replaced by
-    known_min_value - SUCCESS_VALUE_GAP, below which no run succeeds.  An
-    error of the problem's objective or gradient but ``usolve.NUMERIC_ERRORS``
-    ends the run as ``callback_error``, so a sweep records it and goes on.
+    ``bfgs`` for solve_bfgs, or ``q<gamma>`` for solve_qls under QSchedule(q0, gamma).
     Raises ValueError for any other name (``q01`` too), and for a q0 outside (0, 1);
     the solve raises it for an x0 that is not a vector of the problem's dimension.
-    The solve is bound when solver_call is called, so a patch of
+    The solve is looked up when solver_call is called, so a patch of
     ``bench.solve_qls`` or ``bench.solve_bfgs`` around a whole sweep is seen."""
     gamma = solver[1:] if solver[:1] == "q" else ""
     if solver != "bfgs" and not (gamma.isdecimal() and gamma == str(int(gamma))):
         raise ValueError(f"unknown solver {solver!r}; a solver is bfgs or q<gamma>")
     schedule = QSchedule(q0, int(gamma) if gamma else DEFAULT_SCHEDULE.gamma)
-    solve = solve_bfgs if solver == "bfgs" else functools.partial(solve_qls, schedule=schedule)
-
-    def call(problem, x0, config):
-        config = dataclasses.replace(config if config is not None else SolverConfig(),
-                                     f_floor=problem.known_min_value - SUCCESS_VALUE_GAP)
-        problem = dataclasses.replace(problem, objective=_guarded(problem.objective),
-                                      gradient=_guarded(problem.gradient))
-        return solve(problem, x0, config=config)
-    return call
+    return solve_bfgs if solver == "bfgs" else functools.partial(solve_qls, schedule=schedule)
 
 
 def _sweep(problems, solvers, q0, wrap, config, seed, starts, runs_required=None):
     """The table of each solver's rows on each problem, with seed ``seed``,
     from each x0 of ``starts(problem, solver)`` in order, a cell ending at
-    ``runs_required`` successes (never, if None).  Each solve is built
-    before the first, and passed through ``wrap`` if given; ValueError for a
+    ``runs_required`` successes (never, if None).  Each solve is built before
+    the first, passed through ``wrap`` if given, and handed each problem and
+    config as ``sweep_rules`` gives them, once per problem; ValueError for a
     name given twice, or a problem name that a runs-CSV cell cannot hold."""
     solvers = list(solvers)
     for kind, names in (("problem", [_text_cell(p.name) for p in problems]), ("solver", solvers)):
@@ -155,11 +151,11 @@ def _sweep(problems, solvers, q0, wrap, config, seed, starts, runs_required=None
     solves = {solver: solver_call(solver, q0) for solver in solvers}
     solves = {s: wrap(s, solve) for s, solve in solves.items()} if wrap is not None else solves
     table = BenchmarkTable()
-    for problem in problems:
+    for problem, floored in (sweep_rules(p, config) for p in problems):
         for solver, solve in solves.items():
             successes = 0
             for run_index, x0 in enumerate(starts(problem, solver)):
-                result = solve(problem, x0, config)
+                result = solve(problem, x0, floored)
                 table.rows.append(BenchmarkRow(
                     problem=problem.name, solver=solver, run_index=run_index, seed=seed,
                     success=is_success(problem, result), iterations=result.iterations,
@@ -179,6 +175,8 @@ def run_fc_benchmark(c_values=DEFAULT_C_VALUES, q0=DEFAULT_SCHEDULE.q0, solvers=
     ``wrap(solver, solve)``, if given, is called once per solver before the
     first solve and returns the function of (problem, x0, config) that runs
     in place of ``solve``: the way to watch, count or alter a sweep's solves.
+    It is handed the problem and config the sweep runs, ``sweep_rules`` applied,
+    so it may run any solver on them; a callback it substitutes is its own to guard.
     """
     c_values = [float(c) for c in c_values]
     y_values = [float(y) for y in y_values]

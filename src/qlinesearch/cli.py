@@ -72,7 +72,8 @@ def _build_parser():
 
 
 def _cmd_solve(args):
-    result = bench.solver_call(args.solver, args.q0)(args.problem, args.x0, args.config)
+    problem, config = bench.sweep_rules(args.problem, args.config)
+    result = bench.solver_call(args.solver, args.q0)(problem, args.x0, config)
     if args.trace:
         bench.emit(result.trace, "csv", args.trace)
     xs = ", ".join(f"{v:.10g}" for v in result.x_final)

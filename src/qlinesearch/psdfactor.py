@@ -189,7 +189,7 @@ def ldl_factor(A):
             a, b, c = W[k, k], W[k + 1, k], W[k + 1, k + 1]
             if k + 2 < n:
                 det = a * c - b * b
-                C = W[k + 2:, k:k + 2].copy()
+                C = W[k + 2:, k:k + 2]  # a view: the update writes only columns k + 2 on
                 # T = C @ inv([[a, b], [b, c]])
                 T = np.column_stack(((C[:, 0] * c - C[:, 1] * b) / det,
                                      (C[:, 1] * a - C[:, 0] * b) / det))

@@ -15,8 +15,9 @@ from qlinesearch.bench import (BenchmarkRow, BenchmarkTable, ProfileCurve,
                                fc_summary, is_success, performance_profile,
                                run_fc_benchmark, run_suite_benchmark, suite_start)
 from qlinesearch.problems import Problem, StartBox, get_problem, standard_suite
+from qlinesearch.qmatrix import QSchedule
 from qlinesearch.usolve import (STATUS_CALLBACK_ERROR, STATUS_DIVERGED, STATUS_NUMERIC_FAILURE,
-                               SolveResult, SolverConfig, Trace)
+                               SolveResult, SolverConfig, Trace, solve_bfgs, solve_qls)
 
 
 def row(problem, solver, iterations, success=True, run_index=0, secs=0.0):
@@ -325,18 +326,39 @@ class TestWrap:
         lambda wrap: run_suite_benchmark(suite=[get_problem("branin")], runs_required=1,
                                          attempt_cap=1, wrap=wrap),
     ], ids=["fc", "suite"])
-    def test_default_sweep_hands_each_solve_its_config_unchanged(self, sweep):
+    def test_default_sweep_hands_each_solve_the_default_config_floored(self, sweep):
         # one iteration budget for every run, SolverConfig()'s through
-        # solver_call: a row replays through ``solve`` with no --max-iter
-        configs = []
+        # sweep_rules: a row replays through ``solve`` with no --max-iter
+        handed = []
 
         def watch(solver, solve):
             def run(problem, x0, config):
-                configs.append(config)
+                handed.append((problem, config))
                 return solve(problem, x0, config)
             return run
         sweep(watch)
-        assert configs == [None] * len(bench.SOLVERS)
+        assert [config for _, config in handed] == [
+            SolverConfig(f_floor=problem.known_min_value - bench.SUCCESS_VALUE_GAP)
+            for problem, _ in handed]
+        assert len(handed) == len(bench.SOLVERS)
+
+    def test_a_wrap_may_run_its_own_solver_as_the_sweep_would(self):
+        # a wrap that ignores its solve and runs a solver itself is handed the
+        # sweep's floor and guard with the problem and config: without them,
+        # 18 of these 33 rows used to move
+        def own(solver, solve):
+            if solver == "bfgs":
+                return solve_bfgs
+            schedule = QSchedule(0.9, int(solver[1:]))
+            return lambda problem, x0, config: solve_qls(problem, x0, config, schedule=schedule)
+
+        def sweep(wrap):
+            table = run_suite_benchmark(suite=[get_problem("schwefel"), get_problem("branin")],
+                                        master_seed=42, runs_required=3, attempt_cap=6,
+                                        config=SolverConfig(max_iterations=300), wrap=wrap)
+            return [{**vars(r), "elapsed_seconds": None, "start_point": r.start_point.tobytes()}
+                    for r in table.rows]
+        assert sweep(own) == sweep(None)
 
 
 class TestRaisingCallback:
@@ -359,7 +381,8 @@ class TestRaisingCallback:
                     if calls == 4:
                         raise error("bug in the callback")
                     return problem.gradient(x)
-                results.append(solve(dataclasses.replace(problem, gradient=gradient), x0, config))
+                p, c = bench.sweep_rules(dataclasses.replace(problem, gradient=gradient), config)
+                results.append(solve(p, x0, c))
                 return results[-1]
             return run
         table = run_fc_benchmark(c_values=(0.5, 1.3), y_values=(0.9,), wrap=raising)
@@ -598,9 +621,9 @@ class TestIsSuccess:
 
 
 class TestDivergenceGuard:
-    """Every solve of bench.solver_call, so every suite run, stops once f drops
-    below known_min_value - SUCCESS_VALUE_GAP; such runs could not have
-    succeeded anyway."""
+    """Every solve of a sweep, its config floored by bench.sweep_rules, stops
+    once f drops below known_min_value - SUCCESS_VALUE_GAP; such runs could
+    not have succeeded anyway."""
 
     # 300 iterations, not SolverConfig()'s 10,000: unguarded Schwefel q runs
     # take up to 7,703 of them, and every assertion here holds at either budget
@@ -622,9 +645,9 @@ class TestDivergenceGuard:
         guarded = run_suite_benchmark(suite=suite, wrap=solves, **self.SWEEP)
         statuses = [(p.name, s, r.status) for p, s, r in solves]
 
-        def unguarded(solver, solve):  # the floor of known_min_value -inf is -inf
+        def unguarded(solver, solve):  # no floor
             return lambda problem, x0, config: solve(
-                dataclasses.replace(problem, known_min_value=float("-inf")), x0, config)
+                problem, x0, dataclasses.replace(config, f_floor=float("-inf")))
 
         free = run_suite_benchmark(suite=suite, wrap=unguarded, **self.SWEEP)
         return guarded, free, statuses
