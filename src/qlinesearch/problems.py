@@ -22,10 +22,10 @@ _PI = math.pi
 
 @dataclass
 class StartBox:
-    """Hypercube for random starts: ``center`` plus ``side`` length."""
+    """Hypercube for random starts: ``center`` plus the unit ``side`` length."""
 
     center: np.ndarray
-    side: float = 1.0
+    side = 1.0  # a class constant, not a field: every box is a unit box
 
 
 @dataclass

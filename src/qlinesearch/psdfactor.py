@@ -76,17 +76,6 @@ class FactorizationBundle:
     block_eigenvectors: np.ndarray
     block_eigenvalues: np.ndarray
 
-    def block_diagonal(self):
-        """B assembled as a dense matrix."""
-        n = self.lower_unit_triangular.shape[0]
-        B = np.zeros((n, n))
-        j = 0
-        for blk in self.blocks:
-            s = blk.shape[0]
-            B[j:j + s, j:j + s] = blk
-            j += s
-        return B
-
     def solve(self, rhs):
         """Solve A x = rhs, a vector or a matrix of columns, on the factors.
 

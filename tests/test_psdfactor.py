@@ -10,9 +10,23 @@ from conftest import MAX_N
 
 
 def reconstruct(bundle):
+    # B = Q diag(lam) Q^T, as the module docstring states
     P = np.eye(bundle.permutation.shape[0])[bundle.permutation]
     L = bundle.lower_unit_triangular
-    return P, L @ bundle.block_diagonal() @ L.T
+    Q, lam = bundle.block_eigenvectors, bundle.block_eigenvalues
+    return P, L @ ((Q * lam) @ Q.T) @ L.T
+
+
+def spectral_residual(bundle):
+    # Q diag(lam) Q^T less each of B's blocks on its diagonal; B is zero off them
+    Q = bundle.block_eigenvectors
+    R = (Q * bundle.block_eigenvalues) @ Q.T
+    j = 0
+    for blk in bundle.blocks:
+        s = blk.shape[0]
+        R[j:j + s, j:j + s] -= blk
+        j += s
+    return R
 
 
 def random_symmetric(rng, n):
@@ -25,12 +39,12 @@ class TestLdlFactor:
         b = ldl_factor(np.eye(3))
         assert b.permutation.tolist() == [0, 1, 2]
         np.testing.assert_array_equal(b.lower_unit_triangular, np.eye(3))
-        np.testing.assert_array_equal(b.block_diagonal(), np.eye(3))
+        np.testing.assert_array_equal(b.blocks, [[[1.0]], [[1.0]], [[1.0]]])
 
     def test_no_pivoting_example(self):
         b = ldl_factor(np.array([[4.0, 2.0], [2.0, 3.0]]))
         np.testing.assert_allclose(b.lower_unit_triangular, [[1.0, 0.0], [0.5, 1.0]])
-        np.testing.assert_allclose(b.block_diagonal(), np.diag([4.0, 2.0]))
+        np.testing.assert_allclose(b.blocks, [[[4.0]], [[2.0]]])
 
     def test_zero_diagonal_forces_2x2_block(self):
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -64,7 +78,7 @@ class TestLdlFactor:
         assert b.permutation.tolist() == [0, 2, 1]
         np.testing.assert_array_equal(
             b.lower_unit_triangular, [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.5, 1.0 / 3.0, 1.0]])
-        np.testing.assert_array_equal(b.block_diagonal(), np.diag([4.0, 3.0, -1.0 / 3.0]))
+        np.testing.assert_array_equal(b.blocks, [[[4.0]], [[3.0]], [[-1.0 / 3.0]]])
         P, rec = reconstruct(b)
         np.testing.assert_allclose(rec, P @ A @ P.T, atol=1e-15)
 
@@ -150,7 +164,7 @@ class TestBlockSpectral:
         assert lam.tolist() == [-2.0, 1.0, -1.0]
         np.testing.assert_array_equal(Q[0], [1.0, 0.0, 0.0])
         np.testing.assert_array_equal(Q[:, 0], [1.0, 0.0, 0.0])
-        np.testing.assert_allclose(Q @ np.diag(lam) @ Q.T, b.block_diagonal(), atol=1e-14)
+        np.testing.assert_allclose(spectral_residual(b), 0.0, atol=1e-14)
 
 
 class TestPsdModify:
@@ -230,11 +244,11 @@ class TestFactorProperties:
         b = ldl_factor(A)
         P, rec = reconstruct(b)
         assert np.max(np.abs(P @ A @ P.T - rec), initial=0.0) <= 1e-12 * _size(A)
-        Q, lam = b.block_eigenvectors, b.block_eigenvalues
+        Q = b.block_eigenvectors
         n = A.shape[0]
         assert np.max(np.abs(Q.T @ Q - np.eye(n)), initial=0.0) <= 1e-14
-        B = b.block_diagonal()
-        assert np.max(np.abs(Q @ np.diag(lam) @ Q.T - B), initial=0.0) <= 1e-14 * _size(B)
+        B_size = max(_size(blk) for blk in b.blocks)
+        assert _size(spectral_residual(b)) <= 1e-14 * B_size
         # L is exactly unit lower triangular, and zero below each 2x2 block's
         # diagonal, where B holds the coupling instead
         L = b.lower_unit_triangular
