@@ -2,7 +2,7 @@
 
 The package provides:
 
-* ``qmatrix`` -- q-derivative / q-partial operators, the q_k schedule and
+* ``qmatrix`` -- the q-partial derivative, the q_k schedule and
   symmetrized q-Hessian surrogates (objective and Lagrangian),
 * ``psdfactor`` -- Bunch-Kaufman factorization and eigenvalue-shift PSD
   modification,
@@ -23,8 +23,7 @@ from .errors import CallbackError, GradientShapeError, LineSearchError, NumericE
 from .problems import Problem, StartBox, check_gradient, get_problem, make_fc, standard_suite
 from .psdfactor import (FactorizationBundle, PsdModification, default_delta,
                         ldl_factor, psd_modify)
-from .qmatrix import (QHessian, QSchedule, q_derivative_1d, q_hessian, q_hessian_lagrangian,
-                      q_partial, q_shift)
+from .qmatrix import QHessian, QSchedule, q_hessian, q_hessian_lagrangian, q_partial
 from .sqp import (ConstrainedProblem, QpSolution, SqpTraceRecord, kkt_solve,
                   merit_l1, qp_active_set, solve_qsqp)
 from .usolve import (IterationRecord, SolveResult, SolverConfig, StepResult, backtracking_step,

@@ -44,7 +44,7 @@ SUCCESS_VALUE_GAP = 1e-6
 SUITE_MAX_ITERATIONS = 300
 
 
-@dataclass
+@dataclass(eq=False)
 class BenchmarkRow:
     problem: str
     solver: str

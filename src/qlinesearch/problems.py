@@ -20,7 +20,7 @@ from .qmatrix import central_difference
 _PI = math.pi
 
 
-@dataclass
+@dataclass(eq=False)
 class StartBox:
     """Hypercube for random starts: ``center`` plus the unit ``side`` length."""
 
@@ -28,7 +28,7 @@ class StartBox:
     side = 1.0  # a class constant, not a field: every box is a unit box
 
 
-@dataclass
+@dataclass(eq=False)
 class Problem:
     """A test problem.  f never falls below ``lower_bound`` at any float x (-inf:
     none known), so the line search tries no step whose Armijo target is lower."""

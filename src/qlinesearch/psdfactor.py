@@ -58,7 +58,7 @@ def _swap(W, L, perm, k, r1, r2):
     perm[r1], perm[r2] = perm[r2], perm[r1]
 
 
-@dataclass
+@dataclass(eq=False)
 class FactorizationBundle:
     """P A P^T = L B L^T with B's blockwise spectral decomposition attached.
 
@@ -209,7 +209,7 @@ def ldl_factor(A):
                                block_eigenvalues=lam)
 
 
-@dataclass
+@dataclass(eq=False)
 class PsdModification:
     """Positive definite A + E held as A's factorization and the block shifts.
 

@@ -2,8 +2,8 @@
 
 The q-derivative of f at x is (f(x) - f(qx)) / ((1-q)x) for q in (0,1); it
 reduces to the classical derivative as q -> 1 and is defined without second
-order smoothness.  The coordinate version scales a single coordinate by q.
-One kernel, ``q_difference``, holds the rule for both operators and for
+order smoothness.  The q-partial derivative, ``q_partial``, scales a single
+coordinate by q.  One kernel, ``q_difference``, holds its rule and that of
 every row of the q-Hessian: the q-quotient away from zero, and a classical
 (central finite difference) derivative in the band around x_i = 0, where
 the scaled coordinate carries no information.
@@ -47,30 +47,6 @@ def central_difference(g, x, i, h):
     return (g(xp) - g(xm)) / (2.0 * h)
 
 
-def _shifted(x, i, q):
-    # q_shift on arguments its callers have checked already
-    out = x.copy()
-    out[i] = q * x[i]
-    return out
-
-
-def _checked_coordinate(x, i, q):
-    q = _check_q(q)
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    if not 0 <= i < n:
-        raise IndexError(f"coordinate index {i} out of range for dimension {n}")
-    return x, i, q
-
-
-def q_shift(x, i, q):
-    """Return a copy of ``x`` with coordinate ``i`` multiplied by ``q``.
-
-    Every other coordinate is bit-identical to the input.
-    """
-    return _shifted(*_checked_coordinate(x, i, q))
-
-
 def q_difference(g, x, i, q, gx=None):
     """q-difference of ``g`` at the float array ``x`` in coordinate ``i``,
     and whether the zero band forced the central difference instead.
@@ -87,24 +63,25 @@ def q_difference(g, x, i, q, gx=None):
         return central_difference(g, x, i, _EPS ** (1.0 / 3.0) * max(1.0, abs(xi))), True
     if gx is None:
         gx = g(x)
-    return (gx - g(_shifted(x, i, q))) / ((1.0 - q) * xi), False
+    shifted = x.copy()
+    shifted[i] = q * xi  # every other coordinate stays bit-identical to x's
+    return (gx - g(shifted)) / ((1.0 - q) * xi), False
 
 
 def q_partial(g, x, i, q):
     """q-partial derivative of the scalar ``g`` at ``x`` in coordinate ``i``:
-    ``q_difference`` as a float, which must be finite."""
-    x, i, q = _checked_coordinate(x, i, q)
+    ``q_difference`` as a float, which must be finite.  At n = 1 it is the
+    q-derivative of a function of one variable, x = 0 taking the central
+    difference."""
+    q = _check_q(q)
+    x = np.asarray(x, dtype=float)
+    n = x.shape[0]
+    if not 0 <= i < n:
+        raise IndexError(f"coordinate index {i} out of range for dimension {n}")
     val = float(q_difference(g, x, i, q)[0])
     if not np.isfinite(val):
         raise NumericError("non-finite q-partial evaluation", point=x.copy())
     return val
-
-
-def q_derivative_1d(f, x, q):
-    """q-derivative of a scalar function of one variable: ``q_partial`` on a
-    1-vector, so x = 0, where the q-quotient is undefined, takes the central
-    difference."""
-    return q_partial(lambda v: f(float(v[0])), np.array([float(x)]), 0, q)
 
 
 @dataclass(frozen=True)
@@ -135,7 +112,7 @@ class QSchedule:
             q, k = q_next, k + 1
 
 
-@dataclass
+@dataclass(eq=False)
 class QHessian:
     """Symmetrized q-Hessian: the matrix, and how many entries came from the
     zero-coordinate finite-difference branch."""

@@ -23,7 +23,7 @@ from .qmatrix import (checked_gradient, checked_jacobian, lagrangian_gradient,
 from .usolve import DEFAULT_SCHEDULE, STATUS_CONVERGED, _norm, backtracking_step, drive
 
 
-@dataclass
+@dataclass(eq=False)
 class ConstrainedProblem:
     """min f(x) s.t. h(x) = 0 (m of them), g(x) <= 0 (p of them), m < n.
 
@@ -63,7 +63,7 @@ class ConstrainedProblem:
             raise ValueError("u0 and v0 need one multiplier per equality and inequality")
 
 
-@dataclass
+@dataclass(eq=False)
 class QpSolution:
     """QP minimizer with its multipliers (d_u for equalities, d_v >= 0 for
     inequalities; inactive inequalities carry multiplier 0)."""

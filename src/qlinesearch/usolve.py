@@ -116,7 +116,7 @@ class Trace(Sequence):
         return isinstance(other, Sequence) and list(self) == list(other)
 
 
-@dataclass
+@dataclass(eq=False)
 class SolveResult:
     status: str
     x_final: np.ndarray

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from qlinesearch import qmatrix
 from qlinesearch.errors import GradientShapeError, NumericError
-from qlinesearch.qmatrix import (QSchedule, q_derivative_1d, q_hessian, q_hessian_lagrangian,
-                                 q_partial, q_shift)
+from qlinesearch.qmatrix import QSchedule, q_hessian, q_hessian_lagrangian, q_partial
 
 from conftest import MAX_N
 
@@ -57,7 +56,7 @@ class TestQHessian:
         assert calls["n"] == n + 1
 
     def test_q_checked_once(self, monkeypatch):
-        # the rows shift through _shifted, not q_shift
+        # q_hessian checks q once; its rows run q_difference, which checks nothing
         checks = []
 
         def counting(q):
@@ -193,45 +192,36 @@ class TestOneRuleProperties:
 
 
 class TestQDerivative1d:
+    """``q_partial`` at n = 1 is the q-derivative of a function of one variable."""
+
     def test_square_at_two(self):
         # (4 - 1) / (0.5 * 2)
-        assert q_derivative_1d(lambda t: t * t, 2.0, 0.5) == pytest.approx(3.0, abs=1e-14)
+        got = q_partial(lambda v: v[0] * v[0], np.array([2.0]), 0, 0.5)
+        assert got == pytest.approx(3.0, abs=1e-14)
 
     def test_square_at_zero_falls_back(self):
-        assert q_derivative_1d(lambda t: t * t, 0.0, 0.5) == pytest.approx(0.0, abs=1e-9)
+        got = q_partial(lambda v: v[0] * v[0], np.array([0.0]), 0, 0.5)
+        assert got == pytest.approx(0.0, abs=1e-9)
 
     def test_cube_matches_hand_expansion(self):
         # expanding (x^3 - (qx)^3) / ((1-q)x) by hand gives x^2 (1 + q + q^2)
         q = 0.5
         oracle = 1.0 ** 2 * (1 + q + q * q)
-        assert q_derivative_1d(lambda t: t ** 3, 1.0, q) == pytest.approx(oracle, rel=1e-12)
+        got = q_partial(lambda v: v[0] ** 3, np.array([1.0]), 0, q)
+        assert got == pytest.approx(oracle, rel=1e-12)
 
     def test_invalid_q_rejected(self):
         for bad in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(ValueError):
-                q_derivative_1d(lambda t: t, 1.0, bad)
+                q_partial(lambda v: v[0], np.array([1.0]), 0, bad)
 
     def test_nonfinite_evaluation_raises(self):
         with pytest.raises(NumericError):
-            q_derivative_1d(lambda t: float("nan"), 1.0, 0.5)
+            q_partial(lambda v: float("nan"), np.array([1.0]), 0, 0.5)
 
 
 class TestQShift:
-    def test_basic(self):
-        out = q_shift(np.array([1.0, 2.0]), 0, 0.5)
-        assert out.tolist() == [0.5, 2.0]
-
-    def test_zero_coordinate(self):
-        out = q_shift(np.array([0.0, 3.0]), 0, 0.9)
-        assert out.tolist() == [0.0, 3.0]
-
-    def test_last_coordinate(self):
-        out = q_shift(np.array([1.0, 2.0, 3.0]), 2, 0.25)
-        assert out.tolist() == [1.0, 2.0, 0.75]
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            q_shift(np.array([1.0, 2.0]), 2, 0.5)
+    """The q-shifted point, where ``q_partial`` evaluates g after x."""
 
     def test_exact_scaling_and_bit_identity(self):
         rng = np.random.default_rng(3)
@@ -239,10 +229,19 @@ class TestQShift:
             x = rng.uniform(-5, 5, size=rng.integers(1, 8))
             i = int(rng.integers(0, x.shape[0]))
             q = float(rng.uniform(0.05, 0.95))
-            out = q_shift(x, i, q)
+            points = []
+            q_partial(lambda v: points.append(v.copy()) or 0.0, x, i, q)
+            assert np.array_equal(points[0], x) and len(points) == 2
+            out = points[1]
             assert out[i] == q * x[i]
             mask = np.arange(x.shape[0]) != i
             assert np.array_equal(out[mask], x[mask])
+
+    def test_index_out_of_range(self):
+        # -1 too: numpy would read it as the last coordinate
+        for i in (2, -1):
+            with pytest.raises(IndexError):
+                q_partial(lambda v: 0.0, np.array([1.0, 2.0]), i, 0.5)
 
 
 class TestQPartial:

@@ -11,9 +11,14 @@ wrappers: ``fc``, the default ``bench.run_fc_benchmark()``; ``suite``,
 ``solve_qsqp`` under ``SQP_CONFIG`` on the first ``SQP_CORE_INSTANCES`` of
 ``perfbench.workloads.make_sqp_instances``, whose problems are built before
 either run.  Each sweep runs twice, and only the second run, with imports
-and caches warm, runs under ``cProfile``.  Its ``total_calls`` (Python
-functions and builtins alike) over the iterations summed over the sweep's
-solves is the count.
+and caches warm, runs under ``cProfile``.  Its calls (Python functions and
+builtins alike) over the iterations summed over the sweep's solves is the
+count.  The calls are summed over the profiler's own entries, one per code
+object, not taken from ``pstats``' ``total_calls``: ``pstats`` keys its
+entries by (file, line, name) and keeps one per key, and every
+dataclass-generated ``__init__`` is ``("<string>", 2, "__init__")``, so
+all but one of them would drop out, and which one stays would depend on
+how the tool was started.
 
 The first line names the install the count holds for: Python's and numpy's
 versions.  Then one line per sweep gives its count to two decimals, and the
@@ -22,7 +27,6 @@ calls and iterations it is taken from.  Two trees compare on one install.
 
 import cProfile
 import platform
-import pstats
 import sys
 from pathlib import Path
 
@@ -43,7 +47,7 @@ def count(sweep):
     sweep()
     profile = cProfile.Profile()
     iterations = profile.runcall(sweep)
-    return pstats.Stats(profile).total_calls, iterations
+    return sum(entry.callcount for entry in profile.getstats()), iterations
 
 
 def table_iterations(table):
