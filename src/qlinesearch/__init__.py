@@ -24,8 +24,8 @@ from .problems import Problem, StartBox, check_gradient, get_problem, make_fc, s
 from .psdfactor import (FactorizationBundle, PsdModification, default_delta,
                         ldl_factor, psd_modify)
 from .qmatrix import QHessian, QSchedule, q_hessian, q_hessian_lagrangian, q_partial
-from .sqp import (ConstrainedProblem, QpSolution, SqpTraceRecord, kkt_solve,
-                  merit_l1, qp_active_set, solve_qsqp)
+from .sqp import (ConstrainedProblem, QpSolution, SqpTraceRecord, kkt_solve, qp_active_set,
+                  solve_qsqp)
 from .usolve import (IterationRecord, SolveResult, SolverConfig, StepResult, backtracking_step,
                      bfgs_update, solve_bfgs, solve_descent, solve_qls)
 

@@ -35,17 +35,22 @@ def default_delta(A):
 
 
 def _check_symmetric(A):
-    # the symmetrized A and max |a_ij|
+    # A / pow2, symmetrized, and pow2: 1.0 near unit scale, and otherwise 2^e
+    # with max |a_ij| / 2^e in [1, 2), so e <= 1023 and 2^e is a double.
+    # Scaling first keeps A - A^T and A + A^T from overflowing.
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     scale = float(np.abs(A).max(initial=0.0))
     if not np.isfinite(scale):  # max |a_ij| is NaN or inf exactly when an entry is
         raise ValueError("matrix contains non-finite entries")
+    e = math.frexp(scale)[1]
+    pow2 = math.ldexp(1.0, e - 1) if abs(e) > 256 else 1.0
+    A, scale = A / pow2, scale / pow2
     asym = float(np.abs(A - A.T).max(initial=0.0))
-    if asym > 1e-10 * max(scale, 1e-300):
-        raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-    return 0.5 * (A + A.T), scale
+    if asym > 1e-10 * scale:
+        raise ValueError(f"matrix is not symmetric (max asymmetry {asym * pow2:.3e})")
+    return 0.5 * (A + A.T), pow2
 
 
 def _swap(W, L, perm, k, r1, r2):
@@ -127,13 +132,11 @@ def ldl_factor(A):
     eigenvalues in descending order.  A zero column of the reduced matrix is
     a 1x1 zero pivot with nothing to eliminate.
     """
-    A_sym, scale = _check_symmetric(A)
-    # Far from unit scale, factor A / 2^e with max |a_ij| near 1: the power
-    # of two is exact, and no 2x2 determinant or eigenvector norm under- or
-    # overflows.  B and its eigenvalues are multiplied back by it.
-    e = math.frexp(scale)[1]
-    pow2 = math.ldexp(1.0, e) if abs(e) > 256 else 1.0
-    W = A_sym / pow2
+    # Factoring W = A / pow2 keeps every 2x2 determinant and eigenvector norm
+    # from under- or overflowing; A, B and its eigenvalues are multiplied back
+    # by the power of two, exactly.
+    W, pow2 = _check_symmetric(A)
+    A_sym = W * pow2
     n = W.shape[0]
     perm = np.arange(n)
     L = np.eye(n)
@@ -233,7 +236,7 @@ class PsdModification:
         if not (self.shifts > 0.0).any():
             return self.bundle.matrix
         M = _reassemble(self.bundle, self.bundle.block_eigenvalues + self.shifts)
-        return 0.5 * (M + M.T)
+        return 0.5 * M + 0.5 * M.T  # halved first: M + M^T can overflow
 
     @functools.cached_property
     def modification_frobenius(self):

@@ -5,9 +5,9 @@ Lagrangian's q-Hessian once, solves the inequality-constrained QP model on
 that factorization by the dual active-set method of Goldfarb & Idnani
 (started at the equality-constrained minimizer, each working-set
 subproblem by the range-space method, with no KKT matrix), picks a common
-step length for (x, u, v) by backtracking on the exact l1 penalty, and
-advances the q schedule.  Convergence is declared on the KKT residual
-||grad L|| + ||h|| + ||min(v, -g)||.
+step length for (x, u, v) by backtracking on the exact l1 penalty
+f + mu (sum |h_i| + sum max(0, g_j)), and advances the q schedule.
+Convergence is declared on the KKT residual ||grad L|| + ||h|| + ||min(v, -g)||.
 """
 
 from __future__ import annotations
@@ -129,24 +129,12 @@ def kkt_solve(B, grad, A_eq, rhs):
     return d0 - Y @ lam, lam
 
 
-def merit_l1(f_val, h_vals, g_vals, mu):
-    """Exact l1 penalty: f + mu * (sum |h_i| + sum max(0, g_j))."""
-    if not mu > 0.0:  # "not > 0" also rejects NaN, which "<= 0" lets through
-        raise ValueError(f"penalty parameter must be positive, got {mu!r}")
-    return _penalized(f_val, _violation(h_vals, g_vals), mu)
-
-
 def _penalized(f_val, violation, mu):
     return float(f_val) + mu * violation
 
 
 def _violation(h_vals, g_vals):
-    total = 0.0
-    if h_vals is not None:
-        total += float(np.abs(h_vals).sum())
-    if g_vals is not None:
-        total += float(np.maximum(0.0, g_vals).sum())
-    return total
+    return float(np.abs(h_vals).sum()) + float(np.maximum(0.0, g_vals).sum())
 
 
 def qp_active_set(B, grad, eq=((), ()), ineq=((), ())):
@@ -312,8 +300,8 @@ class _SqpRun:
         else:
             def merit(a):
                 nonlocal accepted
-                accepted = self._values(x + a * d)
-                return merit_l1(*accepted, mu_pen)
+                accepted = f, h, g = self._values(x + a * d)
+                return _penalized(f, _violation(h, g), mu_pen)
 
             # no descent check: the slope can round to a tiny positive
             # number on a step that still decreases the merit

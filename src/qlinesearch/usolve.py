@@ -45,9 +45,11 @@ class SolverConfig:
     grad_tolerance: float = 1e-5
     max_iterations: int = 10_000
     time_cap_seconds: float = 100.0
-    #: unconstrained solvers stop with STATUS_DIVERGED once an accepted step
-    #: lands at a finite f below this value (Armijo steps never raise f again);
-    #: the SQP solver, whose steps decrease a merit function instead, ignores it
+    #: unconstrained solvers stop with STATUS_DIVERGED at the first iterate,
+    #: the start included, whose finite f is below this value and whose
+    #: gradient does not meet grad_tolerance (Armijo steps never raise f
+    #: again), so a start below it stops after 0 steps; the SQP solver,
+    #: whose steps decrease a merit function instead, ignores it
     f_floor: float = float("-inf")
 
     def __post_init__(self):

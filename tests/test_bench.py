@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import re
 import subprocess
 import sys
@@ -188,21 +189,31 @@ class TestSuiteStart:
         with pytest.raises(error):
             suite_start(get_problem("branin"), "q1", seed, 0)
 
-    def test_a_sweep_leaves_numpy_random_unloaded(self, child_env):
-        # a child process, so that no other test has loaded numpy.random
-        code = ("import sys, numpy\n"
-                "from qlinesearch.bench import run_suite_benchmark\n"
-                "from qlinesearch.problems import get_problem\n"
-                "with_numpy = 'numpy.random' in sys.modules\n"
-                "run_suite_benchmark(suite=[get_problem('branin')], runs_required=1,"
-                " attempt_cap=1)\n"
-                "print(with_numpy, 'numpy.random' in sys.modules)\n")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              timeout=120, env=child_env, check=True)
-        with_numpy, after_sweep = proc.stdout.split()
-        if with_numpy == "True":
+    def test_a_sweep_leaves_numpy_random_unloaded(self, child_env, tmp_path):
+        # a child process, so that no other test has loaded a module.  The
+        # import loads none of the modules below, and perfbench's two sweep
+        # warm-ups (an fc sweep at c = 0.5, y = 0.9, the one-attempt branin
+        # sweep, its profile and a CSV of it) load no module at all.
+        code = ("import json, sys, numpy\n"
+                "with_numpy = set(sys.modules)\n"
+                "import qlinesearch\n"
+                "from qlinesearch import bench, get_problem\n"
+                "imported = set(sys.modules)\n"
+                "bench.run_fc_benchmark(c_values=(0.5,), y_values=(0.9,))\n"
+                "table = bench.run_suite_benchmark(suite=[get_problem('branin')],"
+                " runs_required=1, attempt_cap=1)\n"
+                "bench.emit(bench.performance_profile(table), 'csv', sys.argv[1])\n"
+                "print(json.dumps(['numpy.random' in with_numpy, sorted(imported - with_numpy),"
+                " sorted(set(sys.modules) - imported)]))\n")
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "profile.csv")],
+                              capture_output=True, text=True, timeout=120, env=child_env,
+                              check=True)
+        numpy_loads_random, by_import, by_sweeps = json.loads(proc.stdout)
+        assert [m for m in by_import
+                if m.split(".")[0] == "xml" or m in ("numpy.random", "urllib.request")] == []
+        if numpy_loads_random:
             pytest.skip("this NumPy (before 2.0) loads numpy.random on import")
-        assert after_sweep == "False"
+        assert by_sweeps == []
 
 
 class TestSweepInputs:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -95,6 +97,34 @@ class TestLdlFactor:
         assert np.max(np.abs(P @ A @ P.T - rec)) <= 1e-12 * np.max(np.abs(A))
         np.linalg.cholesky(psd_modify(A).modified_matrix)
 
+    @pytest.mark.parametrize("A, blocks", [
+        (np.diag([2.0 ** 1023, -(2.0 ** 1023)]), [[[2.0 ** 1023]], [[-(2.0 ** 1023)]]]),
+        (np.array([[1e308, 0.0], [0.0, 1.0]]), [[[1e308]], [[1.0]]]),
+        (np.array([[0.0, 1.7e308, 0.0], [1.7e308, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+         [[[0.0, 1.7e308], [1.7e308, 0.0]], [[1.0]]]),
+    ], ids=["2^1023", "1e308", "1.7e308-2x2"])
+    def test_entries_up_to_the_largest_double(self, A, blocks):
+        # A + A^T overflowed as A was symmetrized, and then 2^1024 as the
+        # scale: a RuntimeWarning, then OverflowError.  A / 2^1023 has 1 in
+        # [1, 2) and 1 / 2^1023, a subnormal power of two, so every value
+        # below is exact.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b = ldl_factor(A)
+            mod = psd_modify(A)
+            M = mod.modified_matrix
+            x = mod.solve(np.ones(A.shape[0]))
+        assert np.array_equal(b.matrix, A)
+        assert [blk.tolist() for blk in b.blocks] == blocks
+        lam = [1.7e308, -1.7e308, 1.0] if len(blocks[0]) == 2 else np.diag(A).tolist()
+        assert b.block_eigenvalues.tolist() == lam
+        # sqrt(eps) = 2^-26 of max |a_ij|: the two negative and the two unit
+        # eigenvalues shift up to it
+        assert mod.delta == 2.0 ** -26 * np.abs(A).max()
+        assert b.block_eigenvalues[mod.shifts > 0.0].tolist() == [v for v in lam if v <= 1.0]
+        np.linalg.cholesky(M)
+        np.testing.assert_allclose(M @ x, 1.0, rtol=1e-12)
+
     def test_multipliers_stay_modest_on_uniform_matrices(self):
         # Bunch-Kaufman does not bound |l_ij|: a zero diagonal whose column
         # entries differ by a factor of 50 gives a multiplier of 50.  On
@@ -107,6 +137,10 @@ class TestLdlFactor:
     def test_rejects_asymmetric_and_nonfinite(self):
         with pytest.raises(ValueError):
             ldl_factor(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        # asymmetry is relative to max |a_ij| at every scale: below 1e-300 it
+        # used to be measured against 1e-310
+        with pytest.raises(ValueError):
+            ldl_factor(np.array([[1e-305, 1e-312], [0.0, 1e-305]]))
         with pytest.raises(ValueError):
             ldl_factor(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 

