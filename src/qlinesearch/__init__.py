@@ -16,9 +16,8 @@ The package provides:
 * ``cli`` -- the ``qlinesearch`` command line over ``bench`` and the solvers.
 """
 
-from .bench import (BenchmarkRow, BenchmarkTable, FcSummaryRow, ProfileCurve,
-                    emit, fc_summary, load_profile_csv, load_runs_csv,
-                    performance_profile, run_fc_benchmark, run_suite_benchmark)
+from .bench import (BenchmarkRow, BenchmarkTable, FcSummaryRow, ProfileCurve, emit, fc_summary,
+                    load_runs_csv, performance_profile, run_fc_benchmark, run_suite_benchmark)
 from .errors import CallbackError, GradientShapeError, LineSearchError, NumericError, QPError
 from .problems import Problem, StartBox, check_gradient, get_problem, make_fc, standard_suite
 from .psdfactor import (FactorizationBundle, PsdModification, default_delta,

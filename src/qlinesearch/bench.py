@@ -382,7 +382,6 @@ _CELLS = {
 }
 RUNS_HEADER = ",".join(f.name for f in dataclasses.fields(BenchmarkRow))
 PROFILE_HEADER = "solver,tau,fraction"
-_PROFILE_TYPES = ("str", "float", "float")
 
 
 def _cell_rules(types, which):
@@ -420,7 +419,7 @@ def _csv_lines(obj):
         names, types = [f.name for f in fields], [f.type for f in fields]
         rows = (vars(r).values() for r in (obj.sorted_rows() if table else obj))
     elif isinstance(obj, list) and all(isinstance(c, ProfileCurve) for c in obj):
-        names, types = PROFILE_HEADER.split(","), _PROFILE_TYPES
+        names, types = PROFILE_HEADER.split(","), ("str", "float", "float")
         rows = ((c.solver, tau, frac) for c in obj for tau, frac in c.points)
     elif isinstance(obj, list) and all(isinstance(r, FcSummaryRow) for r in obj):
         # the columns are the summary's own solvers: c, iter_<s>..., time_<s>...
@@ -434,18 +433,19 @@ def _csv_lines(obj):
     return [",".join(names)] + [",".join([w(v) for w, v in zip(writers, row)]) for row in rows]
 
 
-def _read_csv(path, header, kind, types):
-    """The rows after a CSV's header, which must be ``header``, each cell
-    parsed by its annotation in ``types``; blank lines are skipped.  A row of
-    another length, or a cell that does not parse or is not the text its
-    value is written as, raises ValueError naming the file, the line and the
-    column."""
-    columns = list(zip(header.split(","), _cell_rules(types, 1), _cell_rules(types, 0)))
-    rows = []
+def load_runs_csv(path):
+    """The BenchmarkTable of a runs CSV, the one file the package reads back.
+    The header must be RUNS_HEADER, and each cell is parsed by its field's
+    annotation; blank lines are skipped.  A row of another length, or a cell
+    that does not parse or is not the text its value is written as, raises
+    ValueError naming the file, the line and the column."""
+    types = [f.type for f in dataclasses.fields(BenchmarkRow)]
+    columns = list(zip(RUNS_HEADER.split(","), _cell_rules(types, 1), _cell_rules(types, 0)))
+    table = BenchmarkTable()
     with open(path, encoding="utf-8") as fh:
         found = fh.readline().strip()
-        if found != header:
-            raise ValueError(f"unexpected {kind} header in {path}: {found!r}")
+        if found != RUNS_HEADER:
+            raise ValueError(f"unexpected runs header in {path}: {found!r}")
         for number, line in enumerate(map(str.strip, fh), start=2):
             if not line:
                 continue
@@ -461,21 +461,8 @@ def _read_csv(path, header, kind, types):
                         raise ValueError(f"written as {write(row[-1])!r}, not {cell!r}")
                 except ValueError as exc:
                     raise ValueError(f"{path} line {number}, column {name}: {exc}") from exc
-            rows.append(row)
-    return rows
-
-
-def load_runs_csv(path):
-    types = [f.type for f in dataclasses.fields(BenchmarkRow)]
-    return BenchmarkTable([BenchmarkRow(*cells)
-                           for cells in _read_csv(path, RUNS_HEADER, "runs", types)])
-
-
-def load_profile_csv(path):
-    curves = {}  # solver -> points, in file order
-    for solver, tau, frac in _read_csv(path, PROFILE_HEADER, "profile", _PROFILE_TYPES):
-        curves.setdefault(solver, []).append((tau, frac))
-    return [ProfileCurve(solver=s, points=p) for s, p in curves.items()]
+            table.rows.append(BenchmarkRow(*row))
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -214,35 +214,52 @@ def ldl_factor(A):
 
 @dataclass(eq=False)
 class PsdModification:
-    """Positive definite A + E held as A's factorization and the block shifts.
+    """Positive definite A + E held as A's factorization shifted up to delta.
 
-    ``shifts`` holds tau = max(delta - lam, 0) for each block eigenvalue lam,
-    so A + E = P^T L Q diag(lam + tau) Q^T L^T P and E = P^T L Q diag(tau)
-    Q^T L^T P.  ``modified_matrix`` and ``modification_frobenius`` are
-    assembled on first read; with no shift they are the symmetrized input
-    itself and exactly 0.
+    ``shifts`` holds tau = max(delta - lam, 0) for each block eigenvalue lam
+    and ``modified_eigenvalues`` lam + tau: A + E and E are P^T L Q diag(v)
+    Q^T L^T P at v = lam + tau and v = tau.  Where delta - lam overflows, tau is
+    inf, as ||E|| exceeds the largest double, and lam + tau, taken in halves, is
+    about delta.  ``modified_matrix`` and ``modification_frobenius`` are built
+    on first read; with no shift they are the symmetrized input and exactly 0.
     """
 
     bundle: FactorizationBundle
     delta: float
-    shifts: np.ndarray
+    shifts: np.ndarray = field(init=False)
+    modified_eigenvalues: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        lam, delta = self.bundle.block_eigenvalues, self.delta
+        if delta - float(np.minimum.reduce(lam, initial=0.0)) < np.inf:  # a float overflows quietly
+            self.shifts = np.maximum(delta - lam, 0.0)
+            self.modified_eigenvalues = lam + self.shifts
+            return
+        half = 0.5 * delta - 0.5 * lam  # tau / 2 cannot overflow; tau does where it is >= 2^1023
+        over = half >= 2.0 ** 1023
+        self.shifts = np.where(over, np.inf, np.maximum(delta - np.where(over, delta, lam), 0.0))
+        self.modified_eigenvalues = np.where(over, 2.0 * (0.5 * lam + half), lam + self.shifts)
 
     def solve(self, rhs):
         """Solve (A + E) x = rhs, a vector or a matrix, on the held factors (no inverse)."""
-        return _factored_solve(self.bundle, self.bundle.block_eigenvalues + self.shifts, rhs)
+        return _factored_solve(self.bundle, self.modified_eigenvalues, rhs)
 
     @functools.cached_property
     def modified_matrix(self):
         if not (self.shifts > 0.0).any():
             return self.bundle.matrix
-        M = _reassemble(self.bundle, self.bundle.block_eigenvalues + self.shifts)
+        M = _reassemble(self.bundle, self.modified_eigenvalues)
         return 0.5 * M + 0.5 * M.T  # halved first: M + M^T can overflow
 
     @functools.cached_property
     def modification_frobenius(self):
-        if not (self.shifts > 0.0).any():
-            return 0.0
-        return float(np.linalg.norm(_reassemble(self.bundle, self.shifts), "fro"))
+        # E is linear in tau: E(tau) = 2^e E(tau / 2^e) bit for bit, short of under-
+        # and overflow, and no square of E(tau / 2^e) overflows at max tau / 2^e in [1, 2)
+        top = float(self.shifts.max(initial=0.0))
+        if not 0.0 < top < np.inf:
+            return top
+        pow2 = math.ldexp(1.0, math.frexp(top)[1] - 1)
+        return float(np.linalg.norm(_reassemble(self.bundle, self.shifts / pow2), "fro")) * pow2
 
 
 def psd_modify(A, delta=None):
@@ -253,11 +270,7 @@ def psd_modify(A, delta=None):
     (symmetrized) input, bitwise.
     """
     bundle = ldl_factor(A)
-    if delta is None:
-        delta = default_delta(bundle.matrix)
-    delta = float(delta)
+    delta = float(default_delta(bundle.matrix) if delta is None else delta)
     if not 0.0 < delta < np.inf:  # "not" also rejects NaN
         raise ValueError(f"delta must be positive and finite, got {delta!r}")
-    lam = bundle.block_eigenvalues
-    return PsdModification(bundle=bundle, delta=delta,
-                           shifts=np.where(lam < delta, delta - lam, 0.0))
+    return PsdModification(bundle=bundle, delta=delta)

@@ -196,7 +196,10 @@ def test_bench_suite_and_profile(tmp_path, capsys):
     code = main(["profile", "--metric", "iterations", "--in", str(runs),
                  "--out", str(prof), "--svg", str(svg)])
     assert code == 0
-    curves = bench.load_profile_csv(str(prof))
+    # the profile of the runs read back, written as its rows in curve order
+    curves = bench.performance_profile(bench.load_runs_csv(str(runs)), "iterations")
+    assert prof.read_text().splitlines() == [bench.PROFILE_HEADER] + [
+        f"{c.solver},{tau!r},{frac!r}" for c in curves for tau, frac in c.points]
     assert {c.solver for c in curves} == {"bfgs", "q1", "q2", "q3"}
     for c in curves:
         fr = [f for _, f in c.points]

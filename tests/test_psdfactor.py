@@ -10,6 +10,8 @@ from qlinesearch.psdfactor import default_delta, ldl_factor, psd_modify
 
 from conftest import MAX_N
 
+MAX = float(np.finfo(float).max)
+
 
 def reconstruct(bundle):
     # B = Q diag(lam) Q^T, as the module docstring states
@@ -124,6 +126,35 @@ class TestLdlFactor:
         assert b.block_eigenvalues[mod.shifts > 0.0].tolist() == [v for v in lam if v <= 1.0]
         np.linalg.cholesky(M)
         np.testing.assert_allclose(M @ x, 1.0, rtol=1e-12)
+
+    def test_frobenius_norm_of_a_shift_past_the_root_of_the_largest_double(self):
+        # ||E||_F squared E's entries, so it read inf, with numpy's overflow
+        # warning, once they passed about 1.3e154
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mod = psd_modify(np.diag([1e160, -1e160]))
+            frob = mod.modification_frobenius
+        assert mod.shifts.tolist() == [0.0, mod.delta + 1e160]
+        assert frob == mod.shifts[1]
+
+    @pytest.mark.parametrize("A", [[[-MAX]], np.diag([-MAX, -1.0, 2.0 ** 1000])],
+                             ids=["1x1", "beside-finite-shifts"])
+    def test_a_shift_past_the_largest_double(self, A):
+        # delta - lam overflowed: the shift read inf, with numpy's overflow
+        # warning, A + E [[inf]] and the solve [0.].  delta = 2^-26 max |a_ij|
+        # = 2^998 - 2^945, and lam + tau rounds as with an unbounded exponent:
+        # tau = 2^1024 + 2^998 - 2^972, so lam + tau = 2^998 - 2^971
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mod = psd_modify(A)
+            M, x, frob = mod.modified_matrix, mod.solve(np.ones(len(A))), mod.modification_frobenius
+        delta = 2.0 ** 998 - 2.0 ** 945
+        eig = [2.0 ** 998 - 2.0 ** 971, delta, 2.0 ** 1000][:len(A)]
+        assert mod.delta == delta
+        assert mod.shifts.tolist() == [np.inf, delta, 0.0][:len(A)] and frob == np.inf
+        assert mod.modified_eigenvalues.tolist() == eig
+        assert np.array_equal(M, np.diag(eig))
+        assert x.tolist() == [1.0 / v for v in eig]
 
     def test_multipliers_stay_modest_on_uniform_matrices(self):
         # Bunch-Kaufman does not bound |l_ij|: a zero diagonal whose column
@@ -340,6 +371,27 @@ class TestFactorProperties:
         assert (mod.modification_frobenius > 0.0) == np.any(mod.shifts > 0.0)
         if not np.any(mod.shifts > 0.0):
             assert np.array_equal(mod.modified_matrix, A)
+
+    @given(symmetric_matrices(), st.sampled_from([None, 0.05]))
+    def test_overflow_guards_keep_every_finite_bit(self, A, delta):
+        # the forms from before the shift and ||E||_F were guarded against
+        # overflow give the same bits wherever they are finite (at delta =
+        # 0.05 far above unit scale, lam + tau can round to 0, and the solve
+        # then divides by it)
+        mod = psd_modify(A, delta)
+        b, lam, rhs = mod.bundle, mod.bundle.block_eigenvalues, np.linspace(-1.0, 2.0, len(A))
+        with np.errstate(all="ignore"):
+            shifts = np.where(lam < mod.delta, mod.delta - lam, 0.0)
+            forms = [(mod.shifts, shifts), (mod.modified_eigenvalues, lam + shifts),
+                     (mod.solve(rhs), psdfactor._factored_solve(b, lam + shifts, rhs))]
+            if np.any(shifts > 0.0):
+                M = psdfactor._reassemble(b, lam + shifts)
+                forms += [(mod.modified_matrix, 0.5 * M + 0.5 * M.T),
+                          (mod.modification_frobenius,
+                           np.linalg.norm(psdfactor._reassemble(b, shifts), "fro"))]
+        for new, old in forms:
+            if np.all(np.isfinite(old)):
+                assert np.array_equal(new, old)
 
     @given(symmetric_matrices(kinds=("positive_definite",), scales=(1.0, 1e150)))
     def test_unshifted_input_comes_back_bitwise(self, A):
