@@ -6,10 +6,10 @@ block diagonal with 1x1 and 2x2 blocks, and the inertia of B equals the
 inertia of A.  The same pass takes each block's eigenpairs, B = Q diag(lam)
 Q^T.  ``psd_modify`` shifts every block eigenvalue below delta up to delta
 (Cheng & Higham 1998), giving A + E = P^T L Q diag(lam + tau) Q^T L^T P.
-A + E is positive definite and its block eigenvalues are >= delta, up to
-the rounding of lam + tau.  Its smallest eigenvalue is not bounded by delta,
-because L is not orthogonal: it can fall far below delta.  When no block
-eigenvalue is below delta, nothing is shifted and E is exactly zero.
+A + E is positive definite, never singular, and its block eigenvalues are
+>= delta up to the rounding of lam + tau.  Its smallest eigenvalue is not
+bounded by delta, as L is not orthogonal: it can fall far below delta.  With
+no block eigenvalue below delta, nothing is shifted and E is exactly zero.
 
 Everything here is dense and sized for small n (every benchmark workload
 has n <= 10, and SQP's Schur complements are at most 3x3); clarity over
@@ -35,9 +35,9 @@ def default_delta(A):
 
 
 def _check_symmetric(A):
-    # A / pow2, symmetrized, and pow2: 1.0 near unit scale, and otherwise 2^e
-    # with max |a_ij| / 2^e in [1, 2), so e <= 1023 and 2^e is a double.
-    # Scaling first keeps A - A^T and A + A^T from overflowing.
+    # A / pow2, symmetrized, and pow2 = 2^e with max |a_ij| / 2^e in [1, 2), so
+    # e <= 1023 and 2^e is a double.  Every matrix is scaled, so A and A * 2^k
+    # give the same A / pow2; scaling first keeps A - A^T and A + A^T finite.
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
@@ -45,7 +45,7 @@ def _check_symmetric(A):
     if not np.isfinite(scale):  # max |a_ij| is NaN or inf exactly when an entry is
         raise ValueError("matrix contains non-finite entries")
     e = math.frexp(scale)[1]
-    pow2 = math.ldexp(1.0, e - 1) if abs(e) > 256 else 1.0
+    pow2 = math.ldexp(1.0, e - 1)
     A, scale = A / pow2, scale / pow2
     asym = float(np.abs(A - A.T).max(initial=0.0))
     if asym > 1e-10 * scale:
@@ -132,9 +132,9 @@ def ldl_factor(A):
     eigenvalues in descending order.  A zero column of the reduced matrix is
     a 1x1 zero pivot with nothing to eliminate.
     """
-    # Factoring W = A / pow2 keeps every 2x2 determinant and eigenvector norm
-    # from under- or overflowing; A, B and its eigenvalues are multiplied back
-    # by the power of two, exactly.
+    # Factoring W = A / pow2, at max |w_ij| in [1, 2), keeps every 2x2 determinant
+    # and eigenvector norm from under- or overflowing, and gives A * 2^k the same
+    # W, so P, L and Q; A, B and its eigenvalues are multiplied back by pow2, exactly.
     W, pow2 = _check_symmetric(A)
     A_sym = W * pow2
     n = W.shape[0]
@@ -216,12 +216,12 @@ def ldl_factor(A):
 class PsdModification:
     """Positive definite A + E held as A's factorization shifted up to delta.
 
-    ``shifts`` holds tau = max(delta - lam, 0) for each block eigenvalue lam
-    and ``modified_eigenvalues`` lam + tau: A + E and E are P^T L Q diag(v)
-    Q^T L^T P at v = lam + tau and v = tau.  Where delta - lam overflows, tau is
-    inf, as ||E|| exceeds the largest double, and lam + tau, taken in halves, is
-    about delta.  ``modified_matrix`` and ``modification_frobenius`` are built
-    on first read; with no shift they are the symmetrized input and exactly 0.
+    ``shifts`` holds tau = max(delta - lam, 0) for each block eigenvalue lam and
+    ``modified_eigenvalues`` lam + tau: A + E and E are P^T L Q diag(v) Q^T L^T P
+    at v = lam + tau and v = tau.  Both are taken in exact halves: tau / 2 =
+    max(delta / 2 - lam / 2, 0) cannot overflow (tau is inf past the largest
+    double), and lam + tau = 2 (lam / 2 + tau / 2), or delta where that is 0.
+    ``modified_matrix`` and ``modification_frobenius`` are built on first read.
     """
 
     bundle: FactorizationBundle
@@ -231,14 +231,11 @@ class PsdModification:
 
     def __post_init__(self):
         lam, delta = self.bundle.block_eigenvalues, self.delta
-        if delta - float(np.minimum.reduce(lam, initial=0.0)) < np.inf:  # a float overflows quietly
-            self.shifts = np.maximum(delta - lam, 0.0)
-            self.modified_eigenvalues = lam + self.shifts
-            return
-        half = 0.5 * delta - 0.5 * lam  # tau / 2 cannot overflow; tau does where it is >= 2^1023
-        over = half >= 2.0 ** 1023
-        self.shifts = np.where(over, np.inf, np.maximum(delta - np.where(over, delta, lam), 0.0))
-        self.modified_eigenvalues = np.where(over, 2.0 * (0.5 * lam + half), lam + self.shifts)
+        half = np.maximum(0.5 * delta - 0.5 * lam, 0.0)  # tau / 2
+        v = 2.0 * (0.5 * lam + half)
+        v[v == 0.0] = delta  # delta is below half an ulp of lam: the sum's exact value
+        half[half >= 2.0 ** 1023] = np.inf  # where tau passes the largest double
+        self.shifts, self.modified_eigenvalues = half + half, v
 
     def solve(self, rhs):
         """Solve (A + E) x = rhs, a vector or a matrix, on the held factors (no inverse)."""

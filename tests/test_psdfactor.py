@@ -265,6 +265,18 @@ class TestPsdModify:
         assert len(calls) == 1
         assert np.array_equal(mod.bundle.matrix, 0.5 * (A + A.T))
 
+    def test_delta_below_half_an_ulp_of_a_block_eigenvalue(self):
+        # lam + (delta - lam) rounded to 0 at lam = -2e144: A + E was singular,
+        # and the solve gave [nan, inf] with numpy's divide warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mod = psd_modify(np.diag([0.0, -2e144]), 0.05)
+            x = mod.solve(np.ones(2))
+        assert mod.shifts.tolist() == [0.05, 2e144]
+        assert mod.modified_eigenvalues.tolist() == [0.05, 0.05]
+        assert np.array_equal(mod.modified_matrix, np.diag([0.05, 0.05]))
+        assert x.tolist() == [20.0, 20.0]
+
 
 _KINDS = ("dense", "rank_deficient", "zero_columns", "zero_diagonal", "positive_definite")
 
@@ -375,23 +387,46 @@ class TestFactorProperties:
     @given(symmetric_matrices(), st.sampled_from([None, 0.05]))
     def test_overflow_guards_keep_every_finite_bit(self, A, delta):
         # the forms from before the shift and ||E||_F were guarded against
-        # overflow give the same bits wherever they are finite (at delta =
-        # 0.05 far above unit scale, lam + tau can round to 0, and the solve
-        # then divides by it)
+        # overflow give the same bits wherever they are finite, but that lam +
+        # tau is delta where it rounds to 0 (at delta = 0.05 far above unit
+        # scale), so that the solve never divides by 0
         mod = psd_modify(A, delta)
         b, lam, rhs = mod.bundle, mod.bundle.block_eigenvalues, np.linspace(-1.0, 2.0, len(A))
         with np.errstate(all="ignore"):
             shifts = np.where(lam < mod.delta, mod.delta - lam, 0.0)
-            forms = [(mod.shifts, shifts), (mod.modified_eigenvalues, lam + shifts),
-                     (mod.solve(rhs), psdfactor._factored_solve(b, lam + shifts, rhs))]
+            eig = lam + shifts
+            eig[eig == 0.0] = mod.delta
+            forms = [(mod.shifts, shifts), (mod.modified_eigenvalues, eig),
+                     (mod.solve(rhs), psdfactor._factored_solve(b, eig, rhs))]
             if np.any(shifts > 0.0):
-                M = psdfactor._reassemble(b, lam + shifts)
+                M = psdfactor._reassemble(b, eig)
                 forms += [(mod.modified_matrix, 0.5 * M + 0.5 * M.T),
                           (mod.modification_frobenius,
                            np.linalg.norm(psdfactor._reassemble(b, shifts), "fro"))]
         for new, old in forms:
             if np.all(np.isfinite(old)):
                 assert np.array_equal(new, old)
+
+    @given(symmetric_matrices(scales=(1.0,)), st.sampled_from([None, 0.05]),
+           st.one_of(st.integers(-900, 900), st.sampled_from([-258, -257, -256, -255,
+                                                              255, 256, 257, 258])))
+    def test_power_of_two_scaling_is_exact(self, A, delta, k):
+        # every matrix is factored as A / 2^e with max |a_ij| / 2^e in [1, 2),
+        # so A * 2^k gives A's P, L and Q and everything else scaled by 2^k,
+        # bit for bit, at every k: one path serves every scale
+        delta = default_delta(A) if delta is None else delta
+        p, rhs = 2.0 ** k, np.linspace(-1.0, 2.0, len(A))
+        mod, scaled = psd_modify(A, delta), psd_modify(A * p, delta * p)
+        b, c = mod.bundle, scaled.bundle
+        for name in ("permutation", "lower_unit_triangular", "block_eigenvectors"):
+            assert np.array_equal(getattr(c, name), getattr(b, name))
+        assert np.array_equal(c.block_eigenvalues, b.block_eigenvalues * p)
+        assert np.array_equal(c.matrix, b.matrix * p)
+        assert all(np.array_equal(y, x * p) for x, y in zip(b.blocks, c.blocks, strict=True))
+        for name in ("shifts", "modified_eigenvalues", "modified_matrix"):
+            assert np.array_equal(getattr(scaled, name), getattr(mod, name) * p)
+        assert scaled.modification_frobenius == mod.modification_frobenius * p
+        assert np.array_equal(scaled.solve(rhs), mod.solve(rhs) / p)
 
     @given(symmetric_matrices(kinds=("positive_definite",), scales=(1.0, 1e150)))
     def test_unshifted_input_comes_back_bitwise(self, A):
