@@ -11,16 +11,11 @@ def check_counts(least=1, **counts):
 
 
 class NumericError(ArithmeticError):
-    """A number a run cannot go on from, at ``point`` when known: a non-finite
-    value of a callback (f, its gradient, h, g or their Jacobians, or a
-    q-partial or q-Hessian entry built from them), a non-finite slope g.p of
-    an unconstrained step, or a ``QSchedule`` whose next q rounds to 1.  The
-    solvers end such a run as ``numeric_failure`` and drop the error, so
-    only direct callers of q_hessian, q_partial and checked_gradient see the point."""
-
-    def __init__(self, message, point=None):
-        super().__init__(message)
-        self.point = point
+    """A number a run cannot go on from: a non-finite value of a callback
+    (f, its gradient, h, g or their Jacobians, or a q-partial or q-Hessian
+    entry built from them), a non-finite slope g.p of an unconstrained step,
+    or a ``QSchedule`` whose next q rounds to 1.  The message names which.
+    The solvers end such a run as ``numeric_failure`` and drop the error."""
 
 
 class GradientShapeError(ValueError):

@@ -12,8 +12,9 @@ Row i of the raw q-Hessian is ``q_difference`` of the whole gradient in
 coordinate i; symmetrizing with (a_ij + a_ji)/2 yields a curvature surrogate
 that is exact for quadratics at every q and converges to the Hessian as
 q -> 1, from one gradient evaluation at x plus one per row (two per row in
-the zero band).  ``lagrangian_gradient`` forms the Lagrangian gradient for
-both the SQP solver and the Lagrangian q-Hessian.
+the zero band).  ``lagrangian_terms`` picks the multiplier terms and
+``lagrangian_gradient`` forms the Lagrangian gradient from them, for both
+the SQP solver and the Lagrangian q-Hessian.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def q_partial(g, x, i, q):
         raise IndexError(f"coordinate index {i} out of range for dimension {n}")
     val = float(q_difference(g, x, i, q)[0])
     if not np.isfinite(val):
-        raise NumericError("non-finite q-partial evaluation", point=x.copy())
+        raise NumericError("non-finite q-partial evaluation")
     return val
 
 
@@ -121,11 +122,11 @@ class QHessian:
     fallback_count: int
 
 
-def _checked(a, shape, x, what):
+def _checked(a, shape, what):
     if a.shape != shape:
         raise GradientShapeError(f"{what} returned shape {a.shape}, expected {shape}")
     if not np.isfinite(a).all():
-        raise NumericError(f"non-finite {what} evaluation", point=np.asarray(x, dtype=float).copy())
+        raise NumericError(f"non-finite {what} evaluation")
     return a
 
 
@@ -135,13 +136,13 @@ def checked_gradient(g, x):
     Raises ``GradientShapeError`` on a wrong shape and ``NumericError`` on a
     non-finite entry, so every solver rejects a bad gradient the same way.
     """
-    return _checked(np.asarray(g, dtype=float), (len(x),), x, "gradient")
+    return _checked(np.asarray(g, dtype=float), (len(x),), "gradient")
 
 
 def checked_jacobian(J, rows, x):
     """``J``, a constraint Jacobian value at ``x``, as a float (rows, n) array;
     a 1-D value is one row.  Raises as ``checked_gradient`` does."""
-    return _checked(np.atleast_2d(np.asarray(J, dtype=float)), (rows, len(x)), x, "Jacobian")
+    return _checked(np.atleast_2d(np.asarray(J, dtype=float)), (rows, len(x)), "Jacobian")
 
 
 def q_hessian(gradient, x, q, g0=None):
@@ -167,55 +168,47 @@ def q_hessian(gradient, x, q, g0=None):
             fallback += n
     matrix = 0.5 * (rows + rows.T)
     if not np.isfinite(matrix).all():
-        raise NumericError("non-finite q-Hessian entry", point=x.copy())
+        raise NumericError("non-finite q-Hessian entry")
     return QHessian(matrix=matrix, fallback_count=fallback)
 
 
-def _contributing(jac, multipliers):
-    """``multipliers`` as a float array when their term adds to the
-    Lagrangian gradient (a Jacobian is given and a multiplier is nonzero),
-    else None."""
-    if jac is None or multipliers is None:
-        return None
-    multipliers = np.asarray(multipliers, dtype=float)
-    return multipliers if multipliers.any() else None
+def lagrangian_terms(jac_h, u, jac_g, v):
+    """The (Jacobian, multipliers) pairs that add to the Lagrangian gradient,
+    J_h's first: those whose Jacobian is given and whose multipliers, as a
+    float array, are not None, empty or all zero.  A Jacobian is kept as
+    given, a value at one point or a callback."""
+    terms = [(jac, np.asarray(m, dtype=float)) for jac, m in ((jac_h, u), (jac_g, v))
+             if jac is not None and m is not None]
+    return [(jac, m) for jac, m in terms if m.any()]
 
 
-def lagrangian_gradient(grad_f, jac_h, u, jac_g, v):
-    """grad f + J_h^T u + J_g^T v from values at one point.
-
-    A term is skipped when its Jacobian is None or its multipliers are None,
-    empty or all zero; its Jacobian is then not read.  When both terms are
-    skipped the result is ``grad_f`` as a float array, bit for bit.
-    """
-    g = np.asarray(grad_f, dtype=float)
-    u, v = _contributing(jac_h, u), _contributing(jac_g, v)
-    if u is not None:
-        g = g + np.asarray(jac_h, dtype=float).T @ u
-    if v is not None:
-        g = g + np.asarray(jac_g, dtype=float).T @ v
-    return g
+def lagrangian_gradient(grad_f, terms):
+    """grad f + J^T m, adding each (J, m) of ``terms`` in order: checked
+    values at one point, ``terms`` from ``lagrangian_terms``.  With no terms
+    the result is ``grad_f`` itself."""
+    for jac, multipliers in terms:
+        grad_f = grad_f + jac.T @ multipliers
+    return grad_f
 
 
 def q_hessian_lagrangian(grad_f, x, q, jac_h=None, u=None, jac_g=None, v=None, g0=None):
     """q-Hessian of the Lagrangian f + u.h + v.g with multipliers held fixed.
 
     ``jac_h``/``jac_g`` return the (m, n) / (p, n) constraint Jacobians, m
-    and p the lengths of ``u`` and ``v``, and are called only when their
-    multipliers are nonzero; each value is checked by ``checked_jacobian``,
-    and each ``grad_f`` value by ``checked_gradient``.
+    and p the lengths of ``u`` and ``v``.  ``lagrangian_terms`` picks the
+    terms once, so a Jacobian is called, once per point q_hessian evaluates,
+    only when its multipliers are nonzero.  At each point ``grad_f``'s value
+    is checked by ``checked_gradient``, then each term's by ``checked_jacobian``.
     With zero (or absent) multipliers the result is identical to
     ``q_hessian`` of the objective at the same point and q.  ``g0``, the
     Lagrangian gradient at ``x`` when the caller holds it, is passed through
     to ``q_hessian``.
     """
-    u, v = _contributing(jac_h, u), _contributing(jac_g, v)
-
-    def jacobian(jac, multipliers, pt):
-        return None if multipliers is None else checked_jacobian(jac(pt), len(multipliers), pt)
+    terms = lagrangian_terms(jac_h, u, jac_g, v)
 
     def grad_lagrangian(pt):  # grad f is checked before the terms could broadcast it
-        return lagrangian_gradient(checked_gradient(grad_f(pt), pt), jacobian(jac_h, u, pt), u,
-                                   jacobian(jac_g, v, pt), v)
+        g = checked_gradient(grad_f(pt), pt)
+        return lagrangian_gradient(g, [(checked_jacobian(jac(pt), len(m), pt), m)
+                                       for jac, m in terms])
 
     return q_hessian(grad_lagrangian, x, q, g0=g0)

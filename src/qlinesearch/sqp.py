@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import GradientShapeError, LineSearchError, NumericError, QPError, check_counts
 from .psdfactor import default_delta, ldl_factor, psd_modify
-from .qmatrix import (checked_gradient, checked_jacobian, lagrangian_gradient,
+from .qmatrix import (checked_gradient, checked_jacobian, lagrangian_gradient, lagrangian_terms,
                       q_hessian_lagrangian)
 from .usolve import DEFAULT_SCHEDULE, STATUS_CONVERGED, _norm, backtracking_step, drive
 
@@ -261,10 +261,10 @@ class _SqpRun:
         Jh = checked_jacobian(prob.jac_h(x), m, x) if m else np.zeros((0, n))
         Jg = checked_jacobian(prob.jac_g(x), p, x) if p else np.zeros((0, n))
         if not (np.isfinite(fval) and np.isfinite(hx).all() and np.isfinite(gx).all()):
-            raise NumericError("non-finite objective or constraint value", point=x.copy())
+            raise NumericError("non-finite objective or constraint value")
         # the same function the q-Hessian's closure calls, so this is bitwise
         # the gradient it would evaluate at x
-        grad_lag = lagrangian_gradient(g_obj, Jh, u, Jg, v)
+        grad_lag = lagrangian_gradient(g_obj, lagrangian_terms(Jh, u, Jg, v))
         residual = _norm(grad_lag) + _norm(hx) + _norm(np.minimum(v, -gx))
         if residual < config.grad_tolerance:
             return STATUS_CONVERGED

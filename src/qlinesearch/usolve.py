@@ -145,7 +145,7 @@ def bfgs_update(B, s, y):
     safely positive, which keeps B positive definite."""
     s, y = np.asarray(s, dtype=float), np.asarray(y, dtype=float)
     sy = float(y @ s)
-    if sy <= 1e-10 * _norm(s) * _norm(y):
+    if not sy > 1e-10 * _norm(s) * _norm(y):  # a NaN y.s skips the update too
         return B
     v = B @ s
     sBs = float(s @ v)

@@ -371,10 +371,10 @@ def test_criterion_08_gradient_checks():
                  + problem.start_box.side * (rng.random(problem.dimension) - 0.5))
             if avoid is not None and avoid(x):
                 continue
-            worst = max(worst, q.check_gradient(problem, x, 1e-6))
+            worst = max(worst, q.check_gradient(problem, x))
             count += 1
         for x in beyond:
-            worst = max(worst, q.check_gradient(problem, x, 1e-6))
+            worst = max(worst, q.check_gradient(problem, x))
 
     for problem in q.standard_suite():
         check(problem)

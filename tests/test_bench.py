@@ -160,6 +160,8 @@ class TestSuiteBenchmark:
             run_suite_benchmark(master_seed=seed)
 
 
+# NumPy floor: a suite start must equal numpy.random's stream there, so an old runs CSV replays
+@pytest.mark.numpy_floor
 class TestSuiteStart:
     """A suite start is NumPy's PCG64 stream for its key, drawn without
     numpy.random.  These tests compare it with numpy.random under the NumPy
@@ -673,6 +675,8 @@ class TestDivergenceGuard:
         assert sum(r.iterations for r in a) < sum(r.iterations for r in b)
 
 
+# NumPy floor: the bound's thin margin near a minimum must hold for f as its SIMD loops round it
+@pytest.mark.numpy_floor
 class TestLowerBoundSkip:
     """The line search skips only the trials that ``Problem.lower_bound``
     shows cannot pass, so no iterate of a benchmark sweep depends on it."""

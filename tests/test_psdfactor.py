@@ -99,6 +99,8 @@ class TestLdlFactor:
         assert np.max(np.abs(P @ A @ P.T - rec)) <= 1e-12 * np.max(np.abs(A))
         np.linalg.cholesky(psd_modify(A).modified_matrix)
 
+    # NumPy floor: the one-path forms rely on exact halving and power-of-two scaling there too
+    @pytest.mark.numpy_floor
     @pytest.mark.parametrize("A, blocks", [
         (np.diag([2.0 ** 1023, -(2.0 ** 1023)]), [[[2.0 ** 1023]], [[-(2.0 ** 1023)]]]),
         (np.array([[1e308, 0.0], [0.0, 1.0]]), [[[1e308]], [[1.0]]]),
@@ -127,6 +129,8 @@ class TestLdlFactor:
         np.linalg.cholesky(M)
         np.testing.assert_allclose(M @ x, 1.0, rtol=1e-12)
 
+    # NumPy floor: the one-path forms rely on exact halving and power-of-two scaling there too
+    @pytest.mark.numpy_floor
     def test_frobenius_norm_of_a_shift_past_the_root_of_the_largest_double(self):
         # ||E||_F squared E's entries, so it read inf, with numpy's overflow
         # warning, once they passed about 1.3e154
@@ -137,6 +141,8 @@ class TestLdlFactor:
         assert mod.shifts.tolist() == [0.0, mod.delta + 1e160]
         assert frob == mod.shifts[1]
 
+    # NumPy floor: the one-path forms rely on exact halving and power-of-two scaling there too
+    @pytest.mark.numpy_floor
     @pytest.mark.parametrize("A", [[[-MAX]], np.diag([-MAX, -1.0, 2.0 ** 1000])],
                              ids=["1x1", "beside-finite-shifts"])
     def test_a_shift_past_the_largest_double(self, A):
@@ -265,6 +271,8 @@ class TestPsdModify:
         assert len(calls) == 1
         assert np.array_equal(mod.bundle.matrix, 0.5 * (A + A.T))
 
+    # NumPy floor: the one-path forms rely on exact halving and power-of-two scaling there too
+    @pytest.mark.numpy_floor
     def test_delta_below_half_an_ulp_of_a_block_eigenvalue(self):
         # lam + (delta - lam) rounded to 0 at lam = -2e144: A + E was singular,
         # and the solve gave [nan, inf] with numpy's divide warning
@@ -315,6 +323,8 @@ def _size(A):
     return float(np.max(np.abs(A), initial=0.0))
 
 
+# NumPy floor: tolerances, and exact power-of-two scaling, must hold there too
+@pytest.mark.numpy_floor
 class TestFactorProperties:
     @given(symmetric_matrices())
     def test_factors_reassemble_the_matrix(self, A):

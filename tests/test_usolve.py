@@ -39,8 +39,9 @@ class TestBfgsUpdate:
 
     def test_negative_curvature_skipped(self):
         B = np.eye(2)
-        out = bfgs_update(B, np.array([1.0, 0]), np.array([-1.0, 0]))
-        assert out is B
+        assert bfgs_update(B, np.array([1.0, 0]), np.array([-1.0, 0])) is B
+        # a NaN y.s is not safely positive either; it once gave an all-NaN B
+        assert bfgs_update(B, np.array([1.0, 0]), np.array([np.nan, 0])) is B
 
     def test_secant_property(self):
         rng = np.random.default_rng(19)
@@ -68,6 +69,8 @@ def _bits(a):
     return a.dtype.str, a.shape, a.tobytes()
 
 
+# NumPy floor: the method and function forms of a reduction must give the same bits there too
+@pytest.mark.numpy_floor
 class TestReductionForms:
     """The array-method forms that the library reduces with give the bits of
     numpy's function forms, on contiguous vectors (a matrix's rows) and on
