@@ -14,7 +14,8 @@ class NumericError(ArithmeticError):
     """A number a run cannot go on from: a non-finite value of a callback
     (f, its gradient, h, g or their Jacobians, or a q-partial or q-Hessian
     entry built from them), a non-finite slope g.p of an unconstrained step,
-    or a ``QSchedule`` whose next q rounds to 1.  The message names which.
+    a ``QSchedule`` whose next q rounds to 1, or a q schedule that runs out
+    before the run ends.  The message names which.
     The solvers end such a run as ``numeric_failure`` and drop the error."""
 
 

@@ -1,13 +1,13 @@
 """SQP with q-Hessian Lagrangian surrogates: QP subproblem, l1 merit search.
 
-Each iteration factors the positive definite modification B of the
-Lagrangian's q-Hessian once, solves the inequality-constrained QP model on
-that factorization by the dual active-set method of Goldfarb & Idnani
-(started at the equality-constrained minimizer, each working-set
-subproblem by the range-space method, with no KKT matrix), picks a common
-step length for (x, u, v) by backtracking on the exact l1 penalty
-f + mu (sum |h_i| + sum max(0, g_j)), and advances the q schedule.
-Convergence is declared on the KKT residual ||grad L|| + ||h|| + ||min(v, -g)||.
+Each iteration takes (B, q_k) from a curvature rule of (x, u, v) and grad L
+there (``solve_qsqp``'s: the modified q-Hessian of the Lagrangian at its
+schedule's next q), solves the inequality-constrained QP model on B's
+factorization by the dual active-set method of Goldfarb & Idnani (started at
+the equality-constrained minimizer, each working-set subproblem by the
+range-space method, with no KKT matrix), and picks a common step length for
+(x, u, v) by backtracking on the exact l1 penalty f + mu (sum |h_i| + sum
+max(0, g_j)).  It converges on the KKT residual ||grad L|| + ||h|| + ||min(v, -g)||.
 """
 
 from __future__ import annotations
@@ -202,14 +202,6 @@ def qp_active_set(B, grad, eq=((), ()), ineq=((), ())):
     raise QPError("active-set iteration did not terminate")
 
 
-def _sqp_delta(A):
-    # The Lagrangian surrogate vanishes at cold multiplier starts; a unit
-    # eigenvalue floor keeps the first QP steps (and the multiplier jump
-    # toward the QP estimate) at sane scale.  Only constrained problems use
-    # it: without constraints the floor would only slow the q-Newton step.
-    return max(1.0, default_delta(A))
-
-
 def _beta_monitors(M, jac_eq):
     w = np.linalg.eigvalsh(M)  # ascending, so the largest |w_i| is at one end
     beta2, least = float(max(w[-1], -w[0])), np.abs(w).min()
@@ -226,13 +218,15 @@ def _beta_monitors(M, jac_eq):
 
 class _SqpRun:
     """One SQP run in the shared driver: the primal-dual iterate, the l1
-    penalty, and f, h and g at x, each None until known."""
+    penalty, f, h and g at x (None until known) and ``curvature(x, u, v, g0)``,
+    which takes the iterate and its Lagrangian gradient g0 and returns (B, q_k)
+    once per step: B's ``.solve`` for the QP, its ``.modified_matrix`` for the
+    beta monitors after the merit search, and q_k as recorded."""
     record = SqpTraceRecord
 
-    def __init__(self, problem, schedule):
-        self.problem = problem
+    def __init__(self, problem, curvature):
+        self.problem, self.curvature = problem, curvature
         self.objective = problem.objective
-        self.qs = iter(schedule)  # q_0, q_1, ...: one per step
         self.x = problem.x0.astype(float)
         self.u = problem.u0.astype(float)
         self.v = problem.v0.astype(float)
@@ -275,14 +269,9 @@ class _SqpRun:
         return None
 
     def step(self, k):
-        prob, x, u, v = self.problem, self.x, self.u, self.v
-        m, p = prob.n_eq, prob.n_ineq
-        q_k = next(self.qs)
-        fval, hx, gx = self.f_x, self.h_x, self.g_x
+        x, u, v, fval, hx, gx = self.x, self.u, self.v, self.f_x, self.h_x, self.g_x
         g_obj, Jh, Jg, grad_lag, residual = self.at_x
-        qh = q_hessian_lagrangian(prob.gradient, x, q_k, jac_h=prob.jac_h, u=u,
-                                  jac_g=prob.jac_g, v=v, g0=grad_lag)
-        mod = psd_modify(qh.matrix, _sqp_delta(qh.matrix) if m or p else None)
+        mod, q_k = self.curvature(x, u, v, grad_lag)
         # without constraints this is mod.solve(-g_obj), the q-Newton step
         qp = qp_active_set(mod, g_obj, eq=(Jh, -hx), ineq=(Jg, -gx))
         d, lam_new, mu_new = qp.d_x, qp.d_u, qp.d_v
@@ -311,9 +300,8 @@ class _SqpRun:
                 self.flat_from = residual
 
         beta1, beta2, beta3 = _beta_monitors(mod.modified_matrix, Jh)
-        record = SqpTraceRecord(k=k, merit_value=phi0, kkt_residual=residual,
-                                alpha=alpha, q_k=q_k,
-                                beta1_observed=beta1, beta2_observed=beta2,
+        record = SqpTraceRecord(k=k, merit_value=phi0, kkt_residual=residual, alpha=alpha,
+                                q_k=q_k, beta1_observed=beta1, beta2_observed=beta2,
                                 beta3_observed=beta3, merit_penalty=mu_pen)
         self.x = x + alpha * d
         self.f_x, self.h_x, self.g_x = accepted
@@ -332,6 +320,18 @@ def solve_qsqp(problem, config=None, schedule=DEFAULT_SCHEDULE, callback=None):
     a finite floor QLS may stop as ``diverged`` where this run goes on.  The
     objective and constraint values at a new iterate are carried over from
     the accepted merit trial.  ``schedule`` is as in ``solve_qls``: any
-    iterable of q in (0, 1), drawn once per iteration from q_0 on.
+    iterable of q in (0, 1), one per iteration; running out is ``numeric_failure``.
     """
-    return drive(_SqpRun(problem, schedule), config, callback)
+    # The Lagrangian surrogate vanishes at cold multiplier starts; a unit eigenvalue floor keeps
+    # the first QP steps (and the multiplier jump toward the QP estimate) at sane scale.  Only
+    # constrained problems use it: without constraints it would only slow the q-Newton step.
+    qs, floored = iter(schedule), problem.n_eq or problem.n_ineq
+
+    def curvature(x, u, v, g0):
+        if (q_k := next(qs, None)) is None:
+            raise NumericError("the q schedule ran out")
+        A = q_hessian_lagrangian(problem.gradient, x, q_k, jac_h=problem.jac_h, u=u,
+                                 jac_g=problem.jac_g, v=v, g0=g0).matrix
+        return psd_modify(A, max(1.0, default_delta(A)) if floored else None), q_k
+
+    return drive(_SqpRun(problem, curvature), config, callback)

@@ -1,13 +1,13 @@
 """Unconstrained solvers: q-line-search and the BFGS baseline.
 
-Both solvers, and the SQP solver in ``sqp``, run in one iteration driver,
-``drive``, which owns the config, the iteration and time caps, the mapping
-of errors to statuses, the ``Trace``, the callback and ``f_final``; each
-solver supplies only a step and a stop test, which ``drive`` hands the
-config.  Both unconstrained solvers are matrix rules on ``solve_descent``,
-which stops on the gradient norm and the objective floor, takes the condition
-number of the M each rule returns and emits the same per-iteration trace.
-QLS rebuilds M every iteration from the q-Hessian; BFGS updates it by rank two.
+All three solvers run in one iteration driver, ``drive``, which owns the
+config, the iteration and time caps, the mapping of errors to statuses, the
+``Trace``, the callback and ``f_final``; each run supplies only a step and a
+stop test, and each solver is a rule on its run.  QLS and BFGS are matrix
+rules on ``solve_descent``, which stops on the gradient norm and the objective
+floor, takes the condition number of the M each rule returns and emits the
+same per-iteration trace; SQP is a curvature rule on ``sqp._SqpRun``.  QLS
+rebuilds M every iteration from the q-Hessian; BFGS updates it by rank two.
 Every step, SQP's merit step included, is Armijo backtracking (Nocedal &
 Wright 2006, Alg. 3.1) with the paper's c1 = 1e-4, halving from alpha = 1.
 """
@@ -328,13 +328,15 @@ def solve_qls(problem, x0, config=None, schedule=DEFAULT_SCHEDULE, callback=None
 
     The direction solves B_q p = -grad(f) through the factorization computed by
     the modification (no explicit inverse).  ``schedule`` is any iterable of q
-    in (0, 1), a ``QSchedule`` say, drawn once per iteration from q_0 on.
+    in (0, 1), a ``QSchedule`` say, drawn once per iteration from q_0 on; a run
+    that draws from a schedule that has run out ends as ``numeric_failure``.
     """
     grad = problem.gradient
     qs = iter(schedule)
 
     def direction(x, g):
-        q_k = next(qs)
+        if (q_k := next(qs, None)) is None:
+            raise NumericError("the q schedule ran out")
         qh = q_hessian(grad, x, q_k, g0=g)
         mod = psd_modify(qh.matrix)
         return mod.solve(-g), q_k, mod.modified_matrix, qh.fallback_count

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from qlinesearch import psdfactor, sqp
 from qlinesearch.errors import QPError
 from qlinesearch.problems import get_problem, make_fc
-from qlinesearch.psdfactor import ldl_factor, psd_modify
-from qlinesearch.qmatrix import QSchedule
+from qlinesearch.psdfactor import default_delta, ldl_factor, psd_modify
+from qlinesearch.qmatrix import QSchedule, q_hessian_lagrangian
 from qlinesearch.sqp import ConstrainedProblem, kkt_solve, qp_active_set, solve_qsqp
-from qlinesearch.usolve import (STATUS_CONVERGED, STATUS_DIVERGED, STATUS_LINE_SEARCH_FAILURE,
-                                STATUS_NUMERIC_FAILURE, STATUS_QP_FAILURE, SolverConfig,
-                                solve_qls)
+from qlinesearch.usolve import (DEFAULT_SCHEDULE, STATUS_CONVERGED, STATUS_DIVERGED,
+                                STATUS_LINE_SEARCH_FAILURE, STATUS_NUMERIC_FAILURE,
+                                STATUS_QP_FAILURE, SolverConfig, drive, solve_qls)
 
 from conftest import MAX_N, circle, solve_sqp
 
@@ -584,6 +584,30 @@ class TestSolveQsqp:
         r = solve(schedule)
         assert r.status == STATUS_CONVERGED and r.iterations >= least
         assert [t.q_k for t in r.trace] == list(itertools.islice(schedule, len(r.trace)))
+
+    @pytest.mark.parametrize("ball", [False, True], ids=["circle", "circle-and-ball"])
+    def test_curvature_rule_from_public_layers_is_solve_qsqp(self, ball):
+        # solve_qsqp is its curvature rule on _SqpRun: the same rule, built
+        # from the public layers, gives its run bit for bit, one call a step
+        prob = ConstrainedProblem(**circle(**(self.BALL if ball else {})))
+
+        def run(floor):
+            qs, calls = iter(DEFAULT_SCHEDULE), []
+
+            def rule(x, u, v, g0):
+                calls.append(next(qs))
+                A = q_hessian_lagrangian(prob.gradient, x, calls[-1], jac_h=prob.jac_h, u=u,
+                                         jac_g=prob.jac_g, v=v, g0=g0).matrix
+                return psd_modify(A, floor(A)), calls[-1]
+            return drive(sqp._SqpRun(prob, rule), None, None), calls
+
+        ref = solve_qsqp(prob)
+        r, calls = run(lambda A: max(1.0, default_delta(A)))
+        assert ref.status == r.status == STATUS_CONVERGED and ref.iterations == r.iterations
+        assert np.array_equal(r.x_final, ref.x_final) and r.trace == ref.trace
+        assert calls == [t.q_k for t in r.trace] and len(calls) == r.iterations
+        other, _ = run(default_delta)
+        assert other.trace != r.trace
 
     def test_zero_iterations_from_optimal_triple(self):
         r = solve_qsqp(circle_problem(x0=(-1.0, -1.0), u0=0.5))

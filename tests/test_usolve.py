@@ -126,12 +126,13 @@ class TestSolveQls:
         fs = [t.f_value for t in r.trace] + [r.f_final]
         assert all(b < a for a, b in zip(fs, fs[1:]))
 
-    @pytest.mark.parametrize("schedule", [QSchedule(0.5, 60), QSchedule(1e-17, 1)],
-                             ids=["q0.5-gamma60", "q1e-17-gamma1"])
+    @pytest.mark.parametrize("schedule", [QSchedule(0.5, 60), QSchedule(1e-17, 1), (0.9,)],
+                             ids=["q0.5-gamma60", "q1e-17-gamma1", "finite-0.9"])
     @pytest.mark.parametrize("solve", [solve_qls, solve_sqp])
     def test_schedule_reaching_one_is_numeric_failure(self, solve, schedule):
         # q_2 = 1 - q_1^gamma / 1 rounds to 1 in the second step, which used
-        # to end in QSchedule's ValueError; the run ends at its first iterate
+        # to end in QSchedule's ValueError, and a finite schedule has no q_2,
+        # which used to leak StopIteration; the run ends at its first iterate
         branin = get_problem("branin")
         r = solve(branin, [2.5, 3.0], schedule=schedule)
         one = solve(branin, [2.5, 3.0], config=SolverConfig(max_iterations=1), schedule=schedule)
